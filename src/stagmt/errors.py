@@ -9,6 +9,12 @@ class StagError(Exception):
     code = "error"
 
 
+class InternalError(StagError):
+    """A consistency check inside the package failed; this is a bug."""
+
+    code = "internal-error"
+
+
 # --- grammar files ---------------------------------------------------------
 
 class GrammarError(StagError):

@@ -277,7 +277,10 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
     except _Invalid:
         return
     except RecursionError:
-        return
+        # cyclic configurations are rejected through stack/visited above,
+        # so only nesting deeper than the interpreter allows lands here
+        raise OracleBoundError(
+            "configuration nests deeper than the recursion limit") from None
     if len(expander.visited) != sum(
             grammar.pair(name).n_components for name in uses):
         return  # disconnected islands never entered the root's expansion

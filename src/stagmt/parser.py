@@ -1,12 +1,22 @@
 """Source-side parsing: from a token stream to ranked derivations.
 
 Parsing happens in two phases. Phase 1 treats every component of every pair
-as a free-standing tree and enumerates instance trees over the lexical
-stream by span recursion: a substitution slot is filled by any initial
-component of the right category, any interior node may host one adjunction
-by any auxiliary component of the right category, and auxiliary components
-parse with a foot gap. Recursion is bounded by an instance budget so that
-pathological grammars (zero-width auxiliaries) still terminate.
+as a free-standing tree and finds its instance trees over the lexical
+stream: a substitution slot is filled by any initial component of the right
+category, any interior node may host one adjunction by any auxiliary
+component of the right category, and auxiliary components parse with a
+foot gap. It runs as two passes over one chart of TAG CKY items (node, span
+and foot gap), with nodes numbered once per parse:
+
+1. Recognition, with no budget: a Knuth-style worklist finds the least
+   instance count of every derivable item. Items form cycles (stacked and
+   zero-width auxiliaries over one span); the worklist settles each item
+   once, at its least cost, so cycles end without a budget.
+2. Enumeration: instance trees are unpacked top down, and ``max_uses`` is
+   applied here as an instance budget. Each call returns exactly the
+   parses of total instance count within its budget, and skips every item
+   and split point whose pass-1 least cost exceeds what is left of it, so
+   only productive items are ever visited.
 
 Phase 2 restores set discipline: instances of multi-component pairs are
 grouped into uses by bijective matching per component, each grouping is
@@ -31,7 +41,7 @@ from .derive import (
     make_derivation,
     render_derivation,
 )
-from .errors import LexicalGapError, NoParseError
+from .errors import InternalError, LexicalGapError, NoParseError
 from .model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -43,6 +53,7 @@ from .model import (
     ROOT,
     GornAddress,
     Grammar,
+    TreeNode,
 )
 from .morphotok import TokenizedSentence
 
@@ -85,98 +96,265 @@ def _lex_stream(sentence) -> tuple[str, ...]:
 
 
 class _SpanParser:
+    """Both passes of phase 1 over one lexical stream.
+
+    Every node of every component gets an integer id. An item is a symbol
+    over lex[i:j], plus the foot gap when the subtree holds a foot:
+
+    - ``at`` symbol (the node id ``n``): the subtree at n, with at most one
+      adjunction at n;
+    - ``below`` symbol (``n_nodes + n``): the subtree at n, no adjunction
+      at n;
+    - instance symbol (``2 * n_nodes + c``): one whole instance of
+      component c;
+    - sequence symbol ``seq[p][k]``: the children of interior node p from
+      the k-th on. ``seq[p][0]`` is p's below symbol and the last entry is
+      the at symbol of p's last child; the ones in between get ids of their
+      own.
+    """
+
     def __init__(self, lex: tuple[str, ...], grammar: Grammar, budget: int):
         self.lex = lex
-        self.g = grammar
         self.budget = budget
-        self._inst_memo: dict = {}
-        self._below_memo: dict = {}
-        self.subst_candidates: dict[str, list[tuple[str, int]]] = {}
-        self.adjoin_candidates: dict[str, list[tuple[str, int]]] = {}
+        self.node: list[TreeNode] = []
+        self.addr: list[GornAddress] = []
+        self.children: list[tuple[int, ...]] = []
+        # component id -> (pair name, component index, root node id)
+        self.comps: list[tuple[str, int, int]] = []
+        self.comp_id: dict[tuple[str, int], int] = {}
+        self.subst_candidates: dict[str, list[int]] = {}
+        self.adjoin_candidates: dict[str, list[int]] = {}
         for pair in grammar.pairs:
             for ci, comp in enumerate(pair.source.components):
                 table = (self.adjoin_candidates if comp.is_auxiliary
                          else self.subst_candidates)
-                table.setdefault(comp.root_cat, []).append((pair.name, ci))
+                table.setdefault(comp.root_cat, []).append(len(self.comps))
+                self.comp_id[pair.name, ci] = len(self.comps)
+                self.comps.append((pair.name, ci, self._add_node(comp.root, ROOT)))
+        self.n_nodes = len(self.node)
+        next_sym = 2 * self.n_nodes + len(self.comps)
+        self.seq: list[tuple[int, ...]] = []
+        for p, kids in enumerate(self.children):
+            middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
+            next_sym += len(middle)
+            last = (kids[-1],) if len(kids) > 1 else ()
+            self.seq.append((self.n_nodes + p, *middle, *last))
+        self.low = self._recognize()
+        self._memo: dict[tuple[int, int, int, int], tuple] = {}
 
-    def instances(self, pair_name: str, comp: int, i: int, j: int,
+    def _add_node(self, node: TreeNode, addr: GornAddress) -> int:
+        nid = len(self.node)
+        self.node.append(node)
+        self.addr.append(addr)
+        self.children.append(())
+        self.children[nid] = tuple(self._add_node(child, addr.child(k))
+                                   for k, child in enumerate(node.children, 1))
+        return nid
+
+    def _recognize(self) -> dict[tuple[int, int, int], int]:
+        """Pass 1: the least instance count of every derivable item.
+
+        Knuth's generalisation of Dijkstra's algorithm to the TAG CKY
+        deduction rules: an item leaves the bucket queue once, at its least
+        cost, and is then combined with the partners already settled. A
+        cheaper derivation found later re-queues only its consequent, so
+        cycles (stacked or zero-width auxiliaries) reach the least fixpoint
+        without re-sweeping the chart. Items dearer than the whole budget
+        are dropped. Returns the least cost per (symbol, i, j) over gaps.
+        """
+        n_nodes, n_lex, budget = self.n_nodes, len(self.lex), self.budget
+        inst0 = 2 * n_nodes
+        unary: dict[int, list[tuple[int, int]]] = {}
+        as_left: dict[int, tuple[int, int]] = {}
+        as_right: dict[int, tuple[int, int]] = {}
+        hosts: dict[str, list[int]] = {}      # cat -> adjoinable node ids
+        host_cat: dict[int, str] = {}         # below symbol -> its node's cat
+        aux_cat: dict[int, str] = {}          # instance symbol -> root cat
+        subst_slots: dict[str, list[int]] = {}
+        for n, node in enumerate(self.node):
+            if node.adjoin != ADJOIN_OA:
+                unary.setdefault(n_nodes + n, []).append((n, 0))
+            if node.kind == KIND_SUBST:
+                subst_slots.setdefault(node.cat, []).append(n)
+            elif (node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
+                  and node.cat in self.adjoin_candidates):
+                hosts.setdefault(node.cat, []).append(n)
+                host_cat[n_nodes + n] = node.cat
+            kids, seq = self.children[n], self.seq[n]
+            if len(kids) == 1:
+                unary.setdefault(kids[0], []).append((seq[0], 0))
+            for k in range(len(kids) - 1):
+                as_left[kids[k]] = (seq[k + 1], seq[k])
+                as_right[seq[k + 1]] = (kids[k], seq[k])
+        for c, (_, _, root) in enumerate(self.comps):
+            unary.setdefault(root, []).append((inst0 + c, 1))
+            cat = self.node[root].cat
+            if c in self.adjoin_candidates.get(cat, ()):
+                aux_cat[inst0 + c] = cat
+            else:
+                for slot in subst_slots.get(cat, ()):
+                    unary.setdefault(inst0 + c, []).append((n_nodes + slot, 0))
+
+        best: dict[tuple, int] = {}
+        queue: list[list[tuple]] = [[]]
+
+        def push(sym, i, j, gap, cost):
+            key = (sym, i, j, gap)
+            if cost <= budget and cost < best.get(key, cost + 1):
+                best[key] = cost
+                while len(queue) <= cost:
+                    queue.append([])
+                queue[cost].append(key)
+
+        for n, node in enumerate(self.node):
+            if node.kind == KIND_LEX:
+                for i, word in enumerate(self.lex):
+                    if word == node.word:
+                        push(n_nodes + n, i, i + 1, None, 0)
+            elif node.kind == KIND_EMPTY:
+                for i in range(n_lex + 1):
+                    push(n_nodes + n, i, i, None, 0)
+            elif node.kind == KIND_FOOT:
+                for i in range(n_lex + 1):
+                    for j in range(i, n_lex + 1):
+                        push(n_nodes + n, i, j, (i, j), 0)
+
+        low: dict[tuple[int, int, int], int] = {}
+        ends: dict[tuple[int, int], list] = {}      # left operands by end
+        starts: dict[tuple[int, int], list] = {}    # right operands by start
+        aux_by_gap: dict[tuple[str, int, int], list] = {}
+        hosts_by_span: dict[tuple[int, int, int], list] = {}
+        cost = 0
+        while cost < len(queue):
+            for key in queue[cost]:     # the bucket grows while it is read
+                if best[key] != cost:
+                    continue
+                sym, i, j, gap = key
+                low.setdefault((sym, i, j), cost)
+                for out, extra in unary.get(sym, ()):
+                    push(out, i, j, gap, cost + extra)
+                if sym in as_left:
+                    right, out = as_left[sym]
+                    ends.setdefault((sym, j), []).append((i, gap, cost))
+                    for k, gap2, cost2 in starts.get((right, j), ()):
+                        if gap is None or gap2 is None:
+                            push(out, i, k, gap or gap2, cost + cost2)
+                if sym in as_right:
+                    left, out = as_right[sym]
+                    starts.setdefault((sym, i), []).append((j, gap, cost))
+                    for k, gap2, cost2 in ends.get((left, i), ()):
+                        if gap is None or gap2 is None:
+                            push(out, k, j, gap or gap2, cost + cost2)
+                if sym in host_cat:
+                    n = sym - n_nodes
+                    hosts_by_span.setdefault((n, i, j), []).append((gap, cost))
+                    for oi, oj, cost2 in aux_by_gap.get((host_cat[sym], i, j), ()):
+                        push(n, oi, oj, gap, cost + cost2)
+                if sym in aux_cat:
+                    gi, gj = gap
+                    aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(
+                        (i, j, cost))
+                    for n in hosts.get(aux_cat[sym], ()):
+                        for gap2, cost2 in hosts_by_span.get((n, gi, gj), ()):
+                            push(n, i, j, gap2, cost + cost2)
+            cost += 1
+        return low
+
+    def _fits(self, sym: int, i: int, j: int, budget: int) -> bool:
+        """Whether pass 1 found the item at a cost within budget."""
+        least = self.low.get((sym, i, j))
+        return least is not None and least <= budget
+
+    # Pass 2: each call returns exactly the parses of the item whose total
+    # instance count is at most budget, memoized per (symbol, i, j, budget).
+
+    def instances(self, comp: int, i: int, j: int,
                   budget: int) -> tuple[InstParse, ...]:
         """All parses of one whole component instance over lex[i:j]."""
-        key = (pair_name, comp, i, j, budget)
-        hit = self._inst_memo.get(key)
+        sym = 2 * self.n_nodes + comp
+        if not self._fits(sym, i, j, budget):
+            return ()
+        key = (sym, i, j, budget)
+        hit = self._memo.get(key)
+        if hit is None:
+            pair_name, ci, root = self.comps[comp]
+            hit = self._memo[key] = tuple(
+                InstParse(pair=pair_name, comp=ci, i=i, j=j, gap=gap, ops=ops,
+                          size=1 + size)
+                for gap, ops, size in self.at(root, i, j, budget - 1))
+        return hit
+
+    def at(self, n: int, i: int, j: int, budget: int) -> tuple:
+        """Parses of the subtree at node n, allowing one adjunction at n."""
+        if not self._fits(n, i, j, budget):
+            return ()
+        key = (n, i, j, budget)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if budget < 1:
-            self._inst_memo[key] = ()
-            return ()
-        out = tuple(
-            InstParse(pair=pair_name, comp=comp, i=i, j=j, gap=gap, ops=ops,
-                      size=1 + size)
-            for gap, ops, size in self.at(pair_name, comp, ROOT, i, j, budget - 1))
-        self._inst_memo[key] = out
-        return out
-
-    def at(self, pair_name: str, comp: int, addr: GornAddress, i: int, j: int,
-           budget: int):
-        """Parses of the subtree at addr, allowing one adjunction at addr."""
-        node = self.g.pair(pair_name).component(comp).node_at(addr)
+        node = self.node[n]
         results = []
         if node.adjoin != ADJOIN_OA:
-            results.extend(self.below(pair_name, comp, addr, i, j, budget))
+            results.extend(self.below(n, i, j, budget))
         if node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA:
-            for aux_pair, aux_comp in self.adjoin_candidates.get(node.cat, ()):
-                for aux in self.instances(aux_pair, aux_comp, i, j, budget):
+            for aux_comp in self.adjoin_candidates.get(node.cat, ()):
+                for aux in self.instances(aux_comp, i, j, budget):
                     gi, gj = aux.gap
-                    inner = self.below(pair_name, comp, addr, gi, gj,
-                                       budget - aux.size)
-                    for gap, ops, size in inner:
-                        results.append((gap, ops + (Op(addr, OP_ADJOIN, aux),),
-                                        size + aux.size))
-        return results
+                    op = Op(self.addr[n], OP_ADJOIN, aux)
+                    for gap, ops, size in self.below(n, gi, gj,
+                                                     budget - aux.size):
+                        results.append((gap, ops + (op,), size + aux.size))
+        hit = self._memo[key] = tuple(results)
+        return hit
 
-    def below(self, pair_name: str, comp: int, addr: GornAddress, i: int, j: int,
-              budget: int):
-        """Parses of the subtree at addr with no adjunction at addr itself."""
-        key = (pair_name, comp, addr, i, j, budget)
-        hit = self._below_memo.get(key)
+    def below(self, n: int, i: int, j: int, budget: int) -> tuple:
+        """Parses of the subtree at node n with no adjunction at n itself."""
+        node = self.node[n]
+        if node.kind == KIND_INTERIOR:
+            return self._split(n, 0, i, j, budget)
+        if not self._fits(self.n_nodes + n, i, j, budget):
+            return ()
+        if node.kind == KIND_FOOT:
+            return (((i, j), (), 0),)
+        if node.kind != KIND_SUBST:
+            return ((None, (), 0),)     # the lexical item, or the empty leaf
+        key = (self.n_nodes + n, i, j, budget)
+        hit = self._memo.get(key)
+        if hit is None:
+            site = self.addr[n]
+            hit = self._memo[key] = tuple(
+                (None, (Op(site, OP_SUBST, inst),), inst.size)
+                for comp in self.subst_candidates.get(node.cat, ())
+                for inst in self.instances(comp, i, j, budget))
+        return hit
+
+    def _split(self, p: int, k: int, i: int, j: int, budget: int) -> tuple:
+        """Partition lex[i:j] over p's children from the k-th on, threading
+        gap and budget; split points pass 1 rules out are skipped."""
+        kids, seq = self.children[p], self.seq[p]
+        if k == len(kids) - 1:
+            return self.at(kids[k], i, j, budget)
+        if not self._fits(seq[k], i, j, budget):
+            return ()
+        key = (seq[k], i, j, budget)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        node = self.g.pair(pair_name).component(comp).node_at(addr)
-        results: list[tuple] = []
-        if node.kind == KIND_LEX:
-            if j == i + 1 and self.lex[i] == node.word:
-                results.append((None, (), 0))
-        elif node.kind == KIND_EMPTY:
-            if i == j:
-                results.append((None, (), 0))
-        elif node.kind == KIND_FOOT:
-            results.append(((i, j), (), 0))
-        elif node.kind == KIND_SUBST:
-            for sub_pair, sub_comp in self.subst_candidates.get(node.cat, ()):
-                for inst in self.instances(sub_pair, sub_comp, i, j, budget):
-                    results.append((None, (Op(addr, OP_SUBST, inst),), inst.size))
-        else:
-            child_addrs = [addr.child(k) for k in range(1, len(node.children) + 1)]
-            results.extend(self._split(pair_name, comp, child_addrs, i, j, budget))
-        results = tuple(results)
-        self._below_memo[key] = results
-        return results
-
-    def _split(self, pair_name: str, comp: int, addrs, i: int, j: int, budget: int):
-        """Partition lex[i:j] over sibling subtrees, threading gap and budget."""
-        if not addrs:
-            return [(None, (), 0)] if i == j else []
-        head, rest = addrs[0], addrs[1:]
+        head, rest, low = kids[k], seq[k + 1], self.low
         out = []
-        for k in range(i, j + 1):
-            firsts = self.at(pair_name, comp, head, i, k, budget)
-            for gap1, ops1, size1 in firsts:
-                for gap2, ops2, size2 in self._split(
-                        pair_name, comp, rest, k, j, budget - size1):
+        for mid in range(i, j + 1):
+            first = low.get((head, i, mid))
+            second = low.get((rest, mid, j))
+            if first is None or second is None or first + second > budget:
+                continue
+            for gap1, ops1, size1 in self.at(head, i, mid, budget):
+                for gap2, ops2, size2 in self._split(p, k + 1, mid, j,
+                                                     budget - size1):
                     if gap1 is not None and gap2 is not None:
                         continue
                     out.append((gap1 or gap2, ops1 + ops2, size1 + size2))
-        return out
+        hit = self._memo[key] = tuple(out)
+        return hit
 
 
 def _collect_instances(root: InstParse):
@@ -276,7 +454,8 @@ def all_derivations(sentence, grammar: Grammar, *,
         head_tree = pair.source.head_tree
         if head_tree.is_auxiliary or head_tree.root_cat != grammar.start_symbol:
             continue
-        for root_inst in span.instances(pair.name, head, 0, len(lex), span.budget):
+        for root_inst in span.instances(span.comp_id[pair.name, head], 0,
+                                        len(lex), span.budget):
             instances, edges = _collect_instances(root_inst)
             for assignment, n_uses in _groupings(instances, grammar):
                 if n_uses > max_uses:
@@ -293,7 +472,10 @@ def all_derivations(sentence, grammar: Grammar, *,
                         site=op.site, op=op.op))
                 derivation = make_derivation(uses, assignment[0], attachments)
                 tree = build_derived_tree(derivation, grammar)
-                assert tree.yield_lex() == lex
+                produced = tree.yield_lex()
+                if produced != lex:
+                    raise InternalError(
+                        f"derived tree yields {produced}, not the input {lex}")
                 if dominance_violations(tree, grammar):
                     continue
                 found.add(canonicalize(derivation, grammar))

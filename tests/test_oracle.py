@@ -10,9 +10,19 @@ from support import (
     EMBEDDED_FRONTED,
 )
 
+from stagmt import oracle
 from stagmt.derive import OP_ADJOIN
 from stagmt.errors import OracleBoundError
-from stagmt.model import ElementaryTree, SourceSet, SyncPair, foot, index_grammar, interior
+from stagmt.model import (
+    ElementaryTree,
+    SourceSet,
+    SyncPair,
+    empty,
+    foot,
+    index_grammar,
+    interior,
+    lex,
+)
 from stagmt.morphotok import tokenize
 from stagmt.oracle import OracleBound, assert_equivalence, brute_force_derivations
 from stagmt.parser import all_derivations
@@ -61,6 +71,44 @@ class TestBounds:
         with pytest.raises(OracleBoundError, match="anchor"):
             brute_force_derivations(tokenize(CHASE_CANONICAL, doctored),
                                     doctored)
+
+
+    def test_recursion_overrun_is_reported(self, g_chase, monkeypatch):
+        def too_deep(self, use, comp, foot_filler):
+            raise RecursionError
+
+        monkeypatch.setattr(oracle._Expander, "expand", too_deep)
+        with pytest.raises(OracleBoundError) as info:
+            brute_force_derivations(tokenize(CHASE_CANONICAL, g_chase),
+                                    g_chase)
+        assert info.value.code == "bound-exceeded"
+
+
+class TestCyclicGrammar:
+    """A set with a zero-width auxiliary component makes the parser's items
+    cyclic: the empty component adjoins over the very span it covers."""
+
+    @pytest.fixture(scope="class")
+    def g_cyclic(self, g_chase):
+        cal = SyncPair(
+            name="beta_cal",
+            source=SourceSet((
+                ElementaryTree(interior("S", empty(), foot("S"))),
+                ElementaryTree(interior("S", lex("A", "cal"), foot("S"))))),
+            target=ElementaryTree(interior("S", foot("S"))),
+            priority=2)
+        return index_grammar(
+            g_chase.pairs + (cal,),
+            source_language="ko", target_language="en",
+            start_symbol="S", particles=g_chase.particles)
+
+    @pytest.mark.parametrize("max_uses", [6, 7])
+    def test_parser_equals_oracle(self, g_cyclic, max_uses):
+        sentence = tokenize("cal Tom-i Jerry-lul ccossnunta.", g_cyclic)
+        parsed = all_derivations(sentence, g_cyclic, max_uses=max_uses)
+        assert len(parsed) == 9
+        assert parsed == brute_force_derivations(
+            sentence, g_cyclic, OracleBound(max_uses=max_uses))
 
 
 class TestEquivalenceReports:

@@ -12,8 +12,9 @@ from support import (
     permutation_closure,
 )
 
+import stagmt.parser
 from stagmt.derive import build_derived_tree
-from stagmt.errors import LexicalGapError, NoParseError
+from stagmt.errors import InternalError, LexicalGapError, NoParseError
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse, rank_by_priority
 
@@ -102,6 +103,18 @@ class TestFailureModes:
     def test_no_parse_raises(self, g_chase):
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
+
+    def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
+        # the yield check must survive python -O, so it cannot be an assert
+        class Misyielding:
+            def yield_lex(self):
+                return ("Jerry", "lul")
+
+        monkeypatch.setattr(stagmt.parser, "build_derived_tree",
+                            lambda derivation, grammar: Misyielding())
+        with pytest.raises(InternalError) as info:
+            derivations_of(CHASE_CANONICAL, g_chase)
+        assert info.value.code == "internal-error"
 
 
 class TestRanking:
