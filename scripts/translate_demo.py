@@ -18,7 +18,7 @@ try:
 except ImportError:  # running from a checkout without installation
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stagmt.derive import build_derived_tree, render_derivation, render_node, render_tree
+from stagmt.derive import render_derivation, render_node, render_tree
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.pipeline import translate_line
@@ -50,9 +50,8 @@ def show(line: str, grammar) -> None:
     result = translate_line(line, grammar, all_levels=True)
     for level in result.levels:
         print(f"\npriority level (cost {level.cost}):")
-        for derivation in level.derivations:
-            print(render_derivation(derivation, grammar))
-            tree = build_derived_tree(derivation, grammar)
+        for tree in level.trees:
+            print(render_derivation(tree.derivation, grammar))
             print(f"  source: {render_tree(tree, grammar)}")
 
     best = result.best

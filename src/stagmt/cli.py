@@ -5,7 +5,6 @@ Subcommands:
   parse         show source derivations and derived trees
   check         validate a grammar file
   permutations  try every reordering of a sentence's words
-  oracle        compare the parser against the brute-force enumerator
 
 Exit status: 0 on success, 1 when an input failed to process (no parse,
 unknown word, untranslatable derivation), 2 for unusable invocations or
@@ -18,25 +17,14 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
-from .derive import build_derived_tree, render_derivation, render_node, render_tree
+from .derive import render_derivation, render_node, render_tree
 from .errors import GrammarError, GrammarValidationError, StagError
 from .grammar_io import builtin_grammar_names, load_grammar
 from .model import Grammar, validate_pair
 from .morphotok import tokenize
-from .oracle import OracleBound, assert_equivalence
 from .parser import parse
 from .pipeline import translate_line
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    grammar: Grammar
-    fmt: str = "text"
-    show: str = "translation"
-    all_levels: bool = False
-    trace: bool = False
 
 
 def _load(args) -> Grammar:
@@ -62,23 +50,21 @@ def _emit_json(obj) -> None:
 
 def cmd_translate(args) -> int:
     grammar = _load(args)
-    config = RunConfig(grammar=grammar, fmt=args.format, show=args.show,
-                       all_levels=args.all_derivations, trace=args.trace_transfer)
     status = 0
     for lineno, line in _input_lines(args):
         try:
-            result = translate_line(line, grammar, all_levels=config.all_levels)
+            result = translate_line(line, grammar, all_levels=args.all_derivations)
         except StagError as exc:
             status = 1
             print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
-            if config.fmt == "json":
+            if args.format == "json":
                 _emit_json({"input": line, "line": lineno, "error": exc.code,
                             "message": str(exc), "translation": "ERROR"})
             else:
                 print("ERROR")
             continue
 
-        if config.fmt == "json":
+        if args.format == "json":
             _emit_json({
                 "input": line,
                 "translation": result.best.realization.surface,
@@ -95,14 +81,14 @@ def cmd_translate(args) -> int:
             continue
 
         print(result.best.realization.surface)
-        if config.show in ("derivation", "both") or config.trace:
+        if args.show in ("derivation", "both") or args.trace_transfer:
             for candidate in result.candidates:
                 print(f"# cost {candidate.cost}")
                 print(render_derivation(candidate.derivation, grammar))
-                if config.trace:
+                if args.trace_transfer:
                     for step in candidate.target.steps:
                         print(f"  {step}")
-        if config.show in ("derived", "both"):
+        if args.show in ("derived", "both"):
             for candidate in result.candidates:
                 print(f"source: {candidate.source_rendered}")
                 print(f"target: {render_node(candidate.realization.derived.root, {})}")
@@ -115,7 +101,7 @@ def cmd_parse(args) -> int:
     for lineno, line in _input_lines(args):
         try:
             sentence = tokenize(line, grammar)
-            levels = parse(sentence, grammar, all_levels=True)
+            levels = parse(sentence, grammar)
         except StagError as exc:
             status = 1
             print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
@@ -130,20 +116,20 @@ def cmd_parse(args) -> int:
                 "levels": [{
                     "cost": level.cost,
                     "derivations": [{
-                        "pairs": list(d.uses),
-                        "derivation": render_derivation(d, grammar).split("\n"),
-                        "tree": render_tree(build_derived_tree(d, grammar), grammar),
-                    } for d in level.derivations],
+                        "pairs": list(tree.derivation.uses),
+                        "derivation": render_derivation(tree.derivation,
+                                                        grammar).split("\n"),
+                        "tree": render_tree(tree, grammar),
+                    } for tree in level.trees],
                 } for level in shown],
             })
             continue
         for level in shown:
-            print(f"cost {level.cost}: {len(level.derivations)} derivation(s)")
-            for derivation in level.derivations:
+            print(f"cost {level.cost}: {len(level.trees)} derivation(s)")
+            for tree in level.trees:
                 if args.show in ("derivation", "both"):
-                    print(render_derivation(derivation, grammar))
+                    print(render_derivation(tree.derivation, grammar))
                 if args.show in ("derived", "both"):
-                    tree = build_derived_tree(derivation, grammar)
                     print(render_tree(tree, grammar))
     return status
 
@@ -206,29 +192,11 @@ def cmd_permutations(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    grammar = _load(args)
-    line = " ".join(args.sentence)
-    sentence = tokenize(line, grammar)
-    bound = OracleBound(max_uses=args.max_uses)
-    report = assert_equivalence(sentence, grammar, bound)
-    print(report.summary())
-    for derivation in report.only_parser:
-        print("parser only:")
-        print(render_derivation(derivation, grammar))
-    for derivation in report.only_oracle:
-        print("oracle only:")
-        print(render_derivation(derivation, grammar))
-    return 0 if report.match else 1
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="stagmt",
         description="Synchronous tree-adjoining transfer translation.")
-    # metavar keeps the debugging-only oracle command out of --help
-    sub = top.add_subparsers(dest="command", required=True,
-                             metavar="{translate,parse,check,permutations}")
+    sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, sentences=True):
         p.add_argument("-g", "--grammar", required=True,
@@ -265,11 +233,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="parse every reordering of the given words")
     common(p)
     p.set_defaults(fn=cmd_permutations)
-
-    p = sub.add_parser("oracle")  # debugging aid, undocumented on purpose
-    common(p)
-    p.add_argument("--max-uses", type=int, default=12)
-    p.set_defaults(fn=cmd_oracle)
 
     return top
 

@@ -4,7 +4,10 @@ A derivation names a multiset of pair uses and says, for every component of
 every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Composition turns a derivation
 into a derived tree by instantiating each component and splicing instances
-together with substitution and adjunction.
+together with substitution and adjunction. ``compose`` is the one engine:
+source derivations reach it through ``build_derived_tree``, and target
+derivations, whose trees are single components (component 0 of each use),
+through ``generator.realize``. Both sides run the same end checks.
 
 Instances are mutable node graphs with parent pointers; every node remembers
 which (use, component, elementary address) it came from, so attachment sites
@@ -90,7 +93,7 @@ class DNode:
     """Mutable node of a derived tree, tagged with its provenance."""
 
     __slots__ = ("cat", "kind", "adjoin", "word", "feats", "children", "parent",
-                 "use", "comp", "addr", "adjunction_applied", "consumed")
+                 "use", "comp", "addr", "adjunction_applied")
 
     def __init__(self, src: TreeNode, use: int, comp: int, addr: GornAddress):
         self.cat = src.cat
@@ -104,7 +107,6 @@ class DNode:
         self.comp = comp
         self.addr = addr
         self.adjunction_applied = False
-        self.consumed = False
 
     @property
     def provenance(self) -> str:
@@ -149,42 +151,24 @@ def _replace_child(parent: DNode, old: DNode, new: DNode) -> None:
     raise AssertionError("old node is not a child of parent")
 
 
-def _check_subst_site(slot: DNode, inst_root: DNode) -> None:
-    if slot.kind != KIND_SUBST:
-        raise NotASlotError(f"substitution into {slot.kind} node {slot.provenance}")
-    if slot.consumed:
-        raise IllegalAttachmentError(f"slot {slot.provenance} already filled")
-    if inst_root.cat != slot.cat:
-        raise CategoryMismatchError(
-            f"cannot substitute {inst_root.cat} into {slot.cat} slot")
-
-
-def _check_adjoin_site(site: DNode, aux_root: DNode) -> None:
-    if site.kind != KIND_INTERIOR:
-        raise IllegalAttachmentError(f"adjunction at {site.kind} node {site.provenance}")
-    if site.adjoin == ADJOIN_NA:
-        raise NAViolationError(f"adjunction at null-adjoining node {site.provenance}")
-    if site.adjunction_applied:
-        raise DoubleAdjunctionError(f"second adjunction at {site.provenance}")
-    if aux_root.cat != site.cat:
-        raise CategoryMismatchError(
-            f"cannot adjoin {aux_root.cat} auxiliary at {site.cat} node")
-
-
 def _apply_subst(registry, att: Attachment) -> None:
     slot = registry.get((att.host, att.host_comp, att.site))
     if slot is None:
         raise IllegalAttachmentError(f"no node at site {att.site} of use {att.host}")
     inst_root = registry[(att.use, att.comp, ROOT)]
+    # a filled slot is detached from its parent, so this also catches refills
     if slot.parent is None:
         raise IllegalAttachmentError(f"slot {slot.provenance} has no parent")
-    _check_subst_site(slot, inst_root)
+    if slot.kind != KIND_SUBST:
+        raise NotASlotError(f"substitution into {slot.kind} node {slot.provenance}")
+    if inst_root.cat != slot.cat:
+        raise CategoryMismatchError(
+            f"cannot substitute {inst_root.cat} into {slot.cat} slot")
     frag = fragment_root(inst_root)
     if frag is fragment_root(slot):
         raise IllegalAttachmentError(
             f"cyclic attachment of use {att.use} at {slot.provenance}")
     _replace_child(slot.parent, slot, frag)
-    slot.consumed = True
 
 
 def _apply_adjoin(registry, att: Attachment, aux: ElementaryTree) -> None:
@@ -196,68 +180,23 @@ def _apply_adjoin(registry, att: Attachment, aux: ElementaryTree) -> None:
             f"component {att.comp} of use {att.use} is not auxiliary")
     aux_root = registry[(att.use, att.comp, ROOT)]
     foot = registry[(att.use, att.comp, aux.foot_address)]
-    _check_adjoin_site(site, aux_root)
+    if site.kind != KIND_INTERIOR:
+        raise IllegalAttachmentError(f"adjunction at {site.kind} node {site.provenance}")
+    if site.adjoin == ADJOIN_NA:
+        raise NAViolationError(f"adjunction at null-adjoining node {site.provenance}")
+    if site.adjunction_applied:
+        raise DoubleAdjunctionError(f"second adjunction at {site.provenance}")
+    if aux_root.cat != site.cat:
+        raise CategoryMismatchError(
+            f"cannot adjoin {aux_root.cat} auxiliary at {site.cat} node")
     frag = fragment_root(aux_root)
     if frag is fragment_root(site):
         raise IllegalAttachmentError(
             f"cyclic adjunction of use {att.use} at {site.provenance}")
-    parent = site.parent
-    if parent is not None:
-        _replace_child(parent, site, frag)
-    else:
-        site.parent = None
-        frag.parent = None
+    if site.parent is not None:
+        _replace_child(site.parent, site, frag)
     _replace_child(foot.parent, foot, site)
-    foot.consumed = True
     site.adjunction_applied = True
-
-
-def node_at(root: DNode, address: GornAddress) -> DNode:
-    """Follow a Gorn address through the working tree as it currently stands."""
-    node = root
-    for step in address.path:
-        if not 1 <= step <= len(node.children):
-            raise IllegalAttachmentError(f"no node at address {address}")
-        node = node.children[step - 1]
-    return node
-
-
-def substitute_at(host: DNode, address: GornAddress, child: DNode) -> DNode:
-    """Fill the substitution slot at a working-tree address with a child tree.
-
-    The address is read off the host tree as it currently stands (not off any
-    elementary tree). Returns the root of the updated working tree.
-    """
-    slot = node_at(host, address)
-    _check_subst_site(slot, child)
-    if slot.parent is None:
-        slot.consumed = True
-        return child
-    _replace_child(slot.parent, slot, child)
-    slot.consumed = True
-    return fragment_root(host)
-
-
-def adjoin_at(host: DNode, address: GornAddress, aux: DNode) -> DNode:
-    """Adjoin an auxiliary working tree at a working-tree address.
-
-    The site node is excised, the auxiliary takes its place, and the site
-    hangs where the auxiliary's foot was. Returns the updated tree's root,
-    which differs from ``host`` exactly when adjoining at the root.
-    """
-    feet = [n for n in preorder(aux) if n.kind == KIND_FOOT]
-    if len(feet) != 1:
-        raise IllegalAttachmentError("adjoined tree is not auxiliary (needs one foot)")
-    foot = feet[0]
-    site = node_at(host, address)
-    _check_adjoin_site(site, aux)
-    parent = site.parent
-    if parent is not None:
-        _replace_child(parent, site, aux)
-    _replace_child(foot.parent, foot, site)
-    foot.consumed = True
-    site.adjunction_applied = True
-    return fragment_root(site)
 
 
 def preorder(root: DNode):
@@ -318,35 +257,30 @@ def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
     return None
 
 
-def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
-    """Compose the derivation into a source derived tree, checking as we go.
+def compose(elementary, attachments, root: Key,
+            derivation: Derivation | None = None) -> DerivedTree:
+    """Instantiate elementary trees and splice them into one derived tree.
 
-    Raises a CompositionError subclass when the derivation is not realizable
-    (bad sites, category clashes, NA/double adjunction, cycles, unfilled
-    slots, unsatisfied obligatory adjunction). Dominance requirements are a
-    separate judgement, see check_set_constraints.
+    elementary[use][comp] is the tree of component comp of use; root names
+    the (use, comp) whose instance tops the result. Raises a
+    CompositionError subclass when an attachment does not apply (bad site,
+    category clash, NA or double adjunction, cycle) or the result is not
+    finished (unfilled slot, stranded foot, unsatisfied obligatory
+    adjunction).
     """
-    problem = _shape_errors(derivation, grammar)
-    if problem is not None:
-        raise IllegalAttachmentError(problem)
-
     registry: dict[tuple[int, int, GornAddress], DNode] = {}
-    for use, name in enumerate(derivation.uses):
-        pair = grammar.pair(name)
-        for comp, tree in enumerate(pair.source.components):
+    for use, components in enumerate(elementary):
+        for comp, tree in enumerate(components):
             instantiate(tree, use, comp, registry)
 
-    for att in sorted(derivation.attachments, key=Attachment.sort_key):
+    for att in sorted(attachments, key=Attachment.sort_key):
         if att.op == OP_SUBST:
             _apply_subst(registry, att)
         else:
-            aux = grammar.pair(derivation.uses[att.use]).component(att.comp)
-            _apply_adjoin(registry, att, aux)
+            _apply_adjoin(registry, att, elementary[att.use][att.comp])
 
-    root_pair = grammar.pair(derivation.uses[derivation.root])
-    root = fragment_root(registry[(derivation.root, root_pair.source.head, ROOT)])
-
-    tree = DerivedTree(root=root, registry=registry, derivation=derivation)
+    tree = DerivedTree(root=fragment_root(registry[(*root, ROOT)]),
+                       registry=registry, derivation=derivation)
     for node in tree.preorder():
         if node.kind == KIND_SUBST:
             raise UnfilledSlotError(node.provenance, node.cat)
@@ -356,6 +290,21 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
             raise ObligatoryAdjunctionError(
                 f"no adjunction at obligatory-adjoining node {node.provenance}")
     return tree
+
+
+def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
+    """Compose the derivation into a source derived tree, checking as we go.
+
+    Raises a CompositionError subclass when the derivation is not realizable
+    (ill-formed shape, or anything compose rejects). Dominance requirements
+    are a separate judgement, see dominance_violations.
+    """
+    problem = _shape_errors(derivation, grammar)
+    if problem is not None:
+        raise IllegalAttachmentError(problem)
+    root_head = grammar.pair(derivation.uses[derivation.root]).source.head
+    return compose([grammar.pair(name).source.components for name in derivation.uses],
+                   derivation.attachments, (derivation.root, root_head), derivation)
 
 
 def _dominates(ancestor: DNode, node: DNode) -> bool:
@@ -446,13 +395,15 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
     return render_node(tree.root, display_indexes(tree, grammar))
 
 
-def canonicalize(derivation: Derivation, grammar: Grammar) -> Derivation:
-    """Renumber uses by first appearance in the composed tree's preorder walk.
+def canonicalize(tree: DerivedTree) -> Derivation:
+    """Renumber a composed tree's uses by first appearance in its preorder walk.
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.
+    The tree is relabelled in place (node uses and registry keys), so that
+    afterwards tree.derivation is the canonical derivation it returns.
     """
-    tree = build_derived_tree(derivation, grammar)
+    derivation = tree.derivation
     order: dict[int, int] = {}
     for node in tree.preorder():
         if node.use not in order:
@@ -467,7 +418,13 @@ def canonicalize(derivation: Derivation, grammar: Grammar) -> Derivation:
         Attachment(use=order[a.use], comp=a.comp, host=order[a.host],
                    host_comp=a.host_comp, site=a.site, op=a.op)
         for a in derivation.attachments)
-    return make_derivation(uses, order[derivation.root], attachments)
+    canonical = make_derivation(uses, order[derivation.root], attachments)
+    for node in tree.registry.values():
+        node.use = order[node.use]
+    tree.registry = {(node.use, comp, addr): node
+                     for (_, comp, addr), node in tree.registry.items()}
+    tree.derivation = canonical
+    return canonical
 
 
 def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
@@ -490,3 +447,10 @@ def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
                 parts.append(f"{att.op} {where}")
         lines.append(f"u{use} {name}: " + ", ".join(parts))
     return "\n".join(lines)
+
+
+def ranking_key(derivation: Derivation, grammar: Grammar):
+    """Order of ranked output: cost, then pair names, sites and rendering."""
+    return (derivation.cost(grammar), tuple(sorted(derivation.uses)),
+            tuple(str(a.site) for a in derivation.attachments),
+            render_derivation(derivation, grammar))

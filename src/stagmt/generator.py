@@ -4,21 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derive import (
-    Attachment,
-    DerivedTree,
-    OP_SUBST,
-    _apply_adjoin,
-    _apply_subst,
-    fragment_root,
-    instantiate,
-)
-from .errors import IllegalAttachmentError, UnfilledSlotError
-from .model import KIND_FOOT, KIND_LEX, KIND_SUBST, ROOT, Grammar
+from .derive import Attachment, DerivedTree, compose
+from .model import KIND_LEX, Grammar
 from .transfer import TargetDerivation
-
-# Target trees are single components; this stands in for a component index.
-TARGET = -1
 
 
 @dataclass(frozen=True)
@@ -30,28 +18,17 @@ class Realization:
 
 
 def realize(target_derivation: TargetDerivation, grammar: Grammar) -> DerivedTree:
-    """Compose the target derivation into a target derived tree."""
-    registry: dict = {}
-    for use, name in enumerate(target_derivation.uses):
-        instantiate(grammar.pair(name).target, use, TARGET, registry)
+    """Compose the target derivation into a target derived tree.
 
-    for att in sorted(target_derivation.attachments, key=lambda a: a.use):
-        generic = Attachment(use=att.use, comp=TARGET, host=att.host,
-                             host_comp=TARGET, site=att.site, op=att.op)
-        if att.op == OP_SUBST:
-            _apply_subst(registry, generic)
-        else:
-            aux = grammar.pair(target_derivation.uses[att.use]).target
-            _apply_adjoin(registry, generic, aux)
-
-    root = fragment_root(registry[(target_derivation.root, TARGET, ROOT)])
-    tree = DerivedTree(root=root, registry=registry, derivation=None)
-    for node in tree.preorder():
-        if node.kind == KIND_SUBST:
-            raise UnfilledSlotError(node.provenance, node.cat)
-        if node.kind == KIND_FOOT:
-            raise IllegalAttachmentError(f"stranded foot node {node.provenance}")
-    return tree
+    Each use's target tree is its component 0, so the source side's
+    composition engine and end checks apply unchanged.
+    """
+    return compose(
+        [(grammar.pair(name).target,) for name in target_derivation.uses],
+        [Attachment(use=att.use, comp=0, host=att.host, host_comp=0,
+                    site=att.site, op=att.op)
+         for att in target_derivation.attachments],
+        (target_derivation.root, 0))
 
 
 def _is_marked_nominal(node) -> bool:

@@ -13,8 +13,10 @@ with.
 Composition here deliberately shares no mechanics with stagmt.derive: forms
 are immutable nested tuples grown top-down, with the foot filler passed as
 an argument, rather than mutable instance graphs spliced in place. Only the
-Derivation record type and its canonical numbering are shared, so both
-sides speak the same language when their result sets are compared.
+Derivation record type, its canonical numbering and its ranking order are
+shared, so both sides speak the same language when their result sets are
+compared. Canonical numbering reads the tree that stagmt.derive composes
+for a configuration the oracle has already accepted.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .derive import (
     OP_SUBST,
     Attachment,
     Derivation,
+    build_derived_tree,
     canonicalize,
     make_derivation,
-    render_derivation,
+    ranking_key,
 )
 from .errors import OracleBoundError
 from .model import (
@@ -78,15 +81,6 @@ def _form_yield(form):
     for child in form[4]:
         out += _form_yield(child)
     return out
-
-
-def _lex_stream(sentence):
-    if isinstance(sentence, TokenizedSentence):
-        return sentence.lex_stream
-    out = []
-    for token in sentence:
-        out.extend(token.lex)
-    return tuple(out)
 
 
 def _pair_lex(pair) -> Counter:
@@ -210,10 +204,10 @@ def _attachment_sites(uses, grammar: Grammar):
     return options
 
 
-def brute_force_derivations(sentence, grammar: Grammar,
+def brute_force_derivations(sentence: TokenizedSentence, grammar: Grammar,
                             bound: OracleBound = OracleBound()):
     """Every valid derivation, by exhaustive generate-and-test."""
-    lex = _lex_stream(sentence)
+    lex = sentence.lex_stream
     if len(lex) > bound.max_uses:
         raise OracleBoundError(
             f"{len(lex)} lexical items exceed the use bound {bound.max_uses}")
@@ -253,12 +247,8 @@ def brute_force_derivations(sentence, grammar: Grammar,
                     del taken[site]
 
             assign(0, {})
-    def order(d: Derivation):
-        return (d.cost(grammar), tuple(sorted(d.uses)),
-                tuple(str(a.site) for a in d.attachments),
-                render_derivation(d, grammar))
 
-    return tuple(sorted(found, key=order))
+    return tuple(sorted(found, key=lambda d: ranking_key(d, grammar)))
 
 
 def _try_config(uses, root, root_head, taken, grammar, lex, found):
@@ -305,7 +295,7 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
                                       host_comp=host_c, site=addr,
                                       op=OP_ADJOIN if aux else OP_SUBST))
     derivation = make_derivation(uses, root, attachments)
-    found.add(canonicalize(derivation, grammar))
+    found.add(canonicalize(build_derived_tree(derivation, grammar)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +321,7 @@ class EquivalenceReport:
                 f"oracle={self.oracle_count} [{verdict}]")
 
 
-def assert_equivalence(sentence, grammar: Grammar,
+def assert_equivalence(sentence: TokenizedSentence, grammar: Grammar,
                        bound: OracleBound = OracleBound(),
                        parse_fn=None) -> EquivalenceReport:
     """Compare the real parser against the oracle on one sentence.
@@ -352,10 +342,10 @@ def assert_equivalence(sentence, grammar: Grammar,
         brute = set(brute_force_derivations(sentence, grammar, bound))
     except OracleBoundError as exc:
         return EquivalenceReport(
-            lex=_lex_stream(sentence), parser_count=len(parsed), oracle_count=0,
+            lex=sentence.lex_stream, parser_count=len(parsed), oracle_count=0,
             only_parser=(), only_oracle=(), bound_exceeded=str(exc))
     return EquivalenceReport(
-        lex=_lex_stream(sentence),
+        lex=sentence.lex_stream,
         parser_count=len(parsed),
         oracle_count=len(brute),
         only_parser=tuple(sorted(parsed - brute, key=lambda d: d.uses)),

@@ -20,9 +20,12 @@ and foot gap), with nodes numbered once per parse:
 
 Phase 2 restores set discipline: instances of multi-component pairs are
 grouped into uses by bijective matching per component, each grouping is
-composed, and groupings whose dominance requirements fail are discarded.
-Surviving derivations are canonicalized, deduplicated, and ranked by cost
-(sum of use priorities minus one, so priority-1 pairs are free).
+composed once, and groupings whose dominance requirements fail are
+discarded. Surviving trees are canonicalized in place, deduplicated, and
+ranked by cost (sum of use priorities minus one, so priority-1 pairs are
+free). ``parse`` returns the ranking as priority levels, cheapest first,
+each carrying its derivations' composed trees so no later stage composes
+them again; ``all_derivations`` returns the same derivations flat.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .derive import (
     OP_SUBST,
     Attachment,
     Derivation,
+    DerivedTree,
     build_derived_tree,
     canonicalize,
     dominance_violations,
     make_derivation,
-    render_derivation,
+    ranking_key,
 )
 from .errors import InternalError, LexicalGapError, NoParseError
 from .model import (
@@ -82,17 +86,14 @@ class InstParse:
 
 @dataclass(frozen=True)
 class PriorityLevel:
+    """The derivations of one cost, as composed trees in ranking order."""
+
     cost: int
-    derivations: tuple[Derivation, ...]
+    trees: tuple[DerivedTree, ...]
 
-
-def _lex_stream(sentence) -> tuple[str, ...]:
-    if isinstance(sentence, TokenizedSentence):
-        return sentence.lex_stream
-    out: list[str] = []
-    for token in sentence:
-        out.extend(token.lex)
-    return tuple(out)
+    @property
+    def derivations(self) -> tuple[Derivation, ...]:
+        return tuple(tree.derivation for tree in self.trees)
 
 
 class _SpanParser:
@@ -431,14 +432,14 @@ def _groupings(instances, grammar: Grammar):
         yield assignment, next_use
 
 
-def all_derivations(sentence, grammar: Grammar, *,
-                    max_uses: int | None = None) -> tuple[Derivation, ...]:
-    """Every valid derivation of the sentence, canonical and sorted.
+def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
+                   max_uses: int | None) -> list[DerivedTree]:
+    """The composed tree of every valid derivation, canonical and sorted.
 
-    Derivations use at most max_uses pairs (default: token count plus two,
-    enough for any set stacking the lexicon supports).
+    Each grouping is composed exactly once; the tree that passes the yield
+    and dominance checks is canonicalized in place and kept.
     """
-    lex = _lex_stream(sentence)
+    lex = sentence.lex_stream
     for word in lex:
         if word not in grammar.anchor_index and word not in grammar.particle_map:
             raise LexicalGapError(word)
@@ -448,7 +449,7 @@ def all_derivations(sentence, grammar: Grammar, *,
     max_comps = max((p.n_components for p in grammar.pairs), default=1)
     span = _SpanParser(lex, grammar, budget=max_uses * max_comps)
 
-    found: set[Derivation] = set()
+    found: dict[Derivation, DerivedTree] = {}
     for pair in grammar.pairs:
         head = pair.source.head
         head_tree = pair.source.head_tree
@@ -478,36 +479,41 @@ def all_derivations(sentence, grammar: Grammar, *,
                         f"derived tree yields {produced}, not the input {lex}")
                 if dominance_violations(tree, grammar):
                     continue
-                found.add(canonicalize(derivation, grammar))
+                found.setdefault(canonicalize(tree), tree)
 
-    def order(d: Derivation):
-        return (d.cost(grammar), tuple(sorted(d.uses)),
-                tuple(str(a.site) for a in d.attachments),
-                render_derivation(d, grammar))
-
-    return tuple(sorted(found, key=order))
+    return sorted(found.values(), key=lambda t: ranking_key(t.derivation, grammar))
 
 
-def rank_by_priority(derivations, grammar: Grammar) -> tuple[PriorityLevel, ...]:
-    levels: dict[int, list[Derivation]] = {}
-    for derivation in derivations:
-        levels.setdefault(derivation.cost(grammar), []).append(derivation)
-    return tuple(PriorityLevel(cost=cost, derivations=tuple(devs))
-                 for cost, devs in sorted(levels.items()))
+def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
+                    max_uses: int | None = None) -> tuple[Derivation, ...]:
+    """Every valid derivation of the sentence, canonical and sorted.
 
-
-def parse(sentence, grammar: Grammar, *, all_levels: bool = False,
-          max_uses: int | None = None):
-    """Parse and rank; returns the minimal-cost derivations, or all levels.
-
-    Only when the cheapest reading level is wanted (the default) do callers
-    see a flat tuple; with all_levels=True the full ranking comes back as
-    PriorityLevel records, cheapest first.
+    Derivations use at most max_uses pairs (default: token count plus two,
+    enough for any set stacking the lexicon supports).
     """
-    derivations = all_derivations(sentence, grammar, max_uses=max_uses)
-    if not derivations:
+    return tuple(tree.derivation
+                 for tree in _derived_trees(sentence, grammar, max_uses))
+
+
+def rank_by_priority(trees, grammar: Grammar) -> tuple[PriorityLevel, ...]:
+    """Group sorted derived trees into priority levels, cheapest first."""
+    levels: dict[int, list[DerivedTree]] = {}
+    for tree in trees:
+        levels.setdefault(tree.derivation.cost(grammar), []).append(tree)
+    return tuple(PriorityLevel(cost=cost, trees=tuple(group))
+                 for cost, group in sorted(levels.items()))
+
+
+def parse(sentence: TokenizedSentence, grammar: Grammar, *,
+          max_uses: int | None = None) -> tuple[PriorityLevel, ...]:
+    """Parse and rank: every priority level, cheapest first.
+
+    Each level carries its derivations with their composed source trees, so
+    callers render from those rather than composing again. Raises
+    NoParseError when no derivation covers the input; the budget is that of
+    all_derivations.
+    """
+    levels = rank_by_priority(_derived_trees(sentence, grammar, max_uses), grammar)
+    if not levels:
         raise NoParseError("no derivation covers the input")
-    levels = rank_by_priority(derivations, grammar)
-    if all_levels:
-        return levels
-    return levels[0].derivations
+    return levels

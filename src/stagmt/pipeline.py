@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derive import Derivation, build_derived_tree, render_tree
+from .derive import Derivation, render_tree
 from .generator import Realization, realize, yield_surface
 from .model import Grammar
 from .morphotok import TokenizedSentence, tokenize
@@ -49,23 +49,23 @@ def translate_line(line: str, grammar: Grammar, *,
                    all_levels: bool = False) -> TranslationResult:
     """Translate one input line; raises on tokenization or parse failure."""
     sentence = tokenize(line, grammar)
-    levels = parse(sentence, grammar, all_levels=True)
+    levels = parse(sentence, grammar)
     chosen = levels if all_levels else levels[:1]
     candidates = []
     for level in chosen:
-        for derivation in level.derivations:
+        for tree in level.trees:
+            derivation = tree.derivation
             target = transfer_derivation(derivation, grammar)
             derived = realize(target, grammar)
             realization = Realization(
                 derived=derived,
                 surface=yield_surface(derived, sentence.terminator))
-            source_tree = build_derived_tree(derivation, grammar)
             candidates.append(Candidate(
                 derivation=derivation,
                 target=target,
                 realization=realization,
                 cost=level.cost,
-                source_rendered=render_tree(source_tree, grammar),
+                source_rendered=render_tree(tree, grammar),
             ))
     return TranslationResult(line=line, sentence=sentence, levels=levels,
                              candidates=tuple(candidates))

@@ -119,7 +119,7 @@ def test_criterion_2_scrambled_translation(g_chase):
 def test_criterion_3_priority_suppression(g_chase):
     failures = []
     sentence = tokenize(CHASE_CANONICAL, g_chase)
-    best = parse(sentence, g_chase)
+    best = parse(sentence, g_chase)[0].derivations
     check(failures, all(d.cost(g_chase) == 0 for d in best),
           f"default parse has costs {[d.cost(g_chase) for d in best]}")
 
@@ -186,7 +186,8 @@ def test_criterion_4_permutation_completeness(g_chase, g_ditransitive):
 
 def test_criterion_5_long_distance_scrambling(g_embedded):
     failures = []
-    (derivation,) = parse(tokenize(EMBEDDED_FRONTED, g_embedded), g_embedded)
+    (derivation,) = parse(tokenize(EMBEDDED_FRONTED, g_embedded),
+                          g_embedded)[0].derivations
     multi = [u for u, name in enumerate(derivation.uses)
              if g_embedded.pair(name).source.is_multi]
     check(failures, len(multi) == 1, f"{len(multi)} scrambling sets used")

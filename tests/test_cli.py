@@ -5,8 +5,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from support import CHASE_CANONICAL, CHASE_SCRAMBLED
 
 from stagmt.cli import main
@@ -193,21 +191,6 @@ class TestPermutations:
         costs = {o["sentence"]: o["cost"] for o in payload["orders"]}
         assert costs[CHASE_CANONICAL] == 0
         assert costs[CHASE_SCRAMBLED] == 1
-
-
-class TestOracleCommand:
-    def test_hidden_from_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        out = capsys.readouterr().out
-        assert "permutations" in out
-        assert "oracle" not in out
-
-    def test_still_runs(self, capsys):
-        status, out, _ = run(capsys, "oracle", "-g", "chase",
-                             *CHASE_CANONICAL.split())
-        assert status == 0
-        assert "[agree]" in out
 
 
 def test_module_entry_point():

@@ -1,4 +1,4 @@
-"""Composition: attachments, working-tree operations, set constraints."""
+"""Composition: attachments, end checks, set constraints, canonical numbering."""
 
 import itertools
 
@@ -8,16 +8,13 @@ from stagmt.derive import (
     Attachment,
     OP_ADJOIN,
     OP_SUBST,
-    adjoin_at,
     build_derived_tree,
     canonicalize,
     check_set_constraints,
-    instantiate,
+    compose,
     make_derivation,
-    node_at,
     render_derivation,
     render_tree,
-    substitute_at,
 )
 from stagmt.errors import (
     CategoryMismatchError,
@@ -72,12 +69,6 @@ STACKED = make_derivation(
         att(1, 0, 2, 0, "e", OP_ADJOIN),
         att(1, 1, 2, 0, "1", OP_SUBST),
     ])
-
-
-def inst(grammar, pair_name, comp=None):
-    pair = grammar.pair(pair_name)
-    index = pair.source.head if comp is None else comp
-    return instantiate(pair.component(index), 0, index, {})
 
 
 class TestBuildDerivedTree:
@@ -158,86 +149,130 @@ class TestBuildDerivedTree:
         with pytest.raises(ObligatoryAdjunctionError):
             build_derived_tree(make_derivation(("gamma_oa",), 0, []), grammar)
 
-
-class TestWorkingTreeOps:
-    def test_substitution_fills_slot(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        child = inst(g_chase, "alpha_tom_sp")
-        root = substitute_at(host, A("1"), child)
-        assert root is host
-        assert node_at(root, A("1")).word is None  # SP phrase, not the slot
-        assert node_at(root, A("1.1")).word == "Tom"
-
-    def test_substitution_at_complete_tree_root_is_not_a_slot(self, g_chase):
-        complete = inst(g_chase, "alpha_tom_sp")
-        other = inst(g_chase, "alpha_jerry_op")
-        with pytest.raises(NotASlotError):
-            substitute_at(complete, A("e"), other)
-
     def test_substitution_into_lex_node_is_not_a_slot(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        child = inst(g_chase, "alpha_tom_sp")
+        into_verb = make_derivation(
+            ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"), 0, [
+                att(1, 0, 0, 0, "3", OP_SUBST),
+                att(2, 0, 0, 0, "2", OP_SUBST),
+            ])
         with pytest.raises(NotASlotError):
-            substitute_at(host, A("3"), child)
+            build_derived_tree(into_verb, g_chase)
+
+    def test_substitution_at_a_component_root_rejected(self, g_chase):
+        into_root = make_derivation(("alpha_tom_sp", "alpha_jerry_op"), 0, [
+            att(1, 0, 0, 0, "e", OP_SUBST)])
+        with pytest.raises(IllegalAttachmentError, match="has no parent"):
+            build_derived_tree(into_root, g_chase)
 
     def test_filled_slot_cannot_be_refilled(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        substitute_at(host, A("1"), inst(g_chase, "alpha_tom_sp"))
-        with pytest.raises(NotASlotError):
-            # address 1 now holds the substituted SP phrase
-            substitute_at(host, A("1"), inst(g_chase, "alpha_tom_sp"))
+        twice = make_derivation(
+            ("gamma_chase", "alpha_tom_sp", "alpha_tom_sp"), 0, [
+                att(1, 0, 0, 0, "1", OP_SUBST),
+                att(2, 0, 0, 0, "1", OP_SUBST),
+            ])
+        with pytest.raises(IllegalAttachmentError, match="has no parent"):
+            build_derived_tree(twice, g_chase)
+
+    def test_na_site_rejected(self):
+        host = SyncPair(
+            name="gamma_na",
+            source=SourceSet(components=(ElementaryTree(interior(
+                "S", interior("S", lex("V", "x"), adjoin=ADJOIN_NA))),)),
+            target=ElementaryTree(interior("S", lex("V", "x"))))
+        aux = SyncPair(
+            name="beta_y",
+            source=SourceSet(components=(ElementaryTree(
+                interior("S", lex("A", "y"), foot("S"))),)),
+            target=ElementaryTree(interior("S", lex("A", "y"), foot("S"))))
+        grammar = index_grammar([host, aux], source_language="ko",
+                                target_language="en", start_symbol="S",
+                                particles=[])
+        at_na = make_derivation(("gamma_na", "beta_y"), 0, [
+            att(1, 0, 0, 0, "1", OP_ADJOIN)])
+        with pytest.raises(NAViolationError):
+            build_derived_tree(at_na, grammar)
+
+    def test_adjoining_non_auxiliary_rejected(self, g_chase):
+        initial = make_derivation(("gamma_chase", "alpha_tom_sp"), 0, [
+            att(1, 0, 0, 0, "e", OP_ADJOIN)])
+        with pytest.raises(IllegalAttachmentError, match="not auxiliary"):
+            build_derived_tree(initial, g_chase)
+
+    def test_adjunction_checks_category(self, g_chase):
+        # beta_jerry_op's first component is S-rooted; alpha_tom_sp is SP
+        at_sp = make_derivation(("alpha_tom_sp", "beta_jerry_op"), 0, [
+            att(1, 0, 0, 0, "e", OP_ADJOIN),
+            att(1, 1, 0, 0, "1", OP_SUBST),
+        ])
+        with pytest.raises(CategoryMismatchError):
+            build_derived_tree(at_sp, g_chase)
+
+    def test_bad_address_rejected(self, g_chase):
+        nowhere = make_derivation(
+            ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"), 0, [
+                att(1, 0, 0, 0, "7.7", OP_SUBST),
+                att(2, 0, 0, 0, "2", OP_SUBST),
+            ])
+        with pytest.raises(IllegalAttachmentError, match="no node at site"):
+            build_derived_tree(nowhere, g_chase)
+
+
+def trees(grammar, *names):
+    return [grammar.pair(name).source.components for name in names]
+
+
+class TestWorkingTreeOps:
+    """The splice operations one attachment at a time, through compose."""
+
+    def test_substitution_fills_slot(self, g_chase):
+        tree = compose(trees(g_chase, "gamma_chase", "alpha_tom_sp", "alpha_jerry_op"),
+                       [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST)],
+                       (0, 0))
+        assert tree.root is tree.instance_root(0, 0)
+        slot = tree.registry[(0, 0, A("1"))]
+        assert slot.parent is None  # the slot is spliced out
+        sp = tree.root.children[0]
+        assert sp is tree.instance_root(1, 0)
+        assert sp.parent is tree.root
+        assert sp.word is None  # SP phrase, not the slot
+        assert sp.children[0].word == "Tom"
 
     def test_substitution_checks_category(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        wrong = inst(g_chase, "alpha_tom_sp")  # SP root, OP slot
+        # SP-rooted alpha_tom_sp into gamma_chase's OP slot
         with pytest.raises(CategoryMismatchError):
-            substitute_at(host, A("2"), wrong)
+            compose(trees(g_chase, "gamma_chase", "alpha_tom_sp"),
+                    [att(1, 0, 0, 0, "2", OP_SUBST)], (0, 0))
 
     def test_adjunction_at_root_returns_new_root(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        aux = inst(g_chase, "beta_jerry_op", comp=0)
-        root = adjoin_at(host, A("e"), aux)
-        assert root is aux
-        assert node_at(root, A("2")) is host
+        tree = compose(trees(g_chase, "beta_jerry_op", "gamma_chase", "alpha_tom_sp"),
+                       [att(0, 0, 1, 0, "e", OP_ADJOIN),
+                        att(0, 1, 1, 0, "2", OP_SUBST),
+                        att(2, 0, 1, 0, "1", OP_SUBST)],
+                       (1, 0))
+        host = tree.instance_root(1, 0)
+        assert tree.root is tree.instance_root(0, 0)
+        assert tree.root.children[1] is host  # the host took the foot's place
+        assert host.parent is tree.root
         assert host.adjunction_applied
 
     def test_double_adjunction_rejected(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        root = adjoin_at(host, A("e"), inst(g_chase, "beta_jerry_op", comp=0))
         with pytest.raises(DoubleAdjunctionError):
-            # the original root now sits at address 2 and is already adjoined
-            adjoin_at(root, A("2"), inst(g_chase, "beta_tom_sp", comp=0))
+            compose(trees(g_chase, "gamma_chase", "beta_jerry_op", "beta_tom_sp"),
+                    [att(1, 0, 0, 0, "e", OP_ADJOIN),
+                     att(2, 0, 0, 0, "e", OP_ADJOIN)],
+                    (0, 0))
 
     def test_stacking_at_the_new_root_is_fine(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        root = adjoin_at(host, A("e"), inst(g_chase, "beta_jerry_op", comp=0))
-        newer = adjoin_at(root, A("e"), inst(g_chase, "beta_tom_sp", comp=0))
-        assert node_at(newer, A("2")) is root
-
-    def test_na_site_rejected(self):
-        host = instantiate(ElementaryTree(interior(
-            "S", interior("S", lex("V", "x"), adjoin=ADJOIN_NA))), 0, 0, {})
-        aux = instantiate(ElementaryTree(interior("S", lex("A", "y"), foot("S"))),
-                          1, 0, {})
-        with pytest.raises(NAViolationError):
-            adjoin_at(host, A("1"), aux)
-
-    def test_adjoining_non_auxiliary_rejected(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        not_aux = inst(g_chase, "alpha_tom_sp")
-        with pytest.raises(IllegalAttachmentError):
-            adjoin_at(host, A("e"), not_aux)
-
-    def test_adjunction_checks_category(self, g_chase):
-        host = inst(g_chase, "alpha_tom_sp")  # SP-rooted
-        aux = inst(g_chase, "beta_jerry_op", comp=0)  # S-rooted auxiliary
-        with pytest.raises(CategoryMismatchError):
-            adjoin_at(host, A("e"), aux)
-
-    def test_bad_address_rejected(self, g_chase):
-        host = inst(g_chase, "gamma_chase")
-        with pytest.raises(IllegalAttachmentError):
-            substitute_at(host, A("7.7"), inst(g_chase, "alpha_tom_sp"))
+        tree = compose(trees(g_chase, "gamma_chase", "beta_jerry_op", "beta_tom_sp"),
+                       [att(1, 0, 0, 0, "e", OP_ADJOIN),
+                        att(1, 1, 0, 0, "2", OP_SUBST),
+                        att(2, 0, 1, 0, "e", OP_ADJOIN),
+                        att(2, 1, 0, 0, "1", OP_SUBST)],
+                       (0, 0))
+        jerry = tree.instance_root(1, 0)
+        assert tree.root is tree.instance_root(2, 0)
+        assert tree.root.children[1] is jerry
+        assert jerry.children[1] is tree.instance_root(0, 0)
 
 
 class TestCheckSetConstraints:
@@ -289,7 +324,7 @@ class TestCheckSetConstraints:
 class TestCanonicalize:
     def test_frozen_derivations_are_fixed_points(self, g_chase):
         for derivation in (CANONICAL, SCRAMBLED, STACKED):
-            assert canonicalize(derivation, g_chase) == derivation
+            assert canonicalize(build_derived_tree(derivation, g_chase)) == derivation
 
     def test_use_renumbering_is_quotiented_away(self, g_chase):
         base = SCRAMBLED
@@ -301,7 +336,26 @@ class TestCanonicalize:
                 [Attachment(use=perm[a.use], comp=a.comp, host=perm[a.host],
                             host_comp=a.host_comp, site=a.site, op=a.op)
                  for a in base.attachments])
-            assert canonicalize(relabeled, g_chase) == base
+            assert canonicalize(build_derived_tree(relabeled, g_chase)) == base
+
+    def test_tree_is_relabelled_in_place(self, g_chase):
+        base = STACKED
+        relabeled = make_derivation(
+            tuple(reversed(base.uses)), len(base.uses) - 1 - base.root,
+            [Attachment(use=len(base.uses) - 1 - a.use, comp=a.comp,
+                        host=len(base.uses) - 1 - a.host,
+                        host_comp=a.host_comp, site=a.site, op=a.op)
+             for a in base.attachments])
+        tree = build_derived_tree(relabeled, g_chase)
+        rendered = render_tree(tree, g_chase)
+        assert canonicalize(tree) == base
+        assert tree.derivation == base
+        assert render_tree(tree, g_chase) == rendered
+        for (use, comp, addr), node in tree.registry.items():
+            assert node.use == use and node.comp == comp and node.addr == addr
+        assert {key[:2] for key in tree.registry} == {
+            (use, comp) for use, name in enumerate(base.uses)
+            for comp in range(g_chase.pair(name).n_components)}
 
 
 class TestRenderDerivation:

@@ -19,9 +19,14 @@ from stagmt.derive import (
     make_derivation,
     render_node,
 )
-from stagmt.errors import IllegalAttachmentError, UnfilledSlotError
+from stagmt.errors import (
+    IllegalAttachmentError,
+    ObligatoryAdjunctionError,
+    UnfilledSlotError,
+)
 from stagmt.generator import Realization, realize, yield_surface
 from stagmt.model import (
+    ADJOIN_OA,
     ElementaryTree,
     GornAddress,
     SourceSet,
@@ -103,6 +108,22 @@ class TestRealize:
         td = TargetDerivation(uses=("beta_really",), root=0,
                               attachments=(), steps=())
         with pytest.raises(IllegalAttachmentError, match="stranded foot"):
+            realize(td, doctored)
+
+    def test_obligatory_adjunction_enforced(self, g_chase):
+        # the target side runs the same end checks as the source side
+        ran = SyncPair(
+            name="gamma_ran",
+            source=SourceSet((ElementaryTree(interior("S", lex("V", "ttwinta"))),)),
+            target=ElementaryTree(interior(
+                "S", interior("VP", lex("V", "ran"), adjoin=ADJOIN_OA))))
+        doctored = index_grammar(
+            g_chase.pairs + (ran,),
+            source_language="ko", target_language="en",
+            start_symbol="S", particles=g_chase.particles)
+        td = TargetDerivation(uses=("gamma_ran",), root=0,
+                              attachments=(), steps=())
+        with pytest.raises(ObligatoryAdjunctionError):
             realize(td, doctored)
 
 

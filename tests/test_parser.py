@@ -13,7 +13,7 @@ from support import (
 )
 
 import stagmt.parser
-from stagmt.derive import build_derived_tree
+from stagmt.derive import build_derived_tree, render_tree
 from stagmt.errors import InternalError, LexicalGapError, NoParseError
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse, rank_by_priority
@@ -25,7 +25,7 @@ def derivations_of(line, grammar, **kwargs):
 
 class TestChaseSentences:
     def test_canonical_minimal_parse(self, g_chase):
-        (best,) = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)
+        (best,) = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)[0].derivations
         assert best.uses == ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op")
         assert best.cost(g_chase) == 0
 
@@ -34,7 +34,7 @@ class TestChaseSentences:
         assert [d.cost(g_chase) for d in ds] == [0, 1, 2]
 
     def test_scrambled_minimal_parse_uses_a_set(self, g_chase):
-        (best,) = parse(tokenize(CHASE_SCRAMBLED, g_chase), g_chase)
+        (best,) = parse(tokenize(CHASE_SCRAMBLED, g_chase), g_chase)[0].derivations
         assert sorted(best.uses) == ["alpha_tom_sp", "beta_jerry_op",
                                      "gamma_chase"]
         assert best.cost(g_chase) == 1
@@ -119,15 +119,22 @@ class TestFailureModes:
 
 class TestRanking:
     def test_levels_are_cost_sorted(self, g_chase):
-        levels = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase,
-                       all_levels=True)
+        levels = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)
         assert [level.cost for level in levels] == [0, 1, 2]
         assert all(len(level.derivations) == 1 for level in levels)
 
-    def test_default_returns_only_the_cheapest_level(self, g_chase):
-        best = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)
-        assert len(best) == 1
-        assert best[0].cost(g_chase) == 0
+    def test_levels_carry_their_composed_trees(self, g_chase):
+        sentence = tokenize(CHASE_CANONICAL, g_chase)
+        levels = parse(sentence, g_chase)
+        assert (tuple(d for level in levels for d in level.derivations)
+                == all_derivations(sentence, g_chase))
+        for level in levels:
+            for tree in level.trees:
+                assert tree.derivation.cost(g_chase) == level.cost
+                assert tree.yield_lex() == sentence.lex_stream
+                assert (render_tree(tree, g_chase)
+                        == render_tree(build_derived_tree(tree.derivation, g_chase),
+                                       g_chase))
 
     def test_rank_by_priority_of_nothing(self, g_chase):
         assert rank_by_priority([], g_chase) == ()

@@ -111,7 +111,7 @@ class TestScrambledTransfer:
 class TestLongDistanceTransfer:
     def test_fronted_embedded_object_lands_in_the_embedded_clause(self, g_embedded):
         def shape(line):
-            (d,) = parse(tokenize(line, g_embedded), g_embedded)
+            (d,) = parse(tokenize(line, g_embedded), g_embedded)[0].derivations
             td = transfer_derivation(d, g_embedded)
             return {(td.uses[a.use], td.uses[a.host], str(a.site), a.op)
                     for a in td.attachments}
