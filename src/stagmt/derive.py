@@ -26,6 +26,7 @@ from .errors import (
     CompositionError,
     DoubleAdjunctionError,
     IllegalAttachmentError,
+    InternalError,
     NAViolationError,
     NotASlotError,
     ObligatoryAdjunctionError,
@@ -148,7 +149,7 @@ def _replace_child(parent: DNode, old: DNode, new: DNode) -> None:
             new.parent = parent
             old.parent = None
             return
-    raise AssertionError("old node is not a child of parent")
+    raise InternalError(f"{old!r} is not a child of {parent!r}")
 
 
 def _apply_subst(registry, att: Attachment) -> None:
@@ -156,9 +157,11 @@ def _apply_subst(registry, att: Attachment) -> None:
     if slot is None:
         raise IllegalAttachmentError(f"no node at site {att.site} of use {att.host}")
     inst_root = registry[(att.use, att.comp, ROOT)]
-    # a filled slot is detached from its parent, so this also catches refills
     if slot.parent is None:
-        raise IllegalAttachmentError(f"slot {slot.provenance} has no parent")
+        # a filled slot was detached from its parent; a component root never had one
+        if att.site.is_root:
+            raise IllegalAttachmentError(f"slot {slot.provenance} has no parent")
+        raise IllegalAttachmentError(f"slot {slot.provenance} is already filled")
     if slot.kind != KIND_SUBST:
         raise NotASlotError(f"substitution into {slot.kind} node {slot.provenance}")
     if inst_root.cat != slot.cat:

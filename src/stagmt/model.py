@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import DuplicatePairNameError, NoStartPairError
+
+if TYPE_CHECKING:
+    from .parser import ChartTables
 
 KIND_INTERIOR = "interior"
 KIND_SUBST = "subst_slot"
@@ -295,6 +299,12 @@ class Grammar:
                         continue
                     index.setdefault(word, set()).add(pair.name)
         return {w: tuple(sorted(names)) for w, names in sorted(index.items())}
+
+    @cached_property
+    def chart_tables(self) -> ChartTables:
+        """The parser's grammar-only chart tables, built on first use."""
+        from .parser import ChartTables
+        return ChartTables(self)
 
 
 def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,

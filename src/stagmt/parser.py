@@ -6,12 +6,17 @@ stream: a substitution slot is filled by any initial component of the right
 category, any interior node may host one adjunction by any auxiliary
 component of the right category, and auxiliary components parse with a
 foot gap. It runs as two passes over one chart of TAG CKY items (node, span
-and foot gap), with nodes numbered once per parse:
+and foot gap). The node numbering and the deduction rules depend only on
+the grammar, so they are built once per grammar (``ChartTables``) and
+shared by all its parses. A node where no adjunction can happen has one
+symbol for "with" and "without an adjunction here", and foot items are
+implicit: a foot covers any span at cost 0, so the chart never holds them.
 
 1. Recognition, with no budget: a Knuth-style worklist finds the least
    instance count of every derivable item. Items form cycles (stacked and
    zero-width auxiliaries over one span); the worklist settles each item
-   once, at its least cost, so cycles end without a budget.
+   once, at its least cost, so cycles end without a budget. A foot's
+   sibling, once settled, yields the items with every foot gap next to it.
 2. Enumeration: instance trees are unpacked top down, and ``max_uses`` is
    applied here as an instance budget. Each call returns exactly the
    parses of total instance count within its budget, and skips every item
@@ -96,27 +101,34 @@ class PriorityLevel:
         return tuple(tree.derivation for tree in self.trees)
 
 
-class _SpanParser:
-    """Both passes of phase 1 over one lexical stream.
+class ChartTables:
+    """The grammar-only tables of both passes of phase 1.
+
+    Built once per grammar on first use and kept as ``Grammar.chart_tables``
+    for as long as the grammar lives. Nothing writes to them after
+    construction, so concurrent parses of one grammar share them.
 
     Every node of every component gets an integer id. An item is a symbol
     over lex[i:j], plus the foot gap when the subtree holds a foot:
 
     - ``at`` symbol (the node id ``n``): the subtree at n, with at most one
       adjunction at n;
-    - ``below`` symbol (``n_nodes + n``): the subtree at n, no adjunction
-      at n;
-    - instance symbol (``2 * n_nodes + c``): one whole instance of
-      component c;
+    - ``below`` symbol (``below[n]``): the subtree at n, no adjunction at
+      n. Where no adjunction can happen at n (a leaf, or an interior node
+      that is null-adjoining or has no auxiliary of its category) and n is
+      not obligatory-adjoining, the two items are the same and ``below[n]``
+      is n itself;
+    - instance symbol (``inst0 + c``): one whole instance of component c;
     - sequence symbol ``seq[p][k]``: the children of interior node p from
       the k-th on. ``seq[p][0]`` is p's below symbol and the last entry is
       the at symbol of p's last child; the ones in between get ids of their
       own.
+
+    Foot items are implicit: a foot covers any span, as its own gap, at
+    cost 0, so pass 1 never builds them (see ``_SpanParser._recognize``).
     """
 
-    def __init__(self, lex: tuple[str, ...], grammar: Grammar, budget: int):
-        self.lex = lex
-        self.budget = budget
+    def __init__(self, grammar: Grammar):
         self.node: list[TreeNode] = []
         self.addr: list[GornAddress] = []
         self.children: list[tuple[int, ...]] = []
@@ -132,16 +144,25 @@ class _SpanParser:
                 table.setdefault(comp.root_cat, []).append(len(self.comps))
                 self.comp_id[pair.name, ci] = len(self.comps)
                 self.comps.append((pair.name, ci, self._add_node(comp.root, ROOT)))
-        self.n_nodes = len(self.node)
-        next_sym = 2 * self.n_nodes + len(self.comps)
+        hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
+                   and node.cat in self.adjoin_candidates for node in self.node]
+        next_sym = len(self.node)
+        self.below: list[int] = []
+        for n, node in enumerate(self.node):
+            if hosting[n] or node.adjoin == ADJOIN_OA:
+                self.below.append(next_sym)
+                next_sym += 1
+            else:
+                self.below.append(n)
+        self.inst0 = next_sym
+        next_sym += len(self.comps)
         self.seq: list[tuple[int, ...]] = []
         for p, kids in enumerate(self.children):
             middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
             next_sym += len(middle)
             last = (kids[-1],) if len(kids) > 1 else ()
-            self.seq.append((self.n_nodes + p, *middle, *last))
-        self.low = self._recognize()
-        self._memo: dict[tuple[int, int, int, int], tuple] = {}
+            self.seq.append((self.below[p], *middle, *last))
+        self._rules(hosting)
 
     def _add_node(self, node: TreeNode, addr: GornAddress) -> int:
         nid = len(self.node)
@@ -152,6 +173,76 @@ class _SpanParser:
                                    for k, child in enumerate(node.children, 1))
         return nid
 
+    def _rules(self, hosting: list[bool]) -> None:
+        """The deduction rules of pass 1, indexed by antecedent symbol."""
+        # foot at symbols: an obligatory-adjoining foot is never derivable
+        self.feet = frozenset(n for n, node in enumerate(self.node)
+                              if node.kind == KIND_FOOT and self.below[n] == n)
+        self.unary: dict[int, list[tuple[int, int]]] = {}
+        self.as_left: dict[int, tuple[int, int]] = {}
+        self.as_right: dict[int, tuple[int, int]] = {}
+        self.foot_left: dict[int, int] = {}   # right sibling of a foot -> out
+        self.foot_right: dict[int, int] = {}  # left sibling of a last foot -> out
+        self.foot_only: list[int] = []        # below symbols over a lone foot
+        self.lex_syms: dict[str, list[int]] = {}
+        self.empty_syms: list[int] = []
+        self.hosts: dict[str, list[int]] = {}     # cat -> adjoinable node ids
+        self.host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
+        self.aux_cat: dict[int, str] = {}         # instance symbol -> root cat
+        subst_slots: dict[str, list[int]] = {}
+        for n, node in enumerate(self.node):
+            below = self.below[n]
+            if below != n and node.adjoin != ADJOIN_OA:
+                self.unary.setdefault(below, []).append((n, 0))
+            if node.kind == KIND_SUBST:
+                subst_slots.setdefault(node.cat, []).append(below)
+            elif node.kind == KIND_LEX:
+                self.lex_syms.setdefault(node.word, []).append(below)
+            elif node.kind == KIND_EMPTY:
+                self.empty_syms.append(below)
+            elif hosting[n]:
+                self.hosts.setdefault(node.cat, []).append(n)
+                self.host_of[below] = (n, node.cat)
+            kids, seq = self.children[n], self.seq[n]
+            if len(kids) == 1:
+                if kids[0] in self.feet:
+                    self.foot_only.append(seq[0])
+                else:
+                    self.unary.setdefault(kids[0], []).append((seq[0], 0))
+            for k in range(len(kids) - 1):
+                if kids[k] in self.feet:
+                    self.foot_left[seq[k + 1]] = seq[k]
+                elif k == len(kids) - 2 and kids[k + 1] in self.feet:
+                    self.foot_right[kids[k]] = seq[k]
+                else:
+                    self.as_left[kids[k]] = (seq[k + 1], seq[k])
+                    self.as_right[seq[k + 1]] = (kids[k], seq[k])
+        for c, (_, _, root) in enumerate(self.comps):
+            inst = self.inst0 + c
+            self.unary.setdefault(root, []).append((inst, 1))
+            cat = self.node[root].cat
+            if c in self.adjoin_candidates.get(cat, ()):
+                self.aux_cat[inst] = cat
+            else:
+                for slot in subst_slots.get(cat, ()):
+                    self.unary.setdefault(inst, []).append((slot, 0))
+
+
+class _SpanParser:
+    """Both passes of phase 1 over one lexical stream.
+
+    Holds the lexical stream, the instance budget, pass 1's chart of least
+    costs and pass 2's memo; the rules and symbols come from the grammar's
+    shared ``ChartTables``.
+    """
+
+    def __init__(self, lex: tuple[str, ...], tables: ChartTables, budget: int):
+        self.lex = lex
+        self.budget = budget
+        self.tables = tables
+        self.low = self._recognize()
+        self._memo: dict[tuple[int, int, int, int], tuple] = {}
+
     def _recognize(self) -> dict[tuple[int, int, int], int]:
         """Pass 1: the least instance count of every derivable item.
 
@@ -161,41 +252,16 @@ class _SpanParser:
         cheaper derivation found later re-queues only its consequent, so
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
         without re-sweeping the chart. Items dearer than the whole budget
-        are dropped. Returns the least cost per (symbol, i, j) over gaps.
+        are dropped. Foot items are never queued: when a gap-free sibling of
+        a foot settles, it yields the sequence item for every foot gap on
+        its open side at its own cost, and a foot that is an only child
+        seeds its parent's below item over every span. Returns the least
+        cost per (symbol, i, j) over gaps.
         """
-        n_nodes, n_lex, budget = self.n_nodes, len(self.lex), self.budget
-        inst0 = 2 * n_nodes
-        unary: dict[int, list[tuple[int, int]]] = {}
-        as_left: dict[int, tuple[int, int]] = {}
-        as_right: dict[int, tuple[int, int]] = {}
-        hosts: dict[str, list[int]] = {}      # cat -> adjoinable node ids
-        host_cat: dict[int, str] = {}         # below symbol -> its node's cat
-        aux_cat: dict[int, str] = {}          # instance symbol -> root cat
-        subst_slots: dict[str, list[int]] = {}
-        for n, node in enumerate(self.node):
-            if node.adjoin != ADJOIN_OA:
-                unary.setdefault(n_nodes + n, []).append((n, 0))
-            if node.kind == KIND_SUBST:
-                subst_slots.setdefault(node.cat, []).append(n)
-            elif (node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
-                  and node.cat in self.adjoin_candidates):
-                hosts.setdefault(node.cat, []).append(n)
-                host_cat[n_nodes + n] = node.cat
-            kids, seq = self.children[n], self.seq[n]
-            if len(kids) == 1:
-                unary.setdefault(kids[0], []).append((seq[0], 0))
-            for k in range(len(kids) - 1):
-                as_left[kids[k]] = (seq[k + 1], seq[k])
-                as_right[seq[k + 1]] = (kids[k], seq[k])
-        for c, (_, _, root) in enumerate(self.comps):
-            unary.setdefault(root, []).append((inst0 + c, 1))
-            cat = self.node[root].cat
-            if c in self.adjoin_candidates.get(cat, ()):
-                aux_cat[inst0 + c] = cat
-            else:
-                for slot in subst_slots.get(cat, ()):
-                    unary.setdefault(inst0 + c, []).append((n_nodes + slot, 0))
-
+        t, n_lex, budget = self.tables, len(self.lex), self.budget
+        unary, as_left, as_right = t.unary, t.as_left, t.as_right
+        foot_left, foot_right = t.foot_left, t.foot_right
+        hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
         best: dict[tuple, int] = {}
         queue: list[list[tuple]] = [[]]
 
@@ -207,18 +273,16 @@ class _SpanParser:
                     queue.append([])
                 queue[cost].append(key)
 
-        for n, node in enumerate(self.node):
-            if node.kind == KIND_LEX:
-                for i, word in enumerate(self.lex):
-                    if word == node.word:
-                        push(n_nodes + n, i, i + 1, None, 0)
-            elif node.kind == KIND_EMPTY:
-                for i in range(n_lex + 1):
-                    push(n_nodes + n, i, i, None, 0)
-            elif node.kind == KIND_FOOT:
-                for i in range(n_lex + 1):
-                    for j in range(i, n_lex + 1):
-                        push(n_nodes + n, i, j, (i, j), 0)
+        for i, word in enumerate(self.lex):
+            for sym in t.lex_syms.get(word, ()):
+                push(sym, i, i + 1, None, 0)
+        for sym in t.empty_syms:
+            for i in range(n_lex + 1):
+                push(sym, i, i, None, 0)
+        for sym in t.foot_only:
+            for i in range(n_lex + 1):
+                for j in range(i, n_lex + 1):
+                    push(sym, i, j, (i, j), 0)
 
         low: dict[tuple[int, int, int], int] = {}
         ends: dict[tuple[int, int], list] = {}      # left operands by end
@@ -234,6 +298,15 @@ class _SpanParser:
                 low.setdefault((sym, i, j), cost)
                 for out, extra in unary.get(sym, ()):
                     push(out, i, j, gap, cost + extra)
+                if gap is None:
+                    if sym in foot_left:
+                        out = foot_left[sym]
+                        for k in range(i + 1):
+                            push(out, k, j, (k, i), cost)
+                    if sym in foot_right:
+                        out = foot_right[sym]
+                        for k in range(j, n_lex + 1):
+                            push(out, i, k, (j, k), cost)
                 if sym in as_left:
                     right, out = as_left[sym]
                     ends.setdefault((sym, j), []).append((i, gap, cost))
@@ -246,10 +319,10 @@ class _SpanParser:
                     for k, gap2, cost2 in ends.get((left, i), ()):
                         if gap is None or gap2 is None:
                             push(out, k, j, gap or gap2, cost + cost2)
-                if sym in host_cat:
-                    n = sym - n_nodes
+                if sym in host_of:
+                    n, cat = host_of[sym]
                     hosts_by_span.setdefault((n, i, j), []).append((gap, cost))
-                    for oi, oj, cost2 in aux_by_gap.get((host_cat[sym], i, j), ()):
+                    for oi, oj, cost2 in aux_by_gap.get((cat, i, j), ()):
                         push(n, oi, oj, gap, cost + cost2)
                 if sym in aux_cat:
                     gi, gj = gap
@@ -261,9 +334,18 @@ class _SpanParser:
             cost += 1
         return low
 
+    def _least(self, sym: int, i: int, j: int) -> int | None:
+        """Pass 1's least cost of an item, None if it is not derivable.
+
+        A foot covers any span at cost 0; pass 1 never stores foot items.
+        """
+        if sym in self.tables.feet:
+            return 0
+        return self.low.get((sym, i, j))
+
     def _fits(self, sym: int, i: int, j: int, budget: int) -> bool:
         """Whether pass 1 found the item at a cost within budget."""
-        least = self.low.get((sym, i, j))
+        least = self._least(sym, i, j)
         return least is not None and least <= budget
 
     # Pass 2: each call returns exactly the parses of the item whose total
@@ -272,13 +354,13 @@ class _SpanParser:
     def instances(self, comp: int, i: int, j: int,
                   budget: int) -> tuple[InstParse, ...]:
         """All parses of one whole component instance over lex[i:j]."""
-        sym = 2 * self.n_nodes + comp
+        sym = self.tables.inst0 + comp
         if not self._fits(sym, i, j, budget):
             return ()
         key = (sym, i, j, budget)
         hit = self._memo.get(key)
         if hit is None:
-            pair_name, ci, root = self.comps[comp]
+            pair_name, ci, root = self.tables.comps[comp]
             hit = self._memo[key] = tuple(
                 InstParse(pair=pair_name, comp=ci, i=i, j=j, gap=gap, ops=ops,
                           size=1 + size)
@@ -287,52 +369,55 @@ class _SpanParser:
 
     def at(self, n: int, i: int, j: int, budget: int) -> tuple:
         """Parses of the subtree at node n, allowing one adjunction at n."""
+        t = self.tables
+        if t.below[n] == n:     # no adjunction can happen at n
+            return self.below(n, i, j, budget)
         if not self._fits(n, i, j, budget):
             return ()
         key = (n, i, j, budget)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        node = self.node[n]
+        node = t.node[n]
         results = []
         if node.adjoin != ADJOIN_OA:
             results.extend(self.below(n, i, j, budget))
-        if node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA:
-            for aux_comp in self.adjoin_candidates.get(node.cat, ()):
-                for aux in self.instances(aux_comp, i, j, budget):
-                    gi, gj = aux.gap
-                    op = Op(self.addr[n], OP_ADJOIN, aux)
-                    for gap, ops, size in self.below(n, gi, gj,
-                                                     budget - aux.size):
-                        results.append((gap, ops + (op,), size + aux.size))
+        for aux_comp in t.adjoin_candidates.get(node.cat, ()):
+            for aux in self.instances(aux_comp, i, j, budget):
+                gi, gj = aux.gap
+                op = Op(t.addr[n], OP_ADJOIN, aux)
+                for gap, ops, size in self.below(n, gi, gj, budget - aux.size):
+                    results.append((gap, ops + (op,), size + aux.size))
         hit = self._memo[key] = tuple(results)
         return hit
 
     def below(self, n: int, i: int, j: int, budget: int) -> tuple:
         """Parses of the subtree at node n with no adjunction at n itself."""
-        node = self.node[n]
+        t = self.tables
+        node = t.node[n]
         if node.kind == KIND_INTERIOR:
             return self._split(n, 0, i, j, budget)
-        if not self._fits(self.n_nodes + n, i, j, budget):
+        sym = t.below[n]
+        if not self._fits(sym, i, j, budget):
             return ()
         if node.kind == KIND_FOOT:
             return (((i, j), (), 0),)
         if node.kind != KIND_SUBST:
             return ((None, (), 0),)     # the lexical item, or the empty leaf
-        key = (self.n_nodes + n, i, j, budget)
+        key = (sym, i, j, budget)
         hit = self._memo.get(key)
         if hit is None:
-            site = self.addr[n]
+            site = t.addr[n]
             hit = self._memo[key] = tuple(
                 (None, (Op(site, OP_SUBST, inst),), inst.size)
-                for comp in self.subst_candidates.get(node.cat, ())
+                for comp in t.subst_candidates.get(node.cat, ())
                 for inst in self.instances(comp, i, j, budget))
         return hit
 
     def _split(self, p: int, k: int, i: int, j: int, budget: int) -> tuple:
         """Partition lex[i:j] over p's children from the k-th on, threading
         gap and budget; split points pass 1 rules out are skipped."""
-        kids, seq = self.children[p], self.seq[p]
+        kids, seq = self.tables.children[p], self.tables.seq[p]
         if k == len(kids) - 1:
             return self.at(kids[k], i, j, budget)
         if not self._fits(seq[k], i, j, budget):
@@ -341,11 +426,11 @@ class _SpanParser:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        head, rest, low = kids[k], seq[k + 1], self.low
+        head, rest, least = kids[k], seq[k + 1], self._least
         out = []
         for mid in range(i, j + 1):
-            first = low.get((head, i, mid))
-            second = low.get((rest, mid, j))
+            first = least(head, i, mid)
+            second = least(rest, mid, j)
             if first is None or second is None or first + second > budget:
                 continue
             for gap1, ops1, size1 in self.at(head, i, mid, budget):
@@ -356,8 +441,6 @@ class _SpanParser:
                     out.append((gap1 or gap2, ops1 + ops2, size1 + size2))
         hit = self._memo[key] = tuple(out)
         return hit
-
-
 def _collect_instances(root: InstParse):
     """Flatten an instance tree into (instances, edges by child index)."""
     instances: list[InstParse] = []
@@ -447,7 +530,8 @@ def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
     if max_uses is None:
         max_uses = len(lex) + 2
     max_comps = max((p.n_components for p in grammar.pairs), default=1)
-    span = _SpanParser(lex, grammar, budget=max_uses * max_comps)
+    tables = grammar.chart_tables
+    span = _SpanParser(lex, tables, budget=max_uses * max_comps)
 
     found: dict[Derivation, DerivedTree] = {}
     for pair in grammar.pairs:
@@ -455,7 +539,7 @@ def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
         head_tree = pair.source.head_tree
         if head_tree.is_auxiliary or head_tree.root_cat != grammar.start_symbol:
             continue
-        for root_inst in span.instances(span.comp_id[pair.name, head], 0,
+        for root_inst in span.instances(tables.comp_id[pair.name, head], 0,
                                         len(lex), span.budget):
             instances, edges = _collect_instances(root_inst)
             for assignment, n_uses in _groupings(instances, grammar):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from stagmt import derive
 from stagmt.derive import (
     Attachment,
     OP_ADJOIN,
@@ -20,6 +21,7 @@ from stagmt.errors import (
     CategoryMismatchError,
     DoubleAdjunctionError,
     IllegalAttachmentError,
+    InternalError,
     NAViolationError,
     NotASlotError,
     ObligatoryAdjunctionError,
@@ -170,8 +172,23 @@ class TestBuildDerivedTree:
                 att(1, 0, 0, 0, "1", OP_SUBST),
                 att(2, 0, 0, 0, "1", OP_SUBST),
             ])
-        with pytest.raises(IllegalAttachmentError, match="has no parent"):
+        with pytest.raises(IllegalAttachmentError, match="is already filled"):
             build_derived_tree(twice, g_chase)
+
+    def test_broken_parent_link_is_an_internal_error(self, g_chase, monkeypatch):
+        # a node missing from its parent's children is a bug; the check must
+        # survive python -O, so it cannot be an assert
+        real = derive.instantiate
+
+        def orphaning(tree, use, comp, registry):
+            root = real(tree, use, comp, registry)
+            root.children = []
+            return root
+
+        monkeypatch.setattr(derive, "instantiate", orphaning)
+        with pytest.raises(InternalError) as info:
+            build_derived_tree(CANONICAL, g_chase)
+        assert info.value.code == "internal-error"
 
     def test_na_site_rejected(self):
         host = SyncPair(

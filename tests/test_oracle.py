@@ -14,6 +14,8 @@ from stagmt import oracle
 from stagmt.derive import OP_ADJOIN
 from stagmt.errors import OracleBoundError
 from stagmt.model import (
+    ADJOIN_NA,
+    ADJOIN_OA,
     ElementaryTree,
     SourceSet,
     SyncPair,
@@ -22,6 +24,8 @@ from stagmt.model import (
     index_grammar,
     interior,
     lex,
+    subst,
+    validate_pair,
 )
 from stagmt.morphotok import tokenize
 from stagmt.oracle import OracleBound, assert_equivalence, brute_force_derivations
@@ -109,6 +113,145 @@ class TestCyclicGrammar:
         assert len(parsed) == 9
         assert parsed == brute_force_derivations(
             sentence, g_cyclic, OracleBound(max_uses=max_uses))
+
+
+def _singleton(name, tree, priority=1):
+    return SyncPair(name=name, source=SourceSet((ElementaryTree(tree),)),
+                    target=ElementaryTree(tree), priority=priority)
+
+
+def _grammar(pairs, particles=()):
+    return index_grammar(pairs, source_language="ko", target_language="en",
+                         start_symbol="S", particles=particles)
+
+
+class TestLeastCosts:
+    """Pass 2 prunes with pass 1's least instance counts. A count that
+    comes out too high loses the derivations that just fit the budget; an
+    item that goes missing loses every derivation through it."""
+
+    def test_cheaper_cost_found_after_a_dearer_one(self):
+        # S over "x p y r z" splits two ways: A(x p) + B(y r z) costs 2 + 2
+        # and is complete once both halves cost 2; A(x p y r) + B(z) costs
+        # 3 + 0 and completes only when A(x p y r) costs 3, so the item's
+        # first cost, 4, must be lowered to 3
+        g = _grammar([
+            _singleton("gamma", interior("S", subst("A"),
+                                         interior("B", lex("Z", "z")))),
+            _singleton("alpha_a1", interior("A", subst("X"), lex("P", "p"))),
+            _singleton("alpha_a2", interior("A", subst("X"), lex("P", "p"),
+                                            subst("Y"), lex("R", "r"))),
+            _singleton("alpha_x", interior("X", lex("X", "x"))),
+            _singleton("alpha_y", interior("Y", lex("Y", "y"))),
+            _singleton("beta_y", interior("B", subst("Y"), lex("R", "r"),
+                                          foot("B")))])
+        sentence = tokenize("x p y r z.", g)
+        # the oracle needs a use bound no smaller than the five words
+        oracle_found = brute_force_derivations(sentence, g,
+                                               OracleBound(max_uses=5))
+        assert len(oracle_found) == 2
+        cheapest = all_derivations(sentence, g, max_uses=4)
+        assert [d.uses for d in cheapest] == [
+            ("gamma", "alpha_a2", "alpha_x", "alpha_y")]
+        assert cheapest == tuple(d for d in oracle_found if len(d.uses) <= 4)
+        assert all_derivations(sentence, g, max_uses=5) == oracle_found
+
+    def test_zero_width_auxiliary_meets_a_cheaper_host(self, g_chase):
+        # the obligatory V node is settled at cost 0, before the zero-width
+        # auxiliary V(e V*) at cost 1, and only that adjunction derives it
+        ttu = _singleton("gamma_ttu", interior(
+            "S", subst("SP"), subst("OP"),
+            interior("V", lex("W", "ttu"), adjoin=ADJOIN_OA)))
+        cal = SyncPair(
+            name="beta_cal_v",
+            source=SourceSet((
+                ElementaryTree(interior("V", empty(), foot("V"))),
+                ElementaryTree(interior("S", lex("A", "cal"), foot("S"))))),
+            target=ElementaryTree(interior("S", foot("S"))),
+            priority=2)
+        g = _grammar(g_chase.pairs + (ttu, cal), g_chase.particles)
+        sentence = tokenize("cal Tom-i Jerry-lul ttu.", g)
+        parsed = all_derivations(sentence, g)
+        assert len(parsed) == 3
+        assert parsed == brute_force_derivations(sentence, g)
+
+
+class TestFootPositions:
+    """Pass 1 never builds foot items; it derives them from the foot's
+    siblings. The shipped grammars only have feet in last position."""
+
+    CAL = lex("A", "cal")
+    TTU = lex("B", "ttu")
+
+    @pytest.fixture(scope="class")
+    def singletons(self, g_chase):
+        # with no sets in the grammar, the instance budget is max_uses
+        return tuple(p for p in g_chase.pairs if not p.source.is_multi)
+
+    @pytest.mark.parametrize("tree, line, count", [
+        # foot first: its right sibling yields the gaps to its left
+        (interior("S", foot("S"), CAL), "Tom-i Jerry-lul ccossnunta cal.", 1),
+        (interior("S", foot("S"), CAL, TTU),
+         "Tom-i Jerry-lul ccossnunta cal ttu.", 1),
+        # foot in the middle
+        (interior("S", CAL, foot("S"), TTU),
+         "cal Tom-i Jerry-lul ccossnunta ttu.", 1),
+        # foot as an only child, under a null-adjoining and a hosting node
+        (interior("S", CAL, interior("S", foot("S"), adjoin=ADJOIN_NA)),
+         "cal Tom-i Jerry-lul ccossnunta.", 1),
+        (interior("S", CAL, interior("S", foot("S"))),
+         "cal Tom-i Jerry-lul ccossnunta.", 1),
+    ])
+    def test_parser_equals_oracle(self, g_chase, singletons, tree, line, count):
+        beta = _singleton("beta_cal", tree, priority=2)
+        assert validate_pair(beta) == []
+        self.check(_grammar(singletons + (beta,), g_chase.particles), line, count)
+
+    @pytest.mark.parametrize("tree", [
+        interior("E", foot("E"), CAL),
+        interior("E", CAL, foot("E")),
+        interior("E", CAL, interior("E", foot("E"), adjoin=ADJOIN_NA)),
+    ])
+    def test_foot_over_no_words(self, g_chase, singletons, tree):
+        # adjoined at the empty E node, the foot's gap covers no words
+        chase_e = _singleton("gamma_chase_e", interior(
+            "S", subst("SP"), subst("OP"), interior("E", empty()),
+            lex("V", "ccossnunta")))
+        beta = _singleton("beta_cal_e", tree, priority=2)
+        assert validate_pair(beta) == []
+        self.check(_grammar(singletons + (chase_e, beta), g_chase.particles),
+                   "Tom-i Jerry-lul cal ccossnunta.", 1)
+
+    @staticmethod
+    def check(g, line, count):
+        sentence = tokenize(line, g)
+        found = brute_force_derivations(sentence, g)
+        assert len(found) == count
+        assert all_derivations(sentence, g) == found
+        # at the tightest budget, a least cost set too high loses parses
+        fewest = min(len(d.uses) for d in found)
+        assert all_derivations(sentence, g, max_uses=fewest) == tuple(
+            d for d in found if len(d.uses) == fewest)
+
+    def test_right_scrambling_set(self, g_chase):
+        # the object scrambled to the right of the verb: a foot-first
+        # auxiliary plus its place-holder
+        right = SyncPair(
+            name="beta_jerry_op_right",
+            source=SourceSet((
+                ElementaryTree(interior(
+                    "S", foot("S"),
+                    interior("OP", lex("N", "Jerry"), lex("P", "lul")))),
+                ElementaryTree(interior("OP", empty()))),
+                head=1, dominance=((0, 1),)),
+            target=ElementaryTree(interior("S", foot("S"))),
+            priority=2)
+        assert validate_pair(right) == []
+        g = _grammar(g_chase.pairs + (right,), g_chase.particles)
+        sentence = tokenize("Tom-i ccossnunta Jerry-lul.", g)
+        parsed = all_derivations(sentence, g)
+        assert len(parsed) == 3
+        assert parsed == brute_force_derivations(sentence, g)
 
 
 class TestEquivalenceReports:

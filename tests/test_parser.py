@@ -1,5 +1,7 @@
 """Parsing: derivation search, ranking, determinism, word-order coverage."""
 
+import itertools
+
 import pytest
 
 from support import (
@@ -9,12 +11,14 @@ from support import (
     CHASE_WORDS_SWAPPED,
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
+    corpus,
     permutation_closure,
 )
 
 import stagmt.parser
 from stagmt.derive import build_derived_tree, render_tree
 from stagmt.errors import InternalError, LexicalGapError, NoParseError
+from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse, rank_by_priority
 
@@ -174,3 +178,33 @@ class TestBudget:
         sentence = tokenize(DITRANS_CANONICAL, g_ditransitive)
         ds = all_derivations(sentence, g_ditransitive)
         assert max(len(d.uses) for d in ds) == 4
+
+
+class TestChartTables:
+    def test_tables_are_built_once_and_shared(self, monkeypatch):
+        built = []
+
+        class CountingTables(stagmt.parser.ChartTables):
+            def __init__(self, grammar):
+                built.append(grammar)
+                super().__init__(grammar)
+
+        monkeypatch.setattr(stagmt.parser, "ChartTables", CountingTables)
+        names = ("chase", "ditransitive", "embedded")
+        grammars = {name: load_grammar(name) for name in names}
+        # round robin over the grammars: one sentence of each in turn
+        interleaved = [job for group in itertools.zip_longest(
+            *([(name, line) for line in corpus(name)] for name in names))
+            for job in group if job is not None]
+
+        def parse_all(jobs):
+            return {(name, line): all_derivations(tokenize(line, grammars[name]),
+                                                  grammars[name])
+                    for name, line in jobs}
+
+        first = parse_all(interleaved)
+        second = parse_all(reversed(interleaved))
+        assert first == second
+        assert sum(len(ds) > 0 for ds in first.values()) == 17
+        assert sorted(map(id, built)) == sorted(map(id, grammars.values()))
+        assert all(g.chart_tables is g.chart_tables for g in grammars.values())
