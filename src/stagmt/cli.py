@@ -101,7 +101,7 @@ def cmd_parse(args) -> int:
     for lineno, line in _input_lines(args):
         try:
             sentence = tokenize(line, grammar)
-            levels = parse(sentence, grammar)
+            levels = parse(sentence, grammar, all_levels=args.all_derivations)
         except StagError as exc:
             status = 1
             print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
@@ -109,7 +109,6 @@ def cmd_parse(args) -> int:
                 _emit_json({"input": line, "line": lineno, "error": exc.code,
                             "message": str(exc)})
             continue
-        shown = levels if args.all_derivations else levels[:1]
         if args.format == "json":
             _emit_json({
                 "input": line,
@@ -121,10 +120,10 @@ def cmd_parse(args) -> int:
                                                         grammar).split("\n"),
                         "tree": render_tree(tree, grammar),
                     } for tree in level.trees],
-                } for level in shown],
+                } for level in levels],
             })
             continue
-        for level in shown:
+        for level in levels:
             print(f"cost {level.cost}: {len(level.trees)} derivation(s)")
             for tree in level.trees:
                 if args.show in ("derivation", "both"):

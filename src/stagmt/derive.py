@@ -76,13 +76,19 @@ class Derivation:
     attachments: tuple[Attachment, ...]
 
     def cost(self, grammar: Grammar) -> int:
-        return sum(grammar.pair(name).priority - 1 for name in self.uses)
+        return uses_cost(self.uses, grammar)
 
     def attachment_of(self, use: int, comp: int) -> Attachment | None:
         for att in self.attachments:
             if att.use == use and att.comp == comp:
                 return att
         return None
+
+
+def uses_cost(pair_names, grammar: Grammar) -> int:
+    """The cost of one use of each named pair: priority minus one per use,
+    so priority-1 pairs are free."""
+    return sum(grammar.pair(name).priority - 1 for name in pair_names)
 
 
 def make_derivation(uses, root, attachments) -> Derivation:

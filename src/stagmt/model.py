@@ -328,6 +328,11 @@ def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,
             diag("adjoin-value", f"unknown adjoining constraint {node.adjoin!r}", addr)
         if node.is_leaf_kind and node.children:
             diag("leaf-children", f"{node.kind} node may not have children", addr)
+        if node.is_leaf_kind and node.adjoin == ADJOIN_OA:
+            # adjunction happens only at interior nodes, so nothing could
+            # ever satisfy the constraint
+            diag("oa-leaf", f"{node.kind} node cannot be obligatory-adjoining",
+                 addr)
         if node.kind == KIND_INTERIOR and not node.children:
             diag("interior-children", "interior node must have children", addr)
         if node.kind == KIND_LEX and not node.word:

@@ -23,19 +23,24 @@ implicit: a foot covers any span at cost 0, so the chart never holds them.
    and split point whose pass-1 least cost exceeds what is left of it, so
    only productive items are ever visited.
 
-Phase 2 restores set discipline: instances of multi-component pairs are
-grouped into uses by bijective matching per component, each grouping is
-composed once, and groupings whose dominance requirements fail are
-discarded. Surviving trees are canonicalized in place, deduplicated, and
-ranked by cost (sum of use priorities minus one, so priority-1 pairs are
-free). ``parse`` returns the ranking as priority levels, cheapest first,
-each carrying its derivations' composed trees so no later stage composes
-them again; ``all_derivations`` returns the same derivations flat.
+Phase 2 restores set discipline one priority level at a time, cheapest
+first. A derivation's cost (sum of use priorities minus one, so
+priority-1 pairs are free) is fixed by its instance tree, so the instance
+trees are bucketed by cost before any grouping. Per cost, instances of
+multi-component pairs are grouped into uses by bijective matching per
+component, each grouping is composed once, and groupings whose dominance
+requirements fail are discarded; a cost with no survivor is skipped.
+Surviving trees are canonicalized in place, deduplicated and sorted.
+``parse`` returns the cheapest level, or every level when asked, each
+carrying its derivations' composed trees so no later stage composes them
+again; dearer levels are never grouped or composed unless asked for.
+``all_derivations`` returns every level's derivations flat.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .derive import (
@@ -49,6 +54,7 @@ from .derive import (
     dominance_violations,
     make_derivation,
     ranking_key,
+    uses_cost,
 )
 from .errors import InternalError, LexicalGapError, NoParseError
 from .model import (
@@ -515,12 +521,18 @@ def _groupings(instances, grammar: Grammar):
         yield assignment, next_use
 
 
-def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
-                   max_uses: int | None) -> list[DerivedTree]:
-    """The composed tree of every valid derivation, canonical and sorted.
+def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
+                     max_uses: int | None) -> Iterator[PriorityLevel]:
+    """The priority levels of the sentence, cheapest first, each built only
+    when it is asked for.
 
-    Each grouping is composed exactly once; the tree that passes the yield
-    and dominance checks is canonicalized in place and kept.
+    Phase 1 runs up front; its root instance trees are then bucketed by
+    cost, which the instance tree alone fixes: every grouping makes one use
+    per singleton instance and one per component-0 instance of a set. Per
+    cost, cheapest first, each grouping is composed exactly once; the tree
+    that passes the yield and dominance checks is canonicalized in place
+    and kept. A cost whose every grouping fails its dominance requirement
+    yields no level.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -533,7 +545,7 @@ def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
     tables = grammar.chart_tables
     span = _SpanParser(lex, tables, budget=max_uses * max_comps)
 
-    found: dict[Derivation, DerivedTree] = {}
+    buckets: dict[int, list] = {}
     for pair in grammar.pairs:
         head = pair.source.head
         head_tree = pair.source.head_tree
@@ -542,6 +554,14 @@ def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
         for root_inst in span.instances(tables.comp_id[pair.name, head], 0,
                                         len(lex), span.budget):
             instances, edges = _collect_instances(root_inst)
+            # every grouping makes one use per component-0 instance
+            cost = uses_cost((inst.pair for inst in instances if inst.comp == 0),
+                             grammar)
+            buckets.setdefault(cost, []).append((instances, edges))
+
+    for cost in sorted(buckets):
+        found: dict[Derivation, DerivedTree] = {}
+        for instances, edges in buckets[cost]:
             for assignment, n_uses in _groupings(instances, grammar):
                 if n_uses > max_uses:
                     continue
@@ -564,8 +584,9 @@ def _derived_trees(sentence: TokenizedSentence, grammar: Grammar,
                 if dominance_violations(tree, grammar):
                     continue
                 found.setdefault(canonicalize(tree), tree)
-
-    return sorted(found.values(), key=lambda t: ranking_key(t.derivation, grammar))
+        if found:
+            yield PriorityLevel(cost=cost, trees=tuple(sorted(
+                found.values(), key=lambda t: ranking_key(t.derivation, grammar))))
 
 
 def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
@@ -576,28 +597,24 @@ def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
     enough for any set stacking the lexicon supports).
     """
     return tuple(tree.derivation
-                 for tree in _derived_trees(sentence, grammar, max_uses))
-
-
-def rank_by_priority(trees, grammar: Grammar) -> tuple[PriorityLevel, ...]:
-    """Group sorted derived trees into priority levels, cheapest first."""
-    levels: dict[int, list[DerivedTree]] = {}
-    for tree in trees:
-        levels.setdefault(tree.derivation.cost(grammar), []).append(tree)
-    return tuple(PriorityLevel(cost=cost, trees=tuple(group))
-                 for cost, group in sorted(levels.items()))
+                 for level in _priority_levels(sentence, grammar, max_uses)
+                 for tree in level.trees)
 
 
 def parse(sentence: TokenizedSentence, grammar: Grammar, *,
-          max_uses: int | None = None) -> tuple[PriorityLevel, ...]:
-    """Parse and rank: every priority level, cheapest first.
+          max_uses: int | None = None,
+          all_levels: bool = False) -> tuple[PriorityLevel, ...]:
+    """Parse and rank: the cheapest priority level, or with all_levels every
+    level, cheapest first.
 
-    Each level carries its derivations with their composed source trees, so
-    callers render from those rather than composing again. Raises
-    NoParseError when no derivation covers the input; the budget is that of
-    all_derivations.
+    Levels above the cheapest are neither composed nor checked unless
+    all_levels is set. Each level carries its derivations with their
+    composed source trees, so callers render from those rather than
+    composing again. Raises NoParseError when no derivation covers the
+    input; the budget is that of all_derivations.
     """
-    levels = rank_by_priority(_derived_trees(sentence, grammar, max_uses), grammar)
-    if not levels:
+    levels = _priority_levels(sentence, grammar, max_uses)
+    chosen = tuple(levels if all_levels else itertools.islice(levels, 1))
+    if not chosen:
         raise NoParseError("no derivation covers the input")
-    return levels
+    return chosen

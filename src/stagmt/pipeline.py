@@ -25,6 +25,9 @@ class Candidate:
 
 @dataclass(frozen=True)
 class TranslationResult:
+    """One translated line. ``levels`` holds the cheapest priority level
+    only, or every level when ``translate_line`` was given all_levels."""
+
     line: str
     sentence: TokenizedSentence
     levels: tuple[PriorityLevel, ...]
@@ -49,10 +52,9 @@ def translate_line(line: str, grammar: Grammar, *,
                    all_levels: bool = False) -> TranslationResult:
     """Translate one input line; raises on tokenization or parse failure."""
     sentence = tokenize(line, grammar)
-    levels = parse(sentence, grammar)
-    chosen = levels if all_levels else levels[:1]
+    levels = parse(sentence, grammar, all_levels=all_levels)
     candidates = []
-    for level in chosen:
+    for level in levels:
         for tree in level.trees:
             derivation = tree.derivation
             target = transfer_derivation(derivation, grammar)

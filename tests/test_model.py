@@ -212,6 +212,25 @@ class TestValidatePair:
         bare = _singleton("alpha_bare", interior("NP"))
         assert "interior-children" in {d.rule for d in pair_errors(bare)}
 
+    def test_obligatory_adjoining_leaf_rejected(self):
+        # S(V_OA(x)): a lex leaf cannot host an adjunction
+        lex_oa = _singleton("alpha_lex_oa", interior(
+            "S", TreeNode(cat="V", kind="lex", word="x", adjoin=ADJOIN_OA)),
+            target=interior("S", lex("V", "x")))
+        # S(A(a) S*_OA): nor can a foot
+        foot_oa = SyncPair(
+            name="beta_foot_oa",
+            source=SourceSet(components=(ElementaryTree(interior(
+                "S", lex("A", "a"),
+                TreeNode(cat="S", kind="foot", adjoin=ADJOIN_OA))),)),
+            target=ElementaryTree(interior("NP", lex("N", "X"))))
+        for pair, addr in ((lex_oa, "1"), (foot_oa, "2")):
+            (diag,) = [d for d in pair_errors(pair) if d.rule == "oa-leaf"]
+            assert diag.address == f"source[0]:{addr}"
+        # an interior OA node stays admissible
+        assert pair_errors(_singleton("alpha_vp_oa", interior("S", interior(
+            "VP", lex("V", "x"), adjoin=ADJOIN_OA)))) == []
+
     def test_two_feet_rejected(self):
         double = SyncPair(
             name="beta_twofeet",

@@ -10,13 +10,16 @@ from support import (
     EMBEDDED_FRONTED,
 )
 
+import stagmt.parser
 from stagmt import oracle
-from stagmt.derive import OP_ADJOIN
+from stagmt.derive import OP_ADJOIN, dominance_violations, render_tree
 from stagmt.errors import OracleBoundError
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
     ElementaryTree,
+    GornAddress,
+    Link,
     SourceSet,
     SyncPair,
     empty,
@@ -29,7 +32,7 @@ from stagmt.model import (
 )
 from stagmt.morphotok import tokenize
 from stagmt.oracle import OracleBound, assert_equivalence, brute_force_derivations
-from stagmt.parser import all_derivations
+from stagmt.parser import all_derivations, parse
 
 
 class TestBruteForce:
@@ -174,6 +177,60 @@ class TestLeastCosts:
         parsed = all_derivations(sentence, g)
         assert len(parsed) == 3
         assert parsed == brute_force_derivations(sentence, g)
+
+
+class TestDominanceFallThrough:
+    """The cheapest cost can hold groupings only, all failing dominance;
+    the best level is then the next cost that parses."""
+
+    def test_best_level_is_the_dearer_cost(self, monkeypatch):
+        # "x y z": the set {S(X(x) S*), B(y)} costs 1, but its B component
+        # lands below the S its auxiliary adjoins to, so it cannot dominate
+        # the auxiliary as the set requires; the priority-3 singleton
+        # S(X(x) S*) plus B(y) costs 2 and parses
+        gamma = SyncPair(
+            name="gamma_z",
+            source=SourceSet((ElementaryTree(
+                interior("S", subst("B"), lex("Z", "z"))),)),
+            target=ElementaryTree(interior("S", subst("B"), lex("Z", "z"))),
+            links=(Link(comp=0, src=GornAddress.parse("1"),
+                        tgt=GornAddress.parse("1")),))
+        scrambled = SyncPair(
+            name="beta_xy",
+            source=SourceSet((
+                ElementaryTree(interior("S", lex("X", "x"), foot("S"))),
+                ElementaryTree(interior("B", lex("Y", "y")))),
+                head=0, dominance=((1, 0),)),
+            target=ElementaryTree(interior("S", foot("S"))),
+            priority=2)
+        pairs = (gamma, scrambled,
+                 _singleton("alpha_y", interior("B", lex("Y", "y"))),
+                 _singleton("beta_x", interior("S", lex("X", "x"), foot("S")),
+                            priority=3))
+        assert all(validate_pair(pair) == [] for pair in pairs)
+        g = _grammar(pairs)
+        sentence = tokenize("x y z.", g)
+
+        rejected = []
+
+        def recording(tree, grammar):
+            violations = dominance_violations(tree, grammar)
+            if violations:
+                rejected.append(tree.derivation.cost(grammar))
+            return violations
+
+        monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
+        (best,) = parse(sentence, g)
+        assert rejected == [1]
+        assert best.cost == 2
+        assert [d.uses for d in best.derivations] == [
+            ("beta_x", "gamma_z", "alpha_y")]
+        (first, *_) = parse(sentence, g, all_levels=True)
+        assert first.cost == best.cost
+        assert first.derivations == best.derivations
+        assert ([render_tree(t, g) for t in first.trees]
+                == [render_tree(t, g) for t in best.trees])
+        assert best.derivations == brute_force_derivations(sentence, g)
 
 
 class TestFootPositions:

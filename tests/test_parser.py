@@ -20,7 +20,7 @@ from stagmt.derive import build_derived_tree, render_tree
 from stagmt.errors import InternalError, LexicalGapError, NoParseError
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
-from stagmt.parser import all_derivations, parse, rank_by_priority
+from stagmt.parser import all_derivations, parse
 
 
 def derivations_of(line, grammar, **kwargs):
@@ -123,13 +123,14 @@ class TestFailureModes:
 
 class TestRanking:
     def test_levels_are_cost_sorted(self, g_chase):
-        levels = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)
+        levels = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase,
+                       all_levels=True)
         assert [level.cost for level in levels] == [0, 1, 2]
         assert all(len(level.derivations) == 1 for level in levels)
 
     def test_levels_carry_their_composed_trees(self, g_chase):
         sentence = tokenize(CHASE_CANONICAL, g_chase)
-        levels = parse(sentence, g_chase)
+        levels = parse(sentence, g_chase, all_levels=True)
         assert (tuple(d for level in levels for d in level.derivations)
                 == all_derivations(sentence, g_chase))
         for level in levels:
@@ -139,9 +140,6 @@ class TestRanking:
                 assert (render_tree(tree, g_chase)
                         == render_tree(build_derived_tree(tree.derivation, g_chase),
                                        g_chase))
-
-    def test_rank_by_priority_of_nothing(self, g_chase):
-        assert rank_by_priority([], g_chase) == ()
 
     def test_groups_are_never_mixed(self, g_chase):
         ds = derivations_of(CHASE_CANONICAL, g_chase)
@@ -153,6 +151,52 @@ class TestRanking:
                     use = derivation.uses.index(name)
                     assert derivation.attachment_of(use, 0) is not None
                     assert derivation.attachment_of(use, 1) is not None
+
+
+class TestLevelsOnDemand:
+    """parse composes only the levels it returns: the cheapest by default."""
+
+    @staticmethod
+    def outcome(line, grammar, **kwargs):
+        try:
+            levels = parse(tokenize(line, grammar), grammar, **kwargs)
+        except (NoParseError, LexicalGapError) as exc:
+            return exc.code
+        for level in levels:
+            for tree in level.trees:
+                assert tree.derivation.cost(grammar) == level.cost
+        return [(level.cost, level.derivations,
+                 [render_tree(tree, grammar) for tree in level.trees])
+                for level in levels]
+
+    @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded"])
+    def test_default_is_the_first_of_all_levels(self, name):
+        grammar = load_grammar(name)
+        parsed = 0
+        for line in corpus(name):
+            best = self.outcome(line, grammar)
+            everything = self.outcome(line, grammar, all_levels=True)
+            if isinstance(best, str):
+                assert everything == best
+                continue
+            parsed += 1
+            assert best == everything[:1]
+        assert parsed > 0
+
+    def test_dearer_levels_are_not_composed(self, g_chase, monkeypatch):
+        composed = []
+
+        def counting(derivation, grammar):
+            composed.append(derivation)
+            return build_derived_tree(derivation, grammar)
+
+        monkeypatch.setattr(stagmt.parser, "build_derived_tree", counting)
+        sentence = tokenize(CHASE_CANONICAL, g_chase)
+        parse(sentence, g_chase)
+        assert len(composed) == 1
+        composed.clear()
+        parse(sentence, g_chase, all_levels=True)
+        assert len(composed) == 3
 
 
 class TestDeterminism:
