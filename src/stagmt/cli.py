@@ -19,12 +19,16 @@ import json
 import sys
 
 from .derive import render_derivation, render_node, render_tree
-from .errors import GrammarError, GrammarValidationError, StagError
+from .errors import (GrammarError, GrammarValidationError, LimitExceededError,
+                     StagError)
 from .grammar_io import builtin_grammar_names, load_grammar
 from .model import Grammar, validate_pair
 from .morphotok import tokenize
 from .parser import parse
 from .pipeline import translate_line
+
+# 8! = 40,320 orders; every order is parsed, and all are enumerated first
+MAX_PERMUTED_WORDS = 8
 
 
 def _load(args) -> Grammar:
@@ -160,6 +164,10 @@ def cmd_permutations(args) -> int:
     line = " ".join(args.sentence)
     sentence = tokenize(line, grammar)
     surfaces = [token.surface for token in sentence.tokens]
+    if len(surfaces) > MAX_PERMUTED_WORDS:
+        raise LimitExceededError(
+            f"{len(surfaces)} words have too many orders to try; "
+            f"the limit is {MAX_PERMUTED_WORDS}")
     ok = 0
     orders = sorted(set(itertools.permutations(surfaces)))
     rows = []

@@ -88,6 +88,13 @@ class LexicalGapError(ParseError):
         self.stem = stem
 
 
+class LimitExceededError(ParseError):
+    """The input is beyond a fixed limit: nested too deeply for the parser
+    to unpack, or too many words to try every order of."""
+
+    code = "limit-exceeded"
+
+
 # --- tree composition ------------------------------------------------------
 
 class CompositionError(StagError):

@@ -30,7 +30,7 @@ from .model import (
     SyncPair,
     TreeNode,
     index_grammar,
-    validate_pair,
+    pair_errors,
 )
 
 FORMAT_VERSION = 1
@@ -167,7 +167,7 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
 
     diagnostics = []
     for pair in pairs:
-        diagnostics.extend(d for d in validate_pair(pair) if d.severity == "error")
+        diagnostics.extend(pair_errors(pair))
     if diagnostics:
         raise GrammarValidationError(diagnostics)
 

@@ -32,7 +32,6 @@ ADJOIN_OA = "oa"
 ADJOIN_VALUES = (ADJOIN_ALLOW, ADJOIN_NA, ADJOIN_OA)
 
 SET_VARIABLE = "@set"
-TRACE_FEATURE = "trace"
 
 
 @dataclass(frozen=True, order=True)
@@ -73,10 +72,6 @@ class GornAddress:
 
     def strictly_dominates(self, other: "GornAddress") -> bool:
         return len(self.path) < len(other.path) and other.path[: len(self.path)] == self.path
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
 
 ROOT = GornAddress(())

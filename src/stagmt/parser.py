@@ -12,16 +12,17 @@ shared by all its parses. A node where no adjunction can happen has one
 symbol for "with" and "without an adjunction here", and foot items are
 implicit: a foot covers any span at cost 0, so the chart never holds them.
 
-1. Recognition, with no budget: a Knuth-style worklist finds the least
-   instance count of every derivable item. Items form cycles (stacked and
+1. Recognition builds a packed forest: a Knuth-style worklist finds the
+   least instance count of every derivable item and records every rule
+   firing as a hyperedge of its consequent. Items form cycles (stacked and
    zero-width auxiliaries over one span); the worklist settles each item
-   once, at its least cost, so cycles end without a budget. A foot's
-   sibling, once settled, yields the items with every foot gap next to it.
-2. Enumeration: instance trees are unpacked top down, and ``max_uses`` is
-   applied here as an instance budget. Each call returns exactly the
-   parses of total instance count within its budget, and skips every item
-   and split point whose pass-1 least cost exceeds what is left of it, so
-   only productive items are ever visited.
+   once, at its least cost, so cycles end. A foot's sibling, once settled,
+   yields the items with every foot gap next to it.
+2. Enumeration unpacks the instance trees from the forest top down, and
+   ``max_uses`` is applied here as an instance budget. Each call returns
+   exactly the parses of total instance count within its budget, and skips
+   every hyperedge whose antecedents' least costs exceed what is left of
+   it, so only productive items are ever visited.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first. A derivation's cost (sum of use priorities minus one, so
@@ -56,7 +57,8 @@ from .derive import (
     ranking_key,
     uses_cost,
 )
-from .errors import InternalError, LexicalGapError, NoParseError
+from .errors import (InternalError, LexicalGapError, LimitExceededError,
+                     NoParseError)
 from .model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -84,13 +86,10 @@ class Op:
 
 @dataclass(frozen=True)
 class InstParse:
-    """One component instance covering lex[i:j], with a foot gap if auxiliary."""
+    """One component instance: its attachments and its instance count."""
 
     pair: str
     comp: int
-    i: int
-    j: int
-    gap: tuple[int, int] | None
     ops: tuple[Op, ...]
     size: int
 
@@ -132,6 +131,12 @@ class ChartTables:
 
     Foot items are implicit: a foot covers any span, as its own gap, at
     cost 0, so pass 1 never builds them (see ``_SpanParser._recognize``).
+
+    The deduction rules are written once, here, indexed by antecedent
+    symbol. Pass 1 fires them forward and records each firing as a
+    hyperedge; pass 2 only unpacks those hyperedges, reading from these
+    tables just the instance symbols and where an instance attaches
+    (``site``).
     """
 
     def __init__(self, grammar: Grammar):
@@ -141,13 +146,12 @@ class ChartTables:
         # component id -> (pair name, component index, root node id)
         self.comps: list[tuple[str, int, int]] = []
         self.comp_id: dict[tuple[str, int], int] = {}
-        self.subst_candidates: dict[str, list[int]] = {}
         self.adjoin_candidates: dict[str, list[int]] = {}
         for pair in grammar.pairs:
             for ci, comp in enumerate(pair.source.components):
-                table = (self.adjoin_candidates if comp.is_auxiliary
-                         else self.subst_candidates)
-                table.setdefault(comp.root_cat, []).append(len(self.comps))
+                if comp.is_auxiliary:
+                    self.adjoin_candidates.setdefault(comp.root_cat, []).append(
+                        len(self.comps))
                 self.comp_id[pair.name, ci] = len(self.comps)
                 self.comps.append((pair.name, ci, self._add_node(comp.root, ROOT)))
         hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
@@ -180,10 +184,10 @@ class ChartTables:
         return nid
 
     def _rules(self, hosting: list[bool]) -> None:
-        """The deduction rules of pass 1, indexed by antecedent symbol."""
+        """The deduction rules, indexed by antecedent symbol."""
         # foot at symbols: an obligatory-adjoining foot is never derivable
-        self.feet = frozenset(n for n, node in enumerate(self.node)
-                              if node.kind == KIND_FOOT and self.below[n] == n)
+        feet = frozenset(n for n, node in enumerate(self.node)
+                         if node.kind == KIND_FOOT and self.below[n] == n)
         self.unary: dict[int, list[tuple[int, int]]] = {}
         self.as_left: dict[int, tuple[int, int]] = {}
         self.as_right: dict[int, tuple[int, int]] = {}
@@ -195,6 +199,8 @@ class ChartTables:
         self.hosts: dict[str, list[int]] = {}     # cat -> adjoinable node ids
         self.host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
         self.aux_cat: dict[int, str] = {}         # instance symbol -> root cat
+        # slot or host symbol -> (address, operation) of an instance there
+        self.site: dict[int, tuple[GornAddress, str]] = {}
         subst_slots: dict[str, list[int]] = {}
         for n, node in enumerate(self.node):
             below = self.below[n]
@@ -202,6 +208,7 @@ class ChartTables:
                 self.unary.setdefault(below, []).append((n, 0))
             if node.kind == KIND_SUBST:
                 subst_slots.setdefault(node.cat, []).append(below)
+                self.site[below] = (self.addr[n], OP_SUBST)
             elif node.kind == KIND_LEX:
                 self.lex_syms.setdefault(node.word, []).append(below)
             elif node.kind == KIND_EMPTY:
@@ -209,16 +216,17 @@ class ChartTables:
             elif hosting[n]:
                 self.hosts.setdefault(node.cat, []).append(n)
                 self.host_of[below] = (n, node.cat)
+                self.site[n] = (self.addr[n], OP_ADJOIN)
             kids, seq = self.children[n], self.seq[n]
             if len(kids) == 1:
-                if kids[0] in self.feet:
+                if kids[0] in feet:
                     self.foot_only.append(seq[0])
                 else:
                     self.unary.setdefault(kids[0], []).append((seq[0], 0))
             for k in range(len(kids) - 1):
-                if kids[k] in self.feet:
+                if kids[k] in feet:
                     self.foot_left[seq[k + 1]] = seq[k]
-                elif k == len(kids) - 2 and kids[k + 1] in self.feet:
+                elif k == len(kids) - 2 and kids[k + 1] in feet:
                     self.foot_right[kids[k]] = seq[k]
                 else:
                     self.as_left[kids[k]] = (seq[k + 1], seq[k])
@@ -237,43 +245,49 @@ class ChartTables:
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
-    Holds the lexical stream, the instance budget, pass 1's chart of least
-    costs and pass 2's memo; the rules and symbols come from the grammar's
-    shared ``ChartTables``.
+    Holds the lexical stream, the instance budget, pass 1's forest (least
+    cost and hyperedges per item) and pass 2's memo; the rules and symbols
+    come from the grammar's shared ``ChartTables``.
     """
 
     def __init__(self, lex: tuple[str, ...], tables: ChartTables, budget: int):
         self.lex = lex
         self.budget = budget
         self.tables = tables
-        self.low = self._recognize()
-        self._memo: dict[tuple[int, int, int, int], tuple] = {}
+        self.best, self.edges = self._recognize()
+        self._memo: dict[tuple[tuple, int], tuple] = {}
 
-    def _recognize(self) -> dict[tuple[int, int, int], int]:
-        """Pass 1: the least instance count of every derivable item.
+    def _recognize(self) -> tuple[dict[tuple, int], dict[tuple, list[tuple]]]:
+        """Pass 1: the least instance count of every derivable item, and
+        the hyperedges that derive it.
 
         Knuth's generalisation of Dijkstra's algorithm to the TAG CKY
         deduction rules: an item leaves the bucket queue once, at its least
         cost, and is then combined with the partners already settled. A
         cheaper derivation found later re-queues only its consequent, so
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
-        without re-sweeping the chart. Items dearer than the whole budget
-        are dropped. Foot items are never queued: when a gap-free sibling of
-        a foot settles, it yields the sequence item for every foot gap on
-        its open side at its own cost, and a foot that is an only child
-        seeds its parent's below item over every span. Returns the least
-        cost per (symbol, i, j) over gaps.
+        without re-sweeping the chart. Every firing within the budget is
+        recorded as a hyperedge of its consequent, cheapest or not, so pass
+        2 can unpack every derivation. A hyperedge is the tuple of its
+        antecedent item keys, left to right; seeds have none. Foot items
+        are never queued: when a gap-free sibling of a foot settles, it
+        yields the sequence item for every foot gap on its open side at its
+        own cost, and a foot that is an only child seeds its parent's below
+        item over every span.
         """
         t, n_lex, budget = self.tables, len(self.lex), self.budget
         unary, as_left, as_right = t.unary, t.as_left, t.as_right
         foot_left, foot_right = t.foot_left, t.foot_right
         hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
         best: dict[tuple, int] = {}
+        edges: dict[tuple, list[tuple]] = {}
         queue: list[list[tuple]] = [[]]
 
-        def push(sym, i, j, gap, cost):
-            key = (sym, i, j, gap)
-            if cost <= budget and cost < best.get(key, cost + 1):
+        def push(key, cost, edge):
+            if cost > budget:
+                return
+            edges.setdefault(key, []).append(edge)
+            if cost < best.get(key, cost + 1):
                 best[key] = cost
                 while len(queue) <= cost:
                     queue.append([])
@@ -281,16 +295,16 @@ class _SpanParser:
 
         for i, word in enumerate(self.lex):
             for sym in t.lex_syms.get(word, ()):
-                push(sym, i, i + 1, None, 0)
+                push((sym, i, i + 1, None), 0, ())
         for sym in t.empty_syms:
             for i in range(n_lex + 1):
-                push(sym, i, i, None, 0)
+                push((sym, i, i, None), 0, ())
         for sym in t.foot_only:
             for i in range(n_lex + 1):
                 for j in range(i, n_lex + 1):
-                    push(sym, i, j, (i, j), 0)
+                    push((sym, i, j, (i, j)), 0, ())
 
-        low: dict[tuple[int, int, int], int] = {}
+        # partner indexes of settled item keys
         ends: dict[tuple[int, int], list] = {}      # left operands by end
         starts: dict[tuple[int, int], list] = {}    # right operands by start
         aux_by_gap: dict[tuple[str, int, int], list] = {}
@@ -301,152 +315,90 @@ class _SpanParser:
                 if best[key] != cost:
                     continue
                 sym, i, j, gap = key
-                low.setdefault((sym, i, j), cost)
                 for out, extra in unary.get(sym, ()):
-                    push(out, i, j, gap, cost + extra)
+                    push((out, i, j, gap), cost + extra, (key,))
                 if gap is None:
                     if sym in foot_left:
                         out = foot_left[sym]
                         for k in range(i + 1):
-                            push(out, k, j, (k, i), cost)
+                            push((out, k, j, (k, i)), cost, (key,))
                     if sym in foot_right:
                         out = foot_right[sym]
                         for k in range(j, n_lex + 1):
-                            push(out, i, k, (j, k), cost)
+                            push((out, i, k, (j, k)), cost, (key,))
                 if sym in as_left:
                     right, out = as_left[sym]
-                    ends.setdefault((sym, j), []).append((i, gap, cost))
-                    for k, gap2, cost2 in starts.get((right, j), ()):
-                        if gap is None or gap2 is None:
-                            push(out, i, k, gap or gap2, cost + cost2)
+                    ends.setdefault((sym, j), []).append(key)
+                    for other in starts.get((right, j), ()):
+                        if gap is None or other[3] is None:
+                            push((out, i, other[2], gap or other[3]),
+                                 cost + best[other], (key, other))
                 if sym in as_right:
                     left, out = as_right[sym]
-                    starts.setdefault((sym, i), []).append((j, gap, cost))
-                    for k, gap2, cost2 in ends.get((left, i), ()):
-                        if gap is None or gap2 is None:
-                            push(out, k, j, gap or gap2, cost + cost2)
+                    starts.setdefault((sym, i), []).append(key)
+                    for other in ends.get((left, i), ()):
+                        if gap is None or other[3] is None:
+                            push((out, other[1], j, gap or other[3]),
+                                 cost + best[other], (other, key))
                 if sym in host_of:
                     n, cat = host_of[sym]
-                    hosts_by_span.setdefault((n, i, j), []).append((gap, cost))
-                    for oi, oj, cost2 in aux_by_gap.get((cat, i, j), ()):
-                        push(n, oi, oj, gap, cost + cost2)
+                    hosts_by_span.setdefault((n, i, j), []).append(key)
+                    for aux in aux_by_gap.get((cat, i, j), ()):
+                        push((n, aux[1], aux[2], gap), cost + best[aux],
+                             (key, aux))
                 if sym in aux_cat:
                     gi, gj = gap
-                    aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(
-                        (i, j, cost))
+                    aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(key)
                     for n in hosts.get(aux_cat[sym], ()):
-                        for gap2, cost2 in hosts_by_span.get((n, gi, gj), ()):
-                            push(n, i, j, gap2, cost + cost2)
+                        for host in hosts_by_span.get((n, gi, gj), ()):
+                            push((n, i, j, host[3]), cost + best[host],
+                                 (host, key))
             cost += 1
-        return low
+        return best, edges
 
-    def _least(self, sym: int, i: int, j: int) -> int | None:
-        """Pass 1's least cost of an item, None if it is not derivable.
+    def unpack(self, key: tuple, budget: int) -> tuple:
+        """Pass 2: every parse of an item with at most budget instances.
 
-        A foot covers any span at cost 0; pass 1 never stores foot items.
+        An instance item's parses are InstParse objects, any other item's
+        (ops, size) pairs. A hyperedge yields the product of its
+        antecedents' parses, left to right, with the budget threaded
+        through; an instance antecedent becomes one attachment at the
+        consequent's ``site``. Every cycle of items passes through an
+        instance, which costs one, so the budget bounds the recursion.
         """
-        if sym in self.tables.feet:
-            return 0
-        return self.low.get((sym, i, j))
-
-    def _fits(self, sym: int, i: int, j: int, budget: int) -> bool:
-        """Whether pass 1 found the item at a cost within budget."""
-        least = self._least(sym, i, j)
-        return least is not None and least <= budget
-
-    # Pass 2: each call returns exactly the parses of the item whose total
-    # instance count is at most budget, memoized per (symbol, i, j, budget).
-
-    def instances(self, comp: int, i: int, j: int,
-                  budget: int) -> tuple[InstParse, ...]:
-        """All parses of one whole component instance over lex[i:j]."""
-        sym = self.tables.inst0 + comp
-        if not self._fits(sym, i, j, budget):
+        best = self.best
+        if best.get(key, budget + 1) > budget:
             return ()
-        key = (sym, i, j, budget)
-        hit = self._memo.get(key)
-        if hit is None:
-            pair_name, ci, root = self.tables.comps[comp]
-            hit = self._memo[key] = tuple(
-                InstParse(pair=pair_name, comp=ci, i=i, j=j, gap=gap, ops=ops,
-                          size=1 + size)
-                for gap, ops, size in self.at(root, i, j, budget - 1))
-        return hit
-
-    def at(self, n: int, i: int, j: int, budget: int) -> tuple:
-        """Parses of the subtree at node n, allowing one adjunction at n."""
-        t = self.tables
-        if t.below[n] == n:     # no adjunction can happen at n
-            return self.below(n, i, j, budget)
-        if not self._fits(n, i, j, budget):
-            return ()
-        key = (n, i, j, budget)
-        hit = self._memo.get(key)
+        hit = self._memo.get((key, budget))
         if hit is not None:
             return hit
-        node = t.node[n]
-        results = []
-        if node.adjoin != ADJOIN_OA:
-            results.extend(self.below(n, i, j, budget))
-        for aux_comp in t.adjoin_candidates.get(node.cat, ()):
-            for aux in self.instances(aux_comp, i, j, budget):
-                gi, gj = aux.gap
-                op = Op(t.addr[n], OP_ADJOIN, aux)
-                for gap, ops, size in self.below(n, gi, gj, budget - aux.size):
-                    results.append((gap, ops + (op,), size + aux.size))
-        hit = self._memo[key] = tuple(results)
-        return hit
-
-    def below(self, n: int, i: int, j: int, budget: int) -> tuple:
-        """Parses of the subtree at node n with no adjunction at n itself."""
         t = self.tables
-        node = t.node[n]
-        if node.kind == KIND_INTERIOR:
-            return self._split(n, 0, i, j, budget)
-        sym = t.below[n]
-        if not self._fits(sym, i, j, budget):
-            return ()
-        if node.kind == KIND_FOOT:
-            return (((i, j), (), 0),)
-        if node.kind != KIND_SUBST:
-            return ((None, (), 0),)     # the lexical item, or the empty leaf
-        key = (sym, i, j, budget)
-        hit = self._memo.get(key)
-        if hit is None:
-            site = t.addr[n]
-            hit = self._memo[key] = tuple(
-                (None, (Op(site, OP_SUBST, inst),), inst.size)
-                for comp in t.subst_candidates.get(node.cat, ())
-                for inst in self.instances(comp, i, j, budget))
-        return hit
-
-    def _split(self, p: int, k: int, i: int, j: int, budget: int) -> tuple:
-        """Partition lex[i:j] over p's children from the k-th on, threading
-        gap and budget; split points pass 1 rules out are skipped."""
-        kids, seq = self.tables.children[p], self.tables.seq[p]
-        if k == len(kids) - 1:
-            return self.at(kids[k], i, j, budget)
-        if not self._fits(seq[k], i, j, budget):
-            return ()
-        key = (seq[k], i, j, budget)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        head, rest, least = kids[k], seq[k + 1], self._least
-        out = []
-        for mid in range(i, j + 1):
-            first = least(head, i, mid)
-            second = least(rest, mid, j)
-            if first is None or second is None or first + second > budget:
+        sym = key[0]
+        comp = sym - t.inst0
+        is_inst = 0 <= comp < len(t.comps)
+        room = budget - is_inst
+        parses = []
+        for edge in self.edges[key]:
+            if sum(best[ante] for ante in edge) > room:
                 continue
-            for gap1, ops1, size1 in self.at(head, i, mid, budget):
-                for gap2, ops2, size2 in self._split(p, k + 1, mid, j,
-                                                     budget - size1):
-                    if gap1 is not None and gap2 is not None:
-                        continue
-                    out.append((gap1 or gap2, ops1 + ops2, size1 + size2))
-        hit = self._memo[key] = tuple(out)
+            partial = [((), 0)]
+            for ante in edge:
+                grown = []
+                for ops, size in partial:
+                    for part in self.unpack(ante, room - size):
+                        if isinstance(part, InstParse):
+                            part = (Op(*t.site[sym], part),), part.size
+                        grown.append((ops + part[0], size + part[1]))
+                partial = grown
+            parses.extend(partial)
+        if is_inst:
+            pair_name, ci, _ = t.comps[comp]
+            parses = [InstParse(pair=pair_name, comp=ci, ops=ops, size=1 + size)
+                      for ops, size in parses]
+        hit = self._memo[key, budget] = tuple(parses)
         return hit
+
+
 def _collect_instances(root: InstParse):
     """Flatten an instance tree into (instances, edges by child index)."""
     instances: list[InstParse] = []
@@ -545,48 +497,54 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     tables = grammar.chart_tables
     span = _SpanParser(lex, tables, budget=max_uses * max_comps)
 
-    buckets: dict[int, list] = {}
-    for pair in grammar.pairs:
-        head = pair.source.head
-        head_tree = pair.source.head_tree
-        if head_tree.is_auxiliary or head_tree.root_cat != grammar.start_symbol:
-            continue
-        for root_inst in span.instances(tables.comp_id[pair.name, head], 0,
-                                        len(lex), span.budget):
-            instances, edges = _collect_instances(root_inst)
-            # every grouping makes one use per component-0 instance
-            cost = uses_cost((inst.pair for inst in instances if inst.comp == 0),
-                             grammar)
-            buckets.setdefault(cost, []).append((instances, edges))
+    # every stage below recurses as deep as the input nests
+    try:
+        buckets: dict[int, list] = {}
+        for pair in grammar.pairs:
+            head = pair.source.head
+            head_tree = pair.source.head_tree
+            if head_tree.is_auxiliary or head_tree.root_cat != grammar.start_symbol:
+                continue
+            root = tables.inst0 + tables.comp_id[pair.name, head]
+            for root_inst in span.unpack((root, 0, len(lex), None), span.budget):
+                instances, edges = _collect_instances(root_inst)
+                # every grouping makes one use per component-0 instance
+                cost = uses_cost(
+                    (inst.pair for inst in instances if inst.comp == 0), grammar)
+                buckets.setdefault(cost, []).append((instances, edges))
 
-    for cost in sorted(buckets):
-        found: dict[Derivation, DerivedTree] = {}
-        for instances, edges in buckets[cost]:
-            for assignment, n_uses in _groupings(instances, grammar):
-                if n_uses > max_uses:
-                    continue
-                uses = [""] * n_uses
-                for idx, inst in enumerate(instances):
-                    uses[assignment[idx]] = inst.pair
-                attachments = []
-                for idx, (parent_idx, op) in edges.items():
-                    attachments.append(Attachment(
-                        use=assignment[idx], comp=instances[idx].comp,
-                        host=assignment[parent_idx],
-                        host_comp=instances[parent_idx].comp,
-                        site=op.site, op=op.op))
-                derivation = make_derivation(uses, assignment[0], attachments)
-                tree = build_derived_tree(derivation, grammar)
-                produced = tree.yield_lex()
-                if produced != lex:
-                    raise InternalError(
-                        f"derived tree yields {produced}, not the input {lex}")
-                if dominance_violations(tree, grammar):
-                    continue
-                found.setdefault(canonicalize(tree), tree)
-        if found:
-            yield PriorityLevel(cost=cost, trees=tuple(sorted(
-                found.values(), key=lambda t: ranking_key(t.derivation, grammar))))
+        for cost in sorted(buckets):
+            found: dict[Derivation, DerivedTree] = {}
+            for instances, edges in buckets[cost]:
+                for assignment, n_uses in _groupings(instances, grammar):
+                    if n_uses > max_uses:
+                        continue
+                    uses = [""] * n_uses
+                    for idx, inst in enumerate(instances):
+                        uses[assignment[idx]] = inst.pair
+                    attachments = []
+                    for idx, (parent_idx, op) in edges.items():
+                        attachments.append(Attachment(
+                            use=assignment[idx], comp=instances[idx].comp,
+                            host=assignment[parent_idx],
+                            host_comp=instances[parent_idx].comp,
+                            site=op.site, op=op.op))
+                    derivation = make_derivation(uses, assignment[0], attachments)
+                    tree = build_derived_tree(derivation, grammar)
+                    produced = tree.yield_lex()
+                    if produced != lex:
+                        raise InternalError(
+                            f"derived tree yields {produced}, not the input {lex}")
+                    if dominance_violations(tree, grammar):
+                        continue
+                    found.setdefault(canonicalize(tree), tree)
+            if found:
+                yield PriorityLevel(cost=cost, trees=tuple(sorted(
+                    found.values(),
+                    key=lambda t: ranking_key(t.derivation, grammar))))
+    except RecursionError:
+        raise LimitExceededError(
+            "the input nests too deeply to parse") from None
 
 
 def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,

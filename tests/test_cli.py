@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 
-from support import CHASE_CANONICAL, CHASE_SCRAMBLED
+from support import CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL
 
 from stagmt.cli import main
 from stagmt.grammar_io import builtin_grammar_path
@@ -35,6 +35,25 @@ class TestTranslate:
         assert status == 1
         assert out == "Tom chases Jerry.\nERROR\n"
         assert err.startswith("line 3: no-parse:")
+
+    def test_too_deep_input_is_a_coded_error(self, capsys, monkeypatch):
+        # the object fronted over 80, then 400 embedding verbs: the batch
+        # goes on past an input that nests too deeply to parse
+        def chain(depth):
+            return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
+                    + " malhanta" * depth + ".")
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{chain(80)}\n{chain(400)}\n{EMBEDDED_CANONICAL}\n"))
+        status, out, err = run(capsys, "translate", "-g", "embedded")
+        shallow, deep, canonical = out.splitlines()
+        assert shallow == "Mary says " * 80 + "Tom chases Jerry."
+        if deep == "ERROR":
+            assert status == 1
+            assert err.startswith("line 2: limit-exceeded:")
+        else:
+            assert deep == "Mary says " * 400 + "Tom chases Jerry."
+        assert canonical == "Mary says Tom chases Jerry."
 
     def test_unknown_word(self, capsys):
         status, out, err = run(capsys, "translate", "-g", "chase",
@@ -191,6 +210,13 @@ class TestPermutations:
         costs = {o["sentence"]: o["cost"] for o in payload["orders"]}
         assert costs[CHASE_CANONICAL] == 0
         assert costs[CHASE_SCRAMBLED] == 1
+
+    def test_too_many_words_are_refused(self, capsys):
+        # nine words have 9! = 362,880 orders; none may be enumerated
+        status, out, err = run(capsys, "permutations", "-g", "chase",
+                               *["Tom-i"] * 8, "ccossnunta.")
+        assert (status, out) == (1, "")
+        assert "[limit-exceeded]" in err
 
 
 def test_module_entry_point():

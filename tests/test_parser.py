@@ -19,8 +19,17 @@ import stagmt.parser
 from stagmt.derive import build_derived_tree, render_tree
 from stagmt.errors import InternalError, LexicalGapError, NoParseError
 from stagmt.grammar_io import load_grammar
+from stagmt.model import (
+    ElementaryTree,
+    SourceSet,
+    SyncPair,
+    index_grammar,
+    interior,
+    lex,
+    subst,
+)
 from stagmt.morphotok import tokenize
-from stagmt.parser import all_derivations, parse
+from stagmt.parser import InstParse, all_derivations, parse
 
 
 def derivations_of(line, grammar, **kwargs):
@@ -252,3 +261,63 @@ class TestChartTables:
         assert sum(len(ds) > 0 for ds in first.values()) == 17
         assert sorted(map(id, built)) == sorted(map(id, grammars.values()))
         assert all(g.chart_tables is g.chart_tables for g in grammars.values())
+
+
+
+class TestForest:
+    """Pass 2 unpacks the hyperedges pass 1 records. Within a budget it
+    returns exactly the parses that fit, the cheapest of them at pass 1's
+    least cost, each instance counting itself, and it concatenates
+    attachments left to right, an adjunction after those below it."""
+
+    BUDGET = 8
+
+    @staticmethod
+    def size(parse):
+        return parse.size if isinstance(parse, InstParse) else parse[1]
+
+    @staticmethod
+    def instances(parses):
+        stack = [op.inst for p in parses if not isinstance(p, InstParse)
+                 for op in p[0]]
+        stack += [p for p in parses if isinstance(p, InstParse)]
+        while stack:
+            inst = stack.pop()
+            yield inst
+            stack.extend(op.inst for op in inst.ops)
+
+    def check(self, grammar, line):
+        span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
+                                         grammar.chart_tables, self.BUDGET)
+        for key, least in span.best.items():
+            parses = span.unpack(key, self.BUDGET)
+            assert min(map(self.size, parses)) == least
+            for tighter in range(least, self.BUDGET):
+                assert span.unpack(key, tighter) == tuple(
+                    p for p in parses if self.size(p) <= tighter)
+            for inst in self.instances(parses):
+                assert inst.size == 1 + sum(op.inst.size for op in inst.ops)
+                # post-order: a site's descendants first, then left to right
+                order = [op.site.path + (float("inf"),) for op in inst.ops]
+                assert order == sorted(order)
+
+    @pytest.mark.parametrize("name, line", [
+        ("chase", CHASE_SCRAMBLED), ("ditransitive", DITRANS_CANONICAL),
+        ("embedded", EMBEDDED_FRONTED)])
+    def test_shipped_grammars(self, name, line):
+        self.check(load_grammar(name), line)
+
+    def test_left_operand_dearer_than_the_right(self):
+        # L(X X) costs two and settles after the X slot to its right, so
+        # the left operand is the one that finds its partner settled
+        def singleton(name, tree):
+            return SyncPair(name=name, source=SourceSet((ElementaryTree(tree),)),
+                            target=ElementaryTree(tree))
+
+        grammar = index_grammar(
+            (singleton("gamma", interior("S", interior("L", subst("X"), subst("X")),
+                                         subst("X"))),
+             singleton("alpha_x", interior("X", lex("X", "x")))),
+            source_language="ko", target_language="en", start_symbol="S",
+            particles=())
+        self.check(grammar, "x x x.")
