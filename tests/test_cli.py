@@ -1,20 +1,45 @@
 """The stagmt command-line front end, exercised through main()."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from support import CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL
+from support import CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL, corpus
 
 from stagmt.cli import main
 from stagmt.grammar_io import builtin_grammar_path
+
+
+# Regenerate after an intended output change: PYTHONPATH=src python tests/test_cli.py
+GOLDEN_CORPUS = Path(__file__).parent / "golden" / "translate_corpus.txt"
 
 
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def corpus_transcript() -> str:
+    """Exit status, stdout and stderr of a detailed translate run over each
+    shipped grammar's regression corpus, fed on stdin."""
+    parts = []
+    for name in ("chase", "ditransitive", "embedded"):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO("".join(f"{line}\n" for line in corpus(name)))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(["translate", "-g", name, "--show", "both",
+                               "--trace-transfer", "--all-derivations"])
+        finally:
+            sys.stdin = stdin
+        parts.append(f"=== {name}: exit {status}\n--- stdout\n{out.getvalue()}"
+                     f"--- stderr\n{err.getvalue()}")
+    return "".join(parts)
 
 
 class TestTranslate:
@@ -219,6 +244,10 @@ class TestPermutations:
         assert "[limit-exceeded]" in err
 
 
+def test_corpus_output_matches_golden():
+    assert corpus_transcript() == GOLDEN_CORPUS.read_text(encoding="utf-8")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stagmt.cli", "translate", "-g", "chase",
@@ -226,3 +255,7 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "Tom chases Jerry.\n"
+
+
+if __name__ == "__main__":
+    GOLDEN_CORPUS.write_text(corpus_transcript(), encoding="utf-8")
