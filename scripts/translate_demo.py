@@ -22,6 +22,7 @@ from stagmt.derive import render_derivation, render_node, render_tree
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.pipeline import translate_line
+from stagmt.transfer import transfer_steps
 
 DEMOS = {
     "chase": [
@@ -56,7 +57,7 @@ def show(line: str, grammar) -> None:
 
     best = result.best
     print(f"\nchosen: cost {best.cost}, pairs {', '.join(best.derivation.uses)}")
-    for step in best.target.steps:
+    for step in transfer_steps(best.derivation, best.target, grammar):
         print(f"  transfer: {step}")
     print(f"  target: {render_node(best.realization.derived.root, {})}")
     print(f"translation: {best.realization.surface}")

@@ -26,6 +26,7 @@ from .model import Grammar, validate_pair
 from .morphotok import tokenize
 from .parser import parse
 from .pipeline import translate_line
+from .transfer import transfer_steps
 
 # 8! = 40,320 orders; every order is parsed, and all are enumerated first
 MAX_PERMUTED_WORDS = 8
@@ -79,7 +80,7 @@ def cmd_translate(args) -> int:
                     "source_tree": c.source_rendered,
                     "target_tree": render_node(c.realization.derived.root, {}),
                     "derivation": render_derivation(c.derivation, grammar).split("\n"),
-                    "transfer": [str(s) for s in c.target.steps],
+                    "transfer": transfer_steps(c.derivation, c.target, grammar),
                 } for c in result.candidates],
             })
             continue
@@ -90,7 +91,8 @@ def cmd_translate(args) -> int:
                 print(f"# cost {candidate.cost}")
                 print(render_derivation(candidate.derivation, grammar))
                 if args.trace_transfer:
-                    for step in candidate.target.steps:
+                    for step in transfer_steps(candidate.derivation,
+                                               candidate.target, grammar):
                         print(f"  {step}")
         if args.show in ("derived", "both"):
             for candidate in result.candidates:

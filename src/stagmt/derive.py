@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CategoryMismatchError,
-    CompositionError,
     DoubleAdjunctionError,
     IllegalAttachmentError,
     InternalError,
@@ -338,38 +337,6 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
                 out.append(f"dominance: use {use} ({name}) component {dominator}"
                            f" does not dominate component {dominated}")
     return out
-
-
-@dataclass(frozen=True)
-class SetCheck:
-    """Outcome of checking a derivation's set constraints; truthy iff clean."""
-
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_set_constraints(derivation: Derivation, grammar: Grammar) -> SetCheck:
-    """Judge the multi-component side conditions of a derivation.
-
-    Checks that every component of every use is accounted for (the root
-    use contributes its head; everything else attaches exactly once), that
-    the attachments compose, and that each set's dominance requirements
-    hold between instance roots in the composed tree. Violations are
-    reported rather than raised so callers can filter candidate
-    derivations without try/except scaffolding.
-    """
-    problem = _shape_errors(derivation, grammar)
-    if problem is not None:
-        return SetCheck(ok=False, violations=(problem,))
-    try:
-        tree = build_derived_tree(derivation, grammar)
-    except CompositionError as exc:
-        return SetCheck(ok=False, violations=(f"{exc.code}: {exc}",))
-    violations = dominance_violations(tree, grammar)
-    return SetCheck(ok=not violations, violations=tuple(violations))
 
 
 def display_indexes(tree: DerivedTree, grammar: Grammar) -> dict[int, int]:

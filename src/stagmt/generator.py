@@ -1,12 +1,16 @@
-"""Target-side realization: compose target trees and read off a sentence."""
+"""Target-side realization: compose target trees and read off a sentence.
+
+A target derivation (see ``transfer``) is a ``derive.Derivation`` whose uses
+each have one component, the pair's target tree, so it composes through the
+same ``derive.compose`` engine and end checks as the source side.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derive import Attachment, DerivedTree, compose
+from .derive import Derivation, DerivedTree, compose
 from .model import KIND_LEX, Grammar
-from .transfer import TargetDerivation
 
 
 @dataclass(frozen=True)
@@ -17,18 +21,10 @@ class Realization:
     surface: str
 
 
-def realize(target_derivation: TargetDerivation, grammar: Grammar) -> DerivedTree:
-    """Compose the target derivation into a target derived tree.
-
-    Each use's target tree is its component 0, so the source side's
-    composition engine and end checks apply unchanged.
-    """
-    return compose(
-        [(grammar.pair(name).target,) for name in target_derivation.uses],
-        [Attachment(use=att.use, comp=0, host=att.host, host_comp=0,
-                    site=att.site, op=att.op)
-         for att in target_derivation.attachments],
-        (target_derivation.root, 0))
+def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
+    """Compose a target derivation into a target derived tree."""
+    return compose([(grammar.pair(name).target,) for name in target.uses],
+                   target.attachments, (target.root, 0))
 
 
 def _is_marked_nominal(node) -> bool:

@@ -65,14 +65,6 @@ class GornAddress:
     def child(self, position: int) -> "GornAddress":
         return GornAddress(self.path + (position,))
 
-    def parent(self) -> "GornAddress":
-        if not self.path:
-            raise ValueError("root has no parent")
-        return GornAddress(self.path[:-1])
-
-    def strictly_dominates(self, other: "GornAddress") -> bool:
-        return len(self.path) < len(other.path) and other.path[: len(self.path)] == self.path
-
 
 ROOT = GornAddress(())
 
@@ -92,16 +84,6 @@ class TreeNode:
     word: str | None = None
     feats: tuple[tuple[str, str], ...] = ()
     children: tuple["TreeNode", ...] = ()
-
-    def feat(self, name: str) -> str | None:
-        for key, value in self.feats:
-            if key == name:
-                return value
-        return None
-
-    @property
-    def feats_dict(self) -> dict[str, str]:
-        return dict(self.feats)
 
     @property
     def is_leaf_kind(self) -> bool:

@@ -9,7 +9,7 @@ from .generator import Realization, realize, yield_surface
 from .model import Grammar
 from .morphotok import TokenizedSentence, tokenize
 from .parser import PriorityLevel, parse
-from .transfer import TargetDerivation, transfer_derivation
+from .transfer import transfer_derivation
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,7 @@ class Candidate:
     """One derivation carried through the whole pipeline."""
 
     derivation: Derivation
-    target: TargetDerivation
+    target: Derivation
     realization: Realization
     cost: int
     source_rendered: str

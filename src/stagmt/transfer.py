@@ -1,70 +1,36 @@
 """Mapping source derivations to target derivations.
 
-One fixed convention does most of the work: the root node of a use's head
-component corresponds to the root node of its target tree. Everything else
-is read off the host pair's links. For each non-root use we look at where
-its head component attached on the source side; if that site is linked, the
-use's target tree attaches at the linked target address, and if the site is
-the host head's root (an adjunction), it attaches at the target root.
-Attachments of non-head components — the scrambled auxiliaries — have no
-target-side counterpart at all, which is exactly how word-order variation
-disappears in translation.
+A target derivation is a ``derive.Derivation`` with the source's use
+numbering in which every use has one component, its target tree, so every
+attachment joins component 0 to component 0. One fixed convention does most
+of the work: the root node of a use's head component corresponds to the root
+node of its target tree. Everything else is read off the host pair's links.
+For each non-root use we look at where its head component attached on the
+source side; if that site is linked, the use's target tree attaches at the
+linked target address, and if the site is the host head's root (an
+adjunction), it attaches at the target root. Attachments of non-head
+components — the scrambled auxiliaries — have no target-side counterpart at
+all, which is exactly how word-order variation disappears in translation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .derive import Derivation
+from .derive import Attachment, Derivation, make_derivation
 from .errors import DanglingUseError, UntranslatableAttachmentError
-from .model import ROOT, Grammar, GornAddress, SyncPair
+from .model import ROOT, Grammar
 
 
-@dataclass(frozen=True)
-class TargetAttachment:
-    use: int
-    host: int
-    site: GornAddress
-    op: str
+def _head_attachment(derivation: Derivation, use: int, grammar: Grammar) -> Attachment:
+    """Where the head component of a non-root use attaches on the source side."""
+    name = derivation.uses[use]
+    head_att = derivation.attachment_of(use, grammar.pair(name).source.head)
+    if head_att is None:
+        raise DanglingUseError(
+            f"use {use} ({name}): head component is attached nowhere")
+    return head_att
 
 
-@dataclass(frozen=True)
-class TransferStep:
-    """One resolved correspondence, kept for tracing."""
-
-    use: int
-    pair: str
-    host: int
-    host_pair: str
-    src_comp: int
-    src_site: GornAddress
-    tgt_site: GornAddress
-    op: str
-
-    def __str__(self) -> str:
-        return (f"u{self.use} {self.pair}: source u{self.host}/"
-                f"c{self.src_comp}@{self.src_site} -> target "
-                f"u{self.host}@{self.tgt_site} ({self.op})")
-
-
-@dataclass(frozen=True)
-class TargetDerivation:
-    """Same use numbering as the source derivation it came from."""
-
-    uses: tuple[str, ...]
-    root: int
-    attachments: tuple[TargetAttachment, ...]
-    steps: tuple[TransferStep, ...]
-
-
-def resolve_attachment(host_pair: SyncPair, comp: int,
-                       site: GornAddress) -> GornAddress | None:
-    """Linked target address for a source-side site, or None if unlinked."""
-    link = host_pair.link_for(comp, site)
-    return None if link is None else link.tgt
-
-
-def transfer_derivation(derivation: Derivation, grammar: Grammar) -> TargetDerivation:
+def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     """Carry a source derivation across the bilingual pairs.
 
     For each non-root use, the attachment of its head component determines
@@ -75,32 +41,33 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> TargetDeriv
     target tree is realization's concern.
     """
     attachments = []
-    steps = []
     for use, name in enumerate(derivation.uses):
         if use == derivation.root:
             continue
-        pair = grammar.pair(name)
-        head_att = derivation.attachment_of(use, pair.source.head)
-        if head_att is None:
-            raise DanglingUseError(
-                f"use {use} ({name}): head component is attached nowhere")
+        head_att = _head_attachment(derivation, use, grammar)
         host_pair = grammar.pair(derivation.uses[head_att.host])
-        tgt_site = resolve_attachment(host_pair, head_att.host_comp, head_att.site)
-        if (tgt_site is None and head_att.site == ROOT
-                and head_att.host_comp == host_pair.source.head):
-            tgt_site = ROOT
-        if tgt_site is None:
+        link = host_pair.link_for(head_att.host_comp, head_att.site)
+        if link is not None:
+            site = link.tgt
+        elif head_att.site == ROOT and head_att.host_comp == host_pair.source.head:
+            site = ROOT
+        else:
             raise UntranslatableAttachmentError(
                 f"use {use} ({name}) attaches at u{head_att.host}/"
                 f"c{head_att.host_comp}@{head_att.site}, which maps to no "
                 f"target node of {host_pair.name}")
+        attachments.append(Attachment(use=use, comp=0, host=head_att.host,
+                                      host_comp=0, site=site, op=head_att.op))
+    return make_derivation(derivation.uses, derivation.root, attachments)
 
-        attachments.append(TargetAttachment(use=use, host=head_att.host,
-                                            site=tgt_site, op=head_att.op))
-        steps.append(TransferStep(
-            use=use, pair=name, host=head_att.host, host_pair=host_pair.name,
-            src_comp=head_att.host_comp, src_site=head_att.site,
-            tgt_site=tgt_site, op=head_att.op))
 
-    return TargetDerivation(uses=derivation.uses, root=derivation.root,
-                            attachments=tuple(attachments), steps=tuple(steps))
+def transfer_steps(source: Derivation, target: Derivation, grammar: Grammar) -> list[str]:
+    """One trace line per target attachment: the source head attachment it
+    was read from and the target site it maps to."""
+    lines = []
+    for att in target.attachments:
+        src = _head_attachment(source, att.use, grammar)
+        lines.append(f"u{att.use} {source.uses[att.use]}: source u{src.host}/"
+                     f"c{src.host_comp}@{src.site} -> target "
+                     f"u{att.host}@{att.site} ({att.op})")
+    return lines

@@ -11,7 +11,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from stagmt.derive import Attachment, OP_ADJOIN, OP_SUBST, check_set_constraints, make_derivation
+from stagmt.derive import (
+    Attachment,
+    OP_ADJOIN,
+    OP_SUBST,
+    build_derived_tree,
+    dominance_violations,
+    make_derivation,
+)
+from stagmt.errors import CompositionError
 from stagmt.model import ADJOIN_NA, KIND_INTERIOR, ROOT, Grammar
 
 # Verdict lines recorded by the acceptance tests; echoed after the run by a
@@ -77,6 +85,27 @@ def corpus(grammar_name: str) -> tuple[str, ...]:
     if grammar_name == "embedded":
         return permutation_closure(EMBEDDED_WORDS) + EMBEDDED_NEGATIVES
     raise ValueError(grammar_name)
+
+
+def set_constraint_violations(derivation, grammar: Grammar) -> list[str]:
+    """Why a derivation breaks its multi-component side conditions.
+
+    Every component of every use must be accounted for (the root use
+    contributes its head; everything else attaches exactly once), the
+    attachments must compose, and each set's dominance requirements must
+    hold between instance roots in the composed tree. A composition error is
+    reported as ``"{code}: {message}"``; empty when the derivation is clean.
+    """
+    try:
+        tree = build_derived_tree(derivation, grammar)
+    except CompositionError as exc:
+        return [f"{exc.code}: {exc}"]
+    return dominance_violations(tree, grammar)
+
+
+def check_set_constraints(derivation, grammar: Grammar) -> bool:
+    """True iff the derivation meets its set constraints (see above)."""
+    return not set_constraint_violations(derivation, grammar)
 
 
 def _initial_head_pairs(grammar: Grammar, cat: str):

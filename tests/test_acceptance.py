@@ -18,6 +18,7 @@ from support import (
     DITRANS_WORDS,
     EMBEDDED_CANONICAL,
     EMBEDDED_FRONTED,
+    check_set_constraints,
     corpus,
     permutation_closure,
     sample_derivations,
@@ -26,7 +27,6 @@ from support import (
 from stagmt.derive import (
     OP_ADJOIN,
     build_derived_tree,
-    check_set_constraints,
     dominance_violations,
     make_derivation,
     render_node,

@@ -37,7 +37,7 @@ from stagmt.model import (
     lex,
 )
 from stagmt.pipeline import translate_line
-from stagmt.transfer import TargetAttachment, TargetDerivation, transfer_derivation
+from stagmt.transfer import transfer_derivation
 
 
 def att(use, comp, host, host_comp, site, op):
@@ -72,24 +72,15 @@ class TestRealize:
         assert render_node(scrambled.root, {}) == render_node(canonical.root, {})
 
     def test_unfilled_slot(self, g_chase):
-        td = TargetDerivation(
-            uses=("gamma_chase", "alpha_tom_sp"), root=0,
-            attachments=(TargetAttachment(use=1, host=0,
-                                          site=GornAddress.parse("1"),
-                                          op=OP_SUBST),),
-            steps=())
+        td = make_derivation(("gamma_chase", "alpha_tom_sp"), 0,
+                             [att(1, 0, 0, 0, "1", OP_SUBST)])
         with pytest.raises(UnfilledSlotError):
             realize(td, g_chase)
 
     def test_adjoining_an_initial_target_fails(self, g_chase):
-        td = TargetDerivation(
-            uses=("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"), root=0,
-            attachments=(
-                TargetAttachment(use=1, host=0, site=GornAddress.parse("1"),
-                                 op=OP_SUBST),
-                TargetAttachment(use=2, host=0, site=GornAddress.parse("2.2"),
-                                 op=OP_ADJOIN)),
-            steps=())
+        td = make_derivation(("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"), 0,
+                             [att(1, 0, 0, 0, "1", OP_SUBST),
+                              att(2, 0, 0, 0, "2.2", OP_ADJOIN)])
         with pytest.raises(IllegalAttachmentError, match="not auxiliary"):
             realize(td, g_chase)
 
@@ -105,8 +96,7 @@ class TestRealize:
             g_chase.pairs + (dangler,),
             source_language="ko", target_language="en",
             start_symbol="S", particles=g_chase.particles)
-        td = TargetDerivation(uses=("beta_really",), root=0,
-                              attachments=(), steps=())
+        td = make_derivation(("beta_really",), 0, [])
         with pytest.raises(IllegalAttachmentError, match="stranded foot"):
             realize(td, doctored)
 
@@ -121,8 +111,7 @@ class TestRealize:
             g_chase.pairs + (ran,),
             source_language="ko", target_language="en",
             start_symbol="S", particles=g_chase.particles)
-        td = TargetDerivation(uses=("gamma_ran",), root=0,
-                              attachments=(), steps=())
+        td = make_derivation(("gamma_ran",), 0, [])
         with pytest.raises(ObligatoryAdjunctionError):
             realize(td, doctored)
 

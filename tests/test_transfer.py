@@ -21,7 +21,7 @@ from stagmt.model import (
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import parse
-from stagmt.transfer import TargetAttachment, resolve_attachment, transfer_derivation
+from stagmt.transfer import transfer_derivation, transfer_steps
 
 
 def att(use, comp, host, host_comp, site, op):
@@ -47,16 +47,16 @@ STACKED = make_derivation(
 class TestResolveAttachment:
     def test_linked_sites(self, g_chase):
         gamma = g_chase.pair("gamma_chase")
-        assert resolve_attachment(gamma, 0, GornAddress.parse("1")) == GornAddress.parse("1")
-        assert resolve_attachment(gamma, 0, GornAddress.parse("2")) == GornAddress.parse("2.2")
+        assert gamma.link_for(0, GornAddress.parse("1")).tgt == GornAddress.parse("1")
+        assert gamma.link_for(0, GornAddress.parse("2")).tgt == GornAddress.parse("2.2")
 
     def test_unlinked_site_is_none(self, g_chase):
         gamma = g_chase.pair("gamma_chase")
-        assert resolve_attachment(gamma, 0, ROOT) is None
+        assert gamma.link_for(0, ROOT) is None
 
     def test_wrong_component_is_none(self, g_chase):
         gamma = g_chase.pair("gamma_chase")
-        assert resolve_attachment(gamma, 1, GornAddress.parse("1")) is None
+        assert gamma.link_for(1, GornAddress.parse("1")) is None
 
     def test_ditransitive_links_swap_object_order(self, g_ditransitive):
         give = g_ditransitive.pair("gamma_give")
@@ -69,15 +69,12 @@ class TestCanonicalTransfer:
         td = transfer_derivation(CANONICAL, g_chase)
         assert td.uses == CANONICAL.uses
         assert td.root == 0
-        assert td.attachments == (
-            TargetAttachment(use=1, host=0, site=GornAddress.parse("1"),
-                             op=OP_SUBST),
-            TargetAttachment(use=2, host=0, site=GornAddress.parse("2.2"),
-                             op=OP_SUBST))
+        assert td.attachments == (att(1, 0, 0, 0, "1", OP_SUBST),
+                                  att(2, 0, 0, 0, "2.2", OP_SUBST))
 
     def test_steps_trace_the_links(self, g_chase):
         td = transfer_derivation(CANONICAL, g_chase)
-        assert [str(s) for s in td.steps] == [
+        assert transfer_steps(CANONICAL, td, g_chase) == [
             "u1 alpha_tom_sp: source u0/c0@1 -> target u0@1 (subst)",
             "u2 alpha_jerry_op: source u0/c0@2 -> target u0@2.2 (subst)"]
 
@@ -86,16 +83,13 @@ class TestScrambledTransfer:
     def test_place_holder_site_drives_the_mapping(self, g_chase):
         td = transfer_derivation(SCRAMBLED, g_chase)
         assert td.root == 1
-        assert td.attachments == (
-            TargetAttachment(use=0, host=1, site=GornAddress.parse("2.2"),
-                             op=OP_SUBST),
-            TargetAttachment(use=2, host=1, site=GornAddress.parse("1"),
-                             op=OP_SUBST))
+        assert td.attachments == (att(0, 0, 1, 0, "2.2", OP_SUBST),
+                                  att(2, 0, 1, 0, "1", OP_SUBST))
 
     def test_fronting_leaves_no_target_trace(self, g_chase):
         td = transfer_derivation(SCRAMBLED, g_chase)
         assert all(a.op == OP_SUBST for a in td.attachments)
-        assert len(td.steps) == len(td.attachments) == 2
+        assert len(transfer_steps(SCRAMBLED, td, g_chase)) == len(td.attachments) == 2
 
     def test_same_landing_sites_as_canonical(self, g_chase):
         def shape(derivation):
@@ -145,8 +139,7 @@ class TestRootRule:
             [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST),
              att(3, 0, 0, 0, "e", OP_ADJOIN)])
         td = transfer_derivation(d, g_adverb)
-        assert TargetAttachment(use=3, host=0, site=ROOT,
-                                op=OP_ADJOIN) in td.attachments
+        assert att(3, 0, 0, 0, "e", OP_ADJOIN) in td.attachments
 
 
 class TestFailures:
