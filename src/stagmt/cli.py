@@ -35,7 +35,7 @@ MAX_PERMUTED_WORDS = 8
 def _load(args) -> Grammar:
     try:
         return load_grammar(args.grammar)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SystemExit(f"error: {exc}")
     except GrammarError as exc:
         raise SystemExit(f"error: unusable grammar: {exc}")
@@ -142,7 +142,7 @@ def cmd_parse(args) -> int:
 def cmd_check(args) -> int:
     try:
         grammar = load_grammar(args.grammar)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GrammarValidationError as exc:

@@ -179,7 +179,11 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
 def load_grammar(path) -> Grammar:
     """Load a grammar from a file path or a builtin grammar name."""
     resolved = resolve_grammar_path(path)
-    return parse_grammar(resolved.read_text(encoding="utf-8"), origin=str(resolved))
+    try:
+        text = resolved.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GrammarSyntaxError(f"{resolved}: not UTF-8 text: {exc}") from None
+    return parse_grammar(text, origin=str(resolved))
 
 
 def resolve_grammar_path(path) -> Path:

@@ -400,77 +400,51 @@ class _SpanParser:
 
 
 def _collect_instances(root: InstParse):
-    """Flatten an instance tree into (instances, edges by child index)."""
-    instances: list[InstParse] = []
-    edges: dict[int, tuple[int, Op]] = {}
-
-    def walk(inst: InstParse) -> int:
-        idx = len(instances)
-        instances.append(inst)
+    """Flatten an instance tree into its instances, the root first, and its
+    edges as (child index, parent index, op)."""
+    instances = [root]
+    edges = []
+    for idx, inst in enumerate(instances):  # the list grows while it is read
         for op in inst.ops:
-            child_idx = walk(op.inst)
-            edges[child_idx] = (idx, op)
-        return idx
-
-    walk(root)
+            edges.append((len(instances), idx, op))
+            instances.append(op.inst)
     return instances, edges
 
 
 def _groupings(instances, grammar: Grammar):
-    """Yield use assignments: instance index -> use id.
+    """Yield use assignments (instance index -> use id) and their use counts.
 
     Singleton-pair instances each get their own use. Instances of a
-    multi-component pair are grouped by matching the instance lists of its
-    components bijectively; every bijection is one candidate reading.
+    multi-component pair are grouped by matching each further component's
+    instances bijectively with component 0's; every choice of one
+    permutation per further component is one candidate reading.
     """
     by_pair_comp: dict[tuple[str, int], list[int]] = {}
     for idx, inst in enumerate(instances):
         if grammar.pair(inst.pair).source.is_multi:
             by_pair_comp.setdefault((inst.pair, inst.comp), []).append(idx)
 
-    multi_pairs = sorted({name for name, _ in by_pair_comp})
-    match_spaces = []
-    for name in multi_pairs:
-        pair = grammar.pair(name)
-        lists = [by_pair_comp.get((name, c), []) for c in range(pair.n_components)]
-        base = lists[0]
-        if any(len(lst) != len(base) for lst in lists):
-            return
-        # one matching = for each further component, a permutation aligning
-        # its instances with component 0's, position by position
-        perms_per_comp = [itertools.permutations(lst) for lst in lists[1:]]
-        matchings = []
-        for combo in itertools.product(*perms_per_comp):
-            groups = []
-            for pos, anchor_idx in enumerate(base):
-                group = (anchor_idx,) + tuple(perm[pos] for perm in combo)
-                groups.append(group)
-            matchings.append(tuple(groups))
-        match_spaces.append(matchings)
+    # per further component, each permutation as a map from its instances
+    # to their component-0 partners, position by position
+    partner_maps = []
+    for name in sorted({name for name, _ in by_pair_comp}):
+        base = by_pair_comp.get((name, 0), [])
+        for comp in range(1, grammar.pair(name).n_components):
+            members = by_pair_comp.get((name, comp), [])
+            if len(members) != len(base):
+                return
+            partner_maps.append([dict(zip(perm, base))
+                                 for perm in itertools.permutations(members)])
 
-    for chosen in itertools.product(*match_spaces):
-        assignment: dict[int, int] = {}
-        next_use = 0
-        grouped: dict[int, tuple[int, ...]] = {}
-        for matching in chosen:
-            for group in matching:
-                for idx in group:
-                    grouped[idx] = group
-        seen_groups: dict[tuple[int, ...], int] = {}
-        for idx in range(len(instances)):
-            if idx in assignment:
-                continue
-            group = grouped.get(idx)
-            if group is None:
-                assignment[idx] = next_use
-                next_use += 1
-            else:
-                if group not in seen_groups:
-                    seen_groups[group] = next_use
-                    next_use += 1
-                for member in group:
-                    assignment[member] = seen_groups[group]
-        yield assignment, next_use
+    for chosen in itertools.product(*partner_maps):
+        partner = {}
+        for mapping in chosen:
+            partner.update(mapping)
+        # a use is numbered when the first of its instances is met
+        use_ids: dict[int, int] = {}
+        assignment = {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
+                      for idx in range(len(instances))}
+        yield assignment, len(use_ids)
 
 
 def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
@@ -522,13 +496,12 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                     uses = [""] * n_uses
                     for idx, inst in enumerate(instances):
                         uses[assignment[idx]] = inst.pair
-                    attachments = []
-                    for idx, (parent_idx, op) in edges.items():
-                        attachments.append(Attachment(
-                            use=assignment[idx], comp=instances[idx].comp,
-                            host=assignment[parent_idx],
-                            host_comp=instances[parent_idx].comp,
-                            site=op.site, op=op.op))
+                    attachments = [Attachment(
+                        use=assignment[idx], comp=instances[idx].comp,
+                        host=assignment[parent_idx],
+                        host_comp=instances[parent_idx].comp,
+                        site=op.site, op=op.op)
+                        for idx, parent_idx, op in edges]
                     derivation = make_derivation(uses, assignment[0], attachments)
                     tree = build_derived_tree(derivation, grammar)
                     produced = tree.yield_lex()

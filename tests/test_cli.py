@@ -138,6 +138,13 @@ class TestTranslate:
         assert status == 2
         assert err.startswith("error:")
 
+    def test_unreadable_grammar_path(self, capsys, tmp_path):
+        # a directory exists but cannot be read as a grammar file
+        status, out, err = run(capsys, "translate", "-g", str(tmp_path),
+                               *CHASE_CANONICAL.split())
+        assert (status, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestParse:
     def test_default_shows_best_level_only(self, capsys):
@@ -205,6 +212,18 @@ class TestCheck:
         assert status == 1
         assert "beta_tom_sp" in out
         assert out.rstrip().endswith("problem(s)")
+
+    def test_unreadable_path(self, capsys, tmp_path):
+        status, _, err = run(capsys, "check", "-g", str(tmp_path))
+        assert status == 2
+        assert err.startswith("error:")
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.grammar"
+        bad.write_bytes(b'{"source_language": "k\xf6"}')
+        status, _, err = run(capsys, "check", "-g", str(bad))
+        assert status == 1
+        assert "[syntax-error]" in err
 
     def test_unparseable_file(self, capsys, tmp_path):
         bad = tmp_path / "broken.grammar"

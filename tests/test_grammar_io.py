@@ -98,6 +98,12 @@ class TestSchemaErrors:
         with pytest.raises(GrammarSyntaxError):
             parse_grammar("{not json")
 
+    def test_undecodable_file_is_syntax_error(self, tmp_path):
+        path = tmp_path / "latin1.grammar"
+        path.write_bytes(b'{"source_language": "k\xf6"}')
+        with pytest.raises(GrammarSyntaxError, match="UTF-8"):
+            load_grammar(path)
+
     def test_version_checked(self, g_chase):
         doc = doc_of(g_chase)
         doc["version"] = 99

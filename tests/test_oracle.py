@@ -233,6 +233,46 @@ class TestDominanceFallThrough:
         assert best.derivations == brute_force_derivations(sentence, g)
 
 
+class TestThreeComponentSet:
+    """A set of three components: grouping matches each further component's
+    instances with component 0's, and a reading chooses one bijection per
+    further component, so the readings are their product."""
+
+    @pytest.fixture(scope="class")
+    def g_triple(self):
+        start = interior("S", subst("B"), subst("C"), subst("B"), subst("C"),
+                         interior("Z", lex("Z", "z")))
+        gamma = SyncPair(
+            name="gamma_z", source=SourceSet((ElementaryTree(start),)),
+            target=ElementaryTree(start),
+            links=tuple(Link(comp=0, src=GornAddress.parse(str(i)),
+                             tgt=GornAddress.parse(str(i))) for i in range(1, 5)))
+        triple = SyncPair(
+            name="beta_abc",
+            source=SourceSet((
+                ElementaryTree(interior("S", interior("A", lex("A", "a")), foot("S"))),
+                ElementaryTree(interior("B", lex("B", "b"))),
+                ElementaryTree(interior("C", lex("C", "c")))),
+                head=1, dominance=((0, 1), (0, 2))),
+            target=ElementaryTree(interior("B", lex("B", "b"))),
+            priority=2)
+        pairs = (gamma, triple,
+                 _singleton("alpha_b", interior("B", lex("B", "b"))),
+                 _singleton("alpha_c", interior("C", lex("C", "c"))),
+                 _singleton("beta_a", interior("S", interior("A", lex("A", "a")),
+                                               foot("S")), priority=3))
+        assert all(validate_pair(pair) == [] for pair in pairs)
+        return _grammar(pairs)
+
+    @pytest.mark.parametrize("line, count", [
+        ("a b c b c z.", 5), ("a a b c b c z.", 13), ("b c b c z.", 1)])
+    def test_parser_agrees_with_the_oracle(self, g_triple, line, count):
+        sentence = tokenize(line, g_triple)
+        parsed = all_derivations(sentence, g_triple)
+        assert len(parsed) == count
+        assert parsed == brute_force_derivations(sentence, g_triple)
+
+
 class TestFootPositions:
     """Pass 1 never builds foot items; it derives them from the foot's
     siblings. The shipped grammars only have feet in last position."""
