@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from support import CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL, corpus
 
 from stagmt.cli import main
@@ -14,7 +16,15 @@ from stagmt.grammar_io import builtin_grammar_path
 
 
 # Regenerate after an intended output change: PYTHONPATH=src python tests/test_cli.py
-GOLDEN_CORPUS = Path(__file__).parent / "golden" / "translate_corpus.txt"
+GOLDEN = Path(__file__).parent / "golden"
+# golden file -> CLI arguments, run over each shipped grammar's regression corpus
+GOLDEN_RUNS = {
+    "translate_corpus.txt": ("translate", "--show", "both", "--trace-transfer",
+                             "--all-derivations"),
+    "translate_json_corpus.txt": ("translate", "--format", "json",
+                                  "--all-derivations"),
+    "parse_corpus.txt": ("parse", "--all-derivations"),
+}
 
 
 def run(capsys, *argv):
@@ -23,9 +33,9 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def corpus_transcript() -> str:
-    """Exit status, stdout and stderr of a detailed translate run over each
-    shipped grammar's regression corpus, fed on stdin."""
+def corpus_transcript(*argv) -> str:
+    """Exit status, stdout and stderr of one CLI run per shipped grammar over
+    its regression corpus, fed on stdin."""
     parts = []
     for name in ("chase", "ditransitive", "embedded"):
         out, err = io.StringIO(), io.StringIO()
@@ -33,8 +43,7 @@ def corpus_transcript() -> str:
         sys.stdin = io.StringIO("".join(f"{line}\n" for line in corpus(name)))
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                status = main(["translate", "-g", name, "--show", "both",
-                               "--trace-transfer", "--all-derivations"])
+                status = main([argv[0], "-g", name, *argv[1:]])
         finally:
             sys.stdin = stdin
         parts.append(f"=== {name}: exit {status}\n--- stdout\n{out.getvalue()}"
@@ -264,7 +273,15 @@ class TestPermutations:
 
 
 def test_corpus_output_matches_golden():
-    assert corpus_transcript() == GOLDEN_CORPUS.read_text(encoding="utf-8")
+    name = "translate_corpus.txt"
+    assert corpus_transcript(*GOLDEN_RUNS[name]) == (GOLDEN / name).read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["translate_json_corpus.txt", "parse_corpus.txt"])
+def test_other_output_modes_match_golden(name):
+    assert corpus_transcript(*GOLDEN_RUNS[name]) == (GOLDEN / name).read_text(
+        encoding="utf-8")
 
 
 def test_module_entry_point():
@@ -277,4 +294,5 @@ def test_module_entry_point():
 
 
 if __name__ == "__main__":
-    GOLDEN_CORPUS.write_text(corpus_transcript(), encoding="utf-8")
+    for name, argv in GOLDEN_RUNS.items():
+        (GOLDEN / name).write_text(corpus_transcript(*argv), encoding="utf-8")
