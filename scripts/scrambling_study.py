@@ -46,7 +46,7 @@ def family(candidate, grammar):
     target tree's anchor words, so alpha and beta versions of the same
     argument collapse while different argument-to-slot assignments do not.
     """
-    td = candidate.target
+    td = candidate.target.derivation
     children: dict[int, list] = {}
     for att in td.attachments:
         children.setdefault(att.host, []).append(att)
@@ -73,9 +73,9 @@ def study(name: str, words, quiet: bool) -> bool:
             rows.append((line, None, None, None))
             continue
         best = result.best
-        n_sets = sum(1 for p in best.derivation.uses
+        n_sets = sum(1 for p in best.source.derivation.uses
                      if grammar.pair(p).source.is_multi)
-        rows.append((line, best, n_sets, best.realization.surface))
+        rows.append((line, best, n_sets, best.surface))
     elapsed = time.perf_counter() - start
 
     parsed = [r for r in rows if r[1] is not None]

@@ -18,7 +18,7 @@ try:
 except ImportError:  # running from a checkout without installation
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stagmt.derive import render_derivation, render_node, render_tree
+from stagmt.derive import render_derivation, render_tree
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.pipeline import translate_line
@@ -56,11 +56,12 @@ def show(line: str, grammar) -> None:
             print(f"  source: {render_tree(tree, grammar)}")
 
     best = result.best
-    print(f"\nchosen: cost {best.cost}, pairs {', '.join(best.derivation.uses)}")
-    for step in transfer_steps(best.derivation, best.target, grammar):
+    print(f"\nchosen: cost {best.cost}, pairs {', '.join(best.source.derivation.uses)}")
+    for step in transfer_steps(best.source.derivation, best.target.derivation,
+                               grammar):
         print(f"  transfer: {step}")
-    print(f"  target: {render_node(best.realization.derived.root, {})}")
-    print(f"translation: {best.realization.surface}")
+    print(f"  target: {render_tree(best.target, grammar)}")
+    print(f"translation: {best.surface}")
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 
-from .derive import render_derivation, render_node, render_tree
+from .derive import render_derivation, render_tree
 from .errors import (GrammarError, GrammarValidationError, LimitExceededError,
                      StagError)
 from .grammar_io import builtin_grammar_names, load_grammar
@@ -72,32 +72,34 @@ def cmd_translate(args) -> int:
         if args.format == "json":
             _emit_json({
                 "input": line,
-                "translation": result.best.realization.surface,
+                "translation": result.best.surface,
                 "candidates": [{
                     "cost": c.cost,
-                    "pairs": list(c.derivation.uses),
-                    "translation": c.realization.surface,
-                    "source_tree": c.source_rendered,
-                    "target_tree": render_node(c.realization.derived.root, {}),
-                    "derivation": render_derivation(c.derivation, grammar).split("\n"),
-                    "transfer": transfer_steps(c.derivation, c.target, grammar),
+                    "pairs": list(c.source.derivation.uses),
+                    "translation": c.surface,
+                    "source_tree": render_tree(c.source, grammar),
+                    "target_tree": render_tree(c.target, grammar),
+                    "derivation": render_derivation(c.source.derivation,
+                                                    grammar).split("\n"),
+                    "transfer": transfer_steps(c.source.derivation,
+                                               c.target.derivation, grammar),
                 } for c in result.candidates],
             })
             continue
 
-        print(result.best.realization.surface)
+        print(result.best.surface)
         if args.show in ("derivation", "both") or args.trace_transfer:
             for candidate in result.candidates:
                 print(f"# cost {candidate.cost}")
-                print(render_derivation(candidate.derivation, grammar))
+                print(render_derivation(candidate.source.derivation, grammar))
                 if args.trace_transfer:
-                    for step in transfer_steps(candidate.derivation,
-                                               candidate.target, grammar):
+                    for step in transfer_steps(candidate.source.derivation,
+                                               candidate.target.derivation, grammar):
                         print(f"  {step}")
         if args.show in ("derived", "both"):
             for candidate in result.candidates:
-                print(f"source: {candidate.source_rendered}")
-                print(f"target: {render_node(candidate.realization.derived.root, {})}")
+                print(f"source: {render_tree(candidate.source, grammar)}")
+                print(f"target: {render_tree(candidate.target, grammar)}")
     return status
 
 
@@ -177,8 +179,7 @@ def cmd_permutations(args) -> int:
         candidate = " ".join(order) + sentence.terminator
         try:
             result = translate_line(candidate, grammar)
-            rows.append((candidate, result.best.cost,
-                         result.best.realization.surface))
+            rows.append((candidate, result.best.cost, result.best.surface))
             ok += 1
         except StagError:
             rows.append((candidate, None, None))
@@ -211,8 +212,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("-g", "--grammar", required=True,
                        help="grammar file path, or builtin name: "
                             + ", ".join(builtin_grammar_names()))
-        p.add_argument("--format", choices=("text", "json"), default="text")
         if sentences:
+            p.add_argument("--format", choices=("text", "json"), default="text")
             p.add_argument("sentence", nargs="*",
                            help="input words (reads stdin when omitted)")
 

@@ -9,12 +9,14 @@ source derivations reach it through ``build_derived_tree``, and target
 derivations, whose trees are single components (component 0 of each use),
 through ``generator.realize``. Both sides run the same end checks.
 
-Instances are mutable node graphs with parent pointers; every node remembers
-which (use, component, elementary address) it came from, so attachment sites
-stay resolvable no matter how earlier operations rearranged the tree. When
-an instance is planted somewhere, the whole fragment it currently belongs to
-moves with it, which makes the result independent of application order
-(stacked adjunctions compose the same way whichever is applied first).
+Instances are mutable node graphs with parent pointers while they are being
+spliced; every node remembers which (use, component, elementary address) it
+came from, so attachment sites stay resolvable no matter how earlier
+operations rearranged the tree. When an instance is planted somewhere, the
+whole fragment it currently belongs to moves with it, which makes the result
+independent of application order (stacked adjunctions compose the same way
+whichever is applied first). A finished tree keeps only its child links, so
+reference counting frees it.
 """
 
 from __future__ import annotations
@@ -122,23 +124,17 @@ class DNode:
         return f"<DNode {self.cat} {self.provenance}>"
 
 
-Key = tuple[int, int]
-
-
 def instantiate(tree: ElementaryTree, use: int, comp: int,
                 registry: dict[tuple[int, int, GornAddress], DNode]) -> DNode:
     """Clone an elementary tree into DNodes, filling the provenance registry."""
-
-    def walk(node: TreeNode, addr: GornAddress) -> DNode:
-        dnode = DNode(node, use, comp, addr)
+    made: dict[tuple[int, ...], DNode] = {}
+    for addr, node in tree.nodes.items():  # preorder, children in order
+        dnode = made[addr.path] = DNode(node, use, comp, addr)
         registry[(use, comp, addr)] = dnode
-        for i, child in enumerate(node.children, start=1):
-            dchild = walk(child, addr.child(i))
-            dchild.parent = dnode
-            dnode.children.append(dchild)
-        return dnode
-
-    return walk(tree.root, ROOT)
+        if addr.path:
+            dnode.parent = made[addr.path[:-1]]
+            dnode.parent.children.append(dnode)
+    return made[()]
 
 
 def fragment_root(node: DNode) -> DNode:
@@ -219,7 +215,7 @@ def preorder(root: DNode):
 class DerivedTree:
     root: DNode
     registry: dict[tuple[int, int, GornAddress], DNode]
-    derivation: Derivation | None
+    derivation: Derivation
 
     def preorder(self):
         yield from preorder(self.root)
@@ -235,7 +231,7 @@ def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
     n = len(derivation.uses)
     if not 0 <= derivation.root < n:
         return f"root index {derivation.root} out of range"
-    seen: set[Key] = set()
+    seen: set[tuple[int, int]] = set()
     for att in derivation.attachments:
         if not (0 <= att.use < n and 0 <= att.host < n):
             return f"attachment references unknown use ({att.use}, {att.host})"
@@ -265,30 +261,34 @@ def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
     return None
 
 
-def compose(elementary, attachments, root: Key,
-            derivation: Derivation | None = None) -> DerivedTree:
-    """Instantiate elementary trees and splice them into one derived tree.
+def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
+    """Instantiate elementary trees and splice them into the derivation's tree.
 
-    elementary[use][comp] is the tree of component comp of use; root names
-    the (use, comp) whose instance tops the result. Raises a
-    CompositionError subclass when an attachment does not apply (bad site,
-    category clash, NA or double adjunction, cycle) or the result is not
-    finished (unfilled slot, stranded foot, unsatisfied obligatory
-    adjunction).
+    elementary[use][comp] is the tree of component comp of use; the
+    derivation's attachments are applied in Attachment.sort_key order, and
+    the instance of component root_comp of its root use tops the result,
+    which carries the derivation. Raises a CompositionError subclass when an
+    attachment does not apply (bad site, category clash, NA or double
+    adjunction, cycle) or the result is not finished (unfilled slot,
+    stranded foot, unsatisfied obligatory adjunction).
     """
     registry: dict[tuple[int, int, GornAddress], DNode] = {}
     for use, components in enumerate(elementary):
         for comp, tree in enumerate(components):
             instantiate(tree, use, comp, registry)
+    try:
+        for att in sorted(derivation.attachments, key=Attachment.sort_key):
+            if att.op == OP_SUBST:
+                _apply_subst(registry, att)
+            else:
+                _apply_adjoin(registry, att, elementary[att.use][att.comp])
+        root = fragment_root(registry[(derivation.root, root_comp, ROOT)])
+    finally:
+        # parent links serve splicing only; dropping them leaves no cycles
+        for node in registry.values():
+            node.parent = None
 
-    for att in sorted(attachments, key=Attachment.sort_key):
-        if att.op == OP_SUBST:
-            _apply_subst(registry, att)
-        else:
-            _apply_adjoin(registry, att, elementary[att.use][att.comp])
-
-    tree = DerivedTree(root=fragment_root(registry[(*root, ROOT)]),
-                       registry=registry, derivation=derivation)
+    tree = DerivedTree(root=root, registry=registry, derivation=derivation)
     for node in tree.preorder():
         if node.kind == KIND_SUBST:
             raise UnfilledSlotError(node.provenance, node.cat)
@@ -312,16 +312,7 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
         raise IllegalAttachmentError(problem)
     root_head = grammar.pair(derivation.uses[derivation.root]).source.head
     return compose([grammar.pair(name).source.components for name in derivation.uses],
-                   derivation.attachments, (derivation.root, root_head), derivation)
-
-
-def _dominates(ancestor: DNode, node: DNode) -> bool:
-    cursor = node.parent
-    while cursor is not None:
-        if cursor is ancestor:
-            return True
-        cursor = cursor.parent
-    return False
+                   derivation, root_head)
 
 
 def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
@@ -333,7 +324,7 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
         for dominator, dominated in pair.source.dominance:
             upper = tree.instance_root(use, dominator)
             lower = tree.instance_root(use, dominated)
-            if not _dominates(upper, lower):
+            if not any(node is lower for node in preorder(upper)):
                 out.append(f"dominance: use {use} ({name}) component {dominator}"
                            f" does not dominate component {dominated}")
     return out
@@ -351,7 +342,7 @@ def display_indexes(tree: DerivedTree, grammar: Grammar) -> dict[int, int]:
     return out
 
 
-def render_node(node: DNode, indexes: dict[int, int]) -> str:
+def _render_node(node: DNode, indexes: dict[int, int]) -> str:
     label = node.cat
     if SET_VARIABLE in node.feats.values() and node.use in indexes:
         label += f"<{indexes[node.use]}>"
@@ -363,12 +354,13 @@ def render_node(node: DNode, indexes: dict[int, int]) -> str:
         return f"({label} _)"
     if node.kind == KIND_FOOT:
         return f"({label} *)"
-    inner = " ".join(render_node(c, indexes) for c in node.children)
+    inner = " ".join(_render_node(c, indexes) for c in node.children)
     return f"({label} {inner})"
 
 
 def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
-    return render_node(tree.root, display_indexes(tree, grammar))
+    """Bracketed rendering of a source or target tree, set uses coindexed."""
+    return _render_node(tree.root, display_indexes(tree, grammar))
 
 
 def canonicalize(tree: DerivedTree) -> Derivation:

@@ -2,29 +2,19 @@
 
 A target derivation (see ``transfer``) is a ``derive.Derivation`` whose uses
 each have one component, the pair's target tree, so it composes through the
-same ``derive.compose`` engine and end checks as the source side.
+same ``derive.compose`` engine and end checks as the source side, and the
+target tree carries it just as a source tree carries the parse's derivation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .derive import Derivation, DerivedTree, compose
 from .model import KIND_LEX, Grammar
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A realized translation: the composed target tree and its surface."""
-
-    derived: DerivedTree
-    surface: str
-
-
 def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
     """Compose a target derivation into a target derived tree."""
-    return compose([(grammar.pair(name).target,) for name in target.uses],
-                   target.attachments, (target.root, 0))
+    return compose([(grammar.pair(name).target,) for name in target.uses], target, 0)
 
 
 def _is_marked_nominal(node) -> bool:
@@ -44,16 +34,13 @@ def yield_surface(tree: DerivedTree, punct: str = ".") -> str:
     word. Everything else is space-separated, with punct appended.
     """
     words: list[str] = []
-
-    def walk(node) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if _is_marked_nominal(node):
             words.append(f"{node.children[0].word}-{node.children[1].word}")
-            return
-        if node.kind == KIND_LEX:
+        elif node.kind == KIND_LEX:
             words.append(node.word)
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
+        else:
+            stack.extend(reversed(node.children))
     return " ".join(words) + punct

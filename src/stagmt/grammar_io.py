@@ -55,6 +55,17 @@ def _require(obj, allowed, required, path):
             raise GrammarSchemaError(f"missing field {key!r}", path)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are Python ints but not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(value, path) -> list:
+    if not isinstance(value, list):
+        raise GrammarSchemaError(f"expected a list, got {type(value).__name__}", path)
+    return value
+
+
 def _address(text, path) -> GornAddress:
     if not isinstance(text, str):
         raise GrammarSchemaError("address must be a string", path)
@@ -79,11 +90,9 @@ def _node_from_json(obj, path) -> TreeNode:
     word = obj.get("word")
     if word is not None and not isinstance(word, str):
         raise GrammarSchemaError("word must be a string", path)
-    children_json = obj.get("children", [])
-    if not isinstance(children_json, list):
-        raise GrammarSchemaError("children must be a list", path)
     children = tuple(
-        _node_from_json(c, f"{path}.children[{i}]") for i, c in enumerate(children_json))
+        _node_from_json(c, f"{path}.children[{i}]")
+        for i, c in enumerate(_list(obj.get("children", []), f"{path}.children")))
     return TreeNode(cat=str(obj["cat"]), kind=kind, adjoin=adjoin, word=word,
                     feats=tuple(sorted(feats.items())), children=children)
 
@@ -105,13 +114,13 @@ def _pair_from_json(obj, path) -> SyncPair:
         for i, t in enumerate(comp_json))
 
     head = source_json.get("head", 0)
-    if not isinstance(head, int):
+    if not _is_int(head):
         raise GrammarSchemaError("head must be an integer", f"{spath}.head")
-    dominance_json = source_json.get("dominance", [])
     dominance = []
-    for i, entry in enumerate(dominance_json):
+    for i, entry in enumerate(_list(source_json.get("dominance", []),
+                                    f"{spath}.dominance")):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, int) for x in entry)):
+                or not all(_is_int(x) for x in entry)):
             raise GrammarSchemaError("dominance entries are [dominator, dominated]",
                                      f"{spath}.dominance[{i}]")
         dominance.append((entry[0], entry[1]))
@@ -119,12 +128,12 @@ def _pair_from_json(obj, path) -> SyncPair:
     target = ElementaryTree(_node_from_json(obj["target"], f"{path}.target"))
 
     links = []
-    for i, link_json in enumerate(obj.get("links", [])):
+    for i, link_json in enumerate(_list(obj.get("links", []), f"{path}.links")):
         lpath = f"{path}.links[{i}]"
         _require(link_json, _LINK_KEYS, {"src", "tgt"}, lpath)
         comp = link_json.get("comp", head)
-        if not isinstance(comp, int):
-            raise GrammarSchemaError("comp must be an integer", lpath)
+        if not _is_int(comp):
+            raise GrammarSchemaError("comp must be an integer", f"{lpath}.comp")
         src = _address(link_json["src"], f"{lpath}.src")
         tgt = _address(link_json["tgt"], f"{lpath}.tgt")
         if not (0 <= comp < len(components)) or components[comp].node_at(src) is None:
@@ -134,7 +143,7 @@ def _pair_from_json(obj, path) -> SyncPair:
         links.append(Link(comp=comp, src=src, tgt=tgt))
 
     priority = obj.get("priority", 1 if len(components) == 1 else 2)
-    if not isinstance(priority, int):
+    if not _is_int(priority):
         raise GrammarSchemaError("priority must be an integer", f"{path}.priority")
 
     return SyncPair(name=name, source=SourceSet(components=components, head=head,
@@ -152,18 +161,20 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
     _require(doc, _TOP_KEYS,
              {"version", "source_language", "target_language", "start_symbol",
               "particles", "pairs"}, origin)
-    if doc["version"] != FORMAT_VERSION:
+    if not _is_int(doc["version"]) or doc["version"] != FORMAT_VERSION:
         raise GrammarSchemaError(
-            f"unsupported version {doc['version']!r}, expected {FORMAT_VERSION}", origin)
+            f"unsupported version {doc['version']!r}, expected {FORMAT_VERSION}",
+            f"{origin}.version")
 
     particles = []
-    for i, entry in enumerate(doc["particles"]):
+    for i, entry in enumerate(_list(doc["particles"], f"{origin}.particles")):
         ppath = f"{origin}.particles[{i}]"
         _require(entry, _PARTICLE_KEYS, _PARTICLE_KEYS, ppath)
         particles.append(Particle(form=str(entry["form"]), case=str(entry["case"])))
 
     pairs = [
-        _pair_from_json(p, f"{origin}.pairs[{i}]") for i, p in enumerate(doc["pairs"])]
+        _pair_from_json(p, f"{origin}.pairs[{i}]")
+        for i, p in enumerate(_list(doc["pairs"], f"{origin}.pairs"))]
 
     diagnostics = []
     for pair in pairs:

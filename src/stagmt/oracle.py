@@ -48,13 +48,15 @@ from .model import (
 )
 from .morphotok import TokenizedSentence
 
+# attachment configurations tried per sentence before the oracle gives up
+MAX_CONFIGS = 2_000_000
+
 
 @dataclass(frozen=True)
 class OracleBound:
     """Safety rails; the oracle raises rather than silently truncate."""
 
     max_uses: int = 12
-    max_configs: int = 2_000_000
 
 
 class _Invalid(Exception):
@@ -233,9 +235,9 @@ def brute_force_derivations(sentence: TokenizedSentence, grammar: Grammar,
                 nonlocal configs_tried
                 if idx == len(to_attach):
                     configs_tried += 1
-                    if configs_tried > bound.max_configs:
+                    if configs_tried > MAX_CONFIGS:
                         raise OracleBoundError(
-                            f"more than {bound.max_configs} configurations")
+                            f"more than {MAX_CONFIGS} configurations")
                     _try_config(uses, root, root_head, taken, grammar, lex, found)
                     return
                 key = to_attach[idx]
@@ -322,20 +324,16 @@ class EquivalenceReport:
 
 
 def assert_equivalence(sentence: TokenizedSentence, grammar: Grammar,
-                       bound: OracleBound = OracleBound(),
-                       parse_fn=None) -> EquivalenceReport:
+                       bound: OracleBound = OracleBound()) -> EquivalenceReport:
     """Compare the real parser against the oracle on one sentence.
 
     Never raises for bound overruns: a too-small bound is reported in the
     result so corpus sweeps can flag it instead of dying.
     """
-    if parse_fn is None:
-        from .parser import all_derivations
-        parse_fn = all_derivations
-
     from .errors import LexicalGapError, NoParseError
+    from .parser import all_derivations
     try:
-        parsed = set(parse_fn(sentence, grammar))
+        parsed = set(all_derivations(sentence, grammar))
     except (NoParseError, LexicalGapError):
         parsed = set()
     try:

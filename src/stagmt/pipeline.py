@@ -1,26 +1,30 @@
-"""End-to-end translation: tokenize, parse, transfer, realize."""
+"""End-to-end translation: tokenize, parse, transfer, realize.
+
+A translation is a synchronous pair of composed trees, each carrying the
+derivation it was built from. Nothing is rendered here: callers render
+either side with ``derive.render_tree`` where they print it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derive import Derivation, render_tree
-from .generator import Realization, realize, yield_surface
+from .derive import DerivedTree
+from .generator import realize, yield_surface
 from .model import Grammar
-from .morphotok import TokenizedSentence, tokenize
+from .morphotok import tokenize
 from .parser import PriorityLevel, parse
 from .transfer import transfer_derivation
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """One derivation carried through the whole pipeline."""
+    """One translation: the source and target trees and the target's surface."""
 
-    derivation: Derivation
-    target: Derivation
-    realization: Realization
     cost: int
-    source_rendered: str
+    source: DerivedTree
+    target: DerivedTree
+    surface: str
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,6 @@ class TranslationResult:
     """One translated line. ``levels`` holds the cheapest priority level
     only, or every level when ``translate_line`` was given all_levels."""
 
-    line: str
-    sentence: TokenizedSentence
     levels: tuple[PriorityLevel, ...]
     candidates: tuple[Candidate, ...]
 
@@ -43,8 +45,8 @@ class TranslationResult:
         """Distinct output sentences, best level first, stable order."""
         seen: list[str] = []
         for candidate in self.candidates:
-            if candidate.realization.surface not in seen:
-                seen.append(candidate.realization.surface)
+            if candidate.surface not in seen:
+                seen.append(candidate.surface)
         return tuple(seen)
 
 
@@ -55,19 +57,9 @@ def translate_line(line: str, grammar: Grammar, *,
     levels = parse(sentence, grammar, all_levels=all_levels)
     candidates = []
     for level in levels:
-        for tree in level.trees:
-            derivation = tree.derivation
-            target = transfer_derivation(derivation, grammar)
-            derived = realize(target, grammar)
-            realization = Realization(
-                derived=derived,
-                surface=yield_surface(derived, sentence.terminator))
+        for source in level.trees:
+            target = realize(transfer_derivation(source.derivation, grammar), grammar)
             candidates.append(Candidate(
-                derivation=derivation,
-                target=target,
-                realization=realization,
-                cost=level.cost,
-                source_rendered=render_tree(tree, grammar),
-            ))
-    return TranslationResult(line=line, sentence=sentence, levels=levels,
-                             candidates=tuple(candidates))
+                cost=level.cost, source=source, target=target,
+                surface=yield_surface(target, sentence.terminator)))
+    return TranslationResult(levels=levels, candidates=tuple(candidates))

@@ -29,7 +29,7 @@ from stagmt.derive import (
     build_derived_tree,
     dominance_violations,
     make_derivation,
-    render_node,
+    render_tree,
 )
 from stagmt.errors import StagError
 from stagmt.generator import yield_surface
@@ -82,12 +82,12 @@ def test_criterion_1_canonical_translation(g_chase):
     result = translate_line(CHASE_CANONICAL, g_chase)
     elapsed = time.perf_counter() - start
     best = result.best
-    check(failures, best.realization.surface == "Tom chases Jerry.",
-          f"translated to {best.realization.surface!r}")
+    check(failures, best.surface == "Tom chases Jerry.",
+          f"translated to {best.surface!r}")
     check(failures,
-          sorted(best.derivation.uses) == ["alpha_jerry_op", "alpha_tom_sp",
-                                           "gamma_chase"],
-          f"derivation used {best.derivation.uses}")
+          sorted(best.source.derivation.uses) == ["alpha_jerry_op", "alpha_tom_sp",
+                                                  "gamma_chase"],
+          f"derivation used {best.source.derivation.uses}")
     check(failures, best.cost == 0, f"cost {best.cost}")
     check(failures, elapsed < 0.1, f"took {elapsed * 1000:.1f} ms")
     conclude(1, "canonical sentence translates exactly, via the plain "
@@ -100,16 +100,16 @@ def test_criterion_2_scrambled_translation(g_chase):
     result = translate_line(CHASE_SCRAMBLED, g_chase)
     elapsed = time.perf_counter() - start
     best = result.best
-    check(failures, best.realization.surface == "Tom chases Jerry.",
-          f"translated to {best.realization.surface!r}")
-    check(failures, best.source_rendered == (
+    check(failures, best.surface == "Tom chases Jerry.",
+          f"translated to {best.surface!r}")
+    check(failures, render_tree(best.source, g_chase) == (
         "(S (OP<1> (N Jerry) (P lul)) "
         "(S (SP (N Tom) (P i)) (OP<1> e) (V ccossnunta)))"),
-          f"source tree {best.source_rendered!r}")
+          f"source tree {render_tree(best.source, g_chase)!r}")
     canonical = translate_line(CHASE_CANONICAL, g_chase).best
     check(failures,
-          render_node(best.realization.derived.root, {})
-          == render_node(canonical.realization.derived.root, {}),
+          render_tree(best.target, g_chase)
+          == render_tree(canonical.target, g_chase),
           "target tree differs from the canonical sentence's")
     check(failures, elapsed < 0.1, f"took {elapsed * 1000:.1f} ms")
     conclude(2, "scrambled sentence yields the trace-linked source tree and "
@@ -136,7 +136,7 @@ def test_criterion_3_priority_suppression(g_chase):
     check(failures, all(c.cost == 0 for c in result.candidates),
           "translation carried a suppressed derivation through")
     suppressed = {tuple(sorted(d.uses)) for d in vacuous}
-    offered = {tuple(sorted(c.derivation.uses)) for c in result.candidates}
+    offered = {tuple(sorted(c.source.derivation.uses)) for c in result.candidates}
     check(failures, not (suppressed & offered),
           "a suppressed derivation appears among the candidates")
     conclude(3, "ranking suppresses the string-vacuous scrambled reading of "
@@ -152,7 +152,7 @@ def test_criterion_4_permutation_completeness(g_chase, g_ditransitive):
     parsed = {line for line, r in chase_results.items() if r is not None}
     check(failures, parsed == {CHASE_CANONICAL, CHASE_SCRAMBLED},
           f"transitive orders parsing: {sorted(parsed)}")
-    translations = {r.best.realization.surface
+    translations = {r.best.surface
                     for r in chase_results.values() if r is not None}
     check(failures, translations == {"Tom chases Jerry."},
           f"transitive translations: {sorted(translations)}")
@@ -166,12 +166,12 @@ def test_criterion_4_permutation_completeness(g_chase, g_ditransitive):
           f"{len(good)} of 24 ditransitive orders parse: {sorted(good)}")
     check(failures, all(line.endswith("cwunta.") for line in good),
           "a non-verb-final ditransitive order parsed")
-    translations = {r.best.realization.surface for r in good.values()}
+    translations = {r.best.surface for r in good.values()}
     check(failures, translations == {"Tom gives Jerry to Mary."},
           f"ditransitive translations: {sorted(translations)}")
 
     def multi_uses(candidate):
-        return sum(1 for name in candidate.derivation.uses
+        return sum(1 for name in candidate.source.derivation.uses
                    if g_ditransitive.pair(name).source.is_multi)
 
     deepest = max(multi_uses(r.best) for r in good.values())
@@ -208,11 +208,11 @@ def test_criterion_5_long_distance_scrambling(g_embedded):
     scrambled = translate_line(EMBEDDED_FRONTED, g_embedded)
     canonical = translate_line(EMBEDDED_CANONICAL, g_embedded)
     check(failures,
-          scrambled.best.realization.surface
-          == canonical.best.realization.surface
+          scrambled.best.surface
+          == canonical.best.surface
           == "Mary says Tom chases Jerry.",
-          f"translations diverge: {scrambled.best.realization.surface!r} vs "
-          f"{canonical.best.realization.surface!r}")
+          f"translations diverge: {scrambled.best.surface!r} vs "
+          f"{canonical.best.surface!r}")
     conclude(5, "matrix-fronted embedded object parses non-locally and "
                 "translates like the canonical order", failures)
 

@@ -241,6 +241,24 @@ class TestCheck:
         assert status == 1
         assert "[syntax-error]" in err
 
+    def test_field_of_the_wrong_type(self, capsys, tmp_path):
+        doc = json.loads(builtin_grammar_path("chase").read_text())
+        doc["particles"] = 5
+        bad = tmp_path / "bad.grammar"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "check", "-g", str(bad))
+        assert (status, out) == (1, "")
+        assert ".particles: " in err and "[schema-error]" in err
+        status, out, err = run(capsys, "translate", "-g", str(bad), CHASE_CANONICAL)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: unusable grammar:") and ".particles: " in err
+
+    def test_takes_no_format(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "-g", "chase", "--format", "json"])
+        assert info.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestPermutations:
     def test_table(self, capsys):

@@ -235,58 +235,61 @@ class TestBuildDerivedTree:
             build_derived_tree(nowhere, g_chase)
 
 
-def trees(grammar, *names):
-    return [grammar.pair(name).source.components for name in names]
+def splice(grammar, names, attachments, root):
+    """Compose source components of the named pairs; root is (use, comp)."""
+    return compose([grammar.pair(name).source.components for name in names],
+                   make_derivation(names, root[0], attachments), root[1])
 
 
 class TestWorkingTreeOps:
     """The splice operations one attachment at a time, through compose."""
 
     def test_substitution_fills_slot(self, g_chase):
-        tree = compose(trees(g_chase, "gamma_chase", "alpha_tom_sp", "alpha_jerry_op"),
-                       [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST)],
-                       (0, 0))
+        tree = splice(g_chase, ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"),
+                      [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST)],
+                      (0, 0))
         assert tree.root is tree.instance_root(0, 0)
         slot = tree.registry[(0, 0, A("1"))]
-        assert slot.parent is None  # the slot is spliced out
+        assert all(node is not slot for node in tree.preorder())  # spliced out
         sp = tree.root.children[0]
         assert sp is tree.instance_root(1, 0)
-        assert sp.parent is tree.root
+        # only child links survive composition, so no tree is a cycle
+        assert all(node.parent is None for node in tree.registry.values())
         assert sp.word is None  # SP phrase, not the slot
         assert sp.children[0].word == "Tom"
 
     def test_substitution_checks_category(self, g_chase):
         # SP-rooted alpha_tom_sp into gamma_chase's OP slot
         with pytest.raises(CategoryMismatchError):
-            compose(trees(g_chase, "gamma_chase", "alpha_tom_sp"),
-                    [att(1, 0, 0, 0, "2", OP_SUBST)], (0, 0))
+            splice(g_chase, ("gamma_chase", "alpha_tom_sp"),
+                   [att(1, 0, 0, 0, "2", OP_SUBST)], (0, 0))
 
     def test_adjunction_at_root_returns_new_root(self, g_chase):
-        tree = compose(trees(g_chase, "beta_jerry_op", "gamma_chase", "alpha_tom_sp"),
-                       [att(0, 0, 1, 0, "e", OP_ADJOIN),
-                        att(0, 1, 1, 0, "2", OP_SUBST),
-                        att(2, 0, 1, 0, "1", OP_SUBST)],
-                       (1, 0))
+        tree = splice(g_chase, ("beta_jerry_op", "gamma_chase", "alpha_tom_sp"),
+                      [att(0, 0, 1, 0, "e", OP_ADJOIN),
+                       att(0, 1, 1, 0, "2", OP_SUBST),
+                       att(2, 0, 1, 0, "1", OP_SUBST)],
+                      (1, 0))
         host = tree.instance_root(1, 0)
         assert tree.root is tree.instance_root(0, 0)
         assert tree.root.children[1] is host  # the host took the foot's place
-        assert host.parent is tree.root
+        assert host.children[0] is tree.instance_root(2, 0)
         assert host.adjunction_applied
 
     def test_double_adjunction_rejected(self, g_chase):
         with pytest.raises(DoubleAdjunctionError):
-            compose(trees(g_chase, "gamma_chase", "beta_jerry_op", "beta_tom_sp"),
-                    [att(1, 0, 0, 0, "e", OP_ADJOIN),
-                     att(2, 0, 0, 0, "e", OP_ADJOIN)],
-                    (0, 0))
+            splice(g_chase, ("gamma_chase", "beta_jerry_op", "beta_tom_sp"),
+                   [att(1, 0, 0, 0, "e", OP_ADJOIN),
+                    att(2, 0, 0, 0, "e", OP_ADJOIN)],
+                   (0, 0))
 
     def test_stacking_at_the_new_root_is_fine(self, g_chase):
-        tree = compose(trees(g_chase, "gamma_chase", "beta_jerry_op", "beta_tom_sp"),
-                       [att(1, 0, 0, 0, "e", OP_ADJOIN),
-                        att(1, 1, 0, 0, "2", OP_SUBST),
-                        att(2, 0, 1, 0, "e", OP_ADJOIN),
-                        att(2, 1, 0, 0, "1", OP_SUBST)],
-                       (0, 0))
+        tree = splice(g_chase, ("gamma_chase", "beta_jerry_op", "beta_tom_sp"),
+                      [att(1, 0, 0, 0, "e", OP_ADJOIN),
+                       att(1, 1, 0, 0, "2", OP_SUBST),
+                       att(2, 0, 1, 0, "e", OP_ADJOIN),
+                       att(2, 1, 0, 0, "1", OP_SUBST)],
+                      (0, 0))
         jerry = tree.instance_root(1, 0)
         assert tree.root is tree.instance_root(2, 0)
         assert tree.root.children[1] is jerry

@@ -1,5 +1,7 @@
 """Realization of target derivations and surface read-out."""
 
+import gc
+
 import pytest
 
 from support import (
@@ -15,16 +17,17 @@ from stagmt.derive import (
     OP_ADJOIN,
     OP_SUBST,
     Attachment,
+    DerivedTree,
     build_derived_tree,
     make_derivation,
-    render_node,
+    render_tree,
 )
 from stagmt.errors import (
     IllegalAttachmentError,
     ObligatoryAdjunctionError,
     UnfilledSlotError,
 )
-from stagmt.generator import Realization, realize, yield_surface
+from stagmt.generator import realize, yield_surface
 from stagmt.model import (
     ADJOIN_OA,
     ElementaryTree,
@@ -56,20 +59,20 @@ SCRAMBLED = make_derivation(
 
 
 def realize_source(line, grammar):
-    """Surface of the best translation of one line."""
-    return translate_line(line, grammar).best.realization
+    """The best translation of one line."""
+    return translate_line(line, grammar).best
 
 
 class TestRealize:
     def test_canonical_target_tree(self, g_chase):
         tree = realize(transfer_derivation(CANONICAL, g_chase), g_chase)
-        assert (render_node(tree.root, {})
+        assert (render_tree(tree, g_chase)
                 == "(S (NP (N Tom)) (VP (V chases) (NP (N Jerry))))")
 
     def test_scrambled_realizes_the_same_tree(self, g_chase):
         canonical = realize(transfer_derivation(CANONICAL, g_chase), g_chase)
         scrambled = realize(transfer_derivation(SCRAMBLED, g_chase), g_chase)
-        assert render_node(scrambled.root, {}) == render_node(canonical.root, {})
+        assert render_tree(scrambled, g_chase) == render_tree(canonical, g_chase)
 
     def test_unfilled_slot(self, g_chase):
         td = make_derivation(("gamma_chase", "alpha_tom_sp"), 0,
@@ -147,12 +150,28 @@ class TestTranslations:
 
     def test_terminator_carries_over(self, g_chase):
         bare = translate_line("Tom-i Jerry-lul ccossnunta", g_chase)
-        assert bare.best.realization.surface == "Tom chases Jerry"
+        assert bare.best.surface == "Tom chases Jerry"
+
+    def test_finished_trees_leave_no_reference_cycles(self, g_chase, g_embedded):
+        # reference counting alone must free every tree a translation built
+        lines = ((CHASE_SCRAMBLED, g_chase), (EMBEDDED_FRONTED, g_embedded),
+                 (EMBEDDED_CANONICAL, g_embedded))
+        for line, grammar in lines:  # the first pass fills grammar caches
+            translate_line(line, grammar, all_levels=True)
+        gc.collect()
+        gc.disable()
+        try:
+            for line, grammar in lines:
+                translate_line(line, grammar)
+                translate_line(line, grammar, all_levels=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_result_shape(self, g_chase):
         result = translate_line(CHASE_CANONICAL, g_chase, all_levels=True)
         assert result.translations == ("Tom chases Jerry.",)
         assert [c.cost for c in result.candidates] == [0, 1, 2]
-        assert isinstance(result.best.realization, Realization)
-        assert result.best.source_rendered == (
+        assert isinstance(result.best.target, DerivedTree)
+        assert render_tree(result.best.source, g_chase) == (
             "(S (SP (N Tom) (P i)) (OP (N Jerry) (P lul)) (V ccossnunta))")

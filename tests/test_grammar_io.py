@@ -162,6 +162,36 @@ class TestSchemaErrors:
         with pytest.raises(GrammarSchemaError, match="feats"):
             reparse(doc)
 
+    # (edit of the chase grammar's document, path the error must name);
+    # pairs[0] is gamma_chase (two links), pairs[5] beta_tom_sp (a set)
+    WRONG_TYPES = {
+        "particles": (lambda doc: doc.update(particles=5), ".particles:"),
+        "pairs": (lambda doc: doc.update(pairs=7), ".pairs:"),
+        "links": (lambda doc: doc["pairs"][0].update(links=3), ".pairs[0].links:"),
+        "children": (lambda doc: doc["pairs"][0]["target"].update(children=4),
+                     ".pairs[0].target.children:"),
+        "dominance": (lambda doc: doc["pairs"][5]["source"].update(dominance=3),
+                      ".pairs[5].source.dominance:"),
+        "version": (lambda doc: doc.update(version=True), ".version:"),
+        "priority": (lambda doc: doc["pairs"][0].update(priority=True),
+                     ".pairs[0].priority:"),
+        "link comp": (lambda doc: doc["pairs"][0]["links"][0].update(comp=False),
+                      ".pairs[0].links[0].comp:"),
+        "dominance entry": (
+            lambda doc: doc["pairs"][5]["source"].update(dominance=[[False, True]]),
+            ".pairs[5].source.dominance[0]:"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(WRONG_TYPES))
+    def test_wrong_json_type_is_a_schema_error(self, g_chase, field):
+        edit, path = self.WRONG_TYPES[field]
+        doc = doc_of(g_chase)
+        edit(doc)
+        with pytest.raises(GrammarSchemaError) as info:
+            reparse(doc)
+        assert info.value.code == "schema-error"
+        assert path in str(info.value)
+
 
 class TestDefaults:
     def test_singleton_defaults(self, g_chase):
