@@ -24,6 +24,7 @@ GOLDEN_RUNS = {
     "translate_json_corpus.txt": ("translate", "--format", "json",
                                   "--all-derivations"),
     "parse_corpus.txt": ("parse", "--all-derivations"),
+    "parse_json_corpus.txt": ("parse", "--format", "json", "--all-derivations"),
 }
 
 
@@ -296,7 +297,8 @@ def test_corpus_output_matches_golden():
         encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["translate_json_corpus.txt", "parse_corpus.txt"])
+@pytest.mark.parametrize("name", ["translate_json_corpus.txt", "parse_corpus.txt",
+                                  "parse_json_corpus.txt"])
 def test_other_output_modes_match_golden(name):
     assert corpus_transcript(*GOLDEN_RUNS[name]) == (GOLDEN / name).read_text(
         encoding="utf-8")
