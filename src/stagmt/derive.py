@@ -342,25 +342,38 @@ def display_indexes(tree: DerivedTree, grammar: Grammar) -> dict[int, int]:
     return out
 
 
-def _render_node(node: DNode, indexes: dict[int, int]) -> str:
-    label = node.cat
-    if SET_VARIABLE in node.feats.values() and node.use in indexes:
-        label += f"<{indexes[node.use]}>"
-    if node.kind == KIND_LEX:
-        return f"({label} {node.word})"
-    if node.kind == KIND_EMPTY:
-        return "e"
-    if node.kind == KIND_SUBST:
-        return f"({label} _)"
-    if node.kind == KIND_FOOT:
-        return f"({label} *)"
-    inner = " ".join(_render_node(c, indexes) for c in node.children)
-    return f"({label} {inner})"
-
-
 def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
-    """Bracketed rendering of a source or target tree, set uses coindexed."""
-    return _render_node(tree.root, display_indexes(tree, grammar))
+    """Bracketed rendering of a source or target tree, set uses coindexed.
+
+    Walks a stack of nodes and of the text between them, so depth is
+    bounded by memory, not by the interpreter's recursion limit.
+    """
+    indexes = display_indexes(tree, grammar)
+    out: list[str] = []
+    stack: list[DNode | str] = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        label = node.cat
+        if SET_VARIABLE in node.feats.values() and node.use in indexes:
+            label += f"<{indexes[node.use]}>"
+        if node.kind == KIND_LEX:
+            out.append(f"({label} {node.word})")
+        elif node.kind == KIND_EMPTY:
+            out.append("e")
+        elif node.kind == KIND_SUBST:
+            out.append(f"({label} _)")
+        elif node.kind == KIND_FOOT:
+            out.append(f"({label} *)")
+        else:
+            out.append(f"({label} ")
+            stack.append(")")
+            # the children pop left to right, a space between two
+            for k, child in enumerate(reversed(node.children)):
+                stack.extend((" ", child) if k else (child,))
+    return "".join(out)
 
 
 def canonicalize(tree: DerivedTree) -> Derivation:

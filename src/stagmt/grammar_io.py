@@ -66,17 +66,22 @@ def _list(value, path) -> list:
     return value
 
 
+def _string(value, path) -> str:
+    if not isinstance(value, str):
+        raise GrammarSchemaError(f"expected a string, got {type(value).__name__}", path)
+    return value
+
+
 def _address(text, path) -> GornAddress:
-    if not isinstance(text, str):
-        raise GrammarSchemaError("address must be a string", path)
     try:
-        return GornAddress.parse(text)
+        return GornAddress.parse(_string(text, path))
     except ValueError as exc:
         raise GrammarSchemaError(str(exc), path) from None
 
 
 def _node_from_json(obj, path) -> TreeNode:
     _require(obj, _NODE_KEYS, {"cat"}, path)
+    cat = _string(obj["cat"], f"{path}.cat")
     kind = obj.get("kind", KIND_INTERIOR)
     if kind not in KINDS:
         raise GrammarSchemaError(f"unknown node kind {kind!r}", path)
@@ -88,12 +93,12 @@ def _node_from_json(obj, path) -> TreeNode:
             isinstance(k, str) and isinstance(v, str) for k, v in feats.items()):
         raise GrammarSchemaError("feats must map strings to strings", path)
     word = obj.get("word")
-    if word is not None and not isinstance(word, str):
-        raise GrammarSchemaError("word must be a string", path)
+    if word is not None:
+        _string(word, f"{path}.word")
     children = tuple(
         _node_from_json(c, f"{path}.children[{i}]")
         for i, c in enumerate(_list(obj.get("children", []), f"{path}.children")))
-    return TreeNode(cat=str(obj["cat"]), kind=kind, adjoin=adjoin, word=word,
+    return TreeNode(cat=cat, kind=kind, adjoin=adjoin, word=word,
                     feats=tuple(sorted(feats.items())), children=children)
 
 
@@ -165,12 +170,15 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
         raise GrammarSchemaError(
             f"unsupported version {doc['version']!r}, expected {FORMAT_VERSION}",
             f"{origin}.version")
+    names = {key: _string(doc[key], f"{origin}.{key}")
+             for key in ("source_language", "target_language", "start_symbol")}
 
     particles = []
     for i, entry in enumerate(_list(doc["particles"], f"{origin}.particles")):
         ppath = f"{origin}.particles[{i}]"
         _require(entry, _PARTICLE_KEYS, _PARTICLE_KEYS, ppath)
-        particles.append(Particle(form=str(entry["form"]), case=str(entry["case"])))
+        particles.append(Particle(form=_string(entry["form"], f"{ppath}.form"),
+                                  case=_string(entry["case"], f"{ppath}.case")))
 
     pairs = [
         _pair_from_json(p, f"{origin}.pairs[{i}]")
@@ -182,9 +190,7 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
     if diagnostics:
         raise GrammarValidationError(diagnostics)
 
-    return index_grammar(pairs, source_language=str(doc["source_language"]),
-                         target_language=str(doc["target_language"]),
-                         start_symbol=str(doc["start_symbol"]), particles=particles)
+    return index_grammar(pairs, particles=particles, **names)
 
 
 def load_grammar(path) -> Grammar:

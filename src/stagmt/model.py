@@ -127,14 +127,14 @@ class ElementaryTree:
 
     @cached_property
     def nodes(self) -> dict[GornAddress, TreeNode]:
+        """Every node by its address, in preorder."""
         out: dict[GornAddress, TreeNode] = {}
-
-        def walk(node: TreeNode, addr: GornAddress) -> None:
+        stack = [(ROOT, self.root)]
+        while stack:
+            addr, node = stack.pop()
             out[addr] = node
-            for i, child in enumerate(node.children, start=1):
-                walk(child, addr.child(i))
-
-        walk(self.root, ROOT)
+            for i in range(len(node.children), 0, -1):
+                stack.append((addr.child(i), node.children[i - 1]))
         return out
 
     def node_at(self, addr: GornAddress) -> TreeNode | None:
@@ -276,6 +276,14 @@ class Grammar:
                         continue
                     index.setdefault(word, set()).add(pair.name)
         return {w: tuple(sorted(names)) for w, names in sorted(index.items())}
+
+    @cached_property
+    def start_pairs(self) -> tuple[SyncPair, ...]:
+        """The pairs that can root a derivation: their head component is an
+        initial tree rooted in the start symbol."""
+        return tuple(p for p in self.pairs
+                     if not p.source.head_tree.is_auxiliary
+                     and p.source.head_tree.root_cat == self.start_symbol)
 
     @cached_property
     def chart_tables(self) -> ChartTables:
@@ -451,12 +459,9 @@ def index_grammar(pairs, *, source_language: str, target_language: str,
         if pair.name in seen:
             raise DuplicatePairNameError(f"duplicate pair name {pair.name!r}")
         seen.add(pair.name)
-    has_start = any(
-        not p.source.head_tree.is_auxiliary and p.source.head_tree.root_cat == start_symbol
-        for p in pairs
-    )
-    if not has_start:
+    grammar = Grammar(source_language=source_language, target_language=target_language,
+                      start_symbol=start_symbol, pairs=pairs, particles=tuple(particles))
+    if not grammar.start_pairs:
         raise NoStartPairError(
             f"no pair has an initial head component rooted in {start_symbol!r}")
-    return Grammar(source_language=source_language, target_language=target_language,
-                   start_symbol=start_symbol, pairs=pairs, particles=tuple(particles))
+    return grammar

@@ -216,14 +216,11 @@ def brute_force_derivations(sentence: TokenizedSentence, grammar: Grammar,
     lex_counts = Counter(lex)
     found: set[Derivation] = set()
     configs_tried = 0
+    start_names = {pair.name for pair in grammar.start_pairs}
 
     for uses in _use_multisets(lex_counts, grammar, bound):
         options = _attachment_sites(uses, grammar)
-        root_candidates = [
-            u for u, name in enumerate(uses)
-            if not grammar.pair(name).source.head_tree.is_auxiliary
-            and grammar.pair(name).source.head_tree.root_cat == grammar.start_symbol]
-        for root in root_candidates:
+        for root in [u for u, name in enumerate(uses) if name in start_names]:
             root_head = grammar.pair(uses[root]).source.head
             to_attach = [
                 (u, c)

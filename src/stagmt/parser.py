@@ -19,13 +19,16 @@ implicit: a foot covers any span at cost 0, so the chart never holds them.
    once, at its least cost, so cycles end. A foot's sibling, once settled,
    yields the items with every foot gap next to it.
 2. Enumeration unpacks the instance trees from the forest top down, and
-   ``max_uses`` is applied here as an instance budget. Each call returns
-   exactly the parses of total instance count within its budget, and skips
-   every hyperedge whose antecedents' least costs exceed what is left of
-   it, so only productive items are ever visited.
+   ``max_uses`` is applied here as an instance budget. Every item's parse
+   is one record, an (ops, size) pair: its attachments, each an ``Op``
+   holding the attached instance's component id and record, and its
+   instance count. Each call returns exactly the parses within its budget,
+   and skips every hyperedge whose antecedents' least costs exceed what is
+   left of it, so only productive items are ever visited.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
-first. A derivation's cost (sum of use priorities minus one, so
+first, reading each instance's pair and component from ``ChartTables.comps``
+by component id. A derivation's cost (sum of use priorities minus one, so
 priority-1 pairs are free) is fixed by its instance tree, so the instance
 trees are bucketed by cost before any grouping. Per cost, instances of
 multi-component pairs are grouped into uses by bijective matching per
@@ -67,7 +70,6 @@ from .model import (
     KIND_INTERIOR,
     KIND_LEX,
     KIND_SUBST,
-    ROOT,
     GornAddress,
     Grammar,
     TreeNode,
@@ -77,18 +79,12 @@ from .morphotok import TokenizedSentence
 
 @dataclass(frozen=True)
 class Op:
-    """An attachment into the instance being parsed, at elementary site."""
+    """One attached instance: the elementary site and operation it attaches
+    by, its component id, and its own attachments and instance count, the
+    instance itself included."""
 
     site: GornAddress
     op: str
-    inst: "InstParse"
-
-
-@dataclass(frozen=True)
-class InstParse:
-    """One component instance: its attachments and its instance count."""
-
-    pair: str
     comp: int
     ops: tuple[Op, ...]
     size: int
@@ -113,81 +109,69 @@ class ChartTables:
     for as long as the grammar lives. Nothing writes to them after
     construction, so concurrent parses of one grammar share them.
 
-    Every node of every component gets an integer id. An item is a symbol
+    Every component gets a component id (``comps`` maps it to its pair
+    name and component index, ``comp_id`` back) and every node an integer
+    id, in the preorder of ``ElementaryTree.nodes``. An item is a symbol
     over lex[i:j], plus the foot gap when the subtree holds a foot:
 
-    - ``at`` symbol (the node id ``n``): the subtree at n, with at most one
+    - at symbol (the node id n): the subtree at n, with at most one
       adjunction at n;
-    - ``below`` symbol (``below[n]``): the subtree at n, no adjunction at
-      n. Where no adjunction can happen at n (a leaf, or an interior node
-      that is null-adjoining or has no auxiliary of its category) and n is
-      not obligatory-adjoining, the two items are the same and ``below[n]``
-      is n itself;
+    - below symbol of n: the subtree at n, no adjunction at n. Where no
+      adjunction can happen at n (a leaf, or an interior node that is
+      null-adjoining or has no auxiliary of its category) and n is not
+      obligatory-adjoining, the two items are the same and the below
+      symbol is n itself;
     - instance symbol (``inst0 + c``): one whole instance of component c;
-    - sequence symbol ``seq[p][k]``: the children of interior node p from
-      the k-th on. ``seq[p][0]`` is p's below symbol and the last entry is
-      the at symbol of p's last child; the ones in between get ids of their
-      own.
+    - sequence symbols of interior node p, one per child k: p's children
+      from the k-th on. The first is p's below symbol and the last the at
+      symbol of p's last child; the ones in between get ids of their own.
 
     Foot items are implicit: a foot covers any span, as its own gap, at
     cost 0, so pass 1 never builds them (see ``_SpanParser._recognize``).
 
     The deduction rules are written once, here, indexed by antecedent
-    symbol. Pass 1 fires them forward and records each firing as a
-    hyperedge; pass 2 only unpacks those hyperedges, reading from these
-    tables just the instance symbols and where an instance attaches
-    (``site``).
+    symbol, and the symbols themselves are construction locals. Pass 1
+    fires the rules forward and records each firing as a hyperedge; pass 2
+    only unpacks those hyperedges, reading from these tables just the
+    instance symbols and where an instance attaches (``site``).
     """
 
     def __init__(self, grammar: Grammar):
-        self.node: list[TreeNode] = []
-        self.addr: list[GornAddress] = []
-        self.children: list[tuple[int, ...]] = []
-        # component id -> (pair name, component index, root node id)
-        self.comps: list[tuple[str, int, int]] = []
+        self.comps: list[tuple[str, int]] = []
         self.comp_id: dict[tuple[str, int], int] = {}
-        self.adjoin_candidates: dict[str, list[int]] = {}
+        nodes: list[TreeNode] = []
+        addrs: list[GornAddress] = []
+        children: list[list[int]] = []
+        roots: list[tuple[int, bool]] = []  # component id -> (root, auxiliary)
         for pair in grammar.pairs:
             for ci, comp in enumerate(pair.source.components):
-                if comp.is_auxiliary:
-                    self.adjoin_candidates.setdefault(comp.root_cat, []).append(
-                        len(self.comps))
                 self.comp_id[pair.name, ci] = len(self.comps)
-                self.comps.append((pair.name, ci, self._add_node(comp.root, ROOT)))
+                self.comps.append((pair.name, ci))
+                roots.append((len(nodes), comp.is_auxiliary))
+                ids: dict[tuple[int, ...], int] = {}
+                for address, node in comp.nodes.items():
+                    ids[address.path] = len(nodes)
+                    if address.path:
+                        children[ids[address.path[:-1]]].append(len(nodes))
+                    nodes.append(node)
+                    addrs.append(address)
+                    children.append([])
+        aux_cats = {nodes[root].cat for root, is_aux in roots if is_aux}
         hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
-                   and node.cat in self.adjoin_candidates for node in self.node]
-        next_sym = len(self.node)
-        self.below: list[int] = []
-        for n, node in enumerate(self.node):
+                   and node.cat in aux_cats for node in nodes]
+        next_sym = len(nodes)
+        below = list(range(next_sym))
+        for n, node in enumerate(nodes):
             if hosting[n] or node.adjoin == ADJOIN_OA:
-                self.below.append(next_sym)
+                below[n] = next_sym
                 next_sym += 1
-            else:
-                self.below.append(n)
         self.inst0 = next_sym
         next_sym += len(self.comps)
-        self.seq: list[tuple[int, ...]] = []
-        for p, kids in enumerate(self.children):
-            middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
-            next_sym += len(middle)
-            last = (kids[-1],) if len(kids) > 1 else ()
-            self.seq.append((self.below[p], *middle, *last))
-        self._rules(hosting)
 
-    def _add_node(self, node: TreeNode, addr: GornAddress) -> int:
-        nid = len(self.node)
-        self.node.append(node)
-        self.addr.append(addr)
-        self.children.append(())
-        self.children[nid] = tuple(self._add_node(child, addr.child(k))
-                                   for k, child in enumerate(node.children, 1))
-        return nid
-
-    def _rules(self, hosting: list[bool]) -> None:
-        """The deduction rules, indexed by antecedent symbol."""
+        # the deduction rules, indexed by antecedent symbol
         # foot at symbols: an obligatory-adjoining foot is never derivable
-        feet = frozenset(n for n, node in enumerate(self.node)
-                         if node.kind == KIND_FOOT and self.below[n] == n)
+        feet = frozenset(n for n, node in enumerate(nodes)
+                         if node.kind == KIND_FOOT and below[n] == n)
         self.unary: dict[int, list[tuple[int, int]]] = {}
         self.as_left: dict[int, tuple[int, int]] = {}
         self.as_right: dict[int, tuple[int, int]] = {}
@@ -202,43 +186,44 @@ class ChartTables:
         # slot or host symbol -> (address, operation) of an instance there
         self.site: dict[int, tuple[GornAddress, str]] = {}
         subst_slots: dict[str, list[int]] = {}
-        for n, node in enumerate(self.node):
-            below = self.below[n]
-            if below != n and node.adjoin != ADJOIN_OA:
-                self.unary.setdefault(below, []).append((n, 0))
+        for n, node in enumerate(nodes):
+            if below[n] != n and node.adjoin != ADJOIN_OA:
+                self.unary.setdefault(below[n], []).append((n, 0))
             if node.kind == KIND_SUBST:
-                subst_slots.setdefault(node.cat, []).append(below)
-                self.site[below] = (self.addr[n], OP_SUBST)
+                subst_slots.setdefault(node.cat, []).append(below[n])
+                self.site[below[n]] = (addrs[n], OP_SUBST)
             elif node.kind == KIND_LEX:
-                self.lex_syms.setdefault(node.word, []).append(below)
+                self.lex_syms.setdefault(node.word, []).append(below[n])
             elif node.kind == KIND_EMPTY:
-                self.empty_syms.append(below)
+                self.empty_syms.append(below[n])
             elif hosting[n]:
                 self.hosts.setdefault(node.cat, []).append(n)
-                self.host_of[below] = (n, node.cat)
-                self.site[n] = (self.addr[n], OP_ADJOIN)
-            kids, seq = self.children[n], self.seq[n]
+                self.host_of[below[n]] = (n, node.cat)
+                self.site[n] = (addrs[n], OP_ADJOIN)
+            kids = children[n]
+            middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
+            next_sym += len(middle)
+            out = (below[n], *middle, *kids[-1:])
             if len(kids) == 1:
                 if kids[0] in feet:
-                    self.foot_only.append(seq[0])
+                    self.foot_only.append(out[0])
                 else:
-                    self.unary.setdefault(kids[0], []).append((seq[0], 0))
+                    self.unary.setdefault(kids[0], []).append((out[0], 0))
             for k in range(len(kids) - 1):
                 if kids[k] in feet:
-                    self.foot_left[seq[k + 1]] = seq[k]
+                    self.foot_left[out[k + 1]] = out[k]
                 elif k == len(kids) - 2 and kids[k + 1] in feet:
-                    self.foot_right[kids[k]] = seq[k]
+                    self.foot_right[kids[k]] = out[k]
                 else:
-                    self.as_left[kids[k]] = (seq[k + 1], seq[k])
-                    self.as_right[seq[k + 1]] = (kids[k], seq[k])
-        for c, (_, _, root) in enumerate(self.comps):
+                    self.as_left[kids[k]] = (out[k + 1], out[k])
+                    self.as_right[out[k + 1]] = (kids[k], out[k])
+        for c, (root, is_aux) in enumerate(roots):
             inst = self.inst0 + c
             self.unary.setdefault(root, []).append((inst, 1))
-            cat = self.node[root].cat
-            if c in self.adjoin_candidates.get(cat, ()):
-                self.aux_cat[inst] = cat
+            if is_aux:
+                self.aux_cat[inst] = nodes[root].cat
             else:
-                for slot in subst_slots.get(cat, ()):
+                for slot in subst_slots.get(nodes[root].cat, ()):
                     self.unary.setdefault(inst, []).append((slot, 0))
 
 
@@ -359,10 +344,11 @@ class _SpanParser:
     def unpack(self, key: tuple, budget: int) -> tuple:
         """Pass 2: every parse of an item with at most budget instances.
 
-        An instance item's parses are InstParse objects, any other item's
-        (ops, size) pairs. A hyperedge yields the product of its
-        antecedents' parses, left to right, with the budget threaded
-        through; an instance antecedent becomes one attachment at the
+        Every item's parses are (ops, size) pairs: the attachments inside
+        the item, in post-order, and its instance count, an instance item
+        counting itself. A hyperedge yields the product of its antecedents'
+        parses, left to right, with the budget threaded through; an
+        instance antecedent becomes one attachment (``Op``) at the
         consequent's ``site``. Every cycle of items passes through an
         instance, which costs one, so the budget bounds the recursion.
         """
@@ -373,45 +359,40 @@ class _SpanParser:
         if hit is not None:
             return hit
         t = self.tables
-        sym = key[0]
-        comp = sym - t.inst0
-        is_inst = 0 <= comp < len(t.comps)
-        room = budget - is_inst
+        own = int(0 <= key[0] - t.inst0 < len(t.comps))
         parses = []
         for edge in self.edges[key]:
-            if sum(best[ante] for ante in edge) > room:
+            if sum(best[ante] for ante in edge) + own > budget:
                 continue
-            partial = [((), 0)]
+            partial = [((), own)]
             for ante in edge:
+                comp = ante[0] - t.inst0
+                attached = 0 <= comp < len(t.comps)
                 grown = []
                 for ops, size in partial:
-                    for part in self.unpack(ante, room - size):
-                        if isinstance(part, InstParse):
-                            part = (Op(*t.site[sym], part),), part.size
-                        grown.append((ops + part[0], size + part[1]))
+                    for sub_ops, sub_size in self.unpack(ante, budget - size):
+                        if attached:
+                            sub_ops = (Op(*t.site[key[0]], comp, sub_ops, sub_size),)
+                        grown.append((ops + sub_ops, size + sub_size))
                 partial = grown
             parses.extend(partial)
-        if is_inst:
-            pair_name, ci, _ = t.comps[comp]
-            parses = [InstParse(pair=pair_name, comp=ci, ops=ops, size=1 + size)
-                      for ops, size in parses]
         hit = self._memo[key, budget] = tuple(parses)
         return hit
 
 
-def _collect_instances(root: InstParse):
-    """Flatten an instance tree into its instances, the root first, and its
-    edges as (child index, parent index, op)."""
-    instances = [root]
-    edges = []
-    for idx, inst in enumerate(instances):  # the list grows while it is read
-        for op in inst.ops:
-            edges.append((len(instances), idx, op))
-            instances.append(op.inst)
-    return instances, edges
+def _collect_instances(comp: int, ops: tuple[Op, ...]):
+    """Flatten an instance tree into its instances' component ids, the root
+    first, and its edges as (child index, parent index, op)."""
+    comps, subtrees, edges = [comp], [ops], []
+    for idx, ops in enumerate(subtrees):  # the list grows while it is read
+        for op in ops:
+            edges.append((len(comps), idx, op))
+            comps.append(op.comp)
+            subtrees.append(op.ops)
+    return comps, edges
 
 
-def _groupings(instances, grammar: Grammar):
+def _groupings(comps: list[int], tables: ChartTables, grammar: Grammar):
     """Yield use assignments (instance index -> use id) and their use counts.
 
     Singleton-pair instances each get their own use. Instances of a
@@ -419,18 +400,18 @@ def _groupings(instances, grammar: Grammar):
     instances bijectively with component 0's; every choice of one
     permutation per further component is one candidate reading.
     """
-    by_pair_comp: dict[tuple[str, int], list[int]] = {}
-    for idx, inst in enumerate(instances):
-        if grammar.pair(inst.pair).source.is_multi:
-            by_pair_comp.setdefault((inst.pair, inst.comp), []).append(idx)
+    by_comp: dict[int, list[int]] = {}
+    for idx, comp in enumerate(comps):
+        if grammar.pair(tables.comps[comp][0]).source.is_multi:
+            by_comp.setdefault(comp, []).append(idx)
 
     # per further component, each permutation as a map from its instances
     # to their component-0 partners, position by position
     partner_maps = []
-    for name in sorted({name for name, _ in by_pair_comp}):
-        base = by_pair_comp.get((name, 0), [])
-        for comp in range(1, grammar.pair(name).n_components):
-            members = by_pair_comp.get((name, comp), [])
+    for name in sorted({tables.comps[comp][0] for comp in by_comp}):
+        base = by_comp.get(tables.comp_id[name, 0], [])
+        for ci in range(1, grammar.pair(name).n_components):
+            members = by_comp.get(tables.comp_id[name, ci], [])
             if len(members) != len(base):
                 return
             partner_maps.append([dict(zip(perm, base))
@@ -443,7 +424,7 @@ def _groupings(instances, grammar: Grammar):
         # a use is numbered when the first of its instances is met
         use_ids: dict[int, int] = {}
         assignment = {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
-                      for idx in range(len(instances))}
+                      for idx in range(len(comps))}
         yield assignment, len(use_ids)
 
 
@@ -452,13 +433,14 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     """The priority levels of the sentence, cheapest first, each built only
     when it is asked for.
 
-    Phase 1 runs up front; its root instance trees are then bucketed by
-    cost, which the instance tree alone fixes: every grouping makes one use
-    per singleton instance and one per component-0 instance of a set. Per
-    cost, cheapest first, each grouping is composed exactly once; the tree
-    that passes the yield and dominance checks is canonicalized in place
-    and kept. A cost whose every grouping fails its dominance requirement
-    yields no level.
+    Phase 1 runs up front, from every start pair's head component; its root
+    instance trees are then bucketed by cost, which the instance tree alone
+    fixes: every grouping makes one use per singleton instance and one per
+    component-0 instance of a set. Per cost, cheapest first, each grouping
+    is composed exactly once; the tree that passes the yield and dominance
+    checks is canonicalized in place and kept. A cost whose every grouping
+    fails its dominance requirement yields no level. Only ``unpack``
+    recurses, so only it is guarded against running out of stack.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -471,53 +453,49 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     tables = grammar.chart_tables
     span = _SpanParser(lex, tables, budget=max_uses * max_comps)
 
-    # every stage below recurses as deep as the input nests
-    try:
-        buckets: dict[int, list] = {}
-        for pair in grammar.pairs:
-            head = pair.source.head
-            head_tree = pair.source.head_tree
-            if head_tree.is_auxiliary or head_tree.root_cat != grammar.start_symbol:
-                continue
-            root = tables.inst0 + tables.comp_id[pair.name, head]
-            for root_inst in span.unpack((root, 0, len(lex), None), span.budget):
-                instances, edges = _collect_instances(root_inst)
-                # every grouping makes one use per component-0 instance
-                cost = uses_cost(
-                    (inst.pair for inst in instances if inst.comp == 0), grammar)
-                buckets.setdefault(cost, []).append((instances, edges))
+    buckets: dict[int, list] = {}
+    for pair in grammar.start_pairs:
+        root = tables.comp_id[pair.name, pair.source.head]
+        try:
+            parses = span.unpack((tables.inst0 + root, 0, len(lex), None),
+                                 span.budget)
+        except RecursionError:
+            raise LimitExceededError(
+                "the input nests too deeply to parse") from None
+        for ops, _ in parses:
+            comps, edges = _collect_instances(root, ops)
+            insts = [tables.comps[comp] for comp in comps]  # (pair, component)
+            # every grouping makes one use per component-0 instance
+            cost = uses_cost((name for name, ci in insts if ci == 0), grammar)
+            buckets.setdefault(cost, []).append((comps, insts, edges))
 
-        for cost in sorted(buckets):
-            found: dict[Derivation, DerivedTree] = {}
-            for instances, edges in buckets[cost]:
-                for assignment, n_uses in _groupings(instances, grammar):
-                    if n_uses > max_uses:
-                        continue
-                    uses = [""] * n_uses
-                    for idx, inst in enumerate(instances):
-                        uses[assignment[idx]] = inst.pair
-                    attachments = [Attachment(
-                        use=assignment[idx], comp=instances[idx].comp,
-                        host=assignment[parent_idx],
-                        host_comp=instances[parent_idx].comp,
-                        site=op.site, op=op.op)
-                        for idx, parent_idx, op in edges]
-                    derivation = make_derivation(uses, assignment[0], attachments)
-                    tree = build_derived_tree(derivation, grammar)
-                    produced = tree.yield_lex()
-                    if produced != lex:
-                        raise InternalError(
-                            f"derived tree yields {produced}, not the input {lex}")
-                    if dominance_violations(tree, grammar):
-                        continue
-                    found.setdefault(canonicalize(tree), tree)
-            if found:
-                yield PriorityLevel(cost=cost, trees=tuple(sorted(
-                    found.values(),
-                    key=lambda t: ranking_key(t.derivation, grammar))))
-    except RecursionError:
-        raise LimitExceededError(
-            "the input nests too deeply to parse") from None
+    for cost in sorted(buckets):
+        found: dict[Derivation, DerivedTree] = {}
+        for comps, insts, edges in buckets[cost]:
+            for assignment, n_uses in _groupings(comps, tables, grammar):
+                if n_uses > max_uses:
+                    continue
+                uses = [""] * n_uses
+                for idx, (name, _) in enumerate(insts):
+                    uses[assignment[idx]] = name
+                attachments = [Attachment(
+                    use=assignment[idx], comp=insts[idx][1],
+                    host=assignment[parent_idx], host_comp=insts[parent_idx][1],
+                    site=op.site, op=op.op)
+                    for idx, parent_idx, op in edges]
+                derivation = make_derivation(uses, assignment[0], attachments)
+                tree = build_derived_tree(derivation, grammar)
+                produced = tree.yield_lex()
+                if produced != lex:
+                    raise InternalError(
+                        f"derived tree yields {produced}, not the input {lex}")
+                if dominance_violations(tree, grammar):
+                    continue
+                found.setdefault(canonicalize(tree), tree)
+        if found:
+            yield PriorityLevel(cost=cost, trees=tuple(sorted(
+                found.values(),
+                key=lambda t: ranking_key(t.derivation, grammar))))
 
 
 def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,

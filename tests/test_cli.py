@@ -28,6 +28,13 @@ GOLDEN_RUNS = {
 }
 
 
+def fronted_chain(depth):
+    """An embedded-grammar sentence: the object fronted over depth embedding
+    verbs."""
+    return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
+            + " malhanta" * depth + ".")
+
+
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -74,12 +81,8 @@ class TestTranslate:
     def test_too_deep_input_is_a_coded_error(self, capsys, monkeypatch):
         # the object fronted over 80, then 400 embedding verbs: the batch
         # goes on past an input that nests too deeply to parse
-        def chain(depth):
-            return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
-                    + " malhanta" * depth + ".")
-
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f"{chain(80)}\n{chain(400)}\n{EMBEDDED_CANONICAL}\n"))
+            f"{fronted_chain(80)}\n{fronted_chain(400)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")
         shallow, deep, canonical = out.splitlines()
         assert shallow == "Mary says " * 80 + "Tom chases Jerry."
@@ -89,6 +92,22 @@ class TestTranslate:
         else:
             assert deep == "Mary says " * 400 + "Tom chases Jerry."
         assert canonical == "Mary says Tom chases Jerry."
+
+    @pytest.mark.parametrize("argv", [("--format", "json"), ("--show", "derived")])
+    def test_deep_parse_renders_its_trees(self, capsys, monkeypatch, argv):
+        # a parse 170 embeddings deep is printed with its trees, and the
+        # batch goes on to the next line
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{fronted_chain(170)}\n{EMBEDDED_CANONICAL}\n"))
+        status, out, err = run(capsys, "translate", "-g", "embedded", *argv)
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        if argv[0] == "--format":
+            translations = [json.loads(line)["translation"] for line in lines]
+        else:  # each translation is followed by its source and target trees
+            translations = lines[::3]
+        assert translations == ["Mary says " * 170 + "Tom chases Jerry.",
+                                "Mary says Tom chases Jerry."]
 
     def test_unknown_word(self, capsys):
         status, out, err = run(capsys, "translate", "-g", "chase",

@@ -180,6 +180,19 @@ class TestSchemaErrors:
         "dominance entry": (
             lambda doc: doc["pairs"][5]["source"].update(dominance=[[False, True]]),
             ".pairs[5].source.dominance[0]:"),
+        "particle form": (lambda doc: doc["particles"][0].update(form=5),
+                          ".particles[0].form:"),
+        "particle case": (lambda doc: doc["particles"][0].update(case=None),
+                          ".particles[0].case:"),
+        "node cat": (lambda doc: doc["pairs"][0]["source"]["components"][0].update(cat=7),
+                     ".pairs[0].source.components[0].cat:"),
+        "node word": (lambda doc: doc["pairs"][0]["target"]["children"][1]["children"][0]
+                      .update(word=3), ".pairs[0].target.children[1].children[0].word:"),
+        "source_language": (lambda doc: doc.update(source_language=["ko"]),
+                            ".source_language:"),
+        "target_language": (lambda doc: doc.update(target_language=None),
+                            ".target_language:"),
+        "start_symbol": (lambda doc: doc.update(start_symbol=1), ".start_symbol:"),
     }
 
     @pytest.mark.parametrize("field", sorted(WRONG_TYPES))

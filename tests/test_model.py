@@ -254,6 +254,18 @@ class TestIndexGrammar:
             index_grammar([a], source_language="ko", target_language="en",
                           start_symbol="S", particles=[])
 
+    def test_auxiliary_head_cannot_start(self):
+        # an auxiliary rooted in the start symbol adjoins into a derivation
+        # but cannot root one
+        beta = _singleton("beta_adv", interior("S", lex("A", "a"), foot("S")))
+        gamma = _singleton("gamma_x", interior("S", lex("V", "x")))
+        grammar = index_grammar([beta, gamma], source_language="ko",
+                                target_language="en", start_symbol="S", particles=[])
+        assert [pair.name for pair in grammar.start_pairs] == ["gamma_x"]
+        with pytest.raises(NoStartPairError):
+            index_grammar([beta], source_language="ko", target_language="en",
+                          start_symbol="S", particles=[])
+
     def test_anchor_index_excludes_particles(self, g_chase):
         assert g_chase.anchor_index == {
             "Jerry": ("alpha_jerry_op", "alpha_jerry_sp",

@@ -29,7 +29,7 @@ from stagmt.model import (
     subst,
 )
 from stagmt.morphotok import tokenize
-from stagmt.parser import InstParse, all_derivations, parse
+from stagmt.parser import all_derivations, parse
 
 
 def derivations_of(line, grammar, **kwargs):
@@ -274,17 +274,19 @@ class TestForest:
 
     @staticmethod
     def size(parse):
-        return parse.size if isinstance(parse, InstParse) else parse[1]
+        return parse[1]
 
     @staticmethod
-    def instances(parses):
-        stack = [op.inst for p in parses if not isinstance(p, InstParse)
-                 for op in p[0]]
-        stack += [p for p in parses if isinstance(p, InstParse)]
+    def records(span, key, parses):
+        """(own count, ops, size) of every parse of the item and of every
+        instance attached below them."""
+        t = span.tables
+        own = int(0 <= key[0] - t.inst0 < len(t.comps))
+        stack = [(own, ops, size) for ops, size in parses]
         while stack:
-            inst = stack.pop()
-            yield inst
-            stack.extend(op.inst for op in inst.ops)
+            record = stack.pop()
+            yield record
+            stack.extend((1, op.ops, op.size) for op in record[1])
 
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
@@ -295,10 +297,10 @@ class TestForest:
             for tighter in range(least, self.BUDGET):
                 assert span.unpack(key, tighter) == tuple(
                     p for p in parses if self.size(p) <= tighter)
-            for inst in self.instances(parses):
-                assert inst.size == 1 + sum(op.inst.size for op in inst.ops)
+            for own, ops, size in self.records(span, key, parses):
+                assert size == own + sum(op.size for op in ops)
                 # post-order: a site's descendants first, then left to right
-                order = [op.site.path + (float("inf"),) for op in inst.ops]
+                order = [op.site.path + (float("inf"),) for op in ops]
                 assert order == sorted(order)
 
     @pytest.mark.parametrize("name, line", [
