@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from stagmt.grammar_io import load_grammar
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# More examples for a run of its own, e.g. the generated-grammar test:
+# python3 -m pytest tests/test_generated.py --hypothesis-profile=thorough
+settings.register_profile("thorough", max_examples=2000, deadline=None)
 
 
 def pytest_terminal_summary(terminalreporter):
