@@ -11,20 +11,28 @@ the grammar, so they are built once per grammar (``ChartTables``) and
 shared by all its parses. A node where no adjunction can happen has one
 symbol for "with" and "without an adjunction here", and foot items are
 implicit: a foot covers any span at cost 0, so the chart never holds them.
+Point items, which cover no words (trace components, the slots they fill,
+zero-width auxiliaries), are implicit too: their antecedents are point items
+at the same position, so their least costs and hyperedges depend on the
+grammar alone. ``ChartTables`` derives them once, as pass 1 over the empty
+sentence (the point table), and a sentence's chart holds only items that
+cover words.
 
 1. Recognition builds a packed forest: a Knuth-style worklist finds the
    least instance count of every derivable item and records every rule
    firing as a hyperedge of its consequent. Items form cycles (stacked and
    zero-width auxiliaries over one span); the worklist settles each item
    once, at its least cost, so cycles end. A foot's sibling, once settled,
-   yields the items with every foot gap next to it.
+   yields the items with every foot gap next to it, and an item meets its
+   point partners from the point table when it settles.
 2. Enumeration unpacks the instance trees from the forest top down, and
    ``max_uses`` is applied here as an instance budget. Every item's parse
    is one record, an (ops, size) pair: its attachments, each an ``Op``
    holding the attached instance's component id and record, and its
    instance count. Each call returns exactly the parses within its budget,
    and skips every hyperedge whose antecedents' least costs exceed what is
-   left of it, so only productive items are ever visited.
+   left of it, so only productive items are ever visited. A point item's
+   least cost and hyperedges are read from the point table at its position.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
@@ -44,6 +52,7 @@ again; dearer levels are never grouped or composed unless asked for.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -75,6 +84,10 @@ from .model import (
     TreeNode,
 )
 from .morphotok import TokenizedSentence
+
+# pass-1 chart items one parse may settle before it gives up with the coded
+# error limit-exceeded (the benchmark's largest chart holds a few hundred)
+MAX_CHART_ITEMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,22 @@ class ChartTables:
     Foot items are implicit: a foot covers any span, as its own gap, at
     cost 0, so pass 1 never builds them (see ``_SpanParser._recognize``).
 
+    A point item covers no words: its span is (i, i) and its foot gap, if
+    any, is (i, i) too. Its antecedents are point items at the same
+    position, so no sentence or position changes its least cost or its
+    hyperedges. The point table is pass 1 over the empty sentence with no
+    budget, kept per (symbol, gapped) pair: ``point_cost`` holds the least
+    cost, ``point_edges`` the hyperedges as tuples of (symbol, gapped)
+    antecedents, and ``points`` the same costs by symbol for pass 1's
+    partner lookups. A sentence's pass 1 reads point items from here and
+    never queues them.
+
     The deduction rules are written once, here, indexed by antecedent
     symbol, and the symbols themselves are construction locals. Pass 1
     fires the rules forward and records each firing as a hyperedge; pass 2
     only unpacks those hyperedges, reading from these tables just the
-    instance symbols and where an instance attaches (``site``).
+    instance symbols, where an instance attaches (``site``) and the point
+    table.
     """
 
     def __init__(self, grammar: Grammar):
@@ -180,7 +204,8 @@ class ChartTables:
         self.foot_only: list[int] = []        # below symbols over a lone foot
         self.lex_syms: dict[str, list[int]] = {}
         self.empty_syms: list[int] = []
-        self.hosts: dict[str, list[int]] = {}     # cat -> adjoinable node ids
+        # cat -> (node id, below symbol) of its adjoinable nodes
+        self.hosts: dict[str, list[tuple[int, int]]] = {}
         self.host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
         self.aux_cat: dict[int, str] = {}         # instance symbol -> root cat
         # slot or host symbol -> (address, operation) of an instance there
@@ -197,7 +222,7 @@ class ChartTables:
             elif node.kind == KIND_EMPTY:
                 self.empty_syms.append(below[n])
             elif hosting[n]:
-                self.hosts.setdefault(node.cat, []).append(n)
+                self.hosts.setdefault(node.cat, []).append((n, below[n]))
                 self.host_of[below[n]] = (n, node.cat)
                 self.site[n] = (addrs[n], OP_ADJOIN)
             kids = children[n]
@@ -226,6 +251,20 @@ class ChartTables:
                 for slot in subst_slots.get(nodes[root].cat, ()):
                     self.unary.setdefault(inst, []).append((slot, 0))
 
+        # the point table: pass 1 over the empty sentence, with no budget,
+        # derives every point item; its least cost and hyperedges are the
+        # same at every position of every sentence
+        self.points: dict[int, list[tuple[bool, int]]] = {}
+        empty = _SpanParser((), self, budget=math.inf)
+        self.point_cost = {(sym, gap is not None): cost
+                           for (sym, _, _, gap), cost in empty.best.items()}
+        self.point_edges = {
+            (sym, gap is not None): [tuple((ante[0], ante[3] is not None)
+                                           for ante in edge) for edge in edges]
+            for (sym, _, _, gap), edges in empty.edges.items()}
+        for (sym, gapped), cost in self.point_cost.items():
+            self.points.setdefault(sym, []).append((gapped, cost))
+
 
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
@@ -243,8 +282,8 @@ class _SpanParser:
         self._memo: dict[tuple[tuple, int], tuple] = {}
 
     def _recognize(self) -> tuple[dict[tuple, int], dict[tuple, list[tuple]]]:
-        """Pass 1: the least instance count of every derivable item, and
-        the hyperedges that derive it.
+        """Pass 1: the least instance count of every derivable item that
+        covers words, and the hyperedges that derive it.
 
         Knuth's generalisation of Dijkstra's algorithm to the TAG CKY
         deduction rules: an item leaves the bucket queue once, at its least
@@ -254,16 +293,24 @@ class _SpanParser:
         without re-sweeping the chart. Every firing within the budget is
         recorded as a hyperedge of its consequent, cheapest or not, so pass
         2 can unpack every derivation. A hyperedge is the tuple of its
-        antecedent item keys, left to right; seeds have none. Foot items
-        are never queued: when a gap-free sibling of a foot settles, it
-        yields the sequence item for every foot gap on its open side at its
-        own cost, and a foot that is an only child seeds its parent's below
-        item over every span.
+        antecedent item keys, left to right; seeds have none.
+
+        Foot items are never queued: when a gap-free sibling of a foot
+        settles, it yields the sequence item for every foot gap on its open
+        side at its own cost, and a foot that is an only child seeds its
+        parent's below item over every span. Point items (over no words)
+        are never queued either, except over the empty sentence, whose
+        chart is the grammar's point table (``ChartTables.point_cost``):
+        an item that settles meets its point partners from the table, a
+        left operand at its end, a right operand at its start and an
+        auxiliary with a gap over no words the hosts there, and a gap-free
+        point sibling of a foot seeds its gapped items that cover words.
+        The chart is capped at ``MAX_CHART_ITEMS`` items.
         """
         t, n_lex, budget = self.tables, len(self.lex), self.budget
         unary, as_left, as_right = t.unary, t.as_left, t.as_right
         foot_left, foot_right = t.foot_left, t.foot_right
-        hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
+        hosts, host_of, aux_cat, points = t.hosts, t.host_of, t.aux_cat, t.points
         best: dict[tuple, int] = {}
         edges: dict[tuple, list[tuple]] = {}
         queue: list[list[tuple]] = [[]]
@@ -271,8 +318,12 @@ class _SpanParser:
         def push(key, cost, edge):
             if cost > budget:
                 return
+            known = best.get(key)
+            if known is None and len(best) >= MAX_CHART_ITEMS:
+                raise LimitExceededError(
+                    f"the input needs more than {MAX_CHART_ITEMS} chart items")
             edges.setdefault(key, []).append(edge)
-            if cost < best.get(key, cost + 1):
+            if known is None or cost < known:
                 best[key] = cost
                 while len(queue) <= cost:
                     queue.append([])
@@ -281,13 +332,25 @@ class _SpanParser:
         for i, word in enumerate(self.lex):
             for sym in t.lex_syms.get(word, ()):
                 push((sym, i, i + 1, None), 0, ())
-        for sym in t.empty_syms:
-            for i in range(n_lex + 1):
-                push((sym, i, i, None), 0, ())
+        if not n_lex:
+            for sym in t.empty_syms:
+                push((sym, 0, 0, None), 0, ())
+            for sym in t.foot_only:
+                push((sym, 0, 0, (0, 0)), 0, ())
         for sym in t.foot_only:
-            for i in range(n_lex + 1):
-                for j in range(i, n_lex + 1):
+            for i in range(n_lex):
+                for j in range(i + 1, n_lex + 1):
                     push((sym, i, j, (i, j)), 0, ())
+        for sym, out in foot_left.items():
+            for gapped, cost in points.get(sym, ()):
+                for i in range(n_lex + 1) if not gapped else ():
+                    for k in range(i):
+                        push((out, k, i, (k, i)), cost, ((sym, i, i, None),))
+        for sym, out in foot_right.items():
+            for gapped, cost in points.get(sym, ()):
+                for i in range(n_lex + 1) if not gapped else ():
+                    for k in range(i + 1, n_lex + 1):
+                        push((out, i, k, (i, k)), cost, ((sym, i, i, None),))
 
         # partner indexes of settled item keys
         ends: dict[tuple[int, int], list] = {}      # left operands by end
@@ -318,6 +381,11 @@ class _SpanParser:
                         if gap is None or other[3] is None:
                             push((out, i, other[2], gap or other[3]),
                                  cost + best[other], (key, other))
+                    for gapped, extra in points.get(right, ()):
+                        if gap is None or not gapped:
+                            other = (right, j, j, (j, j) if gapped else None)
+                            push((out, i, j, gap or other[3]), cost + extra,
+                                 (key, other))
                 if sym in as_right:
                     left, out = as_right[sym]
                     starts.setdefault((sym, i), []).append(key)
@@ -325,6 +393,11 @@ class _SpanParser:
                         if gap is None or other[3] is None:
                             push((out, other[1], j, gap or other[3]),
                                  cost + best[other], (other, key))
+                    for gapped, extra in points.get(left, ()):
+                        if gap is None or not gapped:
+                            other = (left, i, i, (i, i) if gapped else None)
+                            push((out, i, j, gap or other[3]), cost + extra,
+                                 (other, key))
                 if sym in host_of:
                     n, cat = host_of[sym]
                     hosts_by_span.setdefault((n, i, j), []).append(key)
@@ -334,12 +407,23 @@ class _SpanParser:
                 if sym in aux_cat:
                     gi, gj = gap
                     aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(key)
-                    for n in hosts.get(aux_cat[sym], ()):
+                    for n, below in hosts.get(aux_cat[sym], ()):
                         for host in hosts_by_span.get((n, gi, gj), ()):
                             push((n, i, j, host[3]), cost + best[host],
                                  (host, key))
+                        for gapped, extra in points.get(below, ()) if gi == gj else ():
+                            host = (below, gi, gi, gap if gapped else None)
+                            push((n, i, j, host[3]), cost + extra, (host, key))
             cost += 1
         return best, edges
+
+    def least(self, key: tuple) -> int | None:
+        """The least cost of an item, from the point table when it covers
+        no words, or None when pass 1 did not derive it."""
+        sym, i, j, gap = key
+        if i == j:
+            return self.tables.point_cost.get((sym, gap is not None))
+        return self.best.get(key)
 
     def unpack(self, key: tuple, budget: int) -> tuple:
         """Pass 2: every parse of an item with at most budget instances.
@@ -351,18 +435,27 @@ class _SpanParser:
         instance antecedent becomes one attachment (``Op``) at the
         consequent's ``site``. Every cycle of items passes through an
         instance, which costs one, so the budget bounds the recursion.
+        A point item's least cost and hyperedges come from the grammar's
+        point table, placed at the item's position.
         """
-        best = self.best
-        if best.get(key, budget + 1) > budget:
+        least = self.least(key)
+        if least is None or least > budget:
             return ()
         hit = self._memo.get((key, budget))
         if hit is not None:
             return hit
         t = self.tables
-        own = int(0 <= key[0] - t.inst0 < len(t.comps))
+        sym, i, j, gap = key
+        if i == j:
+            edges = [tuple((ante, i, i, (i, i) if gapped else None)
+                           for ante, gapped in edge)
+                     for edge in t.point_edges[sym, gap is not None]]
+        else:
+            edges = self.edges[key]
+        own = int(0 <= sym - t.inst0 < len(t.comps))
         parses = []
-        for edge in self.edges[key]:
-            if sum(best[ante] for ante in edge) + own > budget:
+        for edge in edges:
+            if sum(map(self.least, edge)) + own > budget:
                 continue
             partial = [((), own)]
             for ante in edge:
@@ -372,7 +465,7 @@ class _SpanParser:
                 for ops, size in partial:
                     for sub_ops, sub_size in self.unpack(ante, budget - size):
                         if attached:
-                            sub_ops = (Op(*t.site[key[0]], comp, sub_ops, sub_size),)
+                            sub_ops = (Op(*t.site[sym], comp, sub_ops, sub_size),)
                         grown.append((ops + sub_ops, size + sub_size))
                 partial = grown
             parses.extend(partial)

@@ -93,6 +93,18 @@ class TestTranslate:
             assert deep == "Mary says " * 400 + "Tom chases Jerry."
         assert canonical == "Mary says Tom chases Jerry."
 
+    def test_chart_limit_is_a_coded_error(self, capsys, monkeypatch):
+        # pass 1 over the object fronted over two embedding verbs settles
+        # 77 items, over the canonical sentence 42: under a cap of 50 the
+        # first is refused and the batch goes on to the second
+        monkeypatch.setattr("stagmt.parser.MAX_CHART_ITEMS", 50)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{fronted_chain(2)}\n{EMBEDDED_CANONICAL}\n"))
+        status, out, err = run(capsys, "translate", "-g", "embedded")
+        assert status == 1
+        assert out == "ERROR\nMary says Tom chases Jerry.\n"
+        assert err.startswith("line 1: limit-exceeded:")
+
     @pytest.mark.parametrize("argv", [("--format", "json"), ("--show", "derived")])
     def test_deep_parse_renders_its_trees(self, capsys, monkeypatch, argv):
         # a parse 170 embeddings deep is printed with its trees, and the

@@ -17,12 +17,16 @@ from support import (
 
 import stagmt.parser
 from stagmt.derive import build_derived_tree, render_tree
-from stagmt.errors import InternalError, LexicalGapError, NoParseError
+from stagmt.errors import (InternalError, LexicalGapError,
+                           LimitExceededError, NoParseError)
 from stagmt.grammar_io import load_grammar
 from stagmt.model import (
+    ADJOIN_NA,
     ElementaryTree,
     SourceSet,
     SyncPair,
+    empty,
+    foot,
     index_grammar,
     interior,
     lex,
@@ -116,6 +120,17 @@ class TestFailureModes:
     def test_no_parse_raises(self, g_chase):
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
+
+    def test_chart_size_is_capped(self, g_chase, monkeypatch):
+        # the canonical sentence settles 53 pass-1 items; the cap is checked
+        # only when a new item enters the chart
+        sentence = tokenize(CHASE_CANONICAL, g_chase)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 53)
+        assert len(all_derivations(sentence, g_chase)) == 3
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 52)
+        with pytest.raises(LimitExceededError) as info:
+            all_derivations(sentence, g_chase)
+        assert info.value.code == "limit-exceeded"
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
         # the yield check must survive python -O, so it cannot be an assert
@@ -291,7 +306,13 @@ class TestForest:
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
                                          grammar.chart_tables, self.BUDGET)
-        for key, least in span.best.items():
+        # point items come from the grammar's table, at every position
+        points = [((sym, i, i, (i, i) if gapped else None), least)
+                  for (sym, gapped), least in span.tables.point_cost.items()
+                  for i in range(len(span.lex) + 1)]
+        assert all(i < j for _, i, j, _ in span.best)
+        for key, least in [*span.best.items(), *points]:
+            assert span.least(key) == least
             parses = span.unpack(key, self.BUDGET)
             assert min(map(self.size, parses)) == least
             for tighter in range(least, self.BUDGET):
@@ -308,6 +329,50 @@ class TestForest:
         ("embedded", EMBEDDED_FRONTED)])
     def test_shipped_grammars(self, name, line):
         self.check(load_grammar(name), line)
+
+    @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded"])
+    def test_chart_holds_no_point_items(self, name):
+        # an item over no words is the same at every position, so the
+        # grammar's point table holds it and the chart never does
+        grammar = load_grammar(name)
+        for line in corpus(name):
+            span = stagmt.parser._SpanParser(
+                tokenize(line, grammar).lex_stream, grammar.chart_tables,
+                self.BUDGET)
+            assert span.best
+            assert all(i < j for _, i, j, _ in span.best)
+
+    def test_gapped_point_items(self, g_chase):
+        # a foot that is an only child and a zero-width auxiliary S(e S*)
+        # both make point items with a gap over no words
+        def pair(name, *trees):
+            return SyncPair(name=name, source=SourceSet(tuple(
+                ElementaryTree(tree) for tree in trees)),
+                target=ElementaryTree(interior("S", foot("S"))), priority=2)
+
+        grammar = index_grammar(
+            g_chase.pairs + (
+                pair("beta_ttu", interior("S", lex("B", "ttu"), interior(
+                    "S", foot("S"), adjoin=ADJOIN_NA))),
+                pair("beta_cal", interior("S", empty(), foot("S")),
+                     interior("S", lex("A", "cal"), foot("S")))),
+            source_language="ko", target_language="en", start_symbol="S",
+            particles=g_chase.particles)
+        tables = grammar.chart_tables
+        assert any(gapped for _, gapped in tables.point_cost)
+        assert tables.foot_only
+        self.check(grammar, "cal ttu Tom-i Jerry-lul ccossnunta.")
+
+    def test_point_table_and_chart_sizes(self, g_chase):
+        # the chase traces and their filled slots are 11 point items;
+        # before the table, this no-parse input settled 117 items, 66 of
+        # them the same points at each of its six positions
+        tables = g_chase.chart_tables
+        assert len(tables.point_cost) == 11
+        span = stagmt.parser._SpanParser(
+            tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream,
+            tables, self.BUDGET)
+        assert len(span.best) == 51
 
     def test_left_operand_dearer_than_the_right(self):
         # L(X X) costs two and settles after the X slot to its right, so
