@@ -332,7 +332,7 @@ class _SpanParser:
         for i, word in enumerate(self.lex):
             for sym in t.lex_syms.get(word, ()):
                 push((sym, i, i + 1, None), 0, ())
-        if not n_lex:
+        if not n_lex:   # the point table's own run
             for sym in t.empty_syms:
                 push((sym, 0, 0, None), 0, ())
             for sym in t.foot_only:
@@ -341,16 +341,21 @@ class _SpanParser:
             for i in range(n_lex):
                 for j in range(i + 1, n_lex + 1):
                     push((sym, i, j, (i, j)), 0, ())
+        # a gap-free point sibling of a foot, at every position
         for sym, out in foot_left.items():
             for gapped, cost in points.get(sym, ()):
-                for i in range(n_lex + 1) if not gapped else ():
-                    for k in range(i):
-                        push((out, k, i, (k, i)), cost, ((sym, i, i, None),))
+                if not gapped:
+                    for i in range(n_lex + 1):
+                        for k in range(i):
+                            push((out, k, i, (k, i)), cost,
+                                 ((sym, i, i, None),))
         for sym, out in foot_right.items():
             for gapped, cost in points.get(sym, ()):
-                for i in range(n_lex + 1) if not gapped else ():
-                    for k in range(i + 1, n_lex + 1):
-                        push((out, i, k, (i, k)), cost, ((sym, i, i, None),))
+                if not gapped:
+                    for i in range(n_lex + 1):
+                        for k in range(i + 1, n_lex + 1):
+                            push((out, i, k, (i, k)), cost,
+                                 ((sym, i, i, None),))
 
         # partner indexes of settled item keys
         ends: dict[tuple[int, int], list] = {}      # left operands by end
@@ -411,9 +416,11 @@ class _SpanParser:
                         for host in hosts_by_span.get((n, gi, gj), ()):
                             push((n, i, j, host[3]), cost + best[host],
                                  (host, key))
-                        for gapped, extra in points.get(below, ()) if gi == gj else ():
-                            host = (below, gi, gi, gap if gapped else None)
-                            push((n, i, j, host[3]), cost + extra, (host, key))
+                        if gi == gj:    # hosts over no words
+                            for gapped, extra in points.get(below, ()):
+                                host = (below, gi, gi, gap if gapped else None)
+                                push((n, i, j, host[3]), cost + extra,
+                                     (host, key))
             cost += 1
         return best, edges
 
