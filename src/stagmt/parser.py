@@ -146,11 +146,10 @@ class ChartTables:
     any, is (i, i) too. Its antecedents are point items at the same
     position, so no sentence or position changes its least cost or its
     hyperedges. The point table is pass 1 over the empty sentence with no
-    budget, kept per (symbol, gapped) pair: ``point_cost`` holds the least
-    cost, ``point_edges`` the hyperedges as tuples of (symbol, gapped)
-    antecedents, and ``points`` the same costs by symbol for pass 1's
-    partner lookups. A sentence's pass 1 reads point items from here and
-    never queues them.
+    budget: ``point_best`` and ``point_edges`` hold its chart, every item
+    at position 0, and ``points`` its least costs by symbol, as (gapped,
+    cost) pairs, for pass 1's partner lookups. A sentence's pass 1 reads
+    point items from here and never queues them.
 
     The deduction rules are written once, here, indexed by antecedent
     symbol, and the symbols themselves are construction locals. Pass 1
@@ -256,22 +255,18 @@ class ChartTables:
         # same at every position of every sentence
         self.points: dict[int, list[tuple[bool, int]]] = {}
         empty = _SpanParser((), self, budget=math.inf)
-        self.point_cost = {(sym, gap is not None): cost
-                           for (sym, _, _, gap), cost in empty.best.items()}
-        self.point_edges = {
-            (sym, gap is not None): [tuple((ante[0], ante[3] is not None)
-                                           for ante in edge) for edge in edges]
-            for (sym, _, _, gap), edges in empty.edges.items()}
-        for (sym, gapped), cost in self.point_cost.items():
-            self.points.setdefault(sym, []).append((gapped, cost))
+        self.point_best, self.point_edges = empty.best, empty.edges
+        for (sym, _, _, gap), cost in self.point_best.items():
+            self.points.setdefault(sym, []).append((gap is not None, cost))
 
 
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
     Holds the lexical stream, the instance budget, pass 1's forest (least
-    cost and hyperedges per item) and pass 2's memo; the rules and symbols
-    come from the grammar's shared ``ChartTables``.
+    cost and hyperedges per item that covers words) and pass 2's memo; the
+    rules, symbols and point items come from the grammar's shared
+    ``ChartTables``.
     """
 
     def __init__(self, lex: tuple[str, ...], tables: ChartTables, budget: int):
@@ -300,7 +295,7 @@ class _SpanParser:
         side at its own cost, and a foot that is an only child seeds its
         parent's below item over every span. Point items (over no words)
         are never queued either, except over the empty sentence, whose
-        chart is the grammar's point table (``ChartTables.point_cost``):
+        chart is the grammar's point table (``ChartTables.point_best``):
         an item that settles meets its point partners from the table, a
         left operand at its end, a right operand at its start and an
         auxiliary with a gap over no words the hosts there, and a gap-free
@@ -425,11 +420,11 @@ class _SpanParser:
         return best, edges
 
     def least(self, key: tuple) -> int | None:
-        """The least cost of an item, from the point table when it covers
-        no words, or None when pass 1 did not derive it."""
+        """The least cost of an item, or None when pass 1 did not derive
+        it; a point item's comes from the point table."""
         sym, i, j, gap = key
         if i == j:
-            return self.tables.point_cost.get((sym, gap is not None))
+            return self.tables.point_best.get((sym, 0, 0, gap and (0, 0)))
         return self.best.get(key)
 
     def unpack(self, key: tuple, budget: int) -> tuple:
@@ -442,26 +437,24 @@ class _SpanParser:
         instance antecedent becomes one attachment (``Op``) at the
         consequent's ``site``. Every cycle of items passes through an
         instance, which costs one, so the budget bounds the recursion.
-        A point item's least cost and hyperedges come from the grammar's
-        point table, placed at the item's position.
+        Parses hold no positions, so a point item has the same parses at
+        every position: those of its point-table entry at position 0.
         """
-        least = self.least(key)
-        if least is None or least > budget:
+        t = self.tables
+        sym, i, j, gap = key
+        if i == j:
+            key = (sym, 0, 0, gap and (0, 0))
+            best, edges = t.point_best, t.point_edges
+        else:
+            best, edges = self.best, self.edges
+        if best.get(key, budget + 1) > budget:
             return ()
         hit = self._memo.get((key, budget))
         if hit is not None:
             return hit
-        t = self.tables
-        sym, i, j, gap = key
-        if i == j:
-            edges = [tuple((ante, i, i, (i, i) if gapped else None)
-                           for ante, gapped in edge)
-                     for edge in t.point_edges[sym, gap is not None]]
-        else:
-            edges = self.edges[key]
         own = int(0 <= sym - t.inst0 < len(t.comps))
         parses = []
-        for edge in edges:
+        for edge in edges[key]:
             if sum(map(self.least, edge)) + own > budget:
                 continue
             partial = [((), own)]

@@ -307,8 +307,8 @@ class TestForest:
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
                                          grammar.chart_tables, self.BUDGET)
         # point items come from the grammar's table, at every position
-        points = [((sym, i, i, (i, i) if gapped else None), least)
-                  for (sym, gapped), least in span.tables.point_cost.items()
+        points = [((sym, i, i, gap and (i, i)), least)
+                  for (sym, _, _, gap), least in span.tables.point_best.items()
                   for i in range(len(span.lex) + 1)]
         assert all(i < j for _, i, j, _ in span.best)
         for key, least in [*span.best.items(), *points]:
@@ -359,16 +359,16 @@ class TestForest:
             source_language="ko", target_language="en", start_symbol="S",
             particles=g_chase.particles)
         tables = grammar.chart_tables
-        assert any(gapped for _, gapped in tables.point_cost)
+        assert any(gap for _, _, _, gap in tables.point_best)
         assert tables.foot_only
         self.check(grammar, "cal ttu Tom-i Jerry-lul ccossnunta.")
 
     def test_point_table_and_chart_sizes(self, g_chase):
-        # the chase traces and their filled slots are 11 point items;
-        # before the table, this no-parse input settled 117 items, 66 of
-        # them the same points at each of its six positions
+        # the chase traces and the slots they fill are 11 point items, which
+        # at each of this no-parse input's six positions would add 66 items
+        # to the 51 that cover words
         tables = g_chase.chart_tables
-        assert len(tables.point_cost) == 11
+        assert len(tables.point_best) == 11
         span = stagmt.parser._SpanParser(
             tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream,
             tables, self.BUDGET)
