@@ -252,7 +252,8 @@ class ChartTables:
 
         # the point table: pass 1 over the empty sentence, with no budget,
         # derives every point item; its least cost and hyperedges are the
-        # same at every position of every sentence
+        # same at every position of every sentence. That run covers no
+        # words, so it meets no point partners: ``points`` starts empty.
         self.points: dict[int, list[tuple[bool, int]]] = {}
         empty = _SpanParser((), self, budget=math.inf)
         self.point_best, self.point_edges = empty.best, empty.edges
