@@ -431,7 +431,10 @@ def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
 
 
 def ranking_key(derivation: Derivation, grammar: Grammar):
-    """Order of ranked output: cost, then pair names, sites and rendering."""
+    """Order of ranked output: cost, then pair names, sites, and the whole
+    derivation, so two derivations tie only when they are equal."""
     return (derivation.cost(grammar), tuple(sorted(derivation.uses)),
             tuple(str(a.site) for a in derivation.attachments),
-            render_derivation(derivation, grammar))
+            derivation.uses, derivation.root,
+            tuple((a.use, a.comp, a.host, a.host_comp, a.site.path, a.op)
+                  for a in derivation.attachments))

@@ -20,19 +20,19 @@ cover words.
 
 1. Recognition builds a packed forest: a Knuth-style worklist finds the
    least instance count of every derivable item and records every rule
-   firing as a hyperedge of its consequent. Items form cycles (stacked and
-   zero-width auxiliaries over one span); the worklist settles each item
-   once, at its least cost, so cycles end. A foot's sibling, once settled,
-   yields the items with every foot gap next to it, and an item meets its
-   point partners from the point table when it settles.
+   firing, with its cost, as a hyperedge of its consequent. Items form
+   cycles (stacked and zero-width auxiliaries over one span); the worklist
+   settles each item once, at its least cost, so cycles end. A foot's
+   sibling yields the items with every foot gap next to it, items over just
+   their foot gap come from the point table, and so do point partners.
 2. Enumeration unpacks the instance trees from the forest top down, and
    ``max_uses`` is applied here as an instance budget. Every item's parse
    is one record, an (ops, size) pair: its attachments, each an ``Op``
    holding the attached instance's component id and record, and its
    instance count. Each call returns exactly the parses within its budget,
-   and skips every hyperedge whose antecedents' least costs exceed what is
-   left of it, so only productive items are ever visited. A point item's
-   least cost and hyperedges are read from the point table at its position.
+   and skips every hyperedge whose cost exceeds what is left of it, so only
+   productive items are ever visited. A point item's hyperedges are read
+   from the point table at its position.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
@@ -88,6 +88,9 @@ from .morphotok import TokenizedSentence
 # pass-1 chart items one parse may settle before it gives up with the coded
 # error limit-exceeded (the benchmark's largest chart holds a few hundred)
 MAX_CHART_ITEMS = 200_000
+# groupings of one instance tree before the coded error limit-exceeded: k
+# instances of one set pair make k! (3! = 6 in the benchmark's grammars)
+MAX_GROUPINGS = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,13 +151,14 @@ class ChartTables:
     hyperedges. The point table is pass 1 over the empty sentence with no
     budget: ``point_best`` and ``point_edges`` hold its chart, every item
     at position 0, and ``points`` its least costs by symbol, as (gapped,
-    cost) pairs, for pass 1's partner lookups. A sentence's pass 1 reads
-    point items from here and never queues them.
+    cost) pairs, for pass 1's partner lookups; ``gap_roots`` its firings,
+    as (symbol, hyperedge), of gapped items from gap-free antecedents (a
+    lone foot, or a foot and a point sibling), which over any span cover
+    only their foot gap. A sentence's pass 1 never queues point items.
 
     The deduction rules are written once, here, indexed by antecedent
-    symbol, and the symbols themselves are construction locals. Pass 1
-    fires the rules forward and records each firing as a hyperedge; pass 2
-    only unpacks those hyperedges, reading from these tables just the
+    symbol, and the symbols themselves are construction locals. Pass 2
+    only unpacks pass 1's hyperedges, reading from these tables just the
     instance symbols, where an instance attaches (``site``) and the point
     table.
     """
@@ -253,12 +257,16 @@ class ChartTables:
         # the point table: pass 1 over the empty sentence, with no budget,
         # derives every point item; its least cost and hyperedges are the
         # same at every position of every sentence. That run covers no
-        # words, so it meets no point partners: ``points`` starts empty.
+        # words, so it meets no point partners and seeds no gap roots.
         self.points: dict[int, list[tuple[bool, int]]] = {}
+        self.gap_roots: list[tuple[int, tuple]] = []
         empty = _SpanParser((), self, budget=math.inf)
         self.point_best, self.point_edges = empty.best, empty.edges
         for (sym, _, _, gap), cost in self.point_best.items():
             self.points.setdefault(sym, []).append((gap is not None, cost))
+        self.gap_roots = [(key[0], edge) for key, found in self.point_edges.items()
+                          if key[3] for edge in found
+                          if not any(ante[3] for ante in edge[1:])]
 
 
 class _SpanParser:
@@ -288,20 +296,19 @@ class _SpanParser:
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
         without re-sweeping the chart. Every firing within the budget is
         recorded as a hyperedge of its consequent, cheapest or not, so pass
-        2 can unpack every derivation. A hyperedge is the tuple of its
-        antecedent item keys, left to right; seeds have none.
+        2 can unpack every derivation: the cost it fired at (the
+        consequent's own instance count plus its antecedents' least costs),
+        then its antecedent item keys, left to right.
 
-        Foot items are never queued: when a gap-free sibling of a foot
-        settles, it yields the sequence item for every foot gap on its open
-        side at its own cost, and a foot that is an only child seeds its
-        parent's below item over every span. Point items (over no words)
-        are never queued either, except over the empty sentence, whose
-        chart is the grammar's point table (``ChartTables.point_best``):
-        an item that settles meets its point partners from the table, a
-        left operand at its end, a right operand at its start and an
-        auxiliary with a gap over no words the hosts there, and a gap-free
-        point sibling of a foot seeds its gapped items that cover words.
-        The chart is capped at ``MAX_CHART_ITEMS`` items.
+        Foot items are never queued: a gap-free sibling of a foot, once
+        settled, yields the sequence item for every foot gap on its open
+        side, and the items that cover only their foot gap are seeded over
+        every span from ``ChartTables.gap_roots``. Point items (over no
+        words) are never queued either, except over the empty sentence,
+        whose chart is the point table: an item that settles meets its
+        point partners there, a left operand at its end, a right operand at
+        its start and an auxiliary with a gap over no words the hosts
+        there. The chart is capped at ``MAX_CHART_ITEMS`` items.
         """
         t, n_lex, budget = self.tables, len(self.lex), self.budget
         unary, as_left, as_right = t.unary, t.as_left, t.as_right
@@ -311,7 +318,8 @@ class _SpanParser:
         edges: dict[tuple, list[tuple]] = {}
         queue: list[list[tuple]] = [[]]
 
-        def push(key, cost, edge):
+        def push(key, edge):
+            cost = edge[0]
             if cost > budget:
                 return
             known = best.get(key)
@@ -327,31 +335,16 @@ class _SpanParser:
 
         for i, word in enumerate(self.lex):
             for sym in t.lex_syms.get(word, ()):
-                push((sym, i, i + 1, None), 0, ())
+                push((sym, i, i + 1, None), (0,))
         if not n_lex:   # the point table's own run
             for sym in t.empty_syms:
-                push((sym, 0, 0, None), 0, ())
+                push((sym, 0, 0, None), (0,))
             for sym in t.foot_only:
-                push((sym, 0, 0, (0, 0)), 0, ())
-        for sym in t.foot_only:
+                push((sym, 0, 0, (0, 0)), (0,))
+        for sym, edge in t.gap_roots:
             for i in range(n_lex):
                 for j in range(i + 1, n_lex + 1):
-                    push((sym, i, j, (i, j)), 0, ())
-        # a gap-free point sibling of a foot, at every position
-        for sym, out in foot_left.items():
-            for gapped, cost in points.get(sym, ()):
-                if not gapped:
-                    for i in range(n_lex + 1):
-                        for k in range(i):
-                            push((out, k, i, (k, i)), cost,
-                                 ((sym, i, i, None),))
-        for sym, out in foot_right.items():
-            for gapped, cost in points.get(sym, ()):
-                if not gapped:
-                    for i in range(n_lex + 1):
-                        for k in range(i + 1, n_lex + 1):
-                            push((out, i, k, (i, k)), cost,
-                                 ((sym, i, i, None),))
+                    push((sym, i, j, (i, j)), edge)
 
         # partner indexes of settled item keys
         ends: dict[tuple[int, int], list] = {}      # left operands by end
@@ -365,75 +358,68 @@ class _SpanParser:
                     continue
                 sym, i, j, gap = key
                 for out, extra in unary.get(sym, ()):
-                    push((out, i, j, gap), cost + extra, (key,))
+                    push((out, i, j, gap), (cost + extra, key))
                 if gap is None:
                     if sym in foot_left:
                         out = foot_left[sym]
                         for k in range(i + 1):
-                            push((out, k, j, (k, i)), cost, (key,))
+                            push((out, k, j, (k, i)), (cost, key))
                     if sym in foot_right:
                         out = foot_right[sym]
                         for k in range(j, n_lex + 1):
-                            push((out, i, k, (j, k)), cost, (key,))
+                            push((out, i, k, (j, k)), (cost, key))
                 if sym in as_left:
                     right, out = as_left[sym]
                     ends.setdefault((sym, j), []).append(key)
                     for other in starts.get((right, j), ()):
                         if gap is None or other[3] is None:
                             push((out, i, other[2], gap or other[3]),
-                                 cost + best[other], (key, other))
+                                 (cost + best[other], key, other))
                     for gapped, extra in points.get(right, ()):
                         if gap is None or not gapped:
                             other = (right, j, j, (j, j) if gapped else None)
-                            push((out, i, j, gap or other[3]), cost + extra,
-                                 (key, other))
+                            push((out, i, j, gap or other[3]),
+                                 (cost + extra, key, other))
                 if sym in as_right:
                     left, out = as_right[sym]
                     starts.setdefault((sym, i), []).append(key)
                     for other in ends.get((left, i), ()):
                         if gap is None or other[3] is None:
                             push((out, other[1], j, gap or other[3]),
-                                 cost + best[other], (other, key))
+                                 (cost + best[other], other, key))
                     for gapped, extra in points.get(left, ()):
                         if gap is None or not gapped:
                             other = (left, i, i, (i, i) if gapped else None)
-                            push((out, i, j, gap or other[3]), cost + extra,
-                                 (other, key))
+                            push((out, i, j, gap or other[3]),
+                                 (cost + extra, other, key))
                 if sym in host_of:
                     n, cat = host_of[sym]
                     hosts_by_span.setdefault((n, i, j), []).append(key)
                     for aux in aux_by_gap.get((cat, i, j), ()):
-                        push((n, aux[1], aux[2], gap), cost + best[aux],
-                             (key, aux))
+                        push((n, aux[1], aux[2], gap),
+                             (cost + best[aux], key, aux))
                 if sym in aux_cat:
                     gi, gj = gap
                     aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(key)
                     for n, below in hosts.get(aux_cat[sym], ()):
                         for host in hosts_by_span.get((n, gi, gj), ()):
-                            push((n, i, j, host[3]), cost + best[host],
-                                 (host, key))
+                            push((n, i, j, host[3]),
+                                 (cost + best[host], host, key))
                         if gi == gj:    # hosts over no words
                             for gapped, extra in points.get(below, ()):
                                 host = (below, gi, gi, gap if gapped else None)
-                                push((n, i, j, host[3]), cost + extra,
-                                     (host, key))
+                                push((n, i, j, host[3]),
+                                     (cost + extra, host, key))
             cost += 1
         return best, edges
-
-    def least(self, key: tuple) -> int | None:
-        """The least cost of an item, or None when pass 1 did not derive
-        it; a point item's comes from the point table."""
-        sym, i, j, gap = key
-        if i == j:
-            return self.tables.point_best.get((sym, 0, 0, gap and (0, 0)))
-        return self.best.get(key)
 
     def unpack(self, key: tuple, budget: int) -> tuple:
         """Pass 2: every parse of an item with at most budget instances.
 
         Every item's parses are (ops, size) pairs: the attachments inside
         the item, in post-order, and its instance count, an instance item
-        counting itself. A hyperedge yields the product of its antecedents'
+        counting itself. A hyperedge whose recorded cost exceeds the budget
+        is skipped; any other yields the product of its antecedents'
         parses, left to right, with the budget threaded through; an
         instance antecedent becomes one attachment (``Op``) at the
         consequent's ``site``. Every cycle of items passes through an
@@ -456,10 +442,10 @@ class _SpanParser:
         own = int(0 <= sym - t.inst0 < len(t.comps))
         parses = []
         for edge in edges[key]:
-            if sum(map(self.least, edge)) + own > budget:
+            if edge[0] > budget:
                 continue
             partial = [((), own)]
-            for ante in edge:
+            for ante in edge[1:]:
                 comp = ante[0] - t.inst0
                 attached = 0 <= comp < len(t.comps)
                 grown = []
@@ -492,29 +478,31 @@ def _groupings(comps: list[int], tables: ChartTables, grammar: Grammar):
     Singleton-pair instances each get their own use. Instances of a
     multi-component pair are grouped by matching each further component's
     instances bijectively with component 0's; every choice of one
-    permutation per further component is one candidate reading.
+    permutation per further component is one candidate reading. More than
+    ``MAX_GROUPINGS`` readings are refused before any is built.
     """
     by_comp: dict[int, list[int]] = {}
     for idx, comp in enumerate(comps):
         if grammar.pair(tables.comps[comp][0]).source.is_multi:
             by_comp.setdefault(comp, []).append(idx)
 
-    # per further component, each permutation as a map from its instances
-    # to their component-0 partners, position by position
-    partner_maps = []
+    matched = []    # (a further component's instances, component 0's)
     for name in sorted({tables.comps[comp][0] for comp in by_comp}):
         base = by_comp.get(tables.comp_id[name, 0], [])
         for ci in range(1, grammar.pair(name).n_components):
             members = by_comp.get(tables.comp_id[name, ci], [])
             if len(members) != len(base):
                 return
-            partner_maps.append([dict(zip(perm, base))
-                                 for perm in itertools.permutations(members)])
+            matched.append((members, base))
+    if math.prod(math.factorial(len(base)) for _, base in matched) > MAX_GROUPINGS:
+        raise LimitExceededError(
+            f"an instance tree has more than {MAX_GROUPINGS} groupings")
 
-    for chosen in itertools.product(*partner_maps):
+    for chosen in itertools.product(*(itertools.permutations(members)
+                                      for members, _ in matched)):
         partner = {}
-        for mapping in chosen:
-            partner.update(mapping)
+        for perm, (_, base) in zip(chosen, matched):
+            partner.update(zip(perm, base))
         # a use is numbered when the first of its instances is met
         use_ids: dict[int, int] = {}
         assignment = {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 from stagmt.derive import (
     Attachment,
@@ -32,6 +33,13 @@ DITRANS_CANONICAL = "Tom-i Mary-eykey Jerry-lul cwunta."
 EMBEDDED_CANONICAL = "Mary-ka Tom-i Jerry-lul ccossnunta malhanta."
 EMBEDDED_FRONTED = "Jerry-lul Mary-ka Tom-i ccossnunta malhanta."
 EMBEDDED_MEDIAL = "Mary-ka Jerry-lul Tom-i ccossnunta malhanta."
+
+# the benchmark's three-object grammar: three fronted objects of one set pair
+# group into uses in 3! = 6 ways per instance tree
+AMBIGUOUS_GRAMMAR = (Path(__file__).resolve().parents[1] / "benchmark"
+                     / "grammars" / "ambiguous.grammar")
+AMBIGUOUS_FRONTED = "Jerry-lul Jerry-lul Jerry-lul Tom-i nayelhanta."
+AMBIGUOUS_CANONICAL = "Tom-i Jerry-lul Jerry-lul Jerry-lul nayelhanta."
 
 CHASE_WORDS = ("Tom-i", "Jerry-lul", "ccossnunta")
 CHASE_WORDS_SWAPPED = ("Jerry-ka", "Tom-ul", "ccossnunta")

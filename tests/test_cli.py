@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from support import CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL, corpus
+from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
+                     CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
+                     corpus)
 
 from stagmt.cli import main
 from stagmt.grammar_io import builtin_grammar_path
@@ -103,6 +105,18 @@ class TestTranslate:
         status, out, err = run(capsys, "translate", "-g", "embedded")
         assert status == 1
         assert out == "ERROR\nMary says Tom chases Jerry.\n"
+        assert err.startswith("line 1: limit-exceeded:")
+
+    def test_grouping_limit_is_a_coded_error(self, capsys, monkeypatch):
+        # the fronted objects group in 3! = 6 ways per instance tree, the
+        # cheapest reading of the canonical order in one: under a cap of 5
+        # the first is refused and the batch goes on to the second
+        monkeypatch.setattr("stagmt.parser.MAX_GROUPINGS", 5)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{AMBIGUOUS_FRONTED}\n{AMBIGUOUS_CANONICAL}\n"))
+        status, out, err = run(capsys, "translate", "-g", str(AMBIGUOUS_GRAMMAR))
+        assert status == 1
+        assert out == "ERROR\nTom lists Jerry Jerry Jerry.\n"
         assert err.startswith("line 1: limit-exceeded:")
 
     @pytest.mark.parametrize("argv", [("--format", "json"), ("--show", "derived")])

@@ -8,8 +8,8 @@ nodes may be null- or obligatory-adjoining, and every pair carries an
 anchor, since the oracle refuses anchorless pairs. Sentences are the yields
 of random derivations (``support.random_derivation``), their shuffles and
 small edits, and short strings over the grammar's words. On each, the
-parser's derivations must equal the oracle's, at the default budget and at
-the tightest one that keeps a derivation.
+parser's derivations must equal the oracle's, in the same order, at the
+default budget and at the tightest one that keeps a derivation.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
 (see ``conftest.py``) runs many more grammars.
@@ -196,14 +196,9 @@ def test_parser_equals_oracle(data):
         except OracleBoundError:
             reject()
     event("parses" if found else "no parse")
-    # compared as sets: ranking ties are not broken when the root use is a
-    # set whose further components attach inside it, so the oracle's order
-    # of such ties follows its set's iteration order
-    parsed = all_derivations(sentence, grammar)
-    assert set(parsed) == set(found)
-    assert len(parsed) == len(found)
+    assert all_derivations(sentence, grammar) == found
     if found:
         # a least cost set too high would lose the smallest derivations
         fewest = min(len(d.uses) for d in found)
-        assert set(all_derivations(sentence, grammar, max_uses=fewest)) == {
-            d for d in found if len(d.uses) == fewest}
+        assert all_derivations(sentence, grammar, max_uses=fewest) == tuple(
+            d for d in found if len(d.uses) == fewest)

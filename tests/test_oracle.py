@@ -12,7 +12,8 @@ from support import (
 
 import stagmt.parser
 from stagmt import oracle
-from stagmt.derive import OP_ADJOIN, dominance_violations, render_tree
+from stagmt.derive import (OP_ADJOIN, dominance_violations, ranking_key,
+                           render_tree)
 from stagmt.errors import OracleBoundError
 from stagmt.model import (
     ADJOIN_NA,
@@ -271,6 +272,29 @@ class TestThreeComponentSet:
         parsed = all_derivations(sentence, g_triple)
         assert len(parsed) == count
         assert parsed == brute_force_derivations(sentence, g_triple)
+
+
+class TestRankingOrder:
+    """The ranking key orders any two distinct derivations, so the parser
+    and the oracle list them alike whatever order they find them in."""
+
+    def test_root_set_with_inner_attachments(self):
+        # the root use is a set whose further components attach inside it:
+        # its two derivations differ only in their hosts
+        comps = (ElementaryTree(interior("S", foot("S"), lex("W", "b"))),
+                 ElementaryTree(interior("S", empty())),
+                 ElementaryTree(interior("S", empty(), foot("S"))))
+        pair = SyncPair(name="p", source=SourceSet(comps, head=1,
+                                                   dominance=((0, 1),)),
+                        target=comps[1])
+        assert validate_pair(pair) == []
+        grammar = _grammar((pair,))
+        sentence = tokenize("b.", grammar)
+        parsed = all_derivations(sentence, grammar)
+        assert len(parsed) == 2
+        first, second = (ranking_key(d, grammar) for d in parsed)
+        assert first < second
+        assert parsed == brute_force_derivations(sentence, grammar)
 
 
 class TestFootPositions:

@@ -5,6 +5,8 @@ import itertools
 import pytest
 
 from support import (
+    AMBIGUOUS_FRONTED,
+    AMBIGUOUS_GRAMMAR,
     CHASE_CANONICAL,
     CHASE_SCRAMBLED,
     CHASE_WORDS,
@@ -130,6 +132,19 @@ class TestFailureModes:
         monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 52)
         with pytest.raises(LimitExceededError) as info:
             all_derivations(sentence, g_chase)
+        assert info.value.code == "limit-exceeded"
+
+    def test_groupings_are_capped(self, monkeypatch):
+        # each instance tree of the three fronted objects groups in 3! = 6
+        # ways; the cap is checked before any grouping is built
+        grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
+        sentence = tokenize(AMBIGUOUS_FRONTED, grammar)
+        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 6)
+        levels = parse(sentence, grammar, all_levels=True)
+        assert [len(level.trees) for level in levels] == [6, 6]
+        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 5)
+        with pytest.raises(LimitExceededError) as info:
+            parse(sentence, grammar)
         assert info.value.code == "limit-exceeded"
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
@@ -280,10 +295,11 @@ class TestChartTables:
 
 
 class TestForest:
-    """Pass 2 unpacks the hyperedges pass 1 records. Within a budget it
-    returns exactly the parses that fit, the cheapest of them at pass 1's
-    least cost, each instance counting itself, and it concatenates
-    attachments left to right, an adjunction after those below it."""
+    """Pass 2 unpacks the hyperedges pass 1 records, each with the cost it
+    fired at. Within a budget it returns exactly the parses that fit, each
+    once, the cheapest of them at pass 1's least cost, each instance
+    counting itself, and it concatenates attachments left to right, an
+    adjunction after those below it."""
 
     BUDGET = 8
 
@@ -303,17 +319,35 @@ class TestForest:
             yield record
             stack.extend((1, op.ops, op.size) for op in record[1])
 
+    @staticmethod
+    def at_table(key):
+        """A point item's key in the point table, which holds it at 0."""
+        sym, i, j, gap = key
+        return (sym, 0, 0, gap and (0, 0)) if i == j else key
+
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
                                          grammar.chart_tables, self.BUDGET)
+        t = span.tables
         # point items come from the grammar's table, at every position
         points = [((sym, i, i, gap and (i, i)), least)
-                  for (sym, _, _, gap), least in span.tables.point_best.items()
+                  for (sym, _, _, gap), least in t.point_best.items()
                   for i in range(len(span.lex) + 1)]
         assert all(i < j for _, i, j, _ in span.best)
+        best = {**span.best, **t.point_best}
+        edges = {**span.edges, **t.point_edges}
         for key, least in [*span.best.items(), *points]:
-            assert span.least(key) == least
+            # each hyperedge carries the cost it fired at: the item's own
+            # instance count plus its antecedents' least costs
+            own = int(0 <= key[0] - t.inst0 < len(t.comps))
+            found = edges[self.at_table(key)]
+            for edge in found:
+                assert edge[0] == own + sum(best[self.at_table(ante)]
+                                            for ante in edge[1:])
+            assert min(edge[0] for edge in found) == least
             parses = span.unpack(key, self.BUDGET)
+            # distinct hyperedges derive distinct instance trees
+            assert len(set(parses)) == len(parses)
             assert min(map(self.size, parses)) == least
             for tighter in range(least, self.BUDGET):
                 assert span.unpack(key, tighter) == tuple(
