@@ -9,22 +9,25 @@ foot gap. It runs as two passes over one chart of TAG CKY items (node, span
 and foot gap). The node numbering and the deduction rules depend only on
 the grammar, so they are built once per grammar (``ChartTables``) and
 shared by all its parses. A node where no adjunction can happen has one
-symbol for "with" and "without an adjunction here", and foot items are
-implicit: a foot covers any span at cost 0, so the chart never holds them.
-Point items, which cover no words (trace components, the slots they fill,
-zero-width auxiliaries), are implicit too: their antecedents are point items
-at the same position, so their least costs and hyperedges depend on the
-grammar alone. ``ChartTables`` derives them once, as pass 1 over the empty
-sentence (the point table), and a sentence's chart holds only items that
-cover words.
+symbol for "with" and "without an adjunction here". Point items, which
+cover no words (trace components, the slots they fill, zero-width
+auxiliaries, feet), are implicit: their antecedents are point items at the
+same position, so their least costs and hyperedges depend on the grammar
+alone. ``ChartTables`` derives them once, as pass 1 over the empty sentence
+(the point table), and a sentence's chart holds only items that cover
+words. An item with nothing after its foot has an open gap: it covers the
+words up to its foot, and the gap's right end stays unfixed until a partner
+over words to its right fixes it. So a foot's left sibling makes one item,
+not one per right end of the gap, and a foot is an open point item: its gap
+is all it covers. This is how Tree Insertion Grammar (Schabes & Waters
+1995) parses auxiliaries with a foot at one end in cubic time.
 
 1. Recognition builds a packed forest: a Knuth-style worklist finds the
    least instance count of every derivable item and records every rule
    firing, with its cost, as a hyperedge of its consequent. Items form
    cycles (stacked and zero-width auxiliaries over one span); the worklist
-   settles each item once, at its least cost, so cycles end. A foot's
-   sibling yields the items with every foot gap next to it, items over just
-   their foot gap come from the point table, and so do point partners.
+   settles each item once, at its least cost, so cycles end. Point
+   partners come from the point table.
 2. Enumeration unpacks the instance trees from the forest top down, and
    ``max_uses`` is applied here as an instance budget. Every item's parse
    is one record, an (ops, size) pair: its attachments, each an ``Op``
@@ -32,7 +35,8 @@ cover words.
    instance count. Each call returns exactly the parses within its budget,
    and skips every hyperedge whose cost exceeds what is left of it, so only
    productive items are ever visited. A point item's hyperedges are read
-   from the point table at its position.
+   from the point table at its position, and an open item's parses serve
+   every right end of its gap. ``MAX_PARSES`` caps the parses it stores.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
@@ -88,9 +92,16 @@ from .morphotok import TokenizedSentence
 # pass-1 chart items one parse may settle before it gives up with the coded
 # error limit-exceeded (the benchmark's largest chart holds a few hundred)
 MAX_CHART_ITEMS = 200_000
+# pass-2 parses one parse may hold in its memo before the coded error
+# limit-exceeded (the benchmark stores at most 188, a depth-197 chain 2,188)
+MAX_PARSES = 100_000
 # groupings of one instance tree before the coded error limit-exceeded: k
 # instances of one set pair make k! (3! = 6 in the benchmark's grammars)
 MAX_GROUPINGS = 10_000
+
+# the gap of an item with no words after its foot: it runs from the item's
+# end to a right end that the item leaves unfixed
+OPEN = "open"
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,10 @@ class ChartTables:
     Every component gets a component id (``comps`` maps it to its pair
     name and component index, ``comp_id`` back) and every node an integer
     id, in the preorder of ``ElementaryTree.nodes``. An item is a symbol
-    over lex[i:j], plus the foot gap when the subtree holds a foot:
+    over lex[i:j], plus the foot gap (gi, gj) when the subtree holds a foot,
+    with gj < j; or, when no words follow the foot, ``OPEN``: the item
+    covers lex[i:j] and its foot gap runs from j to a right end it leaves
+    unfixed. The symbols are:
 
     - at symbol (the node id n): the subtree at n, with at most one
       adjunction at n;
@@ -142,19 +156,19 @@ class ChartTables:
       from the k-th on. The first is p's below symbol and the last the at
       symbol of p's last child; the ones in between get ids of their own.
 
-    Foot items are implicit: a foot covers any span, as its own gap, at
-    cost 0, so pass 1 never builds them (see ``_SpanParser._recognize``).
-
-    A point item covers no words: its span is (i, i) and its foot gap, if
-    any, is (i, i) too. Its antecedents are point items at the same
-    position, so no sentence or position changes its least cost or its
-    hyperedges. The point table is pass 1 over the empty sentence with no
-    budget: ``point_best`` and ``point_edges`` hold its chart, every item
-    at position 0, and ``points`` its least costs by symbol, as (gapped,
-    cost) pairs, for pass 1's partner lookups; ``gap_roots`` its firings,
-    as (symbol, hyperedge), of gapped items from gap-free antecedents (a
-    lone foot, or a foot and a point sibling), which over any span cover
-    only their foot gap. A sentence's pass 1 never queues point items.
+    A point item covers no words: its span is (i, i), and its foot gap,
+    if any, is open. Its antecedents are point items at the same position,
+    so no sentence or position changes its least cost or its hyperedges.
+    A foot (``feet``, the at symbols of every foot that can be derived) is
+    a point item at cost 0 whose gap is all it covers, so it is an operand
+    like any other child. The point table is pass 1 over the empty
+    sentence with no budget: ``point_best`` and ``point_edges`` hold its
+    chart, every item at position 0 and every gap (0, 0), the only right
+    end there. For pass 1's partner lookups, ``points`` holds its least
+    costs by symbol, as (gap, cost) pairs with the gap ``None`` or
+    ``OPEN``, and ``point_auxes`` the zero-width auxiliaries by category,
+    as (instance symbol, cost). A sentence's pass 1 never queues point
+    items.
 
     The deduction rules are written once, here, indexed by antecedent
     symbol, and the symbols themselves are construction locals. Pass 2
@@ -195,16 +209,14 @@ class ChartTables:
         self.inst0 = next_sym
         next_sym += len(self.comps)
 
-        # the deduction rules, indexed by antecedent symbol
-        # foot at symbols: an obligatory-adjoining foot is never derivable
-        feet = frozenset(n for n, node in enumerate(nodes)
-                         if node.kind == KIND_FOOT and below[n] == n)
+        # the deduction rules, indexed by antecedent symbol; a foot is an
+        # open point item (it covers only its gap), so it is an operand like
+        # any other. An obligatory-adjoining foot is never derivable.
+        self.feet = [n for n, node in enumerate(nodes)
+                     if node.kind == KIND_FOOT and below[n] == n]
         self.unary: dict[int, list[tuple[int, int]]] = {}
         self.as_left: dict[int, tuple[int, int]] = {}
         self.as_right: dict[int, tuple[int, int]] = {}
-        self.foot_left: dict[int, int] = {}   # right sibling of a foot -> out
-        self.foot_right: dict[int, int] = {}  # left sibling of a last foot -> out
-        self.foot_only: list[int] = []        # below symbols over a lone foot
         self.lex_syms: dict[str, list[int]] = {}
         self.empty_syms: list[int] = []
         # cat -> (node id, below symbol) of its adjoinable nodes
@@ -233,18 +245,10 @@ class ChartTables:
             next_sym += len(middle)
             out = (below[n], *middle, *kids[-1:])
             if len(kids) == 1:
-                if kids[0] in feet:
-                    self.foot_only.append(out[0])
-                else:
-                    self.unary.setdefault(kids[0], []).append((out[0], 0))
+                self.unary.setdefault(kids[0], []).append((out[0], 0))
             for k in range(len(kids) - 1):
-                if kids[k] in feet:
-                    self.foot_left[out[k + 1]] = out[k]
-                elif k == len(kids) - 2 and kids[k + 1] in feet:
-                    self.foot_right[kids[k]] = out[k]
-                else:
-                    self.as_left[kids[k]] = (out[k + 1], out[k])
-                    self.as_right[out[k + 1]] = (kids[k], out[k])
+                self.as_left[kids[k]] = (out[k + 1], out[k])
+                self.as_right[out[k + 1]] = (kids[k], out[k])
         for c, (root, is_aux) in enumerate(roots):
             inst = self.inst0 + c
             self.unary.setdefault(root, []).append((inst, 1))
@@ -257,16 +261,16 @@ class ChartTables:
         # the point table: pass 1 over the empty sentence, with no budget,
         # derives every point item; its least cost and hyperedges are the
         # same at every position of every sentence. That run covers no
-        # words, so it meets no point partners and seeds no gap roots.
-        self.points: dict[int, list[tuple[bool, int]]] = {}
-        self.gap_roots: list[tuple[int, tuple]] = []
+        # words, so it meets no point partners, and its gaps all end at 0.
+        self.points: dict[int, list[tuple[str | None, int]]] = {}
+        self.point_auxes: dict[str, list[tuple[int, int]]] = {}
         empty = _SpanParser((), self, budget=math.inf)
         self.point_best, self.point_edges = empty.best, empty.edges
         for (sym, _, _, gap), cost in self.point_best.items():
-            self.points.setdefault(sym, []).append((gap is not None, cost))
-        self.gap_roots = [(key[0], edge) for key, found in self.point_edges.items()
-                          if key[3] for edge in found
-                          if not any(ante[3] for ante in edge[1:])]
+            self.points.setdefault(sym, []).append((gap and OPEN, cost))
+            if sym in self.aux_cat:
+                self.point_auxes.setdefault(self.aux_cat[sym], []).append(
+                    (sym, cost))
 
 
 class _SpanParser:
@@ -284,6 +288,7 @@ class _SpanParser:
         self.tables = tables
         self.best, self.edges = self._recognize()
         self._memo: dict[tuple[tuple, int], tuple] = {}
+        self._stored = 0    # parses held in the memo
 
     def _recognize(self) -> tuple[dict[tuple, int], dict[tuple, list[tuple]]]:
         """Pass 1: the least instance count of every derivable item that
@@ -300,20 +305,30 @@ class _SpanParser:
         consequent's own instance count plus its antecedents' least costs),
         then its antecedent item keys, left to right.
 
-        Foot items are never queued: a gap-free sibling of a foot, once
-        settled, yields the sequence item for every foot gap on its open
-        side, and the items that cover only their foot gap are seeded over
-        every span from ``ChartTables.gap_roots``. Point items (over no
-        words) are never queued either, except over the empty sentence,
-        whose chart is the point table: an item that settles meets its
-        point partners there, a left operand at its end, a right operand at
-        its start and an auxiliary with a gap over no words the hosts
-        there. The chart is capped at ``MAX_CHART_ITEMS`` items.
+        Point items (over no words, feet among them) are never queued,
+        except over the empty sentence, whose chart is the point table: an
+        item that settles meets its point partners there, a left operand
+        at its end, a right operand at its start, a host the zero-width
+        auxiliaries and an auxiliary the hosts at its gap's start.
+
+        An open gap is carried unchanged by unary rules, by a gap-free left
+        operand and by a point partner on its right. Each rule that fixes
+        its right end loops over the settled partners, never over the
+        right ends:
+        - an open left operand meets a gap-free right operand over words
+          that starts at or after its end, which ends the gap there;
+        - an open auxiliary adjoins at a host that starts where its gap
+          does, and its gap ends where the host does;
+        - a closed auxiliary adjoins at an open host whose words its gap
+          covers, and the host's gap ends where the auxiliary's does.
+        A right operand whose left partner covers only its gap, such as a
+        foot, still yields one item per left end of that gap. The chart is
+        capped at ``MAX_CHART_ITEMS`` items.
         """
         t, n_lex, budget = self.tables, len(self.lex), self.budget
         unary, as_left, as_right = t.unary, t.as_left, t.as_right
-        foot_left, foot_right = t.foot_left, t.foot_right
-        hosts, host_of, aux_cat, points = t.hosts, t.host_of, t.aux_cat, t.points
+        hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
+        points, point_auxes = t.points, t.point_auxes
         best: dict[tuple, int] = {}
         edges: dict[tuple, list[tuple]] = {}
         queue: list[list[tuple]] = [[]]
@@ -333,24 +348,35 @@ class _SpanParser:
                     queue.append([])
                 queue[cost].append(key)
 
+        def adjoined(n, host, aux):
+            """The item at node n with aux adjoined at host, which starts
+            where the gap of aux does; None where their ends disagree."""
+            gap, agap = host[3], aux[3]
+            if agap is OPEN:        # the gap of aux ends where host does
+                return (n, aux[1], host[2], gap)
+            if gap is OPEN:         # the gap of host ends where that of aux does
+                if host[2] <= agap[1]:
+                    return (n, aux[1], aux[2], (host[2], agap[1]))
+            elif host[2] == agap[1]:
+                return (n, aux[1], aux[2], gap)
+            return None
+
         for i, word in enumerate(self.lex):
             for sym in t.lex_syms.get(word, ()):
                 push((sym, i, i + 1, None), (0,))
         if not n_lex:   # the point table's own run
             for sym in t.empty_syms:
                 push((sym, 0, 0, None), (0,))
-            for sym in t.foot_only:
+            for sym in t.feet:
                 push((sym, 0, 0, (0, 0)), (0,))
-        for sym, edge in t.gap_roots:
-            for i in range(n_lex):
-                for j in range(i + 1, n_lex + 1):
-                    push((sym, i, j, (i, j)), edge)
 
         # partner indexes of settled item keys
         ends: dict[tuple[int, int], list] = {}      # left operands by end
         starts: dict[tuple[int, int], list] = {}    # right operands by start
-        aux_by_gap: dict[tuple[str, int, int], list] = {}
-        hosts_by_span: dict[tuple[int, int, int], list] = {}
+        open_lefts: dict[int, list] = {}            # open left operands
+        free_rights: dict[int, list] = {}           # gap-free right operands
+        aux_by_gap: dict[tuple[str, int], list] = {}     # by gap start
+        host_items: dict[tuple[int, int], list] = {}     # by node and start
         cost = 0
         while cost < len(queue):
             for key in queue[cost]:     # the bucket grows while it is read
@@ -359,27 +385,24 @@ class _SpanParser:
                 sym, i, j, gap = key
                 for out, extra in unary.get(sym, ()):
                     push((out, i, j, gap), (cost + extra, key))
-                if gap is None:
-                    if sym in foot_left:
-                        out = foot_left[sym]
-                        for k in range(i + 1):
-                            push((out, k, j, (k, i)), (cost, key))
-                    if sym in foot_right:
-                        out = foot_right[sym]
-                        for k in range(j, n_lex + 1):
-                            push((out, i, k, (j, k)), (cost, key))
                 if sym in as_left:
                     right, out = as_left[sym]
-                    ends.setdefault((sym, j), []).append(key)
-                    for other in starts.get((right, j), ()):
-                        if gap is None or other[3] is None:
-                            push((out, i, other[2], gap or other[3]),
-                                 (cost + best[other], key, other))
-                    for gapped, extra in points.get(right, ()):
-                        if gap is None or not gapped:
-                            other = (right, j, j, (j, j) if gapped else None)
-                            push((out, i, j, gap or other[3]),
-                                 (cost + extra, key, other))
+                    if gap is OPEN:     # a right partner over words closes it
+                        open_lefts.setdefault(sym, []).append(key)
+                        for other in free_rights.get(right, ()):
+                            if other[1] >= j:
+                                push((out, i, other[2], (j, other[1])),
+                                     (cost + best[other], key, other))
+                    else:
+                        ends.setdefault((sym, j), []).append(key)
+                        for other in starts.get((right, j), ()):
+                            if gap is None or other[3] is None:
+                                push((out, i, other[2], gap or other[3]),
+                                     (cost + best[other], key, other))
+                    for pgap, extra in points.get(right, ()):
+                        if gap is None or pgap is None:
+                            push((out, i, j, gap or pgap),
+                                 (cost + extra, key, (right, j, j, pgap)))
                 if sym in as_right:
                     left, out = as_right[sym]
                     starts.setdefault((sym, i), []).append(key)
@@ -387,29 +410,43 @@ class _SpanParser:
                         if gap is None or other[3] is None:
                             push((out, other[1], j, gap or other[3]),
                                  (cost + best[other], other, key))
-                    for gapped, extra in points.get(left, ()):
-                        if gap is None or not gapped:
-                            other = (left, i, i, (i, i) if gapped else None)
-                            push((out, i, j, gap or other[3]),
-                                 (cost + extra, other, key))
+                    if gap is None:
+                        free_rights.setdefault(sym, []).append(key)
+                        for other in open_lefts.get(left, ()):
+                            if other[2] <= i:
+                                push((out, other[1], j, (other[2], i)),
+                                     (cost + best[other], other, key))
+                    for pgap, extra in points.get(left, ()):
+                        if pgap is None:
+                            push((out, i, j, gap),
+                                 (cost + extra, (left, i, i, None), key))
+                        elif gap is None:   # its gap runs from any p to i
+                            for p in range(i + 1):
+                                push((out, p, j, (p, i)),
+                                     (cost + extra, (left, p, p, OPEN), key))
                 if sym in host_of:
                     n, cat = host_of[sym]
-                    hosts_by_span.setdefault((n, i, j), []).append(key)
-                    for aux in aux_by_gap.get((cat, i, j), ()):
-                        push((n, aux[1], aux[2], gap),
-                             (cost + best[aux], key, aux))
+                    host_items.setdefault((n, i), []).append(key)
+                    for aux in aux_by_gap.get((cat, i), ()):
+                        out = adjoined(n, key, aux)
+                        if out:
+                            push(out, (cost + best[aux], key, aux))
+                    for aux, extra in point_auxes.get(cat, ()):
+                        push((n, i, j, gap),
+                             (cost + extra, key, (aux, i, i, OPEN)))
                 if sym in aux_cat:
-                    gi, gj = gap
-                    aux_by_gap.setdefault((aux_cat[sym], gi, gj), []).append(key)
+                    gi = j if gap is OPEN else gap[0]
+                    aux_by_gap.setdefault((aux_cat[sym], gi), []).append(key)
                     for n, below in hosts.get(aux_cat[sym], ()):
-                        for host in hosts_by_span.get((n, gi, gj), ()):
-                            push((n, i, j, host[3]),
-                                 (cost + best[host], host, key))
-                        if gi == gj:    # hosts over no words
-                            for gapped, extra in points.get(below, ()):
-                                host = (below, gi, gi, gap if gapped else None)
-                                push((n, i, j, host[3]),
-                                     (cost + extra, host, key))
+                        for host in host_items.get((n, gi), ()):
+                            out = adjoined(n, host, key)
+                            if out:
+                                push(out, (cost + best[host], host, key))
+                        for pgap, extra in points.get(below, ()):
+                            host = (below, gi, gi, pgap)
+                            out = adjoined(n, host, key)
+                            if out:
+                                push(out, (cost + extra, host, key))
             cost += 1
         return best, edges
 
@@ -425,7 +462,10 @@ class _SpanParser:
         consequent's ``site``. Every cycle of items passes through an
         instance, which costs one, so the budget bounds the recursion.
         Parses hold no positions, so a point item has the same parses at
-        every position: those of its point-table entry at position 0.
+        every position: those of its point-table entry at position 0, and
+        an open item the same for every right end of its gap. More than
+        ``MAX_PARSES`` parses in the memo, counted as they are built, are
+        refused.
         """
         t = self.tables
         sym, i, j, gap = key
@@ -454,7 +494,11 @@ class _SpanParser:
                         if attached:
                             sub_ops = (Op(*t.site[sym], comp, sub_ops, sub_size),)
                         grown.append((ops + sub_ops, size + sub_size))
+                    if self._stored + len(grown) > MAX_PARSES:
+                        raise LimitExceededError(
+                            f"the input needs more than {MAX_PARSES} parses")
                 partial = grown
+            self._stored += len(partial)
             parses.extend(partial)
         hit = self._memo[key, budget] = tuple(parses)
         return hit

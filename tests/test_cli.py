@@ -96,12 +96,12 @@ class TestTranslate:
         assert canonical == "Mary says Tom chases Jerry."
 
     def test_chart_limit_is_a_coded_error(self, capsys, monkeypatch):
-        # pass 1 over the object fronted over two embedding verbs settles
-        # 77 items, over the canonical sentence 42: under a cap of 50 the
+        # pass 1 over the object fronted over three embedding verbs settles
+        # 62 items, over the canonical sentence 36: under a cap of 50 the
         # first is refused and the batch goes on to the second
         monkeypatch.setattr("stagmt.parser.MAX_CHART_ITEMS", 50)
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f"{fronted_chain(2)}\n{EMBEDDED_CANONICAL}\n"))
+            f"{fronted_chain(3)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")
         assert status == 1
         assert out == "ERROR\nMary says Tom chases Jerry.\n"

@@ -9,7 +9,9 @@ anchor, since the oracle refuses anchorless pairs. Sentences are the yields
 of random derivations (``support.random_derivation``), their shuffles and
 small edits, and short strings over the grammar's words. On each, the
 parser's derivations must equal the oracle's, in the same order, at the
-default budget and at the tightest one that keeps a derivation.
+default budget and at the tightest one that keeps a derivation. A draw past
+either side's coded bound (the oracle's configurations, the parser's
+pass-2 parses) is rejected.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
 (see ``conftest.py``) runs many more grammars.
@@ -41,7 +43,7 @@ from stagmt.model import (
     validate_pair,
 )
 from stagmt import oracle
-from stagmt.errors import OracleBoundError
+from stagmt.errors import LimitExceededError, OracleBoundError
 from stagmt.morphotok import tokenize
 from stagmt.oracle import brute_force_derivations
 from stagmt.parser import all_derivations
@@ -196,7 +198,15 @@ def test_parser_equals_oracle(data):
         except OracleBoundError:
             reject()
     event("parses" if found else "no parse")
-    assert all_derivations(sentence, grammar) == found
+    try:
+        parsed = all_derivations(sentence, grammar)
+    except LimitExceededError:
+        # past the parser's own coded bound on pass-2 parses (a stack of
+        # zero-width auxiliaries can make millions): as with the oracle's
+        # bound, the draw has nothing to compare
+        event("parser limit")
+        reject()
+    assert parsed == found
     if found:
         # a least cost set too high would lose the smallest derivations
         fewest = min(len(d.uses) for d in found)

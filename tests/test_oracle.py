@@ -298,8 +298,11 @@ class TestRankingOrder:
 
 
 class TestFootPositions:
-    """Pass 1 never builds foot items; it derives them from the foot's
-    siblings. The shipped grammars only have feet in last position."""
+    """A foot is a point item that covers only its gap. An item whose foot
+    is last leaves its gap's right end open, and only a partner over words
+    to its right fixes it: a right sibling, an auxiliary adjoined at its
+    root or at a node on its spine, or a host it adjoins at. The shipped
+    grammars only have feet in last position."""
 
     CAL = lex("A", "cal")
     TTU = lex("B", "ttu")
@@ -322,11 +325,44 @@ class TestFootPositions:
          "cal Tom-i Jerry-lul ccossnunta.", 1),
         (interior("S", CAL, interior("S", foot("S"))),
          "cal Tom-i Jerry-lul ccossnunta.", 1),
+        # foot last under an inner node: the open gap ends where the right
+        # sibling starts, which settles before the open item (ttu) or after
+        # it (Y over ttu)
+        (interior("S", interior("X", CAL, foot("S")), TTU),
+         "cal Tom-i Jerry-lul ccossnunta ttu.", 1),
+        (interior("S", interior("X", CAL, foot("S")), interior("Y", TTU)),
+         "cal Tom-i Jerry-lul ccossnunta ttu.", 1),
     ])
     def test_parser_equals_oracle(self, g_chase, singletons, tree, line, count):
         beta = _singleton("beta_cal", tree, priority=2)
         assert validate_pair(beta) == []
         self.check(_grammar(singletons + (beta,), g_chase.particles), line, count)
+
+    @pytest.mark.parametrize("line, count", [
+        ("ttu Tom-i Jerry-lul ccossnunta cal.", 2),
+        ("ttu ttu Tom-i Jerry-lul ccossnunta cal.", 3)])
+    def test_auxiliary_at_an_auxiliary_root(self, g_chase, singletons,
+                                            line, count):
+        # S(S* cal) adjoined at the root of S(ttu S*) closes its open gap,
+        # and S(ttu S*) adjoined at the root of S(S* cal) ends its own gap
+        # where the host ends
+        betas = (_singleton("beta_cal", interior("S", foot("S"), self.CAL), 2),
+                 _singleton("beta_ttu", interior("S", self.TTU, foot("S")), 2))
+        self.check(_grammar(singletons + betas, g_chase.particles), line, count)
+
+    def test_zero_width_auxiliary_over_words(self, g_chase, singletons):
+        # S(e S*) covers only its gap, open at any position, and adjoins at
+        # the hosts over words: the chase root or the root of S(cal S*)
+        zero_width = SyncPair(
+            name="beta_cal",
+            source=SourceSet((
+                ElementaryTree(interior("S", empty(), foot("S"))),
+                ElementaryTree(interior("S", self.CAL, foot("S"))))),
+            target=ElementaryTree(interior("S", foot("S"))),
+            priority=2)
+        assert validate_pair(zero_width) == []
+        self.check(_grammar(singletons + (zero_width,), g_chase.particles),
+                   "cal Tom-i Jerry-lul ccossnunta.", 2)
 
     @pytest.mark.parametrize("tree", [
         interior("E", foot("E"), CAL),

@@ -124,15 +124,42 @@ class TestFailureModes:
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
 
     def test_chart_size_is_capped(self, g_chase, monkeypatch):
-        # the canonical sentence settles 53 pass-1 items; the cap is checked
+        # the canonical sentence settles 39 pass-1 items; the cap is checked
         # only when a new item enters the chart
         sentence = tokenize(CHASE_CANONICAL, g_chase)
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 53)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 39)
         assert len(all_derivations(sentence, g_chase)) == 3
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 52)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 38)
         with pytest.raises(LimitExceededError) as info:
             all_derivations(sentence, g_chase)
         assert info.value.code == "limit-exceeded"
+
+    def test_parses_are_capped(self, g_chase, monkeypatch):
+        # pass 2 stores 61 parses for the canonical sentence, counted as
+        # each hyperedge's parses are built
+        sentence = tokenize(CHASE_CANONICAL, g_chase)
+        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 61)
+        assert len(all_derivations(sentence, g_chase)) == 3
+        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 60)
+        with pytest.raises(LimitExceededError) as info:
+            all_derivations(sentence, g_chase)
+        assert info.value.code == "limit-exceeded"
+
+    def test_long_input_fails_as_no_parse(self, g_chase):
+        # every subject and object before the verb is the left sibling of
+        # a scrambling auxiliary's foot; with the gap's right end left open
+        # each makes one item, not one per right end, so 81 lexical items
+        # settle 2,148 items (48,028 with one per right end), and 161 end
+        # in no-parse, not the chart cap
+        line = "Tom-i Jerry-lul " * 20 + "ccossnunta."
+        lex_stream = tokenize(line, g_chase).lex_stream
+        assert len(lex_stream) == 81
+        span = stagmt.parser._SpanParser(lex_stream, g_chase.chart_tables,
+                                         budget=(len(lex_stream) + 2) * 2)
+        assert len(span.best) == 2_148
+        with pytest.raises(NoParseError):
+            parse(tokenize("Tom-i Jerry-lul " * 40 + "ccossnunta.", g_chase),
+                  g_chase)
 
     def test_groupings_are_capped(self, monkeypatch):
         # each instance tree of the three fronted objects groups in 3! = 6
@@ -330,7 +357,7 @@ class TestForest:
                                          grammar.chart_tables, self.BUDGET)
         t = span.tables
         # point items come from the grammar's table, at every position
-        points = [((sym, i, i, gap and (i, i)), least)
+        points = [((sym, i, i, gap and stagmt.parser.OPEN), least)
                   for (sym, _, _, gap), least in t.point_best.items()
                   for i in range(len(span.lex) + 1)]
         assert all(i < j for _, i, j, _ in span.best)
@@ -377,8 +404,9 @@ class TestForest:
             assert all(i < j for _, i, j, _ in span.best)
 
     def test_gapped_point_items(self, g_chase):
-        # a foot that is an only child and a zero-width auxiliary S(e S*)
-        # both make point items with a gap over no words
+        # besides the feet themselves, a foot that is an only child and a
+        # zero-width auxiliary S(e S*) both make point items that cover
+        # only their gap
         def pair(name, *trees):
             return SyncPair(name=name, source=SourceSet(tuple(
                 ElementaryTree(tree) for tree in trees)),
@@ -393,20 +421,21 @@ class TestForest:
             source_language="ko", target_language="en", start_symbol="S",
             particles=g_chase.particles)
         tables = grammar.chart_tables
-        assert any(gap for _, _, _, gap in tables.point_best)
-        assert tables.foot_only
+        gapped = {sym for sym, _, _, gap in tables.point_best if gap}
+        assert gapped - set(tables.feet)
+        assert tables.point_auxes
         self.check(grammar, "cal ttu Tom-i Jerry-lul ccossnunta.")
 
     def test_point_table_and_chart_sizes(self, g_chase):
-        # the chase traces and the slots they fill are 11 point items, which
-        # at each of this no-parse input's six positions would add 66 items
-        # to the 51 that cover words
+        # the chase traces, the slots they fill and the three feet are 14
+        # point items, which at each of this no-parse input's six positions
+        # would add 84 items to the 37 that cover words
         tables = g_chase.chart_tables
-        assert len(tables.point_best) == 11
+        assert len(tables.point_best) == 14
         span = stagmt.parser._SpanParser(
             tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream,
             tables, self.BUDGET)
-        assert len(span.best) == 51
+        assert len(span.best) == 37
 
     def test_left_operand_dearer_than_the_right(self):
         # L(X X) costs two and settles after the X slot to its right, so
