@@ -29,11 +29,16 @@ SENTENCES = {
     "chase": ("Tom-i", "Jerry-lul", "ccossnunta"),
     "ditransitive": ("Tom-i", "Mary-eykey", "Jerry-lul", "cwunta"),
     "embedded": ("Mary-ka", "Tom-i", "Jerry-lul", "ccossnunta", "malhanta"),
+    "ambiguous": ("Tom-i", "Jerry-lul", "Jerry-lul", "Jerry-lul", "nayelhanta"),
 }
+# grammars that are not shipped with the package, by file; the benchmark's
+# three-object grammar makes phase 2 group a set's instances in 3! ways
+GRAMMAR_FILES = {"ambiguous": Path(__file__).resolve().parents[1] / "benchmark"
+                 / "grammars" / "ambiguous.grammar"}
 
 
 def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
-    grammar = load_grammar(name)
+    grammar = load_grammar(str(GRAMMAR_FILES.get(name, name)))
     lines = [" ".join(order) + "."
              for order in sorted(set(itertools.permutations(words)))]
     mismatches = 0

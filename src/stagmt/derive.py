@@ -363,10 +363,6 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
             out.append(f"({label} {node.word})")
         elif node.kind == KIND_EMPTY:
             out.append("e")
-        elif node.kind == KIND_SUBST:
-            out.append(f"({label} _)")
-        elif node.kind == KIND_FOOT:
-            out.append(f"({label} *)")
         else:
             out.append(f"({label} ")
             stack.append(")")
@@ -413,9 +409,6 @@ def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
     lines = []
     for use, name in enumerate(derivation.uses):
         pair = grammar.pair(name)
-        if use == derivation.root:
-            lines.append(f"u{use} {name} (root)")
-            continue
         parts = []
         for comp in range(pair.n_components):
             att = derivation.attachment_of(use, comp)
@@ -426,7 +419,9 @@ def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
                 parts.append(f"c{comp} {att.op} {where}")
             else:
                 parts.append(f"{att.op} {where}")
-        lines.append(f"u{use} {name}: " + ", ".join(parts))
+        # the root's head attaches nowhere, but its further components do
+        label = f"u{use} {name}" + (" (root)" if use == derivation.root else "")
+        lines.append(f"{label}: {', '.join(parts)}" if parts else label)
     return "\n".join(lines)
 
 

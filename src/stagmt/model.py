@@ -429,13 +429,11 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
 
     # Substitution slots in the head component and target must be linked;
     # other components may be unlinked.
-    head_tree = src.components[src.head] if 0 <= src.head < len(src.components) else None
-    if head_tree is not None:
-        for addr in head_tree.subst_addresses:
-            if pair.link_for(src.head, addr) is None:
-                diag("unlinked-substitution",
-                     f"substitution slot {addr} in head component has no link",
-                     addr=str(addr))
+    for addr in src.components[src.head].subst_addresses:
+        if pair.link_for(src.head, addr) is None:
+            diag("unlinked-substitution",
+                 f"substitution slot {addr} in head component has no link",
+                 addr=str(addr))
     linked_tgts = {l.tgt for l in pair.links}
     for addr in pair.target.subst_addresses:
         if addr not in linked_tgts:

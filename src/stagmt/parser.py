@@ -15,28 +15,31 @@ auxiliaries, feet), are implicit: their antecedents are point items at the
 same position, so their least costs and hyperedges depend on the grammar
 alone. ``ChartTables`` derives them once, as pass 1 over the empty sentence
 (the point table), and a sentence's chart holds only items that cover
-words. An item with nothing after its foot has an open gap: it covers the
-words up to its foot, and the gap's right end stays unfixed until a partner
-over words to its right fixes it. So a foot's left sibling makes one item,
-not one per right end of the gap, and a foot is an open point item: its gap
-is all it covers. This is how Tree Insertion Grammar (Schabes & Waters
-1995) parses auxiliaries with a foot at one end in cubic time.
+words. A point item's only key is its point-table key, whatever position
+it fills, so a sentence's forest is one hyperedge map: the point table's
+hyperedges and those of the items over words. An item with nothing after
+its foot has an open gap: it covers the words up to its foot, and the gap's
+right end stays unfixed until a partner over words to its right fixes it.
+So a foot's left sibling makes one item, not one per right end of the gap,
+and a foot is an open point item: its gap is all it covers. This is how
+Tree Insertion Grammar (Schabes & Waters 1995) parses auxiliaries with a
+foot at one end in cubic time.
 
 1. Recognition builds a packed forest: a Knuth-style worklist finds the
    least instance count of every derivable item and records every rule
    firing, with its cost, as a hyperedge of its consequent. Items form
    cycles (stacked and zero-width auxiliaries over one span); the worklist
    settles each item once, at its least cost, so cycles end. Point
-   partners come from the point table.
+   partners come from the point table. No budget applies here.
 2. Enumeration unpacks the instance trees from the forest top down, and
-   ``max_uses`` is applied here as an instance budget. Every item's parse
-   is one record, an (ops, size) pair: its attachments, each an ``Op``
-   holding the attached instance's component id and record, and its
-   instance count. Each call returns exactly the parses within its budget,
-   and skips every hyperedge whose cost exceeds what is left of it, so only
-   productive items are ever visited. A point item's hyperedges are read
-   from the point table at its position, and an open item's parses serve
-   every right end of its gap. ``MAX_PARSES`` caps the parses it stores.
+   ``max_uses`` is applied here, and only here, as an instance budget.
+   Every item's parse is one record, an (ops, size) pair: its attachments,
+   each an ``Op`` holding the attached instance's component id and
+   attachments, and its instance count. Each call returns exactly the
+   parses within its budget, and skips every hyperedge whose cost exceeds
+   what is left of it, so only productive items are ever visited. It reads
+   the one hyperedge map, and an open item's parses serve every right end
+   of its gap. ``MAX_PARSES`` caps the parses it stores.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
@@ -107,14 +110,12 @@ OPEN = "open"
 @dataclass(frozen=True)
 class Op:
     """One attached instance: the elementary site and operation it attaches
-    by, its component id, and its own attachments and instance count, the
-    instance itself included."""
+    by, its component id, and its own attachments."""
 
     site: GornAddress
     op: str
     comp: int
     ops: tuple[Op, ...]
-    size: int
 
 
 @dataclass(frozen=True)
@@ -162,19 +163,19 @@ class ChartTables:
     A foot (``feet``, the at symbols of every foot that can be derived) is
     a point item at cost 0 whose gap is all it covers, so it is an operand
     like any other child. The point table is pass 1 over the empty
-    sentence with no budget: ``point_best`` and ``point_edges`` hold its
-    chart, every item at position 0 and every gap (0, 0), the only right
-    end there. For pass 1's partner lookups, ``points`` holds its least
-    costs by symbol, as (gap, cost) pairs with the gap ``None`` or
+    sentence: ``point_best`` and ``point_edges`` hold its chart, every item
+    at position 0 and every gap (0, 0), the only right end there. That key
+    is a point item's only key: a sentence's hyperedges name their point
+    antecedents by it, and its hyperedge map starts as a copy of
+    ``point_edges``. For pass 1's partner lookups, ``points`` holds the
+    point items by symbol, as (gap, key, cost) with the gap ``None`` or
     ``OPEN``, and ``point_auxes`` the zero-width auxiliaries by category,
-    as (instance symbol, cost). A sentence's pass 1 never queues point
-    items.
+    as (key, cost). A sentence's pass 1 never queues point items.
 
     The deduction rules are written once, here, indexed by antecedent
     symbol, and the symbols themselves are construction locals. Pass 2
     only unpacks pass 1's hyperedges, reading from these tables just the
-    instance symbols, where an instance attaches (``site``) and the point
-    table.
+    instance symbols and where an instance attaches (``site``).
     """
 
     def __init__(self, grammar: Grammar):
@@ -258,33 +259,35 @@ class ChartTables:
                 for slot in subst_slots.get(nodes[root].cat, ()):
                     self.unary.setdefault(inst, []).append((slot, 0))
 
-        # the point table: pass 1 over the empty sentence, with no budget,
-        # derives every point item; its least cost and hyperedges are the
-        # same at every position of every sentence. That run covers no
-        # words, so it meets no point partners, and its gaps all end at 0.
-        self.points: dict[int, list[tuple[str | None, int]]] = {}
-        self.point_auxes: dict[str, list[tuple[int, int]]] = {}
-        empty = _SpanParser((), self, budget=math.inf)
+        # the point table: pass 1 over the empty sentence derives every
+        # point item; its least cost and hyperedges are the same at every
+        # position of every sentence. That run covers no words, so it meets
+        # no point partners and starts from no point hyperedges, and its
+        # gaps all end at 0.
+        self.points: dict[int, list[tuple[str | None, tuple, int]]] = {}
+        self.point_auxes: dict[str, list[tuple[tuple, int]]] = {}
+        self.point_edges: dict[tuple, list[tuple]] = {}
+        empty = _SpanParser((), self)
         self.point_best, self.point_edges = empty.best, empty.edges
-        for (sym, _, _, gap), cost in self.point_best.items():
-            self.points.setdefault(sym, []).append((gap and OPEN, cost))
+        for key, cost in self.point_best.items():
+            sym, gap = key[0], key[3]
+            self.points.setdefault(sym, []).append((gap and OPEN, key, cost))
             if sym in self.aux_cat:
                 self.point_auxes.setdefault(self.aux_cat[sym], []).append(
-                    (sym, cost))
+                    (key, cost))
 
 
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
-    Holds the lexical stream, the instance budget, pass 1's forest (least
-    cost and hyperedges per item that covers words) and pass 2's memo; the
-    rules, symbols and point items come from the grammar's shared
-    ``ChartTables``.
+    Holds the lexical stream, pass 1's forest (the least cost of every item
+    that covers words, and one hyperedge map holding those items' and the
+    point table's) and pass 2's memo; the rules, symbols and point items
+    come from the grammar's shared ``ChartTables``.
     """
 
-    def __init__(self, lex: tuple[str, ...], tables: ChartTables, budget: int):
+    def __init__(self, lex: tuple[str, ...], tables: ChartTables):
         self.lex = lex
-        self.budget = budget
         self.tables = tables
         self.best, self.edges = self._recognize()
         self._memo: dict[tuple[tuple, int], tuple] = {}
@@ -299,17 +302,19 @@ class _SpanParser:
         cost, and is then combined with the partners already settled. A
         cheaper derivation found later re-queues only its consequent, so
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
-        without re-sweeping the chart. Every firing within the budget is
-        recorded as a hyperedge of its consequent, cheapest or not, so pass
-        2 can unpack every derivation: the cost it fired at (the
-        consequent's own instance count plus its antecedents' least costs),
-        then its antecedent item keys, left to right.
+        without re-sweeping the chart. Every firing is recorded as a
+        hyperedge of its consequent, cheapest or not, so pass 2 can unpack
+        every derivation: the cost it fired at (the consequent's own
+        instance count plus its antecedents' least costs), then its
+        antecedent item keys, left to right. No instance budget applies;
+        pass 2 applies it.
 
         Point items (over no words, feet among them) are never queued,
         except over the empty sentence, whose chart is the point table: an
         item that settles meets its point partners there, a left operand
         at its end, a right operand at its start, a host the zero-width
-        auxiliaries and an auxiliary the hosts at its gap's start.
+        auxiliaries and an auxiliary the hosts at its gap's start, and its
+        hyperedges name them by their table keys.
 
         An open gap is carried unchanged by unary rules, by a gap-free left
         operand and by a point partner on its right. Each rule that fixes
@@ -325,18 +330,17 @@ class _SpanParser:
         foot, still yields one item per left end of that gap. The chart is
         capped at ``MAX_CHART_ITEMS`` items.
         """
-        t, n_lex, budget = self.tables, len(self.lex), self.budget
+        t, n_lex = self.tables, len(self.lex)
         unary, as_left, as_right = t.unary, t.as_left, t.as_right
         hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
         points, point_auxes = t.points, t.point_auxes
         best: dict[tuple, int] = {}
-        edges: dict[tuple, list[tuple]] = {}
+        # sentence items cover words, so no key of theirs is a table key
+        edges: dict[tuple, list[tuple]] = dict(t.point_edges)
         queue: list[list[tuple]] = [[]]
 
         def push(key, edge):
             cost = edge[0]
-            if cost > budget:
-                return
             known = best.get(key)
             if known is None and len(best) >= MAX_CHART_ITEMS:
                 raise LimitExceededError(
@@ -399,10 +403,10 @@ class _SpanParser:
                             if gap is None or other[3] is None:
                                 push((out, i, other[2], gap or other[3]),
                                      (cost + best[other], key, other))
-                    for pgap, extra in points.get(right, ()):
+                    for pgap, pkey, extra in points.get(right, ()):
                         if gap is None or pgap is None:
                             push((out, i, j, gap or pgap),
-                                 (cost + extra, key, (right, j, j, pgap)))
+                                 (cost + extra, key, pkey))
                 if sym in as_right:
                     left, out = as_right[sym]
                     starts.setdefault((sym, i), []).append(key)
@@ -416,14 +420,13 @@ class _SpanParser:
                             if other[2] <= i:
                                 push((out, other[1], j, (other[2], i)),
                                      (cost + best[other], other, key))
-                    for pgap, extra in points.get(left, ()):
+                    for pgap, pkey, extra in points.get(left, ()):
                         if pgap is None:
-                            push((out, i, j, gap),
-                                 (cost + extra, (left, i, i, None), key))
+                            push((out, i, j, gap), (cost + extra, pkey, key))
                         elif gap is None:   # its gap runs from any p to i
                             for p in range(i + 1):
                                 push((out, p, j, (p, i)),
-                                     (cost + extra, (left, p, p, OPEN), key))
+                                     (cost + extra, pkey, key))
                 if sym in host_of:
                     n, cat = host_of[sym]
                     host_items.setdefault((n, i), []).append(key)
@@ -431,9 +434,8 @@ class _SpanParser:
                         out = adjoined(n, key, aux)
                         if out:
                             push(out, (cost + best[aux], key, aux))
-                    for aux, extra in point_auxes.get(cat, ()):
-                        push((n, i, j, gap),
-                             (cost + extra, key, (aux, i, i, OPEN)))
+                    for pkey, extra in point_auxes.get(cat, ()):
+                        push((n, i, j, gap), (cost + extra, key, pkey))
                 if sym in aux_cat:
                     gi = j if gap is OPEN else gap[0]
                     aux_by_gap.setdefault((aux_cat[sym], gi), []).append(key)
@@ -442,11 +444,10 @@ class _SpanParser:
                             out = adjoined(n, host, key)
                             if out:
                                 push(out, (cost + best[host], host, key))
-                        for pgap, extra in points.get(below, ()):
-                            host = (below, gi, gi, pgap)
-                            out = adjoined(n, host, key)
+                        for pgap, pkey, extra in points.get(below, ()):
+                            out = adjoined(n, (below, gi, gi, pgap), key)
                             if out:
-                                push(out, (cost + extra, host, key))
+                                push(out, (cost + extra, pkey, key))
             cost += 1
         return best, edges
 
@@ -461,27 +462,18 @@ class _SpanParser:
         instance antecedent becomes one attachment (``Op``) at the
         consequent's ``site``. Every cycle of items passes through an
         instance, which costs one, so the budget bounds the recursion.
-        Parses hold no positions, so a point item has the same parses at
-        every position: those of its point-table entry at position 0, and
-        an open item the same for every right end of its gap. More than
-        ``MAX_PARSES`` parses in the memo, counted as they are built, are
-        refused.
+        Parses hold no positions, so a point item, named by its table key,
+        has one set of parses for every position it fills, and an open item
+        one for every right end of its gap. More than ``MAX_PARSES`` parses
+        in the memo, counted as they are built, are refused.
         """
-        t = self.tables
-        sym, i, j, gap = key
-        if i == j:
-            key = (sym, 0, 0, gap and (0, 0))
-            best, edges = t.point_best, t.point_edges
-        else:
-            best, edges = self.best, self.edges
-        if best.get(key, budget + 1) > budget:
-            return ()
         hit = self._memo.get((key, budget))
         if hit is not None:
             return hit
+        t, sym = self.tables, key[0]
         own = int(0 <= sym - t.inst0 < len(t.comps))
         parses = []
-        for edge in edges[key]:
+        for edge in self.edges.get(key, ()):
             if edge[0] > budget:
                 continue
             partial = [((), own)]
@@ -492,7 +484,7 @@ class _SpanParser:
                 for ops, size in partial:
                     for sub_ops, sub_size in self.unpack(ante, budget - size):
                         if attached:
-                            sub_ops = (Op(*t.site[sym], comp, sub_ops, sub_size),)
+                            sub_ops = (Op(*t.site[sym], comp, sub_ops),)
                         grown.append((ops + sub_ops, size + sub_size))
                     if self._stored + len(grown) > MAX_PARSES:
                         raise LimitExceededError(
@@ -576,15 +568,16 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     if max_uses is None:
         max_uses = len(lex) + 2
     max_comps = max((p.n_components for p in grammar.pairs), default=1)
+    budget = max_uses * max_comps
     tables = grammar.chart_tables
-    span = _SpanParser(lex, tables, budget=max_uses * max_comps)
+    span = _SpanParser(lex, tables)
 
     buckets: dict[int, list] = {}
     for pair in grammar.start_pairs:
         root = tables.comp_id[pair.name, pair.source.head]
         try:
             parses = span.unpack((tables.inst0 + root, 0, len(lex), None),
-                                 span.budget)
+                                 budget)
         except RecursionError:
             raise LimitExceededError(
                 "the input nests too deeply to parse") from None
@@ -637,7 +630,6 @@ def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
 
 
 def parse(sentence: TokenizedSentence, grammar: Grammar, *,
-          max_uses: int | None = None,
           all_levels: bool = False) -> tuple[PriorityLevel, ...]:
     """Parse and rank: the cheapest priority level, or with all_levels every
     level, cheapest first.
@@ -646,9 +638,9 @@ def parse(sentence: TokenizedSentence, grammar: Grammar, *,
     all_levels is set. Each level carries its derivations with their
     composed source trees, so callers render from those rather than
     composing again. Raises NoParseError when no derivation covers the
-    input; the budget is that of all_derivations.
+    input; the budget is all_derivations' default.
     """
-    levels = _priority_levels(sentence, grammar, max_uses)
+    levels = _priority_levels(sentence, grammar, None)
     chosen = tuple(levels if all_levels else itertools.islice(levels, 1))
     if not chosen:
         raise NoParseError("no derivation covers the input")

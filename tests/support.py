@@ -40,6 +40,7 @@ AMBIGUOUS_GRAMMAR = (Path(__file__).resolve().parents[1] / "benchmark"
                      / "grammars" / "ambiguous.grammar")
 AMBIGUOUS_FRONTED = "Jerry-lul Jerry-lul Jerry-lul Tom-i nayelhanta."
 AMBIGUOUS_CANONICAL = "Tom-i Jerry-lul Jerry-lul Jerry-lul nayelhanta."
+AMBIGUOUS_WORDS = ("Tom-i", "Jerry-lul", "Jerry-lul", "Jerry-lul", "nayelhanta")
 
 CHASE_WORDS = ("Tom-i", "Jerry-lul", "ccossnunta")
 CHASE_WORDS_SWAPPED = ("Jerry-ka", "Tom-ul", "ccossnunta")

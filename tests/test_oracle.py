@@ -3,18 +3,22 @@
 import pytest
 
 from support import (
+    AMBIGUOUS_GRAMMAR,
+    AMBIGUOUS_WORDS,
     CHASE_CANONICAL,
     CHASE_NEGATIVES,
     CHASE_SCRAMBLED,
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
+    permutation_closure,
 )
 
 import stagmt.parser
 from stagmt import oracle
 from stagmt.derive import (OP_ADJOIN, dominance_violations, ranking_key,
-                           render_tree)
+                           render_derivation, render_tree)
 from stagmt.errors import OracleBoundError
+from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -274,13 +278,30 @@ class TestThreeComponentSet:
         assert parsed == brute_force_derivations(sentence, g_triple)
 
 
+class TestAmbiguousOrders:
+    """The benchmark's three-object grammar over every order of its words:
+    three fronted objects of one set pair group in 3! ways per instance
+    tree, and some orders have dearer priority levels."""
+
+    def test_parser_equals_oracle(self):
+        grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
+        counts = []
+        for line in permutation_closure(AMBIGUOUS_WORDS):
+            sentence = tokenize(line, grammar)
+            parsed = all_derivations(sentence, grammar)
+            assert parsed == brute_force_derivations(sentence, grammar)
+            counts.append(len(parsed))
+        assert sorted(counts) == [0] * 16 + [12, 17, 18, 18]
+
+
 class TestRankingOrder:
     """The ranking key orders any two distinct derivations, so the parser
     and the oracle list them alike whatever order they find them in."""
 
-    def test_root_set_with_inner_attachments(self):
+    @pytest.fixture(scope="class")
+    def g_root_set(self):
         # the root use is a set whose further components attach inside it:
-        # its two derivations differ only in their hosts
+        # its two derivations of "b." differ only in their hosts
         comps = (ElementaryTree(interior("S", foot("S"), lex("W", "b"))),
                  ElementaryTree(interior("S", empty())),
                  ElementaryTree(interior("S", empty(), foot("S"))))
@@ -288,13 +309,22 @@ class TestRankingOrder:
                                                    dominance=((0, 1),)),
                         target=comps[1])
         assert validate_pair(pair) == []
-        grammar = _grammar((pair,))
-        sentence = tokenize("b.", grammar)
-        parsed = all_derivations(sentence, grammar)
+        return _grammar((pair,))
+
+    def test_root_set_with_inner_attachments(self, g_root_set):
+        sentence = tokenize("b.", g_root_set)
+        parsed = all_derivations(sentence, g_root_set)
         assert len(parsed) == 2
-        first, second = (ranking_key(d, grammar) for d in parsed)
+        first, second = (ranking_key(d, g_root_set) for d in parsed)
         assert first < second
-        assert parsed == brute_force_derivations(sentence, grammar)
+        assert parsed == brute_force_derivations(sentence, g_root_set)
+
+    def test_root_set_renders_its_attachments(self, g_root_set):
+        # the root use's further components attach, so they are listed
+        parsed = all_derivations(tokenize("b.", g_root_set), g_root_set)
+        assert [render_derivation(d, g_root_set) for d in parsed] == [
+            "u0 p (root): c0 adjoin u0/c1@e, c2 adjoin u0/c0@e",
+            "u0 p (root): c0 adjoin u0/c2@e, c2 adjoin u0/c1@e"]
 
 
 class TestFootPositions:

@@ -154,8 +154,7 @@ class TestFailureModes:
         line = "Tom-i Jerry-lul " * 20 + "ccossnunta."
         lex_stream = tokenize(line, g_chase).lex_stream
         assert len(lex_stream) == 81
-        span = stagmt.parser._SpanParser(lex_stream, g_chase.chart_tables,
-                                         budget=(len(lex_stream) + 2) * 2)
+        span = stagmt.parser._SpanParser(lex_stream, g_chase.chart_tables)
         assert len(span.best) == 2_148
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-lul " * 40 + "ccossnunta.", g_chase),
@@ -335,42 +334,38 @@ class TestForest:
         return parse[1]
 
     @staticmethod
-    def records(span, key, parses):
-        """(own count, ops, size) of every parse of the item and of every
-        instance attached below them."""
-        t = span.tables
-        own = int(0 <= key[0] - t.inst0 < len(t.comps))
-        stack = [(own, ops, size) for ops, size in parses]
-        while stack:
-            record = stack.pop()
-            yield record
-            stack.extend((1, op.ops, op.size) for op in record[1])
+    def instances(ops):
+        """The instances attached in ops, at any depth."""
+        return sum(1 + TestForest.instances(op.ops) for op in ops)
 
     @staticmethod
-    def at_table(key):
-        """A point item's key in the point table, which holds it at 0."""
-        sym, i, j, gap = key
-        return (sym, 0, 0, gap and (0, 0)) if i == j else key
+    def attachments(parses):
+        """The attachments of every parse and of every instance attached
+        below them."""
+        stack = [ops for ops, _ in parses]
+        while stack:
+            ops = stack.pop()
+            yield ops
+            stack.extend(op.ops for op in ops)
 
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
-                                         grammar.chart_tables, self.BUDGET)
+                                         grammar.chart_tables)
         t = span.tables
-        # point items come from the grammar's table, at every position
-        points = [((sym, i, i, gap and stagmt.parser.OPEN), least)
-                  for (sym, _, _, gap), least in t.point_best.items()
-                  for i in range(len(span.lex) + 1)]
         assert all(i < j for _, i, j, _ in span.best)
+        # one map: the point table's hyperedges and the sentence's own
+        assert span.edges.keys() == span.best.keys() | t.point_edges.keys()
         best = {**span.best, **t.point_best}
-        edges = {**span.edges, **t.point_edges}
-        for key, least in [*span.best.items(), *points]:
+        for key, least in best.items():
             # each hyperedge carries the cost it fired at: the item's own
-            # instance count plus its antecedents' least costs
+            # instance count plus its antecedents' least costs; a point
+            # antecedent is named by its point-table key
             own = int(0 <= key[0] - t.inst0 < len(t.comps))
-            found = edges[self.at_table(key)]
+            found = span.edges[key]
             for edge in found:
-                assert edge[0] == own + sum(best[self.at_table(ante)]
-                                            for ante in edge[1:])
+                assert all(ante in t.point_edges
+                           for ante in edge[1:] if ante[1] == ante[2])
+                assert edge[0] == own + sum(best[ante] for ante in edge[1:])
             assert min(edge[0] for edge in found) == least
             parses = span.unpack(key, self.BUDGET)
             # distinct hyperedges derive distinct instance trees
@@ -379,8 +374,9 @@ class TestForest:
             for tighter in range(least, self.BUDGET):
                 assert span.unpack(key, tighter) == tuple(
                     p for p in parses if self.size(p) <= tighter)
-            for own, ops, size in self.records(span, key, parses):
-                assert size == own + sum(op.size for op in ops)
+            for ops, size in parses:
+                assert size == own + self.instances(ops)
+            for ops in self.attachments(parses):
                 # post-order: a site's descendants first, then left to right
                 order = [op.site.path + (float("inf"),) for op in ops]
                 assert order == sorted(order)
@@ -398,8 +394,7 @@ class TestForest:
         grammar = load_grammar(name)
         for line in corpus(name):
             span = stagmt.parser._SpanParser(
-                tokenize(line, grammar).lex_stream, grammar.chart_tables,
-                self.BUDGET)
+                tokenize(line, grammar).lex_stream, grammar.chart_tables)
             assert span.best
             assert all(i < j for _, i, j, _ in span.best)
 
@@ -433,8 +428,7 @@ class TestForest:
         tables = g_chase.chart_tables
         assert len(tables.point_best) == 14
         span = stagmt.parser._SpanParser(
-            tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream,
-            tables, self.BUDGET)
+            tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream, tables)
         assert len(span.best) == 37
 
     def test_left_operand_dearer_than_the_right(self):
