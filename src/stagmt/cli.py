@@ -22,7 +22,7 @@ from .derive import render_derivation, render_tree
 from .errors import (GrammarError, GrammarValidationError, LimitExceededError,
                      StagError)
 from .grammar_io import builtin_grammar_names, load_grammar
-from .model import Grammar, validate_pair
+from .model import Grammar
 from .morphotok import tokenize
 from .parser import parse
 from .pipeline import translate_line
@@ -156,10 +156,6 @@ def cmd_check(args) -> int:
         print(f"error: {exc} [{exc.code}]", file=sys.stderr)
         return 1
     print(f"OK, {len(grammar.pairs)} pairs")
-    for pair in grammar.pairs:
-        for diagnostic in validate_pair(pair):
-            if diagnostic.severity == "warning":
-                print(str(diagnostic))
     return 0
 
 

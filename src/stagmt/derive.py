@@ -10,13 +10,14 @@ derivations, whose trees are single components (component 0 of each use),
 through ``generator.realize``. Both sides run the same end checks.
 
 Instances are mutable node graphs with parent pointers while they are being
-spliced; every node remembers which (use, component, elementary address) it
-came from, so attachment sites stay resolvable no matter how earlier
-operations rearranged the tree. When an instance is planted somewhere, the
-whole fragment it currently belongs to moves with it, which makes the result
-independent of application order (stacked adjunctions compose the same way
-whichever is applied first). A finished tree keeps only its child links, so
-reference counting frees it.
+spliced; compose indexes every node by the (use, component, elementary
+address) it came from, so attachment sites stay resolvable no matter how
+earlier operations rearranged the tree. When an instance is planted
+somewhere, the whole fragment it currently belongs to moves with it, which
+makes the result independent of application order (stacked adjunctions
+compose the same way whichever is applied first). A finished tree is its
+root, whose nodes keep only their child links (so reference counting frees
+it), and its derivation.
 """
 
 from __future__ import annotations
@@ -214,7 +215,6 @@ def preorder(root: DNode):
 @dataclass
 class DerivedTree:
     root: DNode
-    registry: dict[tuple[int, int, GornAddress], DNode]
     derivation: Derivation
 
     def preorder(self):
@@ -222,9 +222,6 @@ class DerivedTree:
 
     def yield_lex(self) -> tuple[str, ...]:
         return tuple(n.word for n in self.preorder() if n.kind == KIND_LEX)
-
-    def instance_root(self, use: int, comp: int) -> DNode:
-        return self.registry[(use, comp, ROOT)]
 
 
 def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
@@ -265,7 +262,8 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
     """Instantiate elementary trees and splice them into the derivation's tree.
 
     elementary[use][comp] is the tree of component comp of use; the
-    derivation's attachments are applied in Attachment.sort_key order, and
+    derivation's attachments are applied in their stored order (the
+    Attachment.sort_key order make_derivation gives them), and
     the instance of component root_comp of its root use tops the result,
     which carries the derivation. Raises a CompositionError subclass when an
     attachment does not apply (bad site, category clash, NA or double
@@ -277,7 +275,7 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
         for comp, tree in enumerate(components):
             instantiate(tree, use, comp, registry)
     try:
-        for att in sorted(derivation.attachments, key=Attachment.sort_key):
+        for att in derivation.attachments:
             if att.op == OP_SUBST:
                 _apply_subst(registry, att)
             else:
@@ -288,7 +286,7 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
         for node in registry.values():
             node.parent = None
 
-    tree = DerivedTree(root=root, registry=registry, derivation=derivation)
+    tree = DerivedTree(root=root, derivation=derivation)
     for node in tree.preorder():
         if node.kind == KIND_SUBST:
             raise UnfilledSlotError(node.provenance, node.cat)
@@ -318,12 +316,15 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
 def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree."""
     out = []
-    derivation = tree.derivation
-    for use, name in enumerate(derivation.uses):
-        pair = grammar.pair(name)
-        for dominator, dominated in pair.source.dominance:
-            upper = tree.instance_root(use, dominator)
-            lower = tree.instance_root(use, dominated)
+    roots = None
+    for use, name in enumerate(tree.derivation.uses):
+        for dominator, dominated in grammar.pair(name).source.dominance:
+            if roots is None:
+                # splicing cuts out slots and feet, never an instance's root
+                roots = {(node.use, node.comp): node
+                         for node in tree.preorder() if node.addr.is_root}
+            upper = roots[use, dominator]
+            lower = roots[use, dominated]
             if not any(node is lower for node in preorder(upper)):
                 out.append(f"dominance: use {use} ({name}) component {dominator}"
                            f" does not dominate component {dominated}")
@@ -377,29 +378,25 @@ def canonicalize(tree: DerivedTree) -> Derivation:
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.
-    The tree is relabelled in place (node uses and registry keys), so that
-    afterwards tree.derivation is the canonical derivation it returns.
+    The tree is relabelled in place: a finished tree keeps only its nodes'
+    child links and its derivation, so canonicalize renumbers its nodes'
+    uses and makes tree.derivation the canonical derivation it returns.
     """
     derivation = tree.derivation
     order: dict[int, int] = {}
     for node in tree.preorder():
-        if node.use not in order:
-            order[node.use] = len(order)
-    # Components with no surface material still occupy the registry, so every
-    # use appears somewhere in the walk; guard anyway for odd grammars.
-    for use in range(len(derivation.uses)):
-        order.setdefault(use, len(order))
-    uses = tuple(name for _, name in sorted(
-        (order[i], name) for i, name in enumerate(derivation.uses)))
+        node.use = order.setdefault(node.use, len(order))
+    # every component's root is in the tree: each attaches, and no cycle composes
+    missing = len(derivation.uses) - len(order)
+    if missing:
+        raise InternalError(f"the composed tree lacks {missing} of its "
+                            f"{len(derivation.uses)} uses")
+    uses = tuple(derivation.uses[use] for use in order)  # in first-appearance order
     attachments = tuple(
         Attachment(use=order[a.use], comp=a.comp, host=order[a.host],
                    host_comp=a.host_comp, site=a.site, op=a.op)
         for a in derivation.attachments)
     canonical = make_derivation(uses, order[derivation.root], attachments)
-    for node in tree.registry.values():
-        node.use = order[node.use]
-    tree.registry = {(node.use, comp, addr): node
-                     for (_, comp, addr), node in tree.registry.items()}
     tree.derivation = canonical
     return canonical
 

@@ -30,7 +30,7 @@ from .model import (
     SyncPair,
     TreeNode,
     index_grammar,
-    pair_errors,
+    validate_pair,
 )
 
 FORMAT_VERSION = 1
@@ -157,7 +157,19 @@ def _pair_from_json(obj, path) -> SyncPair:
 
 
 def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
-    """Build and validate a Grammar from grammar-file text."""
+    """Build and validate a Grammar from grammar-file text.
+
+    Nesting deeper than the interpreter's recursion limit is a syntax error,
+    whether the JSON reader meets it or the tree builder does (which comes
+    first depends on the Python version).
+    """
+    try:
+        return _parse_grammar(text, origin)
+    except RecursionError:
+        raise GrammarSyntaxError(f"{origin}: nested too deeply to read") from None
+
+
+def _parse_grammar(text: str, origin: str) -> Grammar:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -186,7 +198,7 @@ def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
 
     diagnostics = []
     for pair in pairs:
-        diagnostics.extend(pair_errors(pair))
+        diagnostics.extend(validate_pair(pair))
     if diagnostics:
         raise GrammarValidationError(diagnostics)
 

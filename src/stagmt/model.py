@@ -227,17 +227,16 @@ class Particle:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One validation finding; errors invalidate the pair, warnings do not."""
+    """One validation finding; any finding invalidates the pair."""
 
     pair: str
     rule: str
     message: str
     address: str | None = None
-    severity: str = "error"
 
     def __str__(self) -> str:
         where = f" at {self.address}" if self.address else ""
-        return f"[{self.severity}] {self.pair}{where}: {self.message} ({self.rule})"
+        return f"[error] {self.pair}{where}: {self.message} ({self.rule})"
 
 
 @dataclass(frozen=True)
@@ -296,10 +295,9 @@ def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,
                       in_multi: bool) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
-    def diag(rule, message, addr=None, severity="error"):
+    def diag(rule, message, addr=None):
         out.append(Diagnostic(pair=pair_name, rule=rule, message=message,
-                              address=f"{label}:{addr}" if addr is not None else label,
-                              severity=severity))
+                              address=f"{label}:{addr}" if addr is not None else label))
 
     if tree.root.kind != KIND_INTERIOR:
         diag("root-kind", f"tree root must be an interior node, not {tree.root.kind}")
@@ -345,15 +343,13 @@ def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,
 def validate_pair(pair: SyncPair) -> list[Diagnostic]:
     """Check every pair invariant; returns diagnostics, empty when valid.
 
-    Deterministic and order-independent over links. Warnings (severity
-    ``warning``) flag suspicious but admissible grammar, e.g. links on
-    non-head components, which transfer ignores.
+    Deterministic and order-independent over links.
     """
     out: list[Diagnostic] = []
 
-    def diag(rule, message, addr=None, severity="error"):
+    def diag(rule, message, addr=None):
         out.append(Diagnostic(pair=pair.name, rule=rule, message=message,
-                              address=addr, severity=severity))
+                              address=addr))
 
     src = pair.source
     if not src.components:
@@ -422,10 +418,6 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
             diag("duplicate-link-tgt", f"two links share target {link.tgt}")
         seen_src.add((link.comp, link.src))
         seen_tgt.add(link.tgt)
-        if link.comp != src.head:
-            diag("nonhead-link",
-                 f"link on non-head component {link.comp} is ignored by transfer",
-                 severity="warning")
 
     # Substitution slots in the head component and target must be linked;
     # other components may be unlinked.
@@ -442,10 +434,6 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
                  addr=str(addr))
 
     return out
-
-
-def pair_errors(pair: SyncPair) -> list[Diagnostic]:
-    return [d for d in validate_pair(pair) if d.severity == "error"]
 
 
 def index_grammar(pairs, *, source_language: str, target_language: str,

@@ -508,7 +508,7 @@ def _collect_instances(comp: int, ops: tuple[Op, ...]):
     return comps, edges
 
 
-def _groupings(comps: list[int], tables: ChartTables, grammar: Grammar):
+def _groupings(insts: list[tuple[str, int]], grammar: Grammar):
     """Yield use assignments (instance index -> use id) and their use counts.
 
     Singleton-pair instances each get their own use. Instances of a
@@ -517,16 +517,16 @@ def _groupings(comps: list[int], tables: ChartTables, grammar: Grammar):
     permutation per further component is one candidate reading. More than
     ``MAX_GROUPINGS`` readings are refused before any is built.
     """
-    by_comp: dict[int, list[int]] = {}
-    for idx, comp in enumerate(comps):
-        if grammar.pair(tables.comps[comp][0]).source.is_multi:
-            by_comp.setdefault(comp, []).append(idx)
+    by_comp: dict[tuple[str, int], list[int]] = {}
+    for idx, inst in enumerate(insts):
+        if grammar.pair(inst[0]).source.is_multi:
+            by_comp.setdefault(inst, []).append(idx)
 
     matched = []    # (a further component's instances, component 0's)
-    for name in sorted({tables.comps[comp][0] for comp in by_comp}):
-        base = by_comp.get(tables.comp_id[name, 0], [])
+    for name in sorted({name for name, _ in by_comp}):
+        base = by_comp.get((name, 0), [])
         for ci in range(1, grammar.pair(name).n_components):
-            members = by_comp.get(tables.comp_id[name, ci], [])
+            members = by_comp.get((name, ci), [])
             if len(members) != len(base):
                 return
             matched.append((members, base))
@@ -542,7 +542,7 @@ def _groupings(comps: list[int], tables: ChartTables, grammar: Grammar):
         # a use is numbered when the first of its instances is met
         use_ids: dict[int, int] = {}
         assignment = {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
-                      for idx in range(len(comps))}
+                      for idx in range(len(insts))}
         yield assignment, len(use_ids)
 
 
@@ -586,12 +586,12 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             insts = [tables.comps[comp] for comp in comps]  # (pair, component)
             # every grouping makes one use per component-0 instance
             cost = uses_cost((name for name, ci in insts if ci == 0), grammar)
-            buckets.setdefault(cost, []).append((comps, insts, edges))
+            buckets.setdefault(cost, []).append((insts, edges))
 
     for cost in sorted(buckets):
         found: dict[Derivation, DerivedTree] = {}
-        for comps, insts, edges in buckets[cost]:
-            for assignment, n_uses in _groupings(comps, tables, grammar):
+        for insts, edges in buckets[cost]:
+            for assignment, n_uses in _groupings(insts, grammar):
                 if n_uses > max_uses:
                     continue
                 uses = [""] * n_uses

@@ -37,6 +37,18 @@ def fronted_chain(depth):
             + " malhanta" * depth + ".")
 
 
+def nested_grammar(depth):
+    """The chase grammar's header and one pair whose tree nests depth nodes
+    deep, written as text: json.dumps would recurse."""
+    tree = ('{"cat": "S", "children": [' * depth
+            + '{"cat": "S", "kind": "lex", "word": "x"}' + "]}" * depth)
+    pair = (f'{{"name": "deep", "source": {{"components": [{tree}]}}, '
+            '"target": {"cat": "S", "children": [{"cat": "S", "kind": "lex", '
+            '"word": "x"}]}}')
+    header = {**json.loads(builtin_grammar_path("chase").read_text()), "pairs": []}
+    return json.dumps(header).replace('"pairs": []', f'"pairs": [{pair}]')
+
+
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -266,7 +278,9 @@ class TestCheck:
         status, out, _ = run(capsys, "check", "-g", str(bad))
         assert status == 1
         assert "beta_tom_sp" in out
-        assert out.rstrip().endswith("problem(s)")
+        *diagnostics, summary = out.rstrip().split("\n")
+        assert diagnostics and all(line.startswith("[error] ") for line in diagnostics)
+        assert summary.endswith("problem(s)")
 
     def test_unreadable_path(self, capsys, tmp_path):
         status, _, err = run(capsys, "check", "-g", str(tmp_path))
@@ -286,6 +300,21 @@ class TestCheck:
         status, _, err = run(capsys, "check", "-g", str(bad))
         assert status == 1
         assert "[syntax-error]" in err
+
+    # 1,000 nested nodes pass the recursion limit of the tree builder on
+    # every Python, and of the JSON reader on some
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      nested_grammar(1_000)],
+                             ids=["arrays", "nodes"])
+    def test_too_deeply_nested_file(self, capsys, tmp_path, text):
+        deep = tmp_path / "deep.grammar"
+        deep.write_text(text)
+        status, out, err = run(capsys, "check", "-g", str(deep))
+        assert (status, out) == (1, "")
+        assert "[syntax-error]" in err
+        status, out, err = run(capsys, "translate", "-g", str(deep), CHASE_CANONICAL)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: unusable grammar:")
 
     def test_field_of_the_wrong_type(self, capsys, tmp_path):
         doc = json.loads(builtin_grammar_path("chase").read_text())

@@ -241,20 +241,47 @@ def splice(grammar, names, attachments, root):
                    make_derivation(names, root[0], attachments), root[1])
 
 
+def instance_roots(tree):
+    """Each (use, comp)'s instance root in a composed tree, checked to be one."""
+    roots = {}
+    for node in tree.preorder():
+        if node.addr.is_root:
+            assert (node.use, node.comp) not in roots
+            roots[node.use, node.comp] = node
+    return roots
+
+
+@pytest.fixture
+def instantiated(monkeypatch):
+    """Every node compose instantiates, the slots and feet it cuts out too."""
+    nodes = []
+    real = derive.instantiate
+
+    def recording(tree, use, comp, registry):
+        root = real(tree, use, comp, registry)
+        nodes.extend(derive.preorder(root))
+        return root
+
+    monkeypatch.setattr(derive, "instantiate", recording)
+    return nodes
+
+
 class TestWorkingTreeOps:
     """The splice operations one attachment at a time, through compose."""
 
-    def test_substitution_fills_slot(self, g_chase):
+    def test_substitution_fills_slot(self, g_chase, instantiated):
         tree = splice(g_chase, ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"),
                       [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST)],
                       (0, 0))
-        assert tree.root is tree.instance_root(0, 0)
-        slot = tree.registry[(0, 0, A("1"))]
+        roots = instance_roots(tree)
+        assert tree.root is roots[0, 0]
+        [slot] = [node for node in instantiated
+                  if (node.use, node.comp, node.addr) == (0, 0, A("1"))]
         assert all(node is not slot for node in tree.preorder())  # spliced out
         sp = tree.root.children[0]
-        assert sp is tree.instance_root(1, 0)
+        assert sp is roots[1, 0]
         # only child links survive composition, so no tree is a cycle
-        assert all(node.parent is None for node in tree.registry.values())
+        assert all(node.parent is None for node in instantiated)
         assert sp.word is None  # SP phrase, not the slot
         assert sp.children[0].word == "Tom"
 
@@ -270,10 +297,11 @@ class TestWorkingTreeOps:
                        att(0, 1, 1, 0, "2", OP_SUBST),
                        att(2, 0, 1, 0, "1", OP_SUBST)],
                       (1, 0))
-        host = tree.instance_root(1, 0)
-        assert tree.root is tree.instance_root(0, 0)
+        roots = instance_roots(tree)
+        host = roots[1, 0]
+        assert tree.root is roots[0, 0]
         assert tree.root.children[1] is host  # the host took the foot's place
-        assert host.children[0] is tree.instance_root(2, 0)
+        assert host.children[0] is roots[2, 0]
         assert host.adjunction_applied
 
     def test_double_adjunction_rejected(self, g_chase):
@@ -290,10 +318,11 @@ class TestWorkingTreeOps:
                        att(2, 0, 1, 0, "e", OP_ADJOIN),
                        att(2, 1, 0, 0, "1", OP_SUBST)],
                       (0, 0))
-        jerry = tree.instance_root(1, 0)
-        assert tree.root is tree.instance_root(2, 0)
+        roots = instance_roots(tree)
+        jerry = roots[1, 0]
+        assert tree.root is roots[2, 0]
         assert tree.root.children[1] is jerry
-        assert jerry.children[1] is tree.instance_root(0, 0)
+        assert jerry.children[1] is roots[0, 0]
 
 
 class TestCheckSetConstraints:
@@ -368,14 +397,25 @@ class TestCanonicalize:
              for a in base.attachments])
         tree = build_derived_tree(relabeled, g_chase)
         rendered = render_tree(tree, g_chase)
+        before = [(node, node.use) for node in tree.preorder()]
         assert canonicalize(tree) == base
         assert tree.derivation == base
         assert render_tree(tree, g_chase) == rendered
-        for (use, comp, addr), node in tree.registry.items():
-            assert node.use == use and node.comp == comp and node.addr == addr
-        assert {key[:2] for key in tree.registry} == {
+        # the same nodes, relabelled: use u of the input is use n - 1 - u
+        n = len(base.uses)
+        assert [(node, n - 1 - use) for node, use in before] == [
+            (node, node.use) for node in tree.preorder()]
+        assert set(instance_roots(tree)) == {
             (use, comp) for use, name in enumerate(base.uses)
             for comp in range(g_chase.pair(name).n_components)}
+
+    def test_use_missing_from_the_tree_is_an_internal_error(self, g_chase):
+        tree = build_derived_tree(CANONICAL, g_chase)
+        tree.derivation = make_derivation(
+            CANONICAL.uses + ("alpha_tom_sp",), CANONICAL.root,
+            CANONICAL.attachments)
+        with pytest.raises(InternalError, match="lacks 1 of its 4 uses"):
+            canonicalize(tree)
 
 
 class TestRenderDerivation:

@@ -20,7 +20,6 @@ from stagmt.model import (
     index_grammar,
     interior,
     lex,
-    pair_errors,
     subst,
     validate_pair,
 )
@@ -131,30 +130,30 @@ class TestValidatePair:
     def test_shipped_pairs_are_clean(self, g_chase, g_ditransitive, g_embedded):
         for grammar in (g_chase, g_ditransitive, g_embedded):
             for pair in grammar.pairs:
-                assert pair_errors(pair) == []
+                assert validate_pair(pair) == []
 
     def test_well_formed_beta_is_clean(self):
-        assert pair_errors(_beta()) == []
+        assert validate_pair(_beta()) == []
 
     def test_head_must_be_place_holder(self):
         swapped = _beta(head=0, dominance=())
-        rules = {d.rule for d in pair_errors(swapped)}
+        rules = {d.rule for d in validate_pair(swapped)}
         assert "head-convention" in rules
 
     def test_place_holder_must_be_dominated(self):
         undominated = _beta(dominance=())
-        rules = {d.rule for d in pair_errors(undominated)}
+        rules = {d.rule for d in validate_pair(undominated)}
         assert "placeholder-dominance" in rules
 
     def test_dominance_indices_checked(self):
         bad = _beta(dominance=((0, 5),))
-        rules = {d.rule for d in pair_errors(bad)}
+        rules = {d.rule for d in validate_pair(bad)}
         assert "dominance-index" in rules
 
     def test_singletons_may_not_use_set_variable(self):
         pair = _singleton("alpha_bad", interior(
             "OP", empty(), feats={"trace": "@set"}))
-        rules = {d.rule for d in pair_errors(pair)}
+        rules = {d.rule for d in validate_pair(pair)}
         assert "set-variable" in rules
 
     def test_link_must_name_operable_node(self):
@@ -162,7 +161,7 @@ class TestValidatePair:
         pair = _singleton("gamma_bad", tree,
                           links=[Link(comp=0, src=GornAddress.parse("2"),
                                       tgt=ROOT)])
-        rules = {d.rule for d in pair_errors(pair)}
+        rules = {d.rule for d in validate_pair(pair)}
         assert "link-src" in rules
 
     def test_duplicate_link_sources_rejected(self):
@@ -172,7 +171,7 @@ class TestValidatePair:
             Link(comp=0, src=GornAddress.parse("1"), tgt=GornAddress.parse("1")),
             Link(comp=0, src=GornAddress.parse("1"), tgt=GornAddress.parse("2")),
         ])
-        rules = {d.rule for d in pair_errors(pair)}
+        rules = {d.rule for d in validate_pair(pair)}
         assert "duplicate-link-src" in rules
 
     def test_unlinked_target_slot_rejected(self):
@@ -180,20 +179,20 @@ class TestValidatePair:
         target = interior("S", subst("NP"), subst("NP"))
         pair = _singleton("gamma_gap", tree, target=target, links=[
             Link(comp=0, src=GornAddress.parse("1"), tgt=GornAddress.parse("1"))])
-        rules = {d.rule for d in pair_errors(pair)}
+        rules = {d.rule for d in validate_pair(pair)}
         assert "unlinked-substitution" in rules
 
     def test_priority_must_be_positive(self):
         pair = _singleton("alpha_zero", interior("NP", lex("N", "Tom")), priority=0)
-        rules = {d.rule for d in pair_errors(pair)}
+        rules = {d.rule for d in validate_pair(pair)}
         assert "priority" in rules
 
     def test_lex_needs_word_and_interior_needs_children(self):
         no_word = _singleton("alpha_noword", interior(
             "NP", TreeNode(cat="N", kind="lex")))
-        assert "lex-word" in {d.rule for d in pair_errors(no_word)}
+        assert "lex-word" in {d.rule for d in validate_pair(no_word)}
         bare = _singleton("alpha_bare", interior("NP"))
-        assert "interior-children" in {d.rule for d in pair_errors(bare)}
+        assert "interior-children" in {d.rule for d in validate_pair(bare)}
 
     def test_obligatory_adjoining_leaf_rejected(self):
         # S(V_OA(x)): a lex leaf cannot host an adjunction
@@ -208,10 +207,10 @@ class TestValidatePair:
                 TreeNode(cat="S", kind="foot", adjoin=ADJOIN_OA))),)),
             target=ElementaryTree(interior("NP", lex("N", "X"))))
         for pair, addr in ((lex_oa, "1"), (foot_oa, "2")):
-            (diag,) = [d for d in pair_errors(pair) if d.rule == "oa-leaf"]
+            (diag,) = [d for d in validate_pair(pair) if d.rule == "oa-leaf"]
             assert diag.address == f"source[0]:{addr}"
         # an interior OA node stays admissible
-        assert pair_errors(_singleton("alpha_vp_oa", interior("S", interior(
+        assert validate_pair(_singleton("alpha_vp_oa", interior("S", interior(
             "VP", lex("V", "x"), adjoin=ADJOIN_OA)))) == []
 
     def test_two_feet_rejected(self):
@@ -220,10 +219,10 @@ class TestValidatePair:
             source=SourceSet(components=(
                 ElementaryTree(interior("S", foot("S"), foot("S"))),)),
             target=ElementaryTree(interior("NP", lex("N", "X"))))
-        assert "multiple-feet" in {d.rule for d in pair_errors(double)}
+        assert "multiple-feet" in {d.rule for d in validate_pair(double)}
 
     def test_diagnostics_name_pair_and_rule(self):
-        diag = pair_errors(_beta(head=0, dominance=()))[0]
+        diag = validate_pair(_beta(head=0, dominance=()))[0]
         assert diag.pair == "beta_x"
         assert diag.rule
         assert str(diag)  # renders without crashing

@@ -6,18 +6,23 @@ import pytest
 
 from support import EMBEDDED_CANONICAL, EMBEDDED_FRONTED
 
-from stagmt.derive import OP_ADJOIN, OP_SUBST, Attachment, make_derivation
+from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
+                           make_derivation)
 from stagmt.errors import DanglingUseError, UntranslatableAttachmentError
 from stagmt.model import (
     ROOT,
     ElementaryTree,
     GornAddress,
+    Link,
     SourceSet,
     SyncPair,
+    empty,
     foot,
     index_grammar,
     interior,
     lex,
+    subst,
+    validate_pair,
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import parse
@@ -100,6 +105,41 @@ class TestScrambledTransfer:
 
         assert shape(SCRAMBLED) == shape(CANONICAL)
         assert shape(STACKED) == shape(CANONICAL)
+
+
+    def test_link_on_a_non_head_component_is_read(self, g_chase):
+        # the fronted object has a determiner slot, linked from the set's
+        # auxiliary (component 0), not from its head place-holder
+        det_jerry = SyncPair(
+            name="beta_det_jerry_op",
+            source=SourceSet(
+                components=(
+                    ElementaryTree(interior(
+                        "S", interior("OP", subst("D"), lex("N", "Jerry"),
+                                      lex("P", "lul"), feats={"trace": "@set"}),
+                        foot("S"))),
+                    ElementaryTree(interior("OP", empty(), feats={"trace": "@set"}))),
+                head=1, dominance=((0, 1),)),
+            target=ElementaryTree(interior("NP", subst("D"), lex("N", "Jerry"))),
+            links=(Link(comp=0, src=GornAddress.parse("1.1"),
+                        tgt=GornAddress.parse("1")),),
+            priority=2)
+        that = SyncPair(
+            name="alpha_ku",
+            source=SourceSet((ElementaryTree(interior("D", lex("DET", "ku"))),)),
+            target=ElementaryTree(interior("D", lex("DET", "that"))))
+        assert validate_pair(det_jerry) == []
+        grammar = index_grammar(
+            g_chase.pairs + (det_jerry, that), source_language="ko",
+            target_language="en", start_symbol="S", particles=g_chase.particles)
+        d = make_derivation(
+            ("gamma_chase", "alpha_tom_sp", "beta_det_jerry_op", "alpha_ku"), 0,
+            [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "e", OP_ADJOIN),
+             att(2, 1, 0, 0, "2", OP_SUBST), att(3, 0, 2, 0, "1.1", OP_SUBST)])
+        assert build_derived_tree(d, grammar).yield_lex() == (
+            "ku", "Jerry", "lul", "Tom", "i", "ccossnunta")
+        td = transfer_derivation(d, grammar)
+        assert att(3, 0, 2, 0, "1", OP_SUBST) in td.attachments
 
 
 class TestLongDistanceTransfer:
