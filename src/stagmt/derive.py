@@ -3,21 +3,22 @@
 A derivation names a multiset of pair uses and says, for every component of
 every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Composition turns a derivation
-into a derived tree by instantiating each component and splicing instances
-together with substitution and adjunction. ``compose`` is the one engine:
-source derivations reach it through ``build_derived_tree``, and target
-derivations, whose trees are single components (component 0 of each use),
-through ``generator.realize``. Both sides run the same end checks.
+into a derived tree, which is a function of the derivation read off top
+down. ``compose`` is the one engine: source derivations reach it through
+``build_derived_tree``, and target derivations, whose trees are single
+components (component 0 of each use), through ``generator.realize``. Both
+sides run the same checks.
 
-Instances are mutable node graphs with parent pointers while they are being
-spliced; compose indexes every node by the (use, component, elementary
-address) it came from, so attachment sites stay resolvable no matter how
-earlier operations rearranged the tree. When an instance is planted
-somewhere, the whole fragment it currently belongs to moves with it, which
-makes the result independent of application order (stacked adjunctions
-compose the same way whichever is applied first). A finished tree is its
-root, whose nodes keep only their child links (so reference counting frees
-it), and its derivation.
+``compose`` first indexes the attachments by the site they fill, checking
+each one against its host's elementary tree. It then clones the root
+instance in preorder, with an explicit stack of one frame per instance
+being cloned: a filled slot enters the instance substituted there, and a
+node hosting an adjunction is cloned and enters the auxiliary instance,
+whose foot the clone fills. Unfilled slots, stranded feet and unmet
+obligatory adjunction are met on the way, and an instance entered twice or
+never means the attachments form a cycle. A finished tree is its root,
+whose nodes link only to their children (so reference counting frees it),
+and its derivation.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .model import (
     KIND_INTERIOR,
     KIND_LEX,
     KIND_SUBST,
-    ROOT,
-    ElementaryTree,
     GornAddress,
     Grammar,
     SET_VARIABLE,
@@ -101,8 +100,8 @@ def make_derivation(uses, root, attachments) -> Derivation:
 class DNode:
     """Mutable node of a derived tree, tagged with its provenance."""
 
-    __slots__ = ("cat", "kind", "adjoin", "word", "feats", "children", "parent",
-                 "use", "comp", "addr", "adjunction_applied")
+    __slots__ = ("cat", "kind", "adjoin", "word", "feats", "children",
+                 "use", "comp", "addr")
 
     def __init__(self, src: TreeNode, use: int, comp: int, addr: GornAddress):
         self.cat = src.cat
@@ -111,11 +110,9 @@ class DNode:
         self.word = src.word
         self.feats = dict(src.feats)
         self.children: list[DNode] = []
-        self.parent: DNode | None = None
         self.use = use
         self.comp = comp
         self.addr = addr
-        self.adjunction_applied = False
 
     @property
     def provenance(self) -> str:
@@ -123,85 +120,6 @@ class DNode:
 
     def __repr__(self) -> str:
         return f"<DNode {self.cat} {self.provenance}>"
-
-
-def instantiate(tree: ElementaryTree, use: int, comp: int,
-                registry: dict[tuple[int, int, GornAddress], DNode]) -> DNode:
-    """Clone an elementary tree into DNodes, filling the provenance registry."""
-    made: dict[tuple[int, ...], DNode] = {}
-    for addr, node in tree.nodes.items():  # preorder, children in order
-        dnode = made[addr.path] = DNode(node, use, comp, addr)
-        registry[(use, comp, addr)] = dnode
-        if addr.path:
-            dnode.parent = made[addr.path[:-1]]
-            dnode.parent.children.append(dnode)
-    return made[()]
-
-
-def fragment_root(node: DNode) -> DNode:
-    while node.parent is not None:
-        node = node.parent
-    return node
-
-
-def _replace_child(parent: DNode, old: DNode, new: DNode) -> None:
-    for i, child in enumerate(parent.children):
-        if child is old:
-            parent.children[i] = new
-            new.parent = parent
-            old.parent = None
-            return
-    raise InternalError(f"{old!r} is not a child of {parent!r}")
-
-
-def _apply_subst(registry, att: Attachment) -> None:
-    slot = registry.get((att.host, att.host_comp, att.site))
-    if slot is None:
-        raise IllegalAttachmentError(f"no node at site {att.site} of use {att.host}")
-    inst_root = registry[(att.use, att.comp, ROOT)]
-    if slot.parent is None:
-        # a filled slot was detached from its parent; a component root never had one
-        if att.site.is_root:
-            raise IllegalAttachmentError(f"slot {slot.provenance} has no parent")
-        raise IllegalAttachmentError(f"slot {slot.provenance} is already filled")
-    if slot.kind != KIND_SUBST:
-        raise NotASlotError(f"substitution into {slot.kind} node {slot.provenance}")
-    if inst_root.cat != slot.cat:
-        raise CategoryMismatchError(
-            f"cannot substitute {inst_root.cat} into {slot.cat} slot")
-    frag = fragment_root(inst_root)
-    if frag is fragment_root(slot):
-        raise IllegalAttachmentError(
-            f"cyclic attachment of use {att.use} at {slot.provenance}")
-    _replace_child(slot.parent, slot, frag)
-
-
-def _apply_adjoin(registry, att: Attachment, aux: ElementaryTree) -> None:
-    site = registry.get((att.host, att.host_comp, att.site))
-    if site is None:
-        raise IllegalAttachmentError(f"no node at site {att.site} of use {att.host}")
-    if aux.foot_address is None:
-        raise IllegalAttachmentError(
-            f"component {att.comp} of use {att.use} is not auxiliary")
-    aux_root = registry[(att.use, att.comp, ROOT)]
-    foot = registry[(att.use, att.comp, aux.foot_address)]
-    if site.kind != KIND_INTERIOR:
-        raise IllegalAttachmentError(f"adjunction at {site.kind} node {site.provenance}")
-    if site.adjoin == ADJOIN_NA:
-        raise NAViolationError(f"adjunction at null-adjoining node {site.provenance}")
-    if site.adjunction_applied:
-        raise DoubleAdjunctionError(f"second adjunction at {site.provenance}")
-    if aux_root.cat != site.cat:
-        raise CategoryMismatchError(
-            f"cannot adjoin {aux_root.cat} auxiliary at {site.cat} node")
-    frag = fragment_root(aux_root)
-    if frag is fragment_root(site):
-        raise IllegalAttachmentError(
-            f"cyclic adjunction of use {att.use} at {site.provenance}")
-    if site.parent is not None:
-        _replace_child(site.parent, site, frag)
-    _replace_child(foot.parent, foot, site)
-    site.adjunction_applied = True
 
 
 def preorder(root: DNode):
@@ -224,24 +142,27 @@ class DerivedTree:
         return tuple(n.word for n in self.preorder() if n.kind == KIND_LEX)
 
 
-def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
+def _check_shape(derivation: Derivation, grammar: Grammar) -> None:
     n = len(derivation.uses)
     if not 0 <= derivation.root < n:
-        return f"root index {derivation.root} out of range"
+        raise IllegalAttachmentError(f"root index {derivation.root} out of range")
     seen: set[tuple[int, int]] = set()
     for att in derivation.attachments:
         if not (0 <= att.use < n and 0 <= att.host < n):
-            return f"attachment references unknown use ({att.use}, {att.host})"
+            raise IllegalAttachmentError(
+                f"attachment references unknown use ({att.use}, {att.host})")
         pair = grammar.pair(derivation.uses[att.use])
         host_pair = grammar.pair(derivation.uses[att.host])
         if not 0 <= att.comp < pair.n_components:
-            return f"use {att.use} has no component {att.comp}"
+            raise IllegalAttachmentError(f"use {att.use} has no component {att.comp}")
         if not 0 <= att.host_comp < host_pair.n_components:
-            return f"use {att.host} has no component {att.host_comp}"
+            raise IllegalAttachmentError(
+                f"use {att.host} has no component {att.host_comp}")
         if att.op not in (OP_SUBST, OP_ADJOIN):
-            return f"unknown operation {att.op!r}"
+            raise IllegalAttachmentError(f"unknown operation {att.op!r}")
         if (att.use, att.comp) in seen:
-            return f"component ({att.use}, {att.comp}) attaches twice"
+            raise IllegalAttachmentError(
+                f"component ({att.use}, {att.comp}) attaches twice")
         seen.add((att.use, att.comp))
     root_pair = grammar.pair(derivation.uses[derivation.root])
     root_head = root_pair.source.head
@@ -251,51 +172,116 @@ def _shape_errors(derivation: Derivation, grammar: Grammar) -> str | None:
             is_root_head = use == derivation.root and comp == root_head
             attached = (use, comp) in seen
             if is_root_head and attached:
-                return "root head component must not attach anywhere"
+                raise IllegalAttachmentError(
+                    "root head component must not attach anywhere")
             if not is_root_head and not attached:
-                return (f"missing component: ({use}, {comp}) of "
-                        f"{derivation.uses[use]} never attaches")
-    return None
+                raise IllegalAttachmentError(
+                    f"missing component: ({use}, {comp}) of "
+                    f"{derivation.uses[use]} never attaches")
+
+
+def _where(att: Attachment) -> str:
+    return f"u{att.host}/c{att.host_comp}:{att.site}"
+
+
+def _index_sites(elementary, derivation: Derivation):
+    """The derivation's attachments by the site they fill, as (host, host
+    component, address path); each is checked, in stored order, against the
+    elementary trees of its host and of its own component."""
+    sites: dict[tuple[int, int, tuple[int, ...]], Attachment] = {}
+    for att in derivation.attachments:
+        key = (att.host, att.host_comp, att.site.path)
+        site = elementary[att.host][att.host_comp].node_at(att.site)
+        tree = elementary[att.use][att.comp]
+        if site is None:
+            raise IllegalAttachmentError(
+                f"no node at site {att.site} of use {att.host}")
+        if att.op == OP_SUBST:
+            if att.site.is_root:
+                raise IllegalAttachmentError(f"slot {_where(att)} has no parent")
+            if site.kind != KIND_SUBST:
+                raise NotASlotError(f"substitution into {site.kind} node {_where(att)}")
+            if key in sites:
+                raise IllegalAttachmentError(f"slot {_where(att)} is already filled")
+            if tree.root_cat != site.cat:
+                raise CategoryMismatchError(
+                    f"cannot substitute {tree.root_cat} into {site.cat} slot")
+        else:
+            if tree.foot_address is None:
+                raise IllegalAttachmentError(
+                    f"component {att.comp} of use {att.use} is not auxiliary")
+            if site.kind != KIND_INTERIOR:
+                raise IllegalAttachmentError(
+                    f"adjunction at {site.kind} node {_where(att)}")
+            if site.adjoin == ADJOIN_NA:
+                raise NAViolationError(
+                    f"adjunction at null-adjoining node {_where(att)}")
+            if key in sites:
+                raise DoubleAdjunctionError(f"second adjunction at {_where(att)}")
+            if tree.root_cat != site.cat:
+                raise CategoryMismatchError(
+                    f"cannot adjoin {tree.root_cat} auxiliary at {site.cat} node")
+        sites[key] = att
+    return sites
 
 
 def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
-    """Instantiate elementary trees and splice them into the derivation's tree.
+    """Expand the derivation top down into its derived tree.
 
     elementary[use][comp] is the tree of component comp of use; the
-    derivation's attachments are applied in their stored order (the
-    Attachment.sort_key order make_derivation gives them), and
-    the instance of component root_comp of its root use tops the result,
-    which carries the derivation. Raises a CompositionError subclass when an
-    attachment does not apply (bad site, category clash, NA or double
-    adjunction, cycle) or the result is not finished (unfilled slot,
-    stranded foot, unsatisfied obligatory adjunction).
+    instance of component root_comp of the derivation's root use tops the
+    result, which carries the derivation. Raises a CompositionError
+    subclass when an attachment does not apply (bad site, category clash,
+    NA or double adjunction, cycle) or the result is not finished (unfilled
+    slot, stranded foot, unsatisfied obligatory adjunction).
     """
-    registry: dict[tuple[int, int, GornAddress], DNode] = {}
-    for use, components in enumerate(elementary):
-        for comp, tree in enumerate(components):
-            instantiate(tree, use, comp, registry)
-    try:
-        for att in derivation.attachments:
-            if att.op == OP_SUBST:
-                _apply_subst(registry, att)
-            else:
-                _apply_adjoin(registry, att, elementary[att.use][att.comp])
-        root = fragment_root(registry[(derivation.root, root_comp, ROOT)])
-    finally:
-        # parent links serve splicing only; dropping them leaves no cycles
-        for node in registry.values():
-            node.parent = None
-
-    tree = DerivedTree(root=root, derivation=derivation)
-    for node in tree.preorder():
-        if node.kind == KIND_SUBST:
-            raise UnfilledSlotError(node.provenance, node.cat)
-        if node.kind == KIND_FOOT:
-            raise IllegalAttachmentError(f"stranded foot node {node.provenance}")
-        if node.adjoin == ADJOIN_OA and not node.adjunction_applied:
-            raise ObligatoryAdjunctionError(
-                f"no adjunction at obligatory-adjoining node {node.provenance}")
-    return tree
+    sites = _index_sites(elementary, derivation)
+    top: list[DNode] = []
+    entered = {(derivation.root, root_comp)}
+    # a frame per instance being cloned: its nodes still to clone, use,
+    # component, clones by path, foot filler and the list its root goes into
+    stack = [(iter(elementary[derivation.root][root_comp].nodes.items()),
+              derivation.root, root_comp, {}, None, top)]
+    while stack:
+        nodes, use, comp, clones, filler, into = stack[-1]
+        for addr, src in nodes:  # preorder, so a node's parent is cloned first
+            path = addr.path
+            siblings = clones[path[:-1]].children if path else into
+            att = sites.get((use, comp, path))
+            if att is None:
+                if src.kind == KIND_FOOT and filler is not None:
+                    siblings.append(filler)
+                    continue
+                node = clones[path] = DNode(src, use, comp, addr)
+                if src.kind == KIND_SUBST:
+                    raise UnfilledSlotError(node.provenance, node.cat)
+                if src.kind == KIND_FOOT:
+                    raise IllegalAttachmentError(
+                        f"stranded foot node {node.provenance}")
+                if src.adjoin == ADJOIN_OA:
+                    raise ObligatoryAdjunctionError(
+                        f"no adjunction at obligatory-adjoining node {node.provenance}")
+                siblings.append(node)
+                continue
+            # enter the attached instance; this one resumes when it is done
+            if (att.use, att.comp) in entered:
+                raise IllegalAttachmentError(
+                    f"cyclic attachment of use {att.use} at {_where(att)}")
+            entered.add((att.use, att.comp))
+            # an adjunction site is cloned, and the auxiliary's foot takes it
+            host = None
+            if att.op == OP_ADJOIN:
+                host = clones[path] = DNode(src, use, comp, addr)
+            stack.append((iter(elementary[att.use][att.comp].nodes.items()),
+                          att.use, att.comp, {}, host, siblings))
+            break
+        else:
+            stack.pop()
+    unreached = sum(map(len, elementary)) - len(entered)
+    if unreached:  # each attaches once, so the unreached hang from a cycle
+        raise IllegalAttachmentError(
+            f"cyclic attachment: {unreached} instance(s) never reached from the root")
+    return DerivedTree(root=top[0], derivation=derivation)
 
 
 def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
@@ -305,9 +291,7 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
     (ill-formed shape, or anything compose rejects). Dominance requirements
     are a separate judgement, see dominance_violations.
     """
-    problem = _shape_errors(derivation, grammar)
-    if problem is not None:
-        raise IllegalAttachmentError(problem)
+    _check_shape(derivation, grammar)
     root_head = grammar.pair(derivation.uses[derivation.root]).source.head
     return compose([grammar.pair(name).source.components for name in derivation.uses],
                    derivation, root_head)
@@ -320,7 +304,7 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     for use, name in enumerate(tree.derivation.uses):
         for dominator, dominated in grammar.pair(name).source.dominance:
             if roots is None:
-                # splicing cuts out slots and feet, never an instance's root
+                # composition drops slots and feet, never an instance's root
                 roots = {(node.use, node.comp): node
                          for node in tree.preorder() if node.addr.is_root}
             upper = roots[use, dominator]

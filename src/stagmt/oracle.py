@@ -10,9 +10,9 @@ dominance respected, yield equal to the input). This is exponential and
 proud of it; it exists so the real parser has something exact to disagree
 with.
 
-Composition here deliberately shares no mechanics with stagmt.derive: forms
-are immutable nested tuples grown top-down, with the foot filler passed as
-an argument, rather than mutable instance graphs spliced in place. Only the
+Composition here deliberately shares no code with stagmt.derive: it is a
+recursive expander over immutable nested tuples, the foot filler passed as
+an argument, where compose expands under an explicit stack. Only the
 Derivation record type, its canonical numbering and its ranking order are
 shared, so both sides speak the same language when their result sets are
 compared. Canonical numbering reads the tree that stagmt.derive composes

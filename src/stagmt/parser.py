@@ -198,6 +198,8 @@ class ChartTables:
                     nodes.append(node)
                     addrs.append(address)
                     children.append([])
+        # pass 2's instance budget allows max_comps instances per use
+        self.max_comps = max((p.n_components for p in grammar.pairs), default=1)
         aux_cats = {nodes[root].cat for root, is_aux in roots if is_aux}
         hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
                    and node.cat in aux_cats for node in nodes]
@@ -567,9 +569,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
 
     if max_uses is None:
         max_uses = len(lex) + 2
-    max_comps = max((p.n_components for p in grammar.pairs), default=1)
-    budget = max_uses * max_comps
     tables = grammar.chart_tables
+    budget = max_uses * tables.max_comps
     span = _SpanParser(lex, tables)
 
     buckets: dict[int, list] = {}

@@ -48,6 +48,13 @@ DITRANS_WORDS = ("Tom-i", "Mary-eykey", "Jerry-lul", "cwunta")
 EMBEDDED_WORDS = ("Mary-ka", "Tom-i", "Jerry-lul", "ccossnunta", "malhanta")
 
 
+def chain_sentence(depth: int) -> str:
+    """An embedded-grammar sentence: the object fronted over depth embedding
+    verbs."""
+    return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
+            + " malhanta" * depth + ".")
+
+
 def permutation_closure(words, terminator: str = ".") -> tuple[str, ...]:
     return tuple(" ".join(order) + terminator
                  for order in sorted(set(itertools.permutations(words))))

@@ -11,7 +11,7 @@ import pytest
 
 from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
                      CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
-                     corpus)
+                     chain_sentence, corpus)
 
 from stagmt.cli import main
 from stagmt.grammar_io import builtin_grammar_path
@@ -28,13 +28,6 @@ GOLDEN_RUNS = {
     "parse_corpus.txt": ("parse", "--all-derivations"),
     "parse_json_corpus.txt": ("parse", "--format", "json", "--all-derivations"),
 }
-
-
-def fronted_chain(depth):
-    """An embedded-grammar sentence: the object fronted over depth embedding
-    verbs."""
-    return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
-            + " malhanta" * depth + ".")
 
 
 def nested_grammar(depth):
@@ -96,7 +89,7 @@ class TestTranslate:
         # the object fronted over 80, then 400 embedding verbs: the batch
         # goes on past an input that nests too deeply to parse
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f"{fronted_chain(80)}\n{fronted_chain(400)}\n{EMBEDDED_CANONICAL}\n"))
+            f"{chain_sentence(80)}\n{chain_sentence(400)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")
         shallow, deep, canonical = out.splitlines()
         assert shallow == "Mary says " * 80 + "Tom chases Jerry."
@@ -113,7 +106,7 @@ class TestTranslate:
         # first is refused and the batch goes on to the second
         monkeypatch.setattr("stagmt.parser.MAX_CHART_ITEMS", 50)
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f"{fronted_chain(3)}\n{EMBEDDED_CANONICAL}\n"))
+            f"{chain_sentence(3)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")
         assert status == 1
         assert out == "ERROR\nMary says Tom chases Jerry.\n"
@@ -136,7 +129,7 @@ class TestTranslate:
         # a parse 170 embeddings deep is printed with its trees, and the
         # batch goes on to the next line
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f"{fronted_chain(170)}\n{EMBEDDED_CANONICAL}\n"))
+            f"{chain_sentence(170)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded", *argv)
         assert (status, err) == (0, "")
         lines = out.splitlines()

@@ -1,12 +1,13 @@
 """Composition: attachments, end checks, set constraints, canonical numbering."""
 
+import inspect
 import itertools
+import sys
 
 import pytest
 
-from support import check_set_constraints, set_constraint_violations
+from support import chain_sentence, check_set_constraints, set_constraint_violations
 
-from stagmt import derive
 from stagmt.derive import (
     Attachment,
     OP_ADJOIN,
@@ -14,6 +15,7 @@ from stagmt.derive import (
     build_derived_tree,
     canonicalize,
     compose,
+    dominance_violations,
     make_derivation,
     render_derivation,
     render_tree,
@@ -28,12 +30,14 @@ from stagmt.errors import (
     ObligatoryAdjunctionError,
     UnfilledSlotError,
 )
+from stagmt.generator import realize, yield_surface
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
+    KIND_FOOT,
+    KIND_SUBST,
     ElementaryTree,
     GornAddress,
-    ROOT,
     SourceSet,
     SyncPair,
     foot,
@@ -42,6 +46,8 @@ from stagmt.model import (
     lex,
     subst,
 )
+from stagmt.pipeline import translate_line
+from stagmt.transfer import transfer_derivation
 
 A = GornAddress.parse
 
@@ -176,20 +182,19 @@ class TestBuildDerivedTree:
         with pytest.raises(IllegalAttachmentError, match="is already filled"):
             build_derived_tree(twice, g_chase)
 
-    def test_broken_parent_link_is_an_internal_error(self, g_chase, monkeypatch):
-        # a node missing from its parent's children is a bug; the check must
-        # survive python -O, so it cannot be an assert
-        real = derive.instantiate
-
-        def orphaning(tree, use, comp, registry):
-            root = real(tree, use, comp, registry)
-            root.children = []
-            return root
-
-        monkeypatch.setattr(derive, "instantiate", orphaning)
-        with pytest.raises(InternalError) as info:
-            build_derived_tree(CANONICAL, g_chase)
-        assert info.value.code == "internal-error"
+    def test_cyclic_derivation_is_a_coded_error(self, g_chase):
+        # each auxiliary adjoins into the other, so neither is reachable
+        # from the root, though both place-holders fill its slots
+        cyclic = make_derivation(
+            ("gamma_chase", "beta_jerry_op", "beta_tom_sp"), 0, [
+                att(1, 0, 2, 0, "e", OP_ADJOIN),
+                att(1, 1, 0, 0, "2", OP_SUBST),
+                att(2, 0, 1, 0, "e", OP_ADJOIN),
+                att(2, 1, 0, 0, "1", OP_SUBST),
+            ])
+        with pytest.raises(IllegalAttachmentError, match="cyclic") as info:
+            build_derived_tree(cyclic, g_chase)
+        assert info.value.code == "illegal-attachment"
 
     def test_na_site_rejected(self):
         host = SyncPair(
@@ -251,37 +256,21 @@ def instance_roots(tree):
     return roots
 
 
-@pytest.fixture
-def instantiated(monkeypatch):
-    """Every node compose instantiates, the slots and feet it cuts out too."""
-    nodes = []
-    real = derive.instantiate
-
-    def recording(tree, use, comp, registry):
-        root = real(tree, use, comp, registry)
-        nodes.extend(derive.preorder(root))
-        return root
-
-    monkeypatch.setattr(derive, "instantiate", recording)
-    return nodes
-
-
 class TestWorkingTreeOps:
-    """The splice operations one attachment at a time, through compose."""
+    """Substitution and adjunction, read off the composed tree."""
 
-    def test_substitution_fills_slot(self, g_chase, instantiated):
+    def test_substitution_fills_slot(self, g_chase):
         tree = splice(g_chase, ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op"),
                       [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "2", OP_SUBST)],
                       (0, 0))
         roots = instance_roots(tree)
         assert tree.root is roots[0, 0]
-        [slot] = [node for node in instantiated
-                  if (node.use, node.comp, node.addr) == (0, 0, A("1"))]
-        assert all(node is not slot for node in tree.preorder())  # spliced out
+        # the slots are gone, their fillers in their place
+        assert not any(node.kind == KIND_SUBST for node in tree.preorder())
+        assert (0, 0, A("1")) not in {(node.use, node.comp, node.addr)
+                                      for node in tree.preorder()}
         sp = tree.root.children[0]
         assert sp is roots[1, 0]
-        # only child links survive composition, so no tree is a cycle
-        assert all(node.parent is None for node in instantiated)
         assert sp.word is None  # SP phrase, not the slot
         assert sp.children[0].word == "Tom"
 
@@ -301,8 +290,8 @@ class TestWorkingTreeOps:
         host = roots[1, 0]
         assert tree.root is roots[0, 0]
         assert tree.root.children[1] is host  # the host took the foot's place
+        assert not any(node.kind == KIND_FOOT for node in tree.preorder())
         assert host.children[0] is roots[2, 0]
-        assert host.adjunction_applied
 
     def test_double_adjunction_rejected(self, g_chase):
         with pytest.raises(DoubleAdjunctionError):
@@ -323,6 +312,25 @@ class TestWorkingTreeOps:
         assert tree.root is roots[2, 0]
         assert tree.root.children[1] is jerry
         assert jerry.children[1] is roots[0, 0]
+
+
+def test_composition_does_not_recurse(g_embedded):
+    # 123 uses; a recursive composer needs a frame per level of the tree
+    source = translate_line(chain_sentence(60), g_embedded).best.source
+    derivation = source.derivation
+    assert len(derivation.uses) == 123
+    rendered = render_tree(source, g_embedded)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        tree = build_derived_tree(derivation, g_embedded)
+        assert canonicalize(tree) == derivation
+        assert dominance_violations(tree, g_embedded) == []
+        assert render_tree(tree, g_embedded) == rendered
+        target = realize(transfer_derivation(derivation, g_embedded), g_embedded)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert yield_surface(target) == "Mary says " * 60 + "Tom chases Jerry."
 
 
 class TestCheckSetConstraints:
