@@ -24,6 +24,7 @@ and its derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CategoryMismatchError,
@@ -46,6 +47,7 @@ from .model import (
     GornAddress,
     Grammar,
     SET_VARIABLE,
+    SyncPair,
     TreeNode,
 )
 
@@ -79,11 +81,12 @@ class Derivation:
     def cost(self, grammar: Grammar) -> int:
         return uses_cost(self.uses, grammar)
 
+    @cached_property  # not a field, so equality and hashing ignore it
+    def _attachment_index(self) -> dict[tuple[int, int], Attachment]:
+        return {(att.use, att.comp): att for att in self.attachments}
+
     def attachment_of(self, use: int, comp: int) -> Attachment | None:
-        for att in self.attachments:
-            if att.use == use and att.comp == comp:
-                return att
-        return None
+        return self._attachment_index.get((use, comp))
 
 
 def uses_cost(pair_names, grammar: Grammar) -> int:
@@ -122,40 +125,59 @@ class DNode:
         return f"<DNode {self.cat} {self.provenance}>"
 
 
-def preorder(root: DNode):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
 @dataclass
 class DerivedTree:
     root: DNode
     derivation: Derivation
 
     def preorder(self):
-        yield from preorder(self.root)
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
-    def yield_lex(self) -> tuple[str, ...]:
-        return tuple(n.word for n in self.preorder() if n.kind == KIND_LEX)
+
+def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]:
+    """Walk a composed tree once in preorder. Returns its lexical yield, the
+    rank of each use in first appearance, and spans[use, comp], the
+    preorder interval [start, end) of that instance's root and all below
+    it. The walk relabels the nodes' uses by rank; spans keep the numbers
+    of tree.derivation, which canonicalize(tree, order) renumbers."""
+    order: dict[int, int] = {}
+    spans: dict = {}
+    words = []
+    stack: list = [tree.root]
+    position = 0
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # the end of the instance it keys
+            spans[node] = (spans[node], position)
+            continue
+        if not node.addr.path:  # an instance root: mark where it ends
+            spans[node.use, node.comp] = position
+            stack.append((node.use, node.comp))
+        if node.kind == KIND_LEX:
+            words.append(node.word)
+        node.use = order.setdefault(node.use, len(order))
+        position += 1
+        stack += node.children[::-1]
+    return tuple(words), order, spans
 
 
-def _check_shape(derivation: Derivation, grammar: Grammar) -> None:
+def _check_shape(derivation: Derivation, grammar: Grammar) -> list[SyncPair]:
     n = len(derivation.uses)
     if not 0 <= derivation.root < n:
         raise IllegalAttachmentError(f"root index {derivation.root} out of range")
+    pairs = [grammar.pair(name) for name in derivation.uses]
     seen: set[tuple[int, int]] = set()
     for att in derivation.attachments:
         if not (0 <= att.use < n and 0 <= att.host < n):
             raise IllegalAttachmentError(
                 f"attachment references unknown use ({att.use}, {att.host})")
-        pair = grammar.pair(derivation.uses[att.use])
-        host_pair = grammar.pair(derivation.uses[att.host])
-        if not 0 <= att.comp < pair.n_components:
+        if not 0 <= att.comp < pairs[att.use].n_components:
             raise IllegalAttachmentError(f"use {att.use} has no component {att.comp}")
-        if not 0 <= att.host_comp < host_pair.n_components:
+        if not 0 <= att.host_comp < pairs[att.host].n_components:
             raise IllegalAttachmentError(
                 f"use {att.host} has no component {att.host_comp}")
         if att.op not in (OP_SUBST, OP_ADJOIN):
@@ -164,10 +186,8 @@ def _check_shape(derivation: Derivation, grammar: Grammar) -> None:
             raise IllegalAttachmentError(
                 f"component ({att.use}, {att.comp}) attaches twice")
         seen.add((att.use, att.comp))
-    root_pair = grammar.pair(derivation.uses[derivation.root])
-    root_head = root_pair.source.head
-    for use in range(n):
-        pair = grammar.pair(derivation.uses[use])
+    root_head = pairs[derivation.root].source.head
+    for use, pair in enumerate(pairs):
         for comp in range(pair.n_components):
             is_root_head = use == derivation.root and comp == root_head
             attached = (use, comp) in seen
@@ -178,6 +198,7 @@ def _check_shape(derivation: Derivation, grammar: Grammar) -> None:
                 raise IllegalAttachmentError(
                     f"missing component: ({use}, {comp}) of "
                     f"{derivation.uses[use]} never attaches")
+    return pairs
 
 
 def _where(att: Attachment) -> str:
@@ -291,25 +312,24 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
     (ill-formed shape, or anything compose rejects). Dominance requirements
     are a separate judgement, see dominance_violations.
     """
-    _check_shape(derivation, grammar)
-    root_head = grammar.pair(derivation.uses[derivation.root]).source.head
-    return compose([grammar.pair(name).source.components for name in derivation.uses],
-                   derivation, root_head)
+    pairs = _check_shape(derivation, grammar)
+    return compose([pair.source.components for pair in pairs], derivation,
+                   pairs[derivation.root].source.head)
 
 
-def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
-    """Dominance requirements of set uses that fail in the composed tree."""
+def dominance_violations(tree: DerivedTree, grammar: Grammar,
+                         spans: dict | None = None) -> list[str]:
+    """Dominance requirements of set uses that fail in the composed tree, read
+    off walk_tree's spans; without them the tree is walked, so canonicalized."""
+    derivation = tree.derivation
+    if spans is None:
+        _, order, spans = walk_tree(tree)
+        canonicalize(tree, order)
     out = []
-    roots = None
-    for use, name in enumerate(tree.derivation.uses):
+    for use, name in enumerate(derivation.uses):
         for dominator, dominated in grammar.pair(name).source.dominance:
-            if roots is None:
-                # composition drops slots and feet, never an instance's root
-                roots = {(node.use, node.comp): node
-                         for node in tree.preorder() if node.addr.is_root}
-            upper = roots[use, dominator]
-            lower = roots[use, dominated]
-            if not any(node is lower for node in preorder(upper)):
+            start, end = spans[use, dominator]
+            if not start <= spans[use, dominated][0] < end:
                 out.append(f"dominance: use {use} ({name}) component {dominator}"
                            f" does not dominate component {dominated}")
     return out
@@ -357,19 +377,17 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
     return "".join(out)
 
 
-def canonicalize(tree: DerivedTree) -> Derivation:
+def canonicalize(tree: DerivedTree, order: dict[int, int] | None = None) -> Derivation:
     """Renumber a composed tree's uses by first appearance in its preorder walk.
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.
-    The tree is relabelled in place: a finished tree keeps only its nodes'
-    child links and its derivation, so canonicalize renumbers its nodes'
-    uses and makes tree.derivation the canonical derivation it returns.
+    The tree is relabelled in place: walk_tree, run here unless order is its
+    result, renumbers its nodes' uses; tree.derivation becomes the result.
     """
+    if order is None:
+        order = walk_tree(tree)[1]
     derivation = tree.derivation
-    order: dict[int, int] = {}
-    for node in tree.preorder():
-        node.use = order.setdefault(node.use, len(order))
     # every component's root is in the tree: each attaches, and no cycle composes
     missing = len(derivation.uses) - len(order)
     if missing:

@@ -385,7 +385,8 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
             if src.head != ph:
                 diag("head-convention",
                      f"place-holder component {ph} must be the head, not {src.head}")
-            dominators = [d for d, e in src.dominance if e == ph]
+            dominators = [d for d, e in src.dominance  # a bad d is reported above
+                          if e == ph and 0 <= d < len(src.components)]
             if not any(src.components[d].is_auxiliary for d in dominators):
                 diag("placeholder-dominance",
                      "place-holder must be dominated by a scrambled auxiliary component")

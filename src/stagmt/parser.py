@@ -47,8 +47,8 @@ by component id. A derivation's cost (sum of use priorities minus one, so
 priority-1 pairs are free) is fixed by its instance tree, so the instance
 trees are bucketed by cost before any grouping. Per cost, instances of
 multi-component pairs are grouped into uses by bijective matching per
-component, each grouping is composed once, and groupings whose dominance
-requirements fail are discarded; a cost with no survivor is skipped.
+component, each grouping is composed and walked once, and those whose
+dominance requirements fail are discarded; a cost with none left is skipped.
 Surviving trees are canonicalized in place, deduplicated and sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees so no later stage composes them
@@ -75,6 +75,7 @@ from .derive import (
     make_derivation,
     ranking_key,
     uses_cost,
+    walk_tree,
 )
 from .errors import (InternalError, LexicalGapError, LimitExceededError,
                      NoParseError)
@@ -557,10 +558,10 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     instance trees are then bucketed by cost, which the instance tree alone
     fixes: every grouping makes one use per singleton instance and one per
     component-0 instance of a set. Per cost, cheapest first, each grouping
-    is composed exactly once; the tree that passes the yield and dominance
-    checks is canonicalized in place and kept. A cost whose every grouping
-    fails its dominance requirement yields no level. Only ``unpack``
-    recurses, so only it is guarded against running out of stack.
+    is composed and walked once: the walk's yield must be the input, its
+    spans settle dominance and its numbering canonicalizes the kept tree. A
+    cost whose every grouping fails dominance yields no level. Only
+    ``unpack`` recurses, so only it is guarded against running out of stack.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -605,13 +606,13 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                     for idx, parent_idx, op in edges]
                 derivation = make_derivation(uses, assignment[0], attachments)
                 tree = build_derived_tree(derivation, grammar)
-                produced = tree.yield_lex()
+                produced, order, spans = walk_tree(tree)
                 if produced != lex:
                     raise InternalError(
                         f"derived tree yields {produced}, not the input {lex}")
-                if dominance_violations(tree, grammar):
+                if dominance_violations(tree, grammar, spans):
                     continue
-                found.setdefault(canonicalize(tree), tree)
+                found.setdefault(canonicalize(tree, order), tree)
         if found:
             yield PriorityLevel(cost=cost, trees=tuple(sorted(
                 found.values(),

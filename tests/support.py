@@ -21,7 +21,7 @@ from stagmt.derive import (
     make_derivation,
 )
 from stagmt.errors import CompositionError
-from stagmt.model import ADJOIN_NA, KIND_INTERIOR, ROOT, Grammar
+from stagmt.model import ADJOIN_NA, KIND_INTERIOR, KIND_LEX, ROOT, Grammar
 
 # Verdict lines recorded by the acceptance tests; echoed after the run by a
 # terminal-summary hook so they are visible even when capture is on.
@@ -53,6 +53,11 @@ def chain_sentence(depth: int) -> str:
     verbs."""
     return ("Jerry-lul " + "Mary-ka " * depth + "Tom-i ccossnunta"
             + " malhanta" * depth + ".")
+
+
+def lex_yield(tree) -> tuple[str, ...]:
+    """The words at a composed tree's lexical leaves, left to right."""
+    return tuple(node.word for node in tree.preorder() if node.kind == KIND_LEX)
 
 
 def permutation_closure(words, terminator: str = ".") -> tuple[str, ...]:

@@ -20,6 +20,7 @@ from support import (
     EMBEDDED_FRONTED,
     check_set_constraints,
     corpus,
+    lex_yield,
     permutation_closure,
     sample_derivations,
 )
@@ -126,9 +127,9 @@ def test_criterion_3_priority_suppression(g_chase):
     everything = all_derivations(sentence, g_chase)
     vacuous = [d for d in everything if d.cost(g_chase) == 1]
     check(failures, bool(vacuous), "no cost-1 derivation exists at all")
-    reference_yield = build_derived_tree(best[0], g_chase).yield_lex()
+    reference_yield = lex_yield(build_derived_tree(best[0], g_chase))
     check(failures,
-          any(build_derived_tree(d, g_chase).yield_lex() == reference_yield
+          any(lex_yield(build_derived_tree(d, g_chase)) == reference_yield
               for d in vacuous),
           "no cost-1 derivation shares the sentence's yield")
 
@@ -315,7 +316,7 @@ def test_criterion_8_invariants_and_round_trip(g_chase, g_ditransitive,
             for derivation in derivations:
                 parses += 1
                 tree = build_derived_tree(derivation, grammar)
-                check(failures, tree.yield_lex() == sentence.lex_stream,
+                check(failures, lex_yield(tree) == sentence.lex_stream,
                       f"{line!r}: derived yield diverges from the input")
                 check(failures,
                       yield_surface(tree, sentence.terminator)

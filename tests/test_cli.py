@@ -275,6 +275,24 @@ class TestCheck:
         assert diagnostics and all(line.startswith("[error] ") for line in diagnostics)
         assert summary.endswith("problem(s)")
 
+    def test_out_of_range_dominator(self, capsys, tmp_path):
+        # the place-holder check must skip a dominator that names no
+        # component; the dominance-index diagnostic reports it
+        doc = json.loads(builtin_grammar_path("chase").read_text())
+        for pair in doc["pairs"]:
+            if pair["name"] == "beta_jerry_op":
+                pair["source"]["dominance"] = [[3, 1]]
+        bad = tmp_path / "bad.grammar"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "check", "-g", str(bad))
+        assert status == 1
+        assert "bad dominance pair (3, 1) (dominance-index)" in out
+        assert "Traceback" not in out + err
+        status, out, err = run(capsys, "translate", "-g", str(bad), CHASE_CANONICAL)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: unusable grammar:")
+        assert "Traceback" not in err
+
     def test_unreadable_path(self, capsys, tmp_path):
         status, _, err = run(capsys, "check", "-g", str(tmp_path))
         assert status == 2

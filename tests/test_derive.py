@@ -1,12 +1,14 @@
 """Composition: attachments, end checks, set constraints, canonical numbering."""
 
+import dataclasses
 import inspect
 import itertools
 import sys
 
 import pytest
 
-from support import chain_sentence, check_set_constraints, set_constraint_violations
+from support import (chain_sentence, check_set_constraints, lex_yield,
+                     set_constraint_violations)
 
 from stagmt.derive import (
     Attachment,
@@ -85,20 +87,20 @@ class TestBuildDerivedTree:
         lone = make_derivation(("alpha_tom_sp",), 0, [])
         tree = build_derived_tree(lone, g_chase)
         assert render_tree(tree, g_chase) == "(SP (N Tom) (P i))"
-        assert tree.yield_lex() == ("Tom", "i")
+        assert lex_yield(tree) == ("Tom", "i")
 
     def test_canonical_sentence(self, g_chase):
         tree = build_derived_tree(CANONICAL, g_chase)
         assert render_tree(tree, g_chase) == (
             "(S (SP (N Tom) (P i)) (OP (N Jerry) (P lul)) (V ccossnunta))")
-        assert tree.yield_lex() == ("Tom", "i", "Jerry", "lul", "ccossnunta")
+        assert lex_yield(tree) == ("Tom", "i", "Jerry", "lul", "ccossnunta")
 
     def test_scrambled_sentence(self, g_chase):
         tree = build_derived_tree(SCRAMBLED, g_chase)
         assert render_tree(tree, g_chase) == (
             "(S (OP<1> (N Jerry) (P lul)) "
             "(S (SP (N Tom) (P i)) (OP<1> e) (V ccossnunta)))")
-        assert tree.yield_lex() == ("Jerry", "lul", "Tom", "i", "ccossnunta")
+        assert lex_yield(tree) == ("Jerry", "lul", "Tom", "i", "ccossnunta")
 
     def test_stacked_adjunction(self, g_chase):
         tree = build_derived_tree(STACKED, g_chase)
@@ -424,6 +426,17 @@ class TestCanonicalize:
             CANONICAL.attachments)
         with pytest.raises(InternalError, match="lacks 1 of its 4 uses"):
             canonicalize(tree)
+
+
+def test_attachment_index_leaves_equality_alone():
+    indexed, plain = (make_derivation(STACKED.uses, STACKED.root,
+                                      STACKED.attachments) for _ in range(2))
+    for att in indexed.attachments:
+        assert indexed.attachment_of(att.use, att.comp) is att
+    assert indexed.attachment_of(len(indexed.uses), 0) is None
+    assert indexed == plain and hash(indexed) == hash(plain)
+    assert repr(indexed) == repr(plain)
+    assert dataclasses.astuple(indexed) == dataclasses.astuple(plain)
 
 
 class TestRenderDerivation:

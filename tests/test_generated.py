@@ -23,7 +23,7 @@ from unittest import mock
 from hypothesis import (HealthCheck, event, given, reject, settings,
                         strategies as st)
 
-from support import random_derivation
+from support import lex_yield, random_derivation
 
 from stagmt.derive import build_derived_tree
 from stagmt.model import (
@@ -167,7 +167,7 @@ def sentences(draw, grammar):
     for _ in range(20):
         derivation = random_derivation(grammar, rng, max_uses=4)
         if derivation is not None:
-            derived = list(build_derived_tree(derivation, grammar).yield_lex())
+            derived = list(lex_yield(build_derived_tree(derivation, grammar)))
             break
     kind = draw(st.sampled_from(("yield", "shuffle", "edit", "random")))
     if derived is None or len(derived) > MAX_WORDS or kind == "random":

@@ -10,14 +10,16 @@ from support import (
     CHASE_SCRAMBLED,
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
+    corpus,
     permutation_closure,
 )
 
 import stagmt.parser
 from stagmt import oracle
-from stagmt.derive import (OP_ADJOIN, dominance_violations, ranking_key,
-                           render_derivation, render_tree)
-from stagmt.errors import OracleBoundError
+from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
+                           canonicalize, dominance_violations, make_derivation,
+                           ranking_key, render_derivation, render_tree, walk_tree)
+from stagmt.errors import OracleBoundError, StagError
 from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ADJOIN_NA,
@@ -184,42 +186,46 @@ class TestLeastCosts:
         assert parsed == brute_force_derivations(sentence, g)
 
 
+def _fall_through_grammar():
+    """x y z: the set {S(X(x) S*), B(y)} costs 1, but its B component lands
+    below the S its auxiliary adjoins to, so it cannot dominate the
+    auxiliary as the set requires; the priority-3 singleton S(X(x) S*) plus
+    B(y) costs 2 and parses."""
+    gamma = SyncPair(
+        name="gamma_z",
+        source=SourceSet((ElementaryTree(
+            interior("S", subst("B"), lex("Z", "z"))),)),
+        target=ElementaryTree(interior("S", subst("B"), lex("Z", "z"))),
+        links=(Link(comp=0, src=GornAddress.parse("1"),
+                    tgt=GornAddress.parse("1")),))
+    scrambled = SyncPair(
+        name="beta_xy",
+        source=SourceSet((
+            ElementaryTree(interior("S", lex("X", "x"), foot("S"))),
+            ElementaryTree(interior("B", lex("Y", "y")))),
+            head=0, dominance=((1, 0),)),
+        target=ElementaryTree(interior("S", foot("S"))),
+        priority=2)
+    pairs = (gamma, scrambled,
+             _singleton("alpha_y", interior("B", lex("Y", "y"))),
+             _singleton("beta_x", interior("S", lex("X", "x"), foot("S")),
+                        priority=3))
+    assert all(validate_pair(pair) == [] for pair in pairs)
+    return _grammar(pairs)
+
+
 class TestDominanceFallThrough:
     """The cheapest cost can hold groupings only, all failing dominance;
     the best level is then the next cost that parses."""
 
     def test_best_level_is_the_dearer_cost(self, monkeypatch):
-        # "x y z": the set {S(X(x) S*), B(y)} costs 1, but its B component
-        # lands below the S its auxiliary adjoins to, so it cannot dominate
-        # the auxiliary as the set requires; the priority-3 singleton
-        # S(X(x) S*) plus B(y) costs 2 and parses
-        gamma = SyncPair(
-            name="gamma_z",
-            source=SourceSet((ElementaryTree(
-                interior("S", subst("B"), lex("Z", "z"))),)),
-            target=ElementaryTree(interior("S", subst("B"), lex("Z", "z"))),
-            links=(Link(comp=0, src=GornAddress.parse("1"),
-                        tgt=GornAddress.parse("1")),))
-        scrambled = SyncPair(
-            name="beta_xy",
-            source=SourceSet((
-                ElementaryTree(interior("S", lex("X", "x"), foot("S"))),
-                ElementaryTree(interior("B", lex("Y", "y")))),
-                head=0, dominance=((1, 0),)),
-            target=ElementaryTree(interior("S", foot("S"))),
-            priority=2)
-        pairs = (gamma, scrambled,
-                 _singleton("alpha_y", interior("B", lex("Y", "y"))),
-                 _singleton("beta_x", interior("S", lex("X", "x"), foot("S")),
-                            priority=3))
-        assert all(validate_pair(pair) == [] for pair in pairs)
-        g = _grammar(pairs)
+        g = _fall_through_grammar()
         sentence = tokenize("x y z.", g)
 
         rejected = []
 
-        def recording(tree, grammar):
-            violations = dominance_violations(tree, grammar)
+        def recording(tree, grammar, spans):
+            violations = dominance_violations(tree, grammar, spans)
             if violations:
                 rejected.append(tree.derivation.cost(grammar))
             return violations
@@ -236,6 +242,115 @@ class TestDominanceFallThrough:
         assert ([render_tree(t, g) for t in first.trees]
                 == [render_tree(t, g) for t in best.trees])
         assert best.derivations == brute_force_derivations(sentence, g)
+
+
+def _below(top):
+    """Every node at or below top: the search that the preorder-span test
+    of dominance replaced, kept here as its reference."""
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def _check_spans(derivation, grammar) -> list[str]:
+    """Check walk_tree's instance spans and dominance_violations against the
+    reference search; returns the violations."""
+    tree = build_derived_tree(derivation, grammar)
+    roots = {(node.use, node.comp): node
+             for node in tree.preorder() if node.addr.is_root}
+    expected = [
+        f"dominance: use {use} ({name}) component {upper} does not dominate "
+        f"component {lower}"
+        for use, name in enumerate(derivation.uses)
+        for upper, lower in grammar.pair(name).source.dominance
+        if not any(node is roots[use, lower] for node in _below(roots[use, upper]))]
+    contains = {(a, b): any(node is roots[b] for node in _below(roots[a]))
+                for a in roots for b in roots}
+    _, order, spans = walk_tree(tree)
+    for (a, b), inside in contains.items():
+        start, end = spans[a]
+        assert (start <= spans[b][0] < end) == inside, (a, b)
+    assert dominance_violations(tree, grammar, spans) == expected
+    # called on its own, the check walks the tree itself
+    alone = build_derived_tree(derivation, grammar)
+    assert dominance_violations(alone, grammar) == expected
+    assert alone.derivation == canonicalize(tree, order)
+    return expected
+
+
+class TestIntervalDominance:
+    """Dominance is read off preorder spans; the reference searches the
+    nodes below the dominating root for the dominated one."""
+
+    @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded"])
+    def test_corpus_derivations(self, name):
+        # scrambled readings adjoin a set's auxiliary at an instance root and
+        # reach its place-holder through the auxiliary's foot
+        grammar = load_grammar(name)
+        linked = 0
+        for line in corpus(name):
+            try:
+                derivations = all_derivations(tokenize(line, grammar), grammar)
+            except StagError:
+                continue
+            for derivation in derivations:
+                assert _check_spans(derivation, grammar) == []
+                linked += any(grammar.pair(use).source.dominance
+                              for use in derivation.uses)
+        assert linked
+
+    def test_ambiguous_orders(self):
+        grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
+        lines = permutation_closure(AMBIGUOUS_WORDS)
+        assert len(lines) == 20
+        checked = 0
+        for line in lines:
+            for derivation in all_derivations(tokenize(line, grammar), grammar):
+                assert _check_spans(derivation, grammar) == []
+                checked += 1
+        assert checked
+
+    def test_root_just_past_the_span(self):
+        # B(y) fills the slot right after the P its set's auxiliary adjoins
+        # to, so B's root starts exactly where the auxiliary's span ends
+        gamma = _singleton("gamma_pb", interior(
+            "S", interior("P", lex("W", "p")), subst("B")))
+        beta = SyncPair(
+            name="beta_xb",
+            source=SourceSet((
+                ElementaryTree(interior("P", lex("X", "x"), foot("P"))),
+                ElementaryTree(interior("B", lex("Y", "y")))),
+                head=0, dominance=((0, 1),)),
+            target=ElementaryTree(interior("P", foot("P"))),
+            priority=2)
+        g = _grammar((gamma, beta))
+        derivation = make_derivation(("gamma_pb", "beta_xb"), 0, [
+            Attachment(use=1, comp=0, host=0, host_comp=0,
+                       site=GornAddress.parse("1"), op=OP_ADJOIN),
+            Attachment(use=1, comp=1, host=0, host_comp=0,
+                       site=GornAddress.parse("2"), op=OP_SUBST)])
+        assert _check_spans(derivation, g) == [
+            "dominance: use 1 (beta_xb) component 0 does not dominate component 1"]
+
+    def test_rejected_grouping(self, monkeypatch):
+        # the cost-1 grouping puts B(y) below the S its auxiliary adjoins
+        # to: the dominated component lies outside the dominating one
+        g = _fall_through_grammar()
+        rejected = []
+
+        def recording(tree, grammar, spans):
+            violations = dominance_violations(tree, grammar, spans)
+            if violations:
+                rejected.append(tree.derivation)
+            return violations
+
+        monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
+        all_derivations(tokenize("x y z.", g), g)
+        (derivation,) = rejected
+        assert _check_spans(derivation, g) == [
+            "dominance: use 1 (beta_xy) component 1 does not dominate component 0"]
 
 
 class TestThreeComponentSet:

@@ -14,6 +14,7 @@ from support import (
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
     corpus,
+    lex_yield,
     permutation_closure,
 )
 
@@ -87,7 +88,7 @@ class TestChaseSentences:
             sentence = tokenize(line, g_chase)
             for derivation in all_derivations(sentence, g_chase):
                 tree = build_derived_tree(derivation, g_chase)
-                assert tree.yield_lex() == sentence.lex_stream
+                assert lex_yield(tree) == sentence.lex_stream
 
 
 class TestOtherGrammars:
@@ -175,13 +176,13 @@ class TestFailureModes:
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
         # the yield check must survive python -O, so it cannot be an assert
-        class Misyielding:
-            def yield_lex(self):
-                return ("Jerry", "lul")
+        def misyielding(derivation, grammar):
+            tree = build_derived_tree(derivation, grammar)
+            tree.root.children = tree.root.children[1:]  # drops its first words
+            return tree
 
-        monkeypatch.setattr(stagmt.parser, "build_derived_tree",
-                            lambda derivation, grammar: Misyielding())
-        with pytest.raises(InternalError) as info:
+        monkeypatch.setattr(stagmt.parser, "build_derived_tree", misyielding)
+        with pytest.raises(InternalError, match="derived tree yields") as info:
             derivations_of(CHASE_CANONICAL, g_chase)
         assert info.value.code == "internal-error"
 
@@ -201,7 +202,7 @@ class TestRanking:
         for level in levels:
             for tree in level.trees:
                 assert tree.derivation.cost(g_chase) == level.cost
-                assert tree.yield_lex() == sentence.lex_stream
+                assert lex_yield(tree) == sentence.lex_stream
                 assert (render_tree(tree, g_chase)
                         == render_tree(build_derived_tree(tree.derivation, g_chase),
                                        g_chase))

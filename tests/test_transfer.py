@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from support import EMBEDDED_CANONICAL, EMBEDDED_FRONTED
+from support import EMBEDDED_CANONICAL, EMBEDDED_FRONTED, lex_yield
 
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            make_derivation)
@@ -136,7 +136,7 @@ class TestScrambledTransfer:
             ("gamma_chase", "alpha_tom_sp", "beta_det_jerry_op", "alpha_ku"), 0,
             [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "e", OP_ADJOIN),
              att(2, 1, 0, 0, "2", OP_SUBST), att(3, 0, 2, 0, "1.1", OP_SUBST)])
-        assert build_derived_tree(d, grammar).yield_lex() == (
+        assert lex_yield(build_derived_tree(d, grammar)) == (
             "ku", "Jerry", "lul", "Tom", "i", "ccossnunta")
         td = transfer_derivation(d, grammar)
         assert att(3, 0, 2, 0, "1", OP_SUBST) in td.attachments
