@@ -2,12 +2,13 @@
 
 A derivation names a multiset of pair uses and says, for every component of
 every use except the root's head, where that component attaches (host use,
-host component, site address, operation). Composition turns a derivation
-into a derived tree, which is a function of the derivation read off top
-down. ``compose`` is the one engine: source derivations reach it through
-``build_derived_tree``, and target derivations, whose trees are single
-components (component 0 of each use), through ``generator.realize``. Both
-sides run the same checks.
+host component, site address, operation). Attachments are named tuples
+sorted by (use, comp), so a reader takes them in one pass. Composition turns
+a derivation into a derived tree, which is a function of the derivation read
+off top down. ``compose`` is the one engine: source derivations reach it
+through ``build_derived_tree``, and target derivations, whose trees are
+single components (component 0 of each use), through ``generator.realize``.
+Both sides run the same checks.
 
 ``compose`` first indexes the attachments by the site they fill, checking
 each one against its host's elementary tree. It then clones the root
@@ -24,7 +25,7 @@ and its derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     CategoryMismatchError,
@@ -55,9 +56,9 @@ OP_SUBST = "subst"
 OP_ADJOIN = "adjoin"
 
 
-@dataclass(frozen=True)
-class Attachment:
-    """Component (use, comp) attaches at address site of (host, host_comp)."""
+class Attachment(NamedTuple):
+    """Component (use, comp) attaches at address site of (host, host_comp);
+    each (use, comp) attaches once, so attachments sort in (use, comp) order."""
 
     use: int
     comp: int
@@ -65,9 +66,6 @@ class Attachment:
     host_comp: int
     site: GornAddress
     op: str
-
-    def sort_key(self):
-        return (self.use, self.comp)
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,6 @@ class Derivation:
     def cost(self, grammar: Grammar) -> int:
         return uses_cost(self.uses, grammar)
 
-    @cached_property  # not a field, so equality and hashing ignore it
-    def _attachment_index(self) -> dict[tuple[int, int], Attachment]:
-        return {(att.use, att.comp): att for att in self.attachments}
-
-    def attachment_of(self, use: int, comp: int) -> Attachment | None:
-        return self._attachment_index.get((use, comp))
-
 
 def uses_cost(pair_names, grammar: Grammar) -> int:
     """The cost of one use of each named pair: priority minus one per use,
@@ -97,21 +88,20 @@ def uses_cost(pair_names, grammar: Grammar) -> int:
 
 def make_derivation(uses, root, attachments) -> Derivation:
     return Derivation(uses=tuple(uses), root=root,
-                      attachments=tuple(sorted(attachments, key=Attachment.sort_key)))
+                      attachments=tuple(sorted(attachments)))
 
 
 class DNode:
     """Mutable node of a derived tree, tagged with its provenance."""
 
-    __slots__ = ("cat", "kind", "adjoin", "word", "feats", "children",
+    __slots__ = ("cat", "kind", "word", "feats", "children",
                  "use", "comp", "addr")
 
     def __init__(self, src: TreeNode, use: int, comp: int, addr: GornAddress):
         self.cat = src.cat
         self.kind = src.kind
-        self.adjoin = src.adjoin
         self.word = src.word
-        self.feats = dict(src.feats)
+        self.feats = src.feats  # the elementary node's (name, value) pairs
         self.children: list[DNode] = []
         self.use = use
         self.comp = comp
@@ -317,14 +307,10 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
                    pairs[derivation.root].source.head)
 
 
-def dominance_violations(tree: DerivedTree, grammar: Grammar,
-                         spans: dict | None = None) -> list[str]:
+def dominance_violations(tree: DerivedTree, grammar: Grammar, spans: dict) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree, read
-    off walk_tree's spans; without them the tree is walked, so canonicalized."""
+    off the spans that walk_tree(tree) returns, before canonicalize."""
     derivation = tree.derivation
-    if spans is None:
-        _, order, spans = walk_tree(tree)
-        canonicalize(tree, order)
     out = []
     for use, name in enumerate(derivation.uses):
         for dominator, dominated in grammar.pair(name).source.dominance:
@@ -362,7 +348,7 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
             out.append(node)
             continue
         label = node.cat
-        if SET_VARIABLE in node.feats.values() and node.use in indexes:
+        if node.use in indexes and any(v == SET_VARIABLE for _, v in node.feats):
             label += f"<{indexes[node.use]}>"
         if node.kind == KIND_LEX:
             out.append(f"({label} {node.word})")
@@ -377,16 +363,14 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
     return "".join(out)
 
 
-def canonicalize(tree: DerivedTree, order: dict[int, int] | None = None) -> Derivation:
-    """Renumber a composed tree's uses by first appearance in its preorder walk.
+def canonicalize(tree: DerivedTree, order: dict[int, int]) -> Derivation:
+    """Renumber a composed tree's derivation by first appearance in preorder,
+    the order that walk_tree(tree) returns; walk_tree relabelled the nodes,
+    and tree.derivation becomes the result.
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.
-    The tree is relabelled in place: walk_tree, run here unless order is its
-    result, renumbers its nodes' uses; tree.derivation becomes the result.
     """
-    if order is None:
-        order = walk_tree(tree)[1]
     derivation = tree.derivation
     # every component's root is in the tree: each attaches, and no cycle composes
     missing = len(derivation.uses) - len(order)
@@ -394,10 +378,8 @@ def canonicalize(tree: DerivedTree, order: dict[int, int] | None = None) -> Deri
         raise InternalError(f"the composed tree lacks {missing} of its "
                             f"{len(derivation.uses)} uses")
     uses = tuple(derivation.uses[use] for use in order)  # in first-appearance order
-    attachments = tuple(
-        Attachment(use=order[a.use], comp=a.comp, host=order[a.host],
-                   host_comp=a.host_comp, site=a.site, op=a.op)
-        for a in derivation.attachments)
+    attachments = [Attachment(order[use], comp, order[host], host_comp, site, op)
+                   for use, comp, host, host_comp, site, op in derivation.attachments]
     canonical = make_derivation(uses, order[derivation.root], attachments)
     tree.derivation = canonical
     return canonical
@@ -405,22 +387,17 @@ def canonicalize(tree: DerivedTree, order: dict[int, int] | None = None) -> Deri
 
 def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
     """Stable one-line-per-use description of a derivation."""
+    parts: list[list[str]] = [[] for _ in derivation.uses]
+    for att in derivation.attachments:  # by use, then component
+        where = f"{att.op} u{att.host}/c{att.host_comp}@{att.site}"
+        if grammar.pair(derivation.uses[att.use]).n_components > 1:
+            where = f"c{att.comp} {where}"
+        parts[att.use].append(where)
     lines = []
     for use, name in enumerate(derivation.uses):
-        pair = grammar.pair(name)
-        parts = []
-        for comp in range(pair.n_components):
-            att = derivation.attachment_of(use, comp)
-            if att is None:
-                continue
-            where = f"u{att.host}/c{att.host_comp}@{att.site}"
-            if pair.n_components > 1:
-                parts.append(f"c{comp} {att.op} {where}")
-            else:
-                parts.append(f"{att.op} {where}")
         # the root's head attaches nowhere, but its further components do
         label = f"u{use} {name}" + (" (root)" if use == derivation.root else "")
-        lines.append(f"{label}: {', '.join(parts)}" if parts else label)
+        lines.append(f"{label}: {', '.join(parts[use])}" if parts[use] else label)
     return "\n".join(lines)
 
 
@@ -429,6 +406,4 @@ def ranking_key(derivation: Derivation, grammar: Grammar):
     derivation, so two derivations tie only when they are equal."""
     return (derivation.cost(grammar), tuple(sorted(derivation.uses)),
             tuple(str(a.site) for a in derivation.attachments),
-            derivation.uses, derivation.root,
-            tuple((a.use, a.comp, a.host, a.host_comp, a.site.path, a.op)
-                  for a in derivation.attachments))
+            derivation.uses, derivation.root, derivation.attachments)

@@ -34,6 +34,10 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
+# the deepest level a grammar tree may reach, its root at level 0: the builder
+# takes two frames a level, and 3.10 and 3.11 run out of stack near level 490,
+# so this holds on every interpreter from any caller (shipped trees reach 2)
+MAX_TREE_DEPTH = 200
 
 _TOP_KEYS = {"version", "source_language", "target_language",
              "start_symbol", "particles", "pairs"}
@@ -79,7 +83,10 @@ def _address(text, path) -> GornAddress:
         raise GrammarSchemaError(str(exc), path) from None
 
 
-def _node_from_json(obj, path) -> TreeNode:
+def _node_from_json(obj, path, depth=0) -> TreeNode:
+    if depth > MAX_TREE_DEPTH:  # named by where the tree starts
+        tree = path[:path.index(".children[")]
+        raise GrammarSyntaxError(f"{tree}: nested too deeply to read")
     _require(obj, _NODE_KEYS, {"cat"}, path)
     cat = _string(obj["cat"], f"{path}.cat")
     kind = obj.get("kind", KIND_INTERIOR)
@@ -96,7 +103,7 @@ def _node_from_json(obj, path) -> TreeNode:
     if word is not None:
         _string(word, f"{path}.word")
     children = tuple(
-        _node_from_json(c, f"{path}.children[{i}]")
+        _node_from_json(c, f"{path}.children[{i}]", depth + 1)
         for i, c in enumerate(_list(obj.get("children", []), f"{path}.children")))
     return TreeNode(cat=cat, kind=kind, adjoin=adjoin, word=word,
                     feats=tuple(sorted(feats.items())), children=children)
@@ -159,9 +166,8 @@ def _pair_from_json(obj, path) -> SyncPair:
 def parse_grammar(text: str, origin: str = "<string>") -> Grammar:
     """Build and validate a Grammar from grammar-file text.
 
-    Nesting deeper than the interpreter's recursion limit is a syntax error,
-    whether the JSON reader meets it or the tree builder does (which comes
-    first depends on the Python version).
+    A tree nested deeper than MAX_TREE_DEPTH is a syntax error, and so is
+    other nesting deeper than the JSON reader's recursion limit.
     """
     try:
         return _parse_grammar(text, origin)

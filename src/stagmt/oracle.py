@@ -16,7 +16,8 @@ an argument, where compose expands under an explicit stack. Only the
 Derivation record type, its canonical numbering and its ranking order are
 shared, so both sides speak the same language when their result sets are
 compared. Canonical numbering reads the tree that stagmt.derive composes
-for a configuration the oracle has already accepted.
+for a configuration the oracle has already accepted: the oracle walks it
+with walk_tree and hands the walk's numbering to canonicalize.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .derive import (
     canonicalize,
     make_derivation,
     ranking_key,
+    walk_tree,
 )
 from .errors import OracleBoundError
 from .model import (
@@ -293,8 +295,8 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
         attachments.append(Attachment(use=u, comp=c, host=host_u,
                                       host_comp=host_c, site=addr,
                                       op=OP_ADJOIN if aux else OP_SUBST))
-    derivation = make_derivation(uses, root, attachments)
-    found.add(canonicalize(build_derived_tree(derivation, grammar)))
+    tree = build_derived_tree(make_derivation(uses, root, attachments), grammar)
+    found.add(canonicalize(tree, walk_tree(tree)[1]))
 
 
 @dataclass(frozen=True)

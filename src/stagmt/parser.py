@@ -62,6 +62,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derive import (
     OP_ADJOIN,
@@ -108,8 +109,7 @@ MAX_GROUPINGS = 10_000
 OPEN = "open"
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One attached instance: the elementary site and operation it attaches
     by, its component id, and its own attachments."""
 
@@ -600,9 +600,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                 for idx, (name, _) in enumerate(insts):
                     uses[assignment[idx]] = name
                 attachments = [Attachment(
-                    use=assignment[idx], comp=insts[idx][1],
-                    host=assignment[parent_idx], host_comp=insts[parent_idx][1],
-                    site=op.site, op=op.op)
+                    assignment[idx], insts[idx][1], assignment[parent_idx],
+                    insts[parent_idx][1], op.site, op.op)
                     for idx, parent_idx, op in edges]
                 derivation = make_derivation(uses, assignment[0], attachments)
                 tree = build_derived_tree(derivation, grammar)

@@ -20,14 +20,12 @@ from .errors import DanglingUseError, UntranslatableAttachmentError
 from .model import ROOT, Grammar
 
 
-def _head_attachment(derivation: Derivation, use: int, grammar: Grammar) -> Attachment:
-    """Where the head component of a non-root use attaches on the source side."""
-    name = derivation.uses[use]
-    head_att = derivation.attachment_of(use, grammar.pair(name).source.head)
-    if head_att is None:
-        raise DanglingUseError(
-            f"use {use} ({name}): head component is attached nowhere")
-    return head_att
+def _attached_heads(derivation: Derivation, grammar: Grammar) -> dict[int, Attachment]:
+    """Where each attached use's head component attaches on the source side,
+    read in one pass over the attachments."""
+    head_comps = [grammar.pair(name).source.head for name in derivation.uses]
+    return {att.use: att for att in derivation.attachments
+            if att.comp == head_comps[att.use]}
 
 
 def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
@@ -40,11 +38,15 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     use). The operation is carried through unchanged; whether it fits the
     target tree is realization's concern.
     """
+    heads = _attached_heads(derivation, grammar)
     attachments = []
     for use, name in enumerate(derivation.uses):
         if use == derivation.root:
             continue
-        head_att = _head_attachment(derivation, use, grammar)
+        head_att = heads.get(use)
+        if head_att is None:
+            raise DanglingUseError(
+                f"use {use} ({name}): head component is attached nowhere")
         host_pair = grammar.pair(derivation.uses[head_att.host])
         link = host_pair.link_for(head_att.host_comp, head_att.site)
         if link is not None:
@@ -56,17 +58,17 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
                 f"use {use} ({name}) attaches at u{head_att.host}/"
                 f"c{head_att.host_comp}@{head_att.site}, which maps to no "
                 f"target node of {host_pair.name}")
-        attachments.append(Attachment(use=use, comp=0, host=head_att.host,
-                                      host_comp=0, site=site, op=head_att.op))
+        attachments.append(Attachment(use, 0, head_att.host, 0, site, head_att.op))
     return make_derivation(derivation.uses, derivation.root, attachments)
 
 
 def transfer_steps(source: Derivation, target: Derivation, grammar: Grammar) -> list[str]:
     """One trace line per target attachment: the source head attachment it
     was read from and the target site it maps to."""
+    heads = _attached_heads(source, grammar)
     lines = []
     for att in target.attachments:
-        src = _head_attachment(source, att.use, grammar)
+        src = heads[att.use]
         lines.append(f"u{att.use} {source.uses[att.use]}: source u{src.host}/"
                      f"c{src.host_comp}@{src.site} -> target "
                      f"u{att.host}@{att.site} ({att.op})")

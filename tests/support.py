@@ -17,8 +17,10 @@ from stagmt.derive import (
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
+    canonicalize,
     dominance_violations,
     make_derivation,
+    walk_tree,
 )
 from stagmt.errors import CompositionError
 from stagmt.model import ADJOIN_NA, KIND_INTERIOR, KIND_LEX, ROOT, Grammar
@@ -108,6 +110,26 @@ def corpus(grammar_name: str) -> tuple[str, ...]:
     raise ValueError(grammar_name)
 
 
+def attachment_of(derivation, use: int, comp: int):
+    """Where component comp of use attaches in the derivation, or None."""
+    return next((att for att in derivation.attachments
+                 if (att.use, att.comp) == (use, comp)), None)
+
+
+def canonical(tree):
+    """Walk a composed tree and canonicalize it: its canonical derivation."""
+    return canonicalize(tree, walk_tree(tree)[1])
+
+
+def violations(tree, grammar: Grammar) -> list[str]:
+    """Walk a composed tree, read its dominance violations off the walk's
+    spans, and canonicalize it, as the parser does for each candidate."""
+    _, order, spans = walk_tree(tree)
+    found = dominance_violations(tree, grammar, spans)
+    canonicalize(tree, order)
+    return found
+
+
 def set_constraint_violations(derivation, grammar: Grammar) -> list[str]:
     """Why a derivation breaks its multi-component side conditions.
 
@@ -121,7 +143,7 @@ def set_constraint_violations(derivation, grammar: Grammar) -> list[str]:
         tree = build_derived_tree(derivation, grammar)
     except CompositionError as exc:
         return [f"{exc.code}: {exc}"]
-    return dominance_violations(tree, grammar)
+    return violations(tree, grammar)
 
 
 def check_set_constraints(derivation, grammar: Grammar) -> bool:

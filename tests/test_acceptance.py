@@ -6,7 +6,6 @@ asserting. Timings are wall-clock with generous stated tolerances; everything
 here runs on the shipped grammars only.
 """
 
-import dataclasses
 import time
 
 from support import (
@@ -18,17 +17,18 @@ from support import (
     DITRANS_WORDS,
     EMBEDDED_CANONICAL,
     EMBEDDED_FRONTED,
+    attachment_of,
     check_set_constraints,
     corpus,
     lex_yield,
     permutation_closure,
     sample_derivations,
+    violations,
 )
 
 from stagmt.derive import (
     OP_ADJOIN,
     build_derived_tree,
-    dominance_violations,
     make_derivation,
     render_tree,
 )
@@ -193,8 +193,8 @@ def test_criterion_5_long_distance_scrambling(g_embedded):
              if g_embedded.pair(name).source.is_multi]
     check(failures, len(multi) == 1, f"{len(multi)} scrambling sets used")
     (use,) = multi
-    fronted = derivation.attachment_of(use, 0)
-    place_holder = derivation.attachment_of(use, 1)
+    fronted = attachment_of(derivation, use, 0)
+    place_holder = attachment_of(derivation, use, 1)
     check(failures, derivation.uses[fronted.host] == "gamma_say",
           f"fronted component attached to {derivation.uses[fronted.host]}")
     check(failures, derivation.uses[place_holder.host] == "gamma_chase",
@@ -203,7 +203,7 @@ def test_criterion_5_long_distance_scrambling(g_embedded):
           "both components attached to the same use: not long-distance")
 
     tree = build_derived_tree(derivation, g_embedded)
-    check(failures, not dominance_violations(tree, g_embedded),
+    check(failures, not violations(tree, g_embedded),
           "dominance link violated in the derived tree")
 
     scrambled = translate_line(EMBEDDED_FRONTED, g_embedded)
@@ -251,8 +251,7 @@ def _site_variants(derivation, grammar):
                 for addr, node in comp.nodes.items():
                     if node.kind != KIND_INTERIOR:
                         continue
-                    moved = dataclasses.replace(att, host=host, host_comp=hc,
-                                                site=addr)
+                    moved = att._replace(host=host, host_comp=hc, site=addr)
                     atts = list(derivation.attachments)
                     atts[i] = moved
                     candidate = make_derivation(derivation.uses,
@@ -274,7 +273,7 @@ def test_criterion_7_transfer_isomorphism(g_chase, g_ditransitive, g_embedded):
     for derivation, grammar in pool[:max(100, len(pool))]:
         target = transfer_derivation(derivation, grammar)
         source_parents = {
-            use: derivation.attachment_of(use, grammar.pair(name).source.head).host
+            use: attachment_of(derivation, use, grammar.pair(name).source.head).host
             for use, name in enumerate(derivation.uses)
             if use != derivation.root}
         target_parents = {a.use: a.host for a in target.attachments}
@@ -327,7 +326,7 @@ def test_criterion_8_invariants_and_round_trip(g_chase, g_ditransitive,
                         continue
                     marked = [n for n in tree.preorder()
                               if n.use == use
-                              and SET_VARIABLE in n.feats.values()]
+                              and SET_VARIABLE in dict(n.feats).values()]
                     check(failures, len(marked) == 2,
                           f"{line!r}: use {use} shows {len(marked)} trace "
                           "nodes, wanted a pair")

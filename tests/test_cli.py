@@ -14,7 +14,7 @@ from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
                      chain_sentence, corpus)
 
 from stagmt.cli import main
-from stagmt.grammar_io import builtin_grammar_path
+from stagmt.grammar_io import MAX_TREE_DEPTH, builtin_grammar_path
 
 
 # Regenerate after an intended output change: PYTHONPATH=src python tests/test_cli.py
@@ -313,10 +313,12 @@ class TestCheck:
         assert "[syntax-error]" in err
 
     # 1,000 nested nodes pass the recursion limit of the tree builder on
-    # every Python, and of the JSON reader on some
+    # every Python, and of the JSON reader on some; one level past the cap
+    # passes neither
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
-                                      nested_grammar(1_000)],
-                             ids=["arrays", "nodes"])
+                                      nested_grammar(1_000),
+                                      nested_grammar(MAX_TREE_DEPTH + 1)],
+                             ids=["arrays", "nodes", "past_cap"])
     def test_too_deeply_nested_file(self, capsys, tmp_path, text):
         deep = tmp_path / "deep.grammar"
         deep.write_text(text)
@@ -326,6 +328,12 @@ class TestCheck:
         status, out, err = run(capsys, "translate", "-g", str(deep), CHASE_CANONICAL)
         assert (status, out) == (2, "")
         assert err.startswith("error: unusable grammar:")
+
+    def test_tree_at_the_depth_cap_loads(self, capsys, tmp_path):
+        deep = tmp_path / "deep.grammar"
+        deep.write_text(nested_grammar(MAX_TREE_DEPTH))
+        assert run(capsys, "check", "-g", str(deep))[0] == 0
+        assert run(capsys, "translate", "-g", str(deep), "x.") == (0, "x.\n", "")
 
     def test_field_of_the_wrong_type(self, capsys, tmp_path):
         doc = json.loads(builtin_grammar_path("chase").read_text())

@@ -1,23 +1,20 @@
 """Composition: attachments, end checks, set constraints, canonical numbering."""
 
-import dataclasses
 import inspect
 import itertools
 import sys
 
 import pytest
 
-from support import (chain_sentence, check_set_constraints, lex_yield,
-                     set_constraint_violations)
+from support import (canonical, chain_sentence, check_set_constraints,
+                     lex_yield, set_constraint_violations, violations)
 
 from stagmt.derive import (
     Attachment,
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
-    canonicalize,
     compose,
-    dominance_violations,
     make_derivation,
     render_derivation,
     render_tree,
@@ -241,6 +238,38 @@ class TestBuildDerivedTree:
         with pytest.raises(IllegalAttachmentError, match="no node at site"):
             build_derived_tree(nowhere, g_chase)
 
+    # _check_shape's rejections; a duplicate (use, comp) is reported alike
+    # whichever of its attachments comes first
+    @pytest.mark.parametrize("uses, root, attachments, message", [
+        (("alpha_tom_sp",), 1, [], "root index 1 out of range"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(2, 0, 0, 0, "1", OP_SUBST)],
+         "attachment references unknown use (2, 0)"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 0, 5, 0, "1", OP_SUBST)],
+         "attachment references unknown use (1, 5)"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 1, 0, 0, "1", OP_SUBST)],
+         "use 1 has no component 1"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 0, 0, 3, "1", OP_SUBST)],
+         "use 0 has no component 3"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 0, 0, 0, "1", "graft")],
+         "unknown operation 'graft'"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 0, 0, 0, "1", OP_SUBST),
+                                              att(1, 0, 0, 0, "2", OP_SUBST)],
+         "component (1, 0) attaches twice"),
+        (("gamma_chase", "alpha_tom_sp"), 0, [att(1, 0, 0, 0, "2", OP_SUBST),
+                                              att(1, 0, 0, 0, "1", OP_SUBST)],
+         "component (1, 0) attaches twice"),
+        (("alpha_tom_sp",), 0, [att(0, 0, 0, 0, "e", OP_ADJOIN)],
+         "root head component must not attach anywhere"),
+    ], ids=["root-out-of-range", "unknown-use", "unknown-host",
+            "no-such-component", "no-such-host-component", "unknown-operation",
+            "attaches-twice", "attaches-twice-swapped", "root-head-attaches"])
+    def test_ill_formed_shape_rejected(self, g_chase, uses, root, attachments,
+                                       message):
+        derivation = make_derivation(uses, root, attachments)
+        with pytest.raises(IllegalAttachmentError) as info:
+            build_derived_tree(derivation, g_chase)
+        assert (info.value.code, str(info.value)) == ("illegal-attachment", message)
+
 
 def splice(grammar, names, attachments, root):
     """Compose source components of the named pairs; root is (use, comp)."""
@@ -326,8 +355,8 @@ def test_composition_does_not_recurse(g_embedded):
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         tree = build_derived_tree(derivation, g_embedded)
-        assert canonicalize(tree) == derivation
-        assert dominance_violations(tree, g_embedded) == []
+        assert canonical(tree) == derivation
+        assert violations(tree, g_embedded) == []
         assert render_tree(tree, g_embedded) == rendered
         target = realize(transfer_derivation(derivation, g_embedded), g_embedded)
     finally:
@@ -383,7 +412,7 @@ class TestCheckSetConstraints:
 class TestCanonicalize:
     def test_frozen_derivations_are_fixed_points(self, g_chase):
         for derivation in (CANONICAL, SCRAMBLED, STACKED):
-            assert canonicalize(build_derived_tree(derivation, g_chase)) == derivation
+            assert canonical(build_derived_tree(derivation, g_chase)) == derivation
 
     def test_use_renumbering_is_quotiented_away(self, g_chase):
         base = SCRAMBLED
@@ -395,7 +424,7 @@ class TestCanonicalize:
                 [Attachment(use=perm[a.use], comp=a.comp, host=perm[a.host],
                             host_comp=a.host_comp, site=a.site, op=a.op)
                  for a in base.attachments])
-            assert canonicalize(build_derived_tree(relabeled, g_chase)) == base
+            assert canonical(build_derived_tree(relabeled, g_chase)) == base
 
     def test_tree_is_relabelled_in_place(self, g_chase):
         base = STACKED
@@ -408,7 +437,7 @@ class TestCanonicalize:
         tree = build_derived_tree(relabeled, g_chase)
         rendered = render_tree(tree, g_chase)
         before = [(node, node.use) for node in tree.preorder()]
-        assert canonicalize(tree) == base
+        assert canonical(tree) == base
         assert tree.derivation == base
         assert render_tree(tree, g_chase) == rendered
         # the same nodes, relabelled: use u of the input is use n - 1 - u
@@ -425,18 +454,8 @@ class TestCanonicalize:
             CANONICAL.uses + ("alpha_tom_sp",), CANONICAL.root,
             CANONICAL.attachments)
         with pytest.raises(InternalError, match="lacks 1 of its 4 uses"):
-            canonicalize(tree)
+            canonical(tree)
 
-
-def test_attachment_index_leaves_equality_alone():
-    indexed, plain = (make_derivation(STACKED.uses, STACKED.root,
-                                      STACKED.attachments) for _ in range(2))
-    for att in indexed.attachments:
-        assert indexed.attachment_of(att.use, att.comp) is att
-    assert indexed.attachment_of(len(indexed.uses), 0) is None
-    assert indexed == plain and hash(indexed) == hash(plain)
-    assert repr(indexed) == repr(plain)
-    assert dataclasses.astuple(indexed) == dataclasses.astuple(plain)
 
 
 class TestRenderDerivation:

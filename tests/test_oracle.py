@@ -12,6 +12,7 @@ from support import (
     EMBEDDED_FRONTED,
     corpus,
     permutation_closure,
+    violations,
 )
 
 import stagmt.parser
@@ -273,9 +274,9 @@ def _check_spans(derivation, grammar) -> list[str]:
         start, end = spans[a]
         assert (start <= spans[b][0] < end) == inside, (a, b)
     assert dominance_violations(tree, grammar, spans) == expected
-    # called on its own, the check walks the tree itself
+    # the one-call helper walks, checks and canonicalizes a fresh tree alike
     alone = build_derived_tree(derivation, grammar)
-    assert dominance_violations(alone, grammar) == expected
+    assert violations(alone, grammar) == expected
     assert alone.derivation == canonicalize(tree, order)
     return expected
 

@@ -13,6 +13,7 @@ from support import (
     CHASE_WORDS_SWAPPED,
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
+    attachment_of,
     corpus,
     lex_yield,
     permutation_closure,
@@ -103,8 +104,8 @@ class TestOtherGrammars:
         assert d.cost(g_embedded) == 1
         (beta_use,) = [u for u, name in enumerate(d.uses)
                        if g_embedded.pair(name).source.is_multi]
-        aux = d.attachment_of(beta_use, 0)
-        place_holder = d.attachment_of(beta_use, 1)
+        aux = attachment_of(d, beta_use, 0)
+        place_holder = attachment_of(d, beta_use, 1)
         # the two components of one set land in different uses' trees
         assert aux.host != place_holder.host
         assert d.uses[aux.host] == "gamma_say"
@@ -215,8 +216,8 @@ class TestRanking:
                 # a set is used whole or not at all: both components attach
                 if pair.source.is_multi:
                     use = derivation.uses.index(name)
-                    assert derivation.attachment_of(use, 0) is not None
-                    assert derivation.attachment_of(use, 1) is not None
+                    assert attachment_of(derivation, use, 0) is not None
+                    assert attachment_of(derivation, use, 1) is not None
 
 
 class TestLevelsOnDemand:
