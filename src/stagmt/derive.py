@@ -5,21 +5,22 @@ every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Attachments are named tuples
 sorted by (use, comp), so a reader takes them in one pass. Composition turns
 a derivation into a derived tree, which is a function of the derivation read
-off top down. ``compose`` is the one engine: source derivations reach it
-through ``build_derived_tree``, and target derivations, whose trees are
-single components (component 0 of each use), through ``generator.realize``.
-Both sides run the same checks.
+off top down. ``compose`` is the one engine and the one checker: source
+derivations reach it through ``build_derived_tree``, and target derivations,
+whose trees are single components (component 0 of each use), through
+``generator.realize``, so both sides run the same checks.
 
 ``compose`` first indexes the attachments by the site they fill, checking
-each one against its host's elementary tree. It then clones the root
-instance in preorder, with an explicit stack of one frame per instance
-being cloned: a filled slot enters the instance substituted there, and a
-node hosting an adjunction is cloned and enters the auxiliary instance,
-whose foot the clone fills. Unfilled slots, stranded feet and unmet
-obligatory adjunction are met on the way, and an instance entered twice or
-never means the attachments form a cycle. A finished tree is its root,
-whose nodes link only to their children (so reference counting frees it),
-and its derivation.
+in one pass over them that the uses, components and operation exist, that
+every component but the root instance attaches once, and that each fits
+its site in its host's elementary tree. It then clones the root instance in
+preorder, with an explicit stack of one frame per instance being cloned: a
+filled slot enters the instance substituted there, and a node hosting an
+adjunction is cloned and enters the auxiliary instance, whose foot the
+clone fills. Unfilled slots, stranded feet and unmet obligatory adjunction
+are met on the way, and an instance never entered hangs from a cycle of
+attachments. A finished tree is its root, whose nodes link only to their
+children (so reference counting frees it), and its derivation.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .model import (
     GornAddress,
     Grammar,
     SET_VARIABLE,
-    SyncPair,
     TreeNode,
 )
 
@@ -120,13 +120,6 @@ class DerivedTree:
     root: DNode
     derivation: Derivation
 
-    def preorder(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
 
 def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]:
     """Walk a composed tree once in preorder. Returns its lexical yield, the
@@ -155,52 +148,39 @@ def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]
     return tuple(words), order, spans
 
 
-def _check_shape(derivation: Derivation, grammar: Grammar) -> list[SyncPair]:
-    n = len(derivation.uses)
-    if not 0 <= derivation.root < n:
-        raise IllegalAttachmentError(f"root index {derivation.root} out of range")
-    pairs = [grammar.pair(name) for name in derivation.uses]
-    seen: set[tuple[int, int]] = set()
-    for att in derivation.attachments:
-        if not (0 <= att.use < n and 0 <= att.host < n):
-            raise IllegalAttachmentError(
-                f"attachment references unknown use ({att.use}, {att.host})")
-        if not 0 <= att.comp < pairs[att.use].n_components:
-            raise IllegalAttachmentError(f"use {att.use} has no component {att.comp}")
-        if not 0 <= att.host_comp < pairs[att.host].n_components:
-            raise IllegalAttachmentError(
-                f"use {att.host} has no component {att.host_comp}")
-        if att.op not in (OP_SUBST, OP_ADJOIN):
-            raise IllegalAttachmentError(f"unknown operation {att.op!r}")
-        if (att.use, att.comp) in seen:
-            raise IllegalAttachmentError(
-                f"component ({att.use}, {att.comp}) attaches twice")
-        seen.add((att.use, att.comp))
-    root_head = pairs[derivation.root].source.head
-    for use, pair in enumerate(pairs):
-        for comp in range(pair.n_components):
-            is_root_head = use == derivation.root and comp == root_head
-            attached = (use, comp) in seen
-            if is_root_head and attached:
-                raise IllegalAttachmentError(
-                    "root head component must not attach anywhere")
-            if not is_root_head and not attached:
-                raise IllegalAttachmentError(
-                    f"missing component: ({use}, {comp}) of "
-                    f"{derivation.uses[use]} never attaches")
-    return pairs
-
-
 def _where(att: Attachment) -> str:
     return f"u{att.host}/c{att.host_comp}:{att.site}"
 
 
-def _index_sites(elementary, derivation: Derivation):
+def _index_sites(elementary, derivation: Derivation, root_comp: int):
     """The derivation's attachments by the site they fill, as (host, host
-    component, address path); each is checked, in stored order, against the
-    elementary trees of its host and of its own component."""
+    component, address path). One pass checks each attachment's shape, then
+    its site; after it, every instance but the root's must have attached."""
+    n = len(elementary)
+    if not 0 <= derivation.root < n:
+        raise IllegalAttachmentError(f"root index {derivation.root} out of range")
+    root = (derivation.root, root_comp)
+    attached: set[tuple[int, int]] = set()
     sites: dict[tuple[int, int, tuple[int, ...]], Attachment] = {}
     for att in derivation.attachments:
+        if not (0 <= att.use < n and 0 <= att.host < n):
+            raise IllegalAttachmentError(
+                f"attachment references unknown use ({att.use}, {att.host})")
+        if not 0 <= att.comp < len(elementary[att.use]):
+            raise IllegalAttachmentError(f"use {att.use} has no component {att.comp}")
+        if not 0 <= att.host_comp < len(elementary[att.host]):
+            raise IllegalAttachmentError(
+                f"use {att.host} has no component {att.host_comp}")
+        if att.op not in (OP_SUBST, OP_ADJOIN):
+            raise IllegalAttachmentError(f"unknown operation {att.op!r}")
+        instance = (att.use, att.comp)
+        if instance in attached:
+            raise IllegalAttachmentError(
+                f"component ({att.use}, {att.comp}) attaches twice")
+        if instance == root:
+            raise IllegalAttachmentError(
+                "root head component must not attach anywhere")
+        attached.add(instance)
         key = (att.host, att.host_comp, att.site.path)
         site = elementary[att.host][att.host_comp].node_at(att.site)
         tree = elementary[att.use][att.comp]
@@ -233,22 +213,31 @@ def _index_sites(elementary, derivation: Derivation):
                 raise CategoryMismatchError(
                     f"cannot adjoin {tree.root_cat} auxiliary at {site.cat} node")
         sites[key] = att
+    if len(sites) < sum(map(len, elementary)) - 1:
+        use, comp = next((use, comp) for use, trees in enumerate(elementary)
+                         for comp in range(len(trees))
+                         if (use, comp) not in attached and (use, comp) != root)
+        raise IllegalAttachmentError(f"missing component: ({use}, {comp}) of "
+                                     f"{derivation.uses[use]} never attaches")
     return sites
 
 
 def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
-    """Expand the derivation top down into its derived tree.
+    """Expand the derivation top down into its derived tree, checking it.
 
     elementary[use][comp] is the tree of component comp of use; the
     instance of component root_comp of the derivation's root use tops the
     result, which carries the derivation. Raises a CompositionError
-    subclass when an attachment does not apply (bad site, category clash,
-    NA or double adjunction, cycle) or the result is not finished (unfilled
-    slot, stranded foot, unsatisfied obligatory adjunction).
+    subclass when the derivation is ill-formed (a root, use, component or
+    operation that does not exist, a component attaching twice or never,
+    the root instance attaching), when an attachment does not apply (bad
+    site, category clash, NA or double adjunction, cycle) or when the
+    result is not finished (unfilled slot, stranded foot, unsatisfied
+    obligatory adjunction).
     """
-    sites = _index_sites(elementary, derivation)
+    sites = _index_sites(elementary, derivation, root_comp)
     top: list[DNode] = []
-    entered = {(derivation.root, root_comp)}
+    entered = 1  # instances entered, the root's first
     # a frame per instance being cloned: its nodes still to clone, use,
     # component, clones by path, foot filler and the list its root goes into
     stack = [(iter(elementary[derivation.root][root_comp].nodes.items()),
@@ -275,10 +264,7 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
                 siblings.append(node)
                 continue
             # enter the attached instance; this one resumes when it is done
-            if (att.use, att.comp) in entered:
-                raise IllegalAttachmentError(
-                    f"cyclic attachment of use {att.use} at {_where(att)}")
-            entered.add((att.use, att.comp))
+            entered += 1
             # an adjunction site is cloned, and the auxiliary's foot takes it
             host = None
             if att.op == OP_ADJOIN:
@@ -288,23 +274,28 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
             break
         else:
             stack.pop()
-    unreached = sum(map(len, elementary)) - len(entered)
-    if unreached:  # each attaches once, so the unreached hang from a cycle
+    # every instance but the root attaches once, and is entered only from
+    # its host, so those never entered hang from a cycle
+    unreached = len(sites) + 1 - entered
+    if unreached:
         raise IllegalAttachmentError(
             f"cyclic attachment: {unreached} instance(s) never reached from the root")
     return DerivedTree(root=top[0], derivation=derivation)
 
 
 def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
-    """Compose the derivation into a source derived tree, checking as we go.
+    """Compose the derivation into a source derived tree: pick each use's
+    source components and the root's head, and let compose check the rest.
 
-    Raises a CompositionError subclass when the derivation is not realizable
-    (ill-formed shape, or anything compose rejects). Dominance requirements
-    are a separate judgement, see dominance_violations.
+    Raises a CompositionError subclass when compose rejects the derivation.
+    Dominance requirements are a separate judgement, see
+    dominance_violations.
     """
-    pairs = _check_shape(derivation, grammar)
-    return compose([pair.source.components for pair in pairs], derivation,
-                   pairs[derivation.root].source.head)
+    pairs = [grammar.pair(name) for name in derivation.uses]
+    root = derivation.root
+    # compose rejects a root out of range, whatever component it is given
+    head = pairs[root].source.head if 0 <= root < len(pairs) else 0
+    return compose([pair.source.components for pair in pairs], derivation, head)
 
 
 def dominance_violations(tree: DerivedTree, grammar: Grammar, spans: dict) -> list[str]:
@@ -321,35 +312,33 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar, spans: dict) -> li
     return out
 
 
-def display_indexes(tree: DerivedTree, grammar: Grammar) -> dict[int, int]:
-    """Coindexation numbers for set uses, by first appearance in preorder."""
-    out: dict[int, int] = {}
-    for node in tree.preorder():
-        if node.use in out:
-            continue
-        pair = grammar.pair(tree.derivation.uses[node.use])
-        if pair.source.is_multi:
-            out[node.use] = len(out) + 1
-    return out
-
-
 def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
-    """Bracketed rendering of a source or target tree, set uses coindexed.
+    """Bracketed rendering of a source or target tree, set uses coindexed
+    by first appearance in preorder.
 
     Walks a stack of nodes and of the text between them, so depth is
     bounded by memory, not by the interpreter's recursion limit.
     """
-    indexes = display_indexes(tree, grammar)
+    uses = tree.derivation.uses
+    marks: dict[int, str] = {}  # by use: "<k>" for the k-th set use met, else ""
+    sets = 0
     out: list[str] = []
     stack: list[DNode | str] = [tree.root]
-    while stack:
+    while stack:  # nodes pop in preorder
         node = stack.pop()
         if isinstance(node, str):
             out.append(node)
             continue
+        mark = marks.get(node.use)
+        if mark is None:
+            mark = ""
+            if grammar.pair(uses[node.use]).source.is_multi:
+                sets += 1
+                mark = f"<{sets}>"
+            marks[node.use] = mark
         label = node.cat
-        if node.use in indexes and any(v == SET_VARIABLE for _, v in node.feats):
-            label += f"<{indexes[node.use]}>"
+        if mark and any(v == SET_VARIABLE for _, v in node.feats):
+            label += mark
         if node.kind == KIND_LEX:
             out.append(f"({label} {node.word})")
         elif node.kind == KIND_EMPTY:

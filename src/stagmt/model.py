@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import DuplicatePairNameError, NoStartPairError
+from .errors import DuplicatePairNameError, GrammarError, NoStartPairError
 
 if TYPE_CHECKING:
     from .parser import ChartTables
@@ -257,7 +257,10 @@ class Grammar:
         return {p.name: p for p in self.pairs}
 
     def pair(self, name: str) -> SyncPair:
-        return self.pair_by_name[name]
+        try:
+            return self.pair_by_name[name]
+        except KeyError:
+            raise GrammarError(f"the grammar has no pair named {name!r}") from None
 
     @cached_property
     def particle_map(self) -> dict[str, str]:

@@ -57,9 +57,18 @@ def chain_sentence(depth: int) -> str:
             + " malhanta" * depth + ".")
 
 
+def preorder(tree):
+    """The nodes of a composed tree in preorder."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def lex_yield(tree) -> tuple[str, ...]:
     """The words at a composed tree's lexical leaves, left to right."""
-    return tuple(node.word for node in tree.preorder() if node.kind == KIND_LEX)
+    return tuple(node.word for node in preorder(tree) if node.kind == KIND_LEX)
 
 
 def permutation_closure(words, terminator: str = ".") -> tuple[str, ...]:

@@ -22,6 +22,7 @@ from support import (
     corpus,
     lex_yield,
     permutation_closure,
+    preorder,
     sample_derivations,
     violations,
 )
@@ -324,7 +325,7 @@ def test_criterion_8_invariants_and_round_trip(g_chase, g_ditransitive,
                 for use, pair_name in enumerate(derivation.uses):
                     if not grammar.pair(pair_name).source.is_multi:
                         continue
-                    marked = [n for n in tree.preorder()
+                    marked = [n for n in preorder(tree)
                               if n.use == use
                               and SET_VARIABLE in dict(n.feats).values()]
                     check(failures, len(marked) == 2,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from support import (canonical, chain_sentence, check_set_constraints,
-                     lex_yield, set_constraint_violations, violations)
+                     lex_yield, preorder, set_constraint_violations, violations)
 
 from stagmt.derive import (
     Attachment,
@@ -22,6 +22,7 @@ from stagmt.derive import (
 from stagmt.errors import (
     CategoryMismatchError,
     DoubleAdjunctionError,
+    GrammarError,
     IllegalAttachmentError,
     InternalError,
     NAViolationError,
@@ -78,6 +79,15 @@ STACKED = make_derivation(
         att(1, 1, 2, 0, "1", OP_SUBST),
     ])
 
+# The same tree with its two set uses numbered the other way round.
+STACKED_RENUMBERED = make_derivation(
+    ("beta_tom_sp", "beta_jerry_op", "gamma_chase"), 2, [
+        att(0, 0, 2, 0, "e", OP_ADJOIN),
+        att(0, 1, 2, 0, "1", OP_SUBST),
+        att(1, 0, 0, 0, "e", OP_ADJOIN),
+        att(1, 1, 2, 0, "2", OP_SUBST),
+    ])
+
 
 class TestBuildDerivedTree:
     def test_identity_composition(self, g_chase):
@@ -100,10 +110,12 @@ class TestBuildDerivedTree:
         assert lex_yield(tree) == ("Jerry", "lul", "Tom", "i", "ccossnunta")
 
     def test_stacked_adjunction(self, g_chase):
-        tree = build_derived_tree(STACKED, g_chase)
-        assert render_tree(tree, g_chase) == (
-            "(S (OP<1> (N Jerry) (P lul)) (S (SP<2> (N Tom) (P i)) "
-            "(S (SP<2> e) (OP<1> e) (V ccossnunta))))")
+        # coindexes follow first appearance in preorder, not use numbers
+        for derivation in (STACKED, STACKED_RENUMBERED):
+            tree = build_derived_tree(derivation, g_chase)
+            assert render_tree(tree, g_chase) == (
+                "(S (OP<1> (N Jerry) (P lul)) (S (SP<2> (N Tom) (P i)) "
+                "(S (SP<2> e) (OP<1> e) (V ccossnunta))))")
 
     def test_cost_is_summed_priorities_above_one(self, g_chase):
         assert CANONICAL.cost(g_chase) == 0
@@ -238,8 +250,10 @@ class TestBuildDerivedTree:
         with pytest.raises(IllegalAttachmentError, match="no node at site"):
             build_derived_tree(nowhere, g_chase)
 
-    # _check_shape's rejections; a duplicate (use, comp) is reported alike
-    # whichever of its attachments comes first
+    # compose's shape checks, the same on the source and the target side
+    # (the target trees of these pairs take the same attachments); a
+    # duplicate (use, comp) is reported alike whichever of its attachments
+    # comes first
     @pytest.mark.parametrize("uses, root, attachments, message", [
         (("alpha_tom_sp",), 1, [], "root index 1 out of range"),
         (("gamma_chase", "alpha_tom_sp"), 0, [att(2, 0, 0, 0, "1", OP_SUBST)],
@@ -266,9 +280,18 @@ class TestBuildDerivedTree:
     def test_ill_formed_shape_rejected(self, g_chase, uses, root, attachments,
                                        message):
         derivation = make_derivation(uses, root, attachments)
-        with pytest.raises(IllegalAttachmentError) as info:
-            build_derived_tree(derivation, g_chase)
-        assert (info.value.code, str(info.value)) == ("illegal-attachment", message)
+        for build in (build_derived_tree, realize):
+            with pytest.raises(IllegalAttachmentError) as info:
+                build(derivation, g_chase)
+            assert (info.value.code, str(info.value)) == ("illegal-attachment", message)
+
+    def test_unknown_pair_is_a_coded_error(self, g_chase):
+        nameless = make_derivation(["nope"], 0, [])
+        for build in (build_derived_tree, realize):
+            with pytest.raises(GrammarError) as info:
+                build(nameless, g_chase)
+            assert (info.value.code, str(info.value)) == (
+                "grammar-error", "the grammar has no pair named 'nope'")
 
 
 def splice(grammar, names, attachments, root):
@@ -280,7 +303,7 @@ def splice(grammar, names, attachments, root):
 def instance_roots(tree):
     """Each (use, comp)'s instance root in a composed tree, checked to be one."""
     roots = {}
-    for node in tree.preorder():
+    for node in preorder(tree):
         if node.addr.is_root:
             assert (node.use, node.comp) not in roots
             roots[node.use, node.comp] = node
@@ -297,9 +320,9 @@ class TestWorkingTreeOps:
         roots = instance_roots(tree)
         assert tree.root is roots[0, 0]
         # the slots are gone, their fillers in their place
-        assert not any(node.kind == KIND_SUBST for node in tree.preorder())
+        assert not any(node.kind == KIND_SUBST for node in preorder(tree))
         assert (0, 0, A("1")) not in {(node.use, node.comp, node.addr)
-                                      for node in tree.preorder()}
+                                      for node in preorder(tree)}
         sp = tree.root.children[0]
         assert sp is roots[1, 0]
         assert sp.word is None  # SP phrase, not the slot
@@ -321,7 +344,7 @@ class TestWorkingTreeOps:
         host = roots[1, 0]
         assert tree.root is roots[0, 0]
         assert tree.root.children[1] is host  # the host took the foot's place
-        assert not any(node.kind == KIND_FOOT for node in tree.preorder())
+        assert not any(node.kind == KIND_FOOT for node in preorder(tree))
         assert host.children[0] is roots[2, 0]
 
     def test_double_adjunction_rejected(self, g_chase):
@@ -436,14 +459,14 @@ class TestCanonicalize:
              for a in base.attachments])
         tree = build_derived_tree(relabeled, g_chase)
         rendered = render_tree(tree, g_chase)
-        before = [(node, node.use) for node in tree.preorder()]
+        before = [(node, node.use) for node in preorder(tree)]
         assert canonical(tree) == base
         assert tree.derivation == base
         assert render_tree(tree, g_chase) == rendered
         # the same nodes, relabelled: use u of the input is use n - 1 - u
         n = len(base.uses)
         assert [(node, n - 1 - use) for node, use in before] == [
-            (node, node.use) for node in tree.preorder()]
+            (node, node.use) for node in preorder(tree)]
         assert set(instance_roots(tree)) == {
             (use, comp) for use, name in enumerate(base.uses)
             for comp in range(g_chase.pair(name).n_components)}

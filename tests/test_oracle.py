@@ -12,6 +12,7 @@ from support import (
     EMBEDDED_FRONTED,
     corpus,
     permutation_closure,
+    preorder,
     violations,
 )
 
@@ -260,7 +261,7 @@ def _check_spans(derivation, grammar) -> list[str]:
     reference search; returns the violations."""
     tree = build_derived_tree(derivation, grammar)
     roots = {(node.use, node.comp): node
-             for node in tree.preorder() if node.addr.is_root}
+             for node in preorder(tree) if node.addr.is_root}
     expected = [
         f"dominance: use {use} ({name}) component {upper} does not dominate "
         f"component {lower}"
