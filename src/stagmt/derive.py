@@ -25,7 +25,6 @@ children (so reference counting frees it), and its derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -68,8 +67,7 @@ class Attachment(NamedTuple):
     op: str
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """uses[i] is the pair name of use i; root is the index of the root use."""
 
     uses: tuple[str, ...]
@@ -115,10 +113,15 @@ class DNode:
         return f"<DNode {self.cat} {self.provenance}>"
 
 
-@dataclass
 class DerivedTree:
-    root: DNode
-    derivation: Derivation
+    """A composed tree: its root and the derivation it was composed from,
+    which canonicalize replaces with the canonical one."""
+
+    __slots__ = ("root", "derivation")
+
+    def __init__(self, root: DNode, derivation: Derivation):
+        self.root = root
+        self.derivation = derivation
 
 
 def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]:

@@ -6,13 +6,17 @@ a source-side tree set (one or more components, a designated head, dominance
 requirements between components) with a single target tree plus explicit
 node-to-node links. Everything here is plain data; composition lives in
 :mod:`stagmt.derive` and file handling in :mod:`stagmt.grammar_io`.
+
+The value records are named tuples. ``ElementaryTree`` and ``Grammar``,
+which cache tables derived from their fields, and ``TreeNode``, whose
+fields composition reads at every node, are read-only plain classes
+(``Record``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicatePairNameError, GrammarError, NoStartPairError
 
@@ -34,8 +38,7 @@ ADJOIN_VALUES = (ADJOIN_ALLOW, ADJOIN_NA, ADJOIN_OA)
 SET_VARIABLE = "@set"
 
 
-@dataclass(frozen=True, order=True)
-class GornAddress:
+class GornAddress(NamedTuple):
     """Path of 1-based child positions; the empty path is the root."""
 
     path: tuple[int, ...] = ()
@@ -69,21 +72,60 @@ class GornAddress:
 ROOT = GornAddress(())
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class Record:
+    """Base of the records that are plain classes rather than named tuples.
+
+    ``__init__`` sets the fields named in ``_fields`` once; after that no
+    attribute can be assigned or deleted. Equality, hashing and the repr
+    read those fields only, so per-instance caches (``cached_property``
+    writes to ``__dict__`` directly) never change a record's value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class TreeNode(Record):
     """One node of an elementary tree.
 
     ``feats`` is stored as a sorted tuple of (name, value) pairs so nodes
     stay hashable; values are atomic strings, or the set variable "@set"
-    inside multi-component sets.
+    inside multi-component sets. Composition reads these fields at every
+    node it clones, and a slot reads faster than a named-tuple field.
     """
 
-    cat: str
-    kind: str = KIND_INTERIOR
-    adjoin: str = ADJOIN_ALLOW
-    word: str | None = None
-    feats: tuple[tuple[str, str], ...] = ()
-    children: tuple["TreeNode", ...] = ()
+    __slots__ = _fields = ("cat", "kind", "adjoin", "word", "feats", "children")
+
+    def __init__(self, cat: str, kind: str = KIND_INTERIOR,
+                 adjoin: str = ADJOIN_ALLOW, word: str | None = None,
+                 feats: tuple[tuple[str, str], ...] = (),
+                 children: tuple[TreeNode, ...] = ()):
+        self._set(cat, kind, adjoin, word, feats, children)
 
     @property
     def is_leaf_kind(self) -> bool:
@@ -119,11 +161,13 @@ def empty(cat: str = "e") -> TreeNode:
     return TreeNode(cat=cat, kind=KIND_EMPTY)
 
 
-@dataclass(frozen=True)
-class ElementaryTree:
+class ElementaryTree(Record):
     """A whole elementary tree; auxiliary iff it contains a foot node."""
 
-    root: TreeNode
+    _fields = ("root",)
+
+    def __init__(self, root: TreeNode):
+        self._set(root)
 
     @cached_property
     def nodes(self) -> dict[GornAddress, TreeNode]:
@@ -173,8 +217,7 @@ class ElementaryTree:
         return node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
 
 
-@dataclass(frozen=True)
-class SourceSet:
+class SourceSet(NamedTuple):
     """Source side of a pair: components, head index, dominance links."""
 
     components: tuple[ElementaryTree, ...]
@@ -190,15 +233,13 @@ class SourceSet:
         return self.components[self.head]
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     comp: int
     src: GornAddress
     tgt: GornAddress
 
 
-@dataclass(frozen=True)
-class SyncPair:
+class SyncPair(NamedTuple):
     name: str
     source: SourceSet
     target: ElementaryTree
@@ -219,14 +260,12 @@ class SyncPair:
         return None
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(NamedTuple):
     form: str
     case: str
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding; any finding invalidates the pair."""
 
     pair: str
@@ -239,18 +278,20 @@ class Diagnostic:
         return f"[error] {self.pair}{where}: {self.message} ({self.rule})"
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(Record):
     """Validated pair inventory plus the derived lookup tables.
 
     Immutable after construction; safe to share across concurrent parses.
     """
 
-    source_language: str
-    target_language: str
-    start_symbol: str
-    pairs: tuple[SyncPair, ...]
-    particles: tuple[Particle, ...]
+    _fields = ("source_language", "target_language", "start_symbol", "pairs",
+               "particles")
+
+    def __init__(self, source_language: str, target_language: str,
+                 start_symbol: str, pairs: tuple[SyncPair, ...],
+                 particles: tuple[Particle, ...]):
+        self._set(source_language, target_language, start_symbol, pairs,
+                  particles)
 
     @cached_property
     def pair_by_name(self) -> dict[str, SyncPair]:
@@ -265,6 +306,12 @@ class Grammar:
     @cached_property
     def particle_map(self) -> dict[str, str]:
         return {p.form: p.case for p in self.particles}
+
+    @cached_property
+    def particles_longest_first(self) -> tuple[str, ...]:
+        """The particle forms in the order segmentation tries them as
+        suffixes: longest first, equal lengths in string order."""
+        return tuple(sorted(self.particle_map, key=lambda f: (-len(f), f)))
 
     @cached_property
     def anchor_index(self) -> dict[str, tuple[str, ...]]:

@@ -9,16 +9,15 @@ table drives the longest-suffix fallback for glued forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyInputError, UnknownParticleError
-from .model import Grammar
+from .model import Grammar, Record
 
 TERMINATOR = "."
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One segmented word: a stem plus an optional case particle."""
 
     surface: str
@@ -32,10 +31,14 @@ class Token:
         return (self.stem,) if self.particle is None else (self.stem, self.particle)
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
-    tokens: tuple[Token, ...]
-    terminator: str
+class TokenizedSentence(Record):
+    """The segmented words of one line and its terminator; its length is
+    the number of tokens."""
+
+    __slots__ = _fields = ("tokens", "terminator")
+
+    def __init__(self, tokens: tuple[Token, ...], terminator: str):
+        self._set(tokens, terminator)
 
     @property
     def lex_stream(self) -> tuple[str, ...]:
@@ -72,7 +75,7 @@ def segment_token(word: str, grammar: Grammar) -> Token:
     if word in grammar.anchor_index:
         return Token(surface=word, stem=word)
 
-    for form in sorted(particles, key=lambda f: (-len(f), f)):
+    for form in grammar.particles_longest_first:
         if word.endswith(form) and len(word) > len(form):
             return Token(surface=word, stem=word[: -len(form)], particle=form,
                          case=particles[form])

@@ -23,7 +23,7 @@ with walk_tree and hands the walk's numbering to canonicalize.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derive import (
     OP_ADJOIN,
@@ -54,8 +54,7 @@ from .morphotok import TokenizedSentence
 MAX_CONFIGS = 2_000_000
 
 
-@dataclass(frozen=True)
-class OracleBound:
+class OracleBound(NamedTuple):
     """Safety rails; the oracle raises rather than silently truncate."""
 
     max_uses: int = 12
@@ -299,8 +298,7 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
     found.add(canonicalize(tree, walk_tree(tree)[1]))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     lex: tuple[str, ...]
     parser_count: int
     oracle_count: int

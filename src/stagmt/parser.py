@@ -61,7 +61,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .derive import (
@@ -119,8 +118,7 @@ class Op(NamedTuple):
     ops: tuple[Op, ...]
 
 
-@dataclass(frozen=True)
-class PriorityLevel:
+class PriorityLevel(NamedTuple):
     """The derivations of one cost, as composed trees in ranking order."""
 
     cost: int

@@ -7,7 +7,7 @@ either side with ``derive.render_tree`` where they print it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derive import DerivedTree
 from .generator import realize, yield_surface
@@ -17,8 +17,7 @@ from .parser import PriorityLevel, parse
 from .transfer import transfer_derivation
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One translation: the source and target trees and the target's surface."""
 
     cost: int
@@ -27,8 +26,7 @@ class Candidate:
     surface: str
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(NamedTuple):
     """One translated line. ``levels`` holds the cheapest priority level
     only, or every level when ``translate_line`` was given all_levels."""
 

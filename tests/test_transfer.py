@@ -1,7 +1,5 @@
 """Source derivation -> target derivation, via links and the root rule."""
 
-import dataclasses
-
 import pytest
 
 from support import EMBEDDED_CANONICAL, EMBEDDED_FRONTED, lex_yield
@@ -185,7 +183,7 @@ class TestRootRule:
 class TestFailures:
     def test_unlinked_slot_is_untranslatable(self, g_chase):
         gamma = g_chase.pair("gamma_chase")
-        lame = dataclasses.replace(gamma, links=(gamma.links[0],))
+        lame = gamma._replace(links=(gamma.links[0],))
         doctored = index_grammar(
             (lame,) + tuple(p for p in g_chase.pairs if p.name != "gamma_chase"),
             source_language="ko", target_language="en",
