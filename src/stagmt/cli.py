@@ -161,40 +161,40 @@ def cmd_check(args) -> int:
 
 def cmd_permutations(args) -> int:
     grammar = _load(args)
-    line = " ".join(args.sentence)
-    sentence = tokenize(line, grammar)
-    surfaces = [token.surface for token in sentence.tokens]
-    if len(surfaces) > MAX_PERMUTED_WORDS:
-        raise LimitExceededError(
-            f"{len(surfaces)} words have too many orders to try; "
-            f"the limit is {MAX_PERMUTED_WORDS}")
-    ok = 0
-    orders = sorted(set(itertools.permutations(surfaces)))
-    rows = []
-    for order in orders:
-        candidate = " ".join(order) + sentence.terminator
-        try:
-            result = translate_line(candidate, grammar)
-            rows.append((candidate, result.best.cost, result.best.surface))
-            ok += 1
-        except StagError:
-            rows.append((candidate, None, None))
-    if args.format == "json":
-        _emit_json({
-            "input": line,
-            "parsed": ok,
-            "total": len(orders),
-            "orders": [{"sentence": s, "parses": c is not None, "cost": c,
-                        "translation": t} for s, c, t in rows],
-        })
-    else:
-        width = max(len(s) for s, _, _ in rows)
-        for candidate, cost, translation in rows:
-            parses = "yes" if translation is not None else "no"
-            cost_cell = "-" if cost is None else str(cost)
-            print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
-                  f"{translation if translation is not None else '-'}")
-        print(f"{ok}/{len(orders)} orders parse")
+    for _, line in _input_lines(args):
+        sentence = tokenize(line, grammar)
+        surfaces = [token.surface for token in sentence.tokens]
+        if len(surfaces) > MAX_PERMUTED_WORDS:
+            raise LimitExceededError(
+                f"{len(surfaces)} words have too many orders to try; "
+                f"the limit is {MAX_PERMUTED_WORDS}")
+        ok = 0
+        orders = sorted(set(itertools.permutations(surfaces)))
+        rows = []
+        for order in orders:
+            candidate = " ".join(order) + sentence.terminator
+            try:
+                result = translate_line(candidate, grammar)
+                rows.append((candidate, result.best.cost, result.best.surface))
+                ok += 1
+            except StagError:
+                rows.append((candidate, None, None))
+        if args.format == "json":
+            _emit_json({
+                "input": line,
+                "parsed": ok,
+                "total": len(orders),
+                "orders": [{"sentence": s, "parses": c is not None, "cost": c,
+                            "translation": t} for s, c, t in rows],
+            })
+        else:
+            width = max(len(s) for s, _, _ in rows)
+            for candidate, cost, translation in rows:
+                parses = "yes" if translation is not None else "no"
+                cost_cell = "-" if cost is None else str(cost)
+                print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
+                      f"{translation if translation is not None else '-'}")
+            print(f"{ok}/{len(orders)} orders parse")
     return 0
 
 

@@ -115,7 +115,7 @@ class DNode:
 
 class DerivedTree:
     """A composed tree: its root and the derivation it was composed from,
-    which canonicalize replaces with the canonical one."""
+    which the parser replaces with the canonical one."""
 
     __slots__ = ("root", "derivation")
 
@@ -129,7 +129,7 @@ def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]
     rank of each use in first appearance, and spans[use, comp], the
     preorder interval [start, end) of that instance's root and all below
     it. The walk relabels the nodes' uses by rank; spans keep the numbers
-    of tree.derivation, which canonicalize(tree, order) renumbers."""
+    of tree.derivation, which canonicalize renumbers by the same ranks."""
     order: dict[int, int] = {}
     spans: dict = {}
     words = []
@@ -303,7 +303,7 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
 
 def dominance_violations(tree: DerivedTree, grammar: Grammar, spans: dict) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree, read
-    off the spans that walk_tree(tree) returns, before canonicalize."""
+    off walk_tree(tree)'s spans, before tree.derivation is renumbered."""
     derivation = tree.derivation
     out = []
     for use, name in enumerate(derivation.uses):
@@ -355,15 +355,13 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
     return "".join(out)
 
 
-def canonicalize(tree: DerivedTree, order: dict[int, int]) -> Derivation:
-    """Renumber a composed tree's derivation by first appearance in preorder,
-    the order that walk_tree(tree) returns; walk_tree relabelled the nodes,
-    and tree.derivation becomes the result.
+def canonicalize(derivation: Derivation, order: dict[int, int]) -> Derivation:
+    """Renumber a derivation's uses by order, their ranks of first
+    appearance in its composed tree's preorder, as walk_tree returns them.
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.
     """
-    derivation = tree.derivation
     # every component's root is in the tree: each attaches, and no cycle composes
     missing = len(derivation.uses) - len(order)
     if missing:
@@ -372,9 +370,7 @@ def canonicalize(tree: DerivedTree, order: dict[int, int]) -> Derivation:
     uses = tuple(derivation.uses[use] for use in order)  # in first-appearance order
     attachments = [Attachment(order[use], comp, order[host], host_comp, site, op)
                    for use, comp, host, host_comp, site, op in derivation.attachments]
-    canonical = make_derivation(uses, order[derivation.root], attachments)
-    tree.derivation = canonical
-    return canonical
+    return make_derivation(uses, order[derivation.root], attachments)
 
 
 def render_derivation(derivation: Derivation, grammar: Grammar) -> str:

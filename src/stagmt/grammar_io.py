@@ -12,7 +12,6 @@ changing the grammar. Addresses in links are written in dotted Gorn form
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .errors import GrammarSchemaError, GrammarSyntaxError, GrammarValidationError
@@ -230,18 +229,16 @@ def resolve_grammar_path(path) -> Path:
     raise FileNotFoundError(f"no such grammar file or builtin grammar: {path}")
 
 
+# the built-in grammars ship beside this module's source
+_BUILTIN_DIR = Path(__file__).parent / "grammars"
+
+
 def builtin_grammar_names() -> tuple[str, ...]:
-    base = resources.files("stagmt") / "grammars"
-    return tuple(sorted(
-        entry.name[: -len(".grammar")]
-        for entry in base.iterdir() if entry.name.endswith(".grammar")))
+    return tuple(sorted(entry.stem for entry in _BUILTIN_DIR.glob("*.grammar")))
 
 
 def builtin_grammar_path(name: str) -> Path:
-    base = resources.files("stagmt") / "grammars"
-    candidate = base / f"{name}.grammar"
-    with resources.as_file(candidate) as real:
-        return Path(real)
+    return _BUILTIN_DIR / f"{name}.grammar"
 
 
 def _node_to_json(node: TreeNode) -> dict:

@@ -132,35 +132,6 @@ class TreeNode(Record):
         return self.kind in (KIND_SUBST, KIND_FOOT, KIND_LEX, KIND_EMPTY)
 
 
-def _norm_feats(feats) -> tuple[tuple[str, str], ...]:
-    if not feats:
-        return ()
-    if isinstance(feats, dict):
-        feats = feats.items()
-    return tuple(sorted((str(k), str(v)) for k, v in feats))
-
-
-def interior(cat: str, *children: TreeNode, feats=None, adjoin: str = ADJOIN_ALLOW) -> TreeNode:
-    return TreeNode(cat=cat, kind=KIND_INTERIOR, adjoin=adjoin,
-                    feats=_norm_feats(feats), children=tuple(children))
-
-
-def subst(cat: str) -> TreeNode:
-    return TreeNode(cat=cat, kind=KIND_SUBST)
-
-
-def foot(cat: str) -> TreeNode:
-    return TreeNode(cat=cat, kind=KIND_FOOT)
-
-
-def lex(cat: str, word: str) -> TreeNode:
-    return TreeNode(cat=cat, kind=KIND_LEX, word=word)
-
-
-def empty(cat: str = "e") -> TreeNode:
-    return TreeNode(cat=cat, kind=KIND_EMPTY)
-
-
 class ElementaryTree(Record):
     """A whole elementary tree; auxiliary iff it contains a foot node."""
 
@@ -414,8 +385,6 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
     if not 0 <= src.head < len(src.components):
         diag("head-index", f"head index {src.head} out of range")
         return out
-    if not multi and src.head != 0:
-        diag("singleton-head", "singleton set must have head 0")
     if not multi and src.dominance:
         diag("singleton-dominance", "singleton set may not declare dominance")
 

@@ -15,9 +15,9 @@ recursive expander over immutable nested tuples, the foot filler passed as
 an argument, where compose expands under an explicit stack. Only the
 Derivation record type, its canonical numbering and its ranking order are
 shared, so both sides speak the same language when their result sets are
-compared. Canonical numbering reads the tree that stagmt.derive composes
-for a configuration the oracle has already accepted: the oracle walks it
-with walk_tree and hands the walk's numbering to canonicalize.
+compared. The oracle ranks the uses of an accepted configuration by first
+appearance in its own expanded form, in preorder, and hands that numbering
+to canonicalize.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .derive import (
     OP_SUBST,
     Attachment,
     Derivation,
-    build_derived_tree,
     canonicalize,
     make_derivation,
     ranking_key,
-    walk_tree,
 )
 from .errors import OracleBoundError
 from .model import (
@@ -84,6 +82,14 @@ def _form_yield(form):
     for child in form[4]:
         out += _form_yield(child)
     return out
+
+
+def _use_order(form, order):
+    """Rank each use by its first appearance in the form, in preorder."""
+    order.setdefault(form[0][0], len(order))
+    for child in form[4]:
+        _use_order(child, order)
+    return order
 
 
 def _pair_lex(pair) -> Counter:
@@ -294,8 +300,8 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
         attachments.append(Attachment(use=u, comp=c, host=host_u,
                                       host_comp=host_c, site=addr,
                                       op=OP_ADJOIN if aux else OP_SUBST))
-    tree = build_derived_tree(make_derivation(uses, root, attachments), grammar)
-    found.add(canonicalize(tree, walk_tree(tree)[1]))
+    found.add(canonicalize(make_derivation(uses, root, attachments),
+                           _use_order(form, {})))
 
 
 class EquivalenceReport(NamedTuple):

@@ -44,12 +44,13 @@ foot at one end in cubic time.
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
 by component id. A derivation's cost (sum of use priorities minus one, so
-priority-1 pairs are free) is fixed by its instance tree, so the instance
-trees are bucketed by cost before any grouping. Per cost, instances of
+priority-1 pairs are free) and its use count are fixed by its instance
+tree, so the instance trees are bucketed by cost, those over the use budget
+dropped, before any grouping. Per cost, instances of
 multi-component pairs are grouped into uses by bijective matching per
 component, each grouping is composed and walked once, and those whose
 dominance requirements fail are discarded; a cost with none left is skipped.
-Surviving trees are canonicalized in place, deduplicated and sorted.
+Surviving trees are canonicalized, deduplicated and sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees so no later stage composes them
 again; dearer levels are never grouped or composed unless asked for.
@@ -510,7 +511,7 @@ def _collect_instances(comp: int, ops: tuple[Op, ...]):
 
 
 def _groupings(insts: list[tuple[str, int]], grammar: Grammar):
-    """Yield use assignments (instance index -> use id) and their use counts.
+    """Yield use assignments (instance index -> use id).
 
     Singleton-pair instances each get their own use. Instances of a
     multi-component pair are grouped by matching each further component's
@@ -542,9 +543,8 @@ def _groupings(insts: list[tuple[str, int]], grammar: Grammar):
             partner.update(zip(perm, base))
         # a use is numbered when the first of its instances is met
         use_ids: dict[int, int] = {}
-        assignment = {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
-                      for idx in range(len(insts))}
-        yield assignment, len(use_ids)
+        yield {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
+               for idx in range(len(insts))}
 
 
 def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
@@ -554,12 +554,13 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
 
     Phase 1 runs up front, from every start pair's head component; its root
     instance trees are then bucketed by cost, which the instance tree alone
-    fixes: every grouping makes one use per singleton instance and one per
-    component-0 instance of a set. Per cost, cheapest first, each grouping
-    is composed and walked once: the walk's yield must be the input, its
-    spans settle dominance and its numbering canonicalizes the kept tree. A
-    cost whose every grouping fails dominance yields no level. Only
-    ``unpack`` recurses, so only it is guarded against running out of stack.
+    fixes, as it fixes the use count: every grouping makes one use per
+    component-0 instance, so a tree over max_uses is never grouped. Per
+    cost, cheapest first, each grouping is composed and walked once: the
+    walk's yield must be the input, its spans settle dominance and its
+    numbering canonicalizes the kept tree. A cost whose every grouping
+    fails dominance yields no level. Only ``unpack`` recurses, so only it
+    is guarded against running out of stack.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -585,15 +586,15 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             comps, edges = _collect_instances(root, ops)
             insts = [tables.comps[comp] for comp in comps]  # (pair, component)
             # every grouping makes one use per component-0 instance
-            cost = uses_cost((name for name, ci in insts if ci == 0), grammar)
-            buckets.setdefault(cost, []).append((insts, edges))
+            heads = [name for name, ci in insts if ci == 0]
+            if len(heads) <= max_uses:
+                buckets.setdefault(uses_cost(heads, grammar), []).append(
+                    (insts, edges, len(heads)))
 
     for cost in sorted(buckets):
         found: dict[Derivation, DerivedTree] = {}
-        for insts, edges in buckets[cost]:
-            for assignment, n_uses in _groupings(insts, grammar):
-                if n_uses > max_uses:
-                    continue
+        for insts, edges, n_uses in buckets[cost]:
+            for assignment in _groupings(insts, grammar):
                 uses = [""] * n_uses
                 for idx, (name, _) in enumerate(insts):
                     uses[assignment[idx]] = name
@@ -609,7 +610,9 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                         f"derived tree yields {produced}, not the input {lex}")
                 if dominance_violations(tree, grammar, spans):
                     continue
-                found.setdefault(canonicalize(tree, order), tree)
+                # walk_tree numbered the tree's nodes as canonicalize does
+                tree.derivation = canonicalize(derivation, order)
+                found.setdefault(tree.derivation, tree)
         if found:
             yield PriorityLevel(cost=cost, trees=tuple(sorted(
                 found.values(),

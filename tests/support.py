@@ -1,4 +1,4 @@
-"""Shared test helpers: regression corpus and a random-derivation sampler.
+"""Shared test helpers: corpus, tree builders, random-derivation sampler.
 
 The corpus is organized as permutation closures of a few designated token
 multisets per grammar, plus hand-picked negatives (inputs that segment fine
@@ -23,7 +23,9 @@ from stagmt.derive import (
     walk_tree,
 )
 from stagmt.errors import CompositionError
-from stagmt.model import ADJOIN_NA, KIND_INTERIOR, KIND_LEX, ROOT, Grammar
+from stagmt.model import (ADJOIN_ALLOW, ADJOIN_NA, KIND_EMPTY, KIND_FOOT,
+                          KIND_INTERIOR, KIND_LEX, KIND_SUBST, ROOT, Grammar,
+                          TreeNode)
 
 # Verdict lines recorded by the acceptance tests; echoed after the run by a
 # terminal-summary hook so they are visible even when capture is on.
@@ -69,6 +71,38 @@ def preorder(tree):
 def lex_yield(tree) -> tuple[str, ...]:
     """The words at a composed tree's lexical leaves, left to right."""
     return tuple(node.word for node in preorder(tree) if node.kind == KIND_LEX)
+
+
+# Node builders for elementary trees written in Python.
+
+def _norm_feats(feats) -> tuple[tuple[str, str], ...]:
+    if not feats:
+        return ()
+    if isinstance(feats, dict):
+        feats = feats.items()
+    return tuple(sorted((str(k), str(v)) for k, v in feats))
+
+
+def interior(cat: str, *children: TreeNode, feats=None,
+             adjoin: str = ADJOIN_ALLOW) -> TreeNode:
+    return TreeNode(cat=cat, kind=KIND_INTERIOR, adjoin=adjoin,
+                    feats=_norm_feats(feats), children=tuple(children))
+
+
+def subst(cat: str) -> TreeNode:
+    return TreeNode(cat=cat, kind=KIND_SUBST)
+
+
+def foot(cat: str) -> TreeNode:
+    return TreeNode(cat=cat, kind=KIND_FOOT)
+
+
+def lex(cat: str, word: str) -> TreeNode:
+    return TreeNode(cat=cat, kind=KIND_LEX, word=word)
+
+
+def empty(cat: str = "e") -> TreeNode:
+    return TreeNode(cat=cat, kind=KIND_EMPTY)
 
 
 def permutation_closure(words, terminator: str = ".") -> tuple[str, ...]:
@@ -126,16 +160,19 @@ def attachment_of(derivation, use: int, comp: int):
 
 
 def canonical(tree):
-    """Walk a composed tree and canonicalize it: its canonical derivation."""
-    return canonicalize(tree, walk_tree(tree)[1])
+    """Walk a composed tree and give it its canonical derivation, as the
+    parser does for a kept candidate; returns that derivation."""
+    tree.derivation = canonicalize(tree.derivation, walk_tree(tree)[1])
+    return tree.derivation
 
 
 def violations(tree, grammar: Grammar) -> list[str]:
     """Walk a composed tree, read its dominance violations off the walk's
-    spans, and canonicalize it, as the parser does for each candidate."""
+    spans, and give it its canonical derivation, as the parser does for
+    each candidate."""
     _, order, spans = walk_tree(tree)
     found = dominance_violations(tree, grammar, spans)
-    canonicalize(tree, order)
+    tree.derivation = canonicalize(tree.derivation, order)
     return found
 
 

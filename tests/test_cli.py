@@ -376,6 +376,16 @@ class TestPermutations:
         assert costs[CHASE_CANONICAL] == 0
         assert costs[CHASE_SCRAMBLED] == 1
 
+    def test_stdin_gives_one_object_per_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{CHASE_CANONICAL}\n\nTom-i ccossnunta.\n"))
+        status, out, _ = run(capsys, "permutations", "-g", "chase", "--format",
+                             "json")
+        assert status == 0
+        payloads = [json.loads(line) for line in out.splitlines()]
+        assert [(p["input"], p["parsed"], p["total"]) for p in payloads] == [
+            (CHASE_CANONICAL, 2, 6), ("Tom-i ccossnunta.", 0, 2)]
+
     def test_too_many_words_are_refused(self, capsys):
         # nine words have 9! = 362,880 orders; none may be enumerated
         status, out, err = run(capsys, "permutations", "-g", "chase",

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from support import (canonical, chain_sentence, check_set_constraints,
-                     lex_yield, preorder, set_constraint_violations, violations)
+from support import (canonical, chain_sentence, check_set_constraints, foot,
+                     interior, lex, lex_yield, preorder,
+                     set_constraint_violations, subst, violations)
 
 from stagmt.derive import (
     Attachment,
@@ -40,11 +41,7 @@ from stagmt.model import (
     GornAddress,
     SourceSet,
     SyncPair,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
 )
 from stagmt.pipeline import translate_line
 from stagmt.transfer import transfer_derivation
@@ -231,6 +228,14 @@ class TestBuildDerivedTree:
             att(1, 0, 0, 0, "e", OP_ADJOIN)])
         with pytest.raises(IllegalAttachmentError, match="not auxiliary"):
             build_derived_tree(initial, g_chase)
+
+    def test_adjunction_at_a_leaf_rejected(self, g_chase):
+        at_verb = make_derivation(("gamma_chase", "beta_jerry_op"), 0, [
+            att(1, 0, 0, 0, "3", OP_ADJOIN),
+            att(1, 1, 0, 0, "2", OP_SUBST),
+        ])
+        with pytest.raises(IllegalAttachmentError, match="adjunction at lex node"):
+            build_derived_tree(at_verb, g_chase)
 
     def test_adjunction_checks_category(self, g_chase):
         # beta_jerry_op's first component is S-rooted; alpha_tom_sp is SP

@@ -23,7 +23,8 @@ from unittest import mock
 from hypothesis import (HealthCheck, event, given, reject, settings,
                         strategies as st)
 
-from support import lex_yield, random_derivation
+from support import (empty, foot, interior, lex, lex_yield, random_derivation,
+                     subst)
 
 from stagmt.derive import build_derived_tree
 from stagmt.model import (
@@ -34,12 +35,7 @@ from stagmt.model import (
     Link,
     SourceSet,
     SyncPair,
-    empty,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
     validate_pair,
 )
 from stagmt import oracle

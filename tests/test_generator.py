@@ -11,6 +11,9 @@ from support import (
     EMBEDDED_CANONICAL,
     EMBEDDED_FRONTED,
     EMBEDDED_MEDIAL,
+    foot,
+    interior,
+    lex,
 )
 
 from stagmt.derive import (
@@ -34,10 +37,7 @@ from stagmt.model import (
     GornAddress,
     SourceSet,
     SyncPair,
-    foot,
     index_grammar,
-    interior,
-    lex,
 )
 from stagmt.pipeline import translate_line
 from stagmt.transfer import transfer_derivation

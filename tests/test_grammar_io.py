@@ -83,6 +83,16 @@ class TestRoundTrip:
         twice = dump_grammar(parse_grammar(once))
         assert once == twice
 
+    def test_adjoining_constraints_round_trip(self, g_chase):
+        doc = doc_of(g_chase)
+        gamma = doc["pairs"][0]
+        gamma["source"]["components"][0]["adjoin"] = "oa"
+        gamma["target"]["children"][1]["adjoin"] = "na"
+        grammar = reparse(doc)
+        text = dump_grammar(grammar)
+        assert parse_grammar(text) == grammar
+        assert json.loads(text)["pairs"][0] == gamma
+
     def test_dump_is_sorted_json(self, g_chase):
         text = dump_grammar(g_chase)
         doc = json.loads(text)
@@ -195,6 +205,30 @@ class TestSchemaErrors:
         "start_symbol": (lambda doc: doc.update(start_symbol=1), ".start_symbol:"),
     }
 
+    # (edit of the chase grammar's document, what the refusal must say)
+    REFUSALS = {
+        "pair not an object": (lambda doc: doc["pairs"].append(5),
+                               "expected an object, got int"),
+        "pair without target": (lambda doc: doc["pairs"][0].pop("target"),
+                                "missing field 'target'"),
+        "adjoin value": (lambda doc: doc["pairs"][0]["target"].update(adjoin="maybe"),
+                         "unknown adjoin value 'maybe'"),
+        "empty pair name": (lambda doc: doc["pairs"][0].update(name=""),
+                            "pair name must be a nonempty string"),
+        "head": (lambda doc: doc["pairs"][5]["source"].update(head="1"),
+                 "head must be an integer"),
+        "link tgt": (lambda doc: doc["pairs"][0]["links"][0].update(tgt="9"),
+                     "link tgt 9 does not name a node"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_loader_refusal(self, g_chase, case):
+        edit, message = self.REFUSALS[case]
+        doc = doc_of(g_chase)
+        edit(doc)
+        with pytest.raises(GrammarSchemaError, match=message):
+            reparse(doc)
+
     @pytest.mark.parametrize("field", sorted(WRONG_TYPES))
     def test_wrong_json_type_is_a_schema_error(self, g_chase, field):
         edit, path = self.WRONG_TYPES[field]
@@ -246,6 +280,32 @@ class TestValidationSurfacing:
         rules = {d.rule for d in info.value.diagnostics}
         assert "head-convention" in rules
         assert all(d.pair == "beta_jerry_op" for d in info.value.diagnostics)
+
+    # (edit of the chase grammar's document) by the rule it breaks;
+    # pairs[0] is gamma_chase, pairs[1] alpha_tom_sp, pairs[5] beta_tom_sp
+    RULES = {
+        "root-kind": lambda doc: doc["pairs"][1]["source"]["components"][0].update(
+            kind="lex", word="Tom", children=[]),
+        "leaf-children": lambda doc: doc["pairs"][1]["source"]["components"][0][
+            "children"][0].update(children=[{"cat": "X", "kind": "lex", "word": "y"}]),
+        "word-on-nonlex": lambda doc: doc["pairs"][1]["target"].update(word="Tom"),
+        "foot-category": lambda doc: doc["pairs"][5]["source"]["components"][0][
+            "children"][1].update(cat="VP"),
+        "head-index": lambda doc: doc["pairs"][5]["source"].update(head=2),
+        "singleton-dominance": lambda doc: doc["pairs"][1]["source"].update(
+            dominance=[[0, 0]]),
+        # the verb is a lex node: it names a node, but not an operable one
+        "link-tgt": lambda doc: doc["pairs"][0]["links"][1].update(tgt="2.1"),
+        "duplicate-link-tgt": lambda doc: doc["pairs"][0]["links"][1].update(tgt="1"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_rule_reached_from_a_file(self, g_chase, rule):
+        doc = doc_of(g_chase)
+        self.RULES[rule](doc)
+        with pytest.raises(GrammarValidationError) as info:
+            reparse(doc)
+        assert rule in {d.rule for d in info.value.diagnostics}
 
     def test_duplicate_pair_names_rejected(self, g_chase):
         doc = doc_of(g_chase)

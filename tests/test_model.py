@@ -1,8 +1,14 @@
 """Data model: addresses, trees, pair validation, grammar indexing."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from support import empty, foot, interior, lex, subst
+
+import stagmt.model
 from stagmt.errors import DuplicatePairNameError, NoStartPairError
 from stagmt.model import (
     ADJOIN_NA,
@@ -15,12 +21,7 @@ from stagmt.model import (
     SourceSet,
     SyncPair,
     TreeNode,
-    empty,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
     validate_pair,
 )
 
@@ -221,6 +222,31 @@ class TestValidatePair:
             target=ElementaryTree(interior("NP", lex("N", "X"))))
         assert "multiple-feet" in {d.rule for d in validate_pair(double)}
 
+    def test_rules_the_loader_reaches_first(self):
+        # a grammar file cannot carry these: the loader refuses it before
+        # validation runs, so only pairs built in Python reach them
+        slot = GornAddress.parse("1")
+        tree = interior("S", subst("SP"), lex("V", "x"))
+        cases = [
+            (_singleton("alpha_kind", interior("NP", TreeNode(cat="N", kind="stem"))),
+             "node-kind", "unknown node kind 'stem'"),
+            (_singleton("alpha_adjoin", interior("NP", lex("N", "x"), adjoin="maybe")),
+             "adjoin-value", "unknown adjoining constraint 'maybe'"),
+            (SyncPair(name="alpha_none", source=SourceSet(components=()),
+                      target=ElementaryTree(interior("NP", lex("N", "x")))),
+             "empty-set", "source set has no components"),
+            (_singleton("gamma_comp", tree, links=[Link(comp=3, src=slot, tgt=slot)]),
+             "link-comp", "link names component 3, out of range"),
+            (_singleton("gamma_src", tree, links=[
+                Link(comp=0, src=GornAddress.parse("9"), tgt=slot)]),
+             "link-src", "link src 9 does not name a node"),
+            (_singleton("gamma_tgt", tree, links=[
+                Link(comp=0, src=slot, tgt=GornAddress.parse("9"))]),
+             "link-tgt", "link tgt 9 does not name a node"),
+        ]
+        for pair, rule, message in cases:
+            assert (rule, message) in {(d.rule, d.message) for d in validate_pair(pair)}
+
     def test_diagnostics_name_pair_and_rule(self):
         diag = validate_pair(_beta(head=0, dominance=()))[0]
         assert diag.pair == "beta_x"
@@ -297,3 +323,15 @@ def test_obligatory_adjoin_value_is_modelled():
 
 def test_particle_record():
     assert Particle(form="lul", case="acc").case == "acc"
+
+
+def test_every_validation_rule_has_a_case():
+    """Each rule name the validator passes to diag() is named by some test."""
+    found = ast.walk(ast.parse(Path(stagmt.model.__file__).read_text()))
+    rules = {node.args[0].value for node in found if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "diag"}
+    named = {node.value for path in Path(__file__).parent.glob("test_*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert rules
+    assert sorted(rules - named) == []

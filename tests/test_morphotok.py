@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from support import interior, lex, subst
+
 from stagmt.errors import EmptyInputError, UnknownParticleError
 from stagmt.model import (
     ElementaryTree,
@@ -10,9 +12,6 @@ from stagmt.model import (
     SyncPair,
     Particle,
     index_grammar,
-    interior,
-    lex,
-    subst,
 )
 from stagmt.morphotok import Token, TokenizedSentence, segment_token, tokenize
 

@@ -11,8 +11,13 @@ from support import (
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
     corpus,
+    empty,
+    foot,
+    interior,
+    lex,
     permutation_closure,
     preorder,
+    subst,
     violations,
 )
 
@@ -31,12 +36,7 @@ from stagmt.model import (
     Link,
     SourceSet,
     SyncPair,
-    empty,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
     validate_pair,
 )
 from stagmt.morphotok import tokenize
@@ -278,7 +278,7 @@ def _check_spans(derivation, grammar) -> list[str]:
     # the one-call helper walks, checks and canonicalizes a fresh tree alike
     alone = build_derived_tree(derivation, grammar)
     assert violations(alone, grammar) == expected
-    assert alone.derivation == canonicalize(tree, order)
+    assert alone.derivation == canonicalize(tree.derivation, order)
     return expected
 
 

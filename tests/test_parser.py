@@ -15,8 +15,13 @@ from support import (
     EMBEDDED_FRONTED,
     attachment_of,
     corpus,
+    empty,
+    foot,
+    interior,
+    lex,
     lex_yield,
     permutation_closure,
+    subst,
 )
 
 import stagmt.parser
@@ -29,12 +34,7 @@ from stagmt.model import (
     ElementaryTree,
     SourceSet,
     SyncPair,
-    empty,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse

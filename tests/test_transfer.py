@@ -2,7 +2,8 @@
 
 import pytest
 
-from support import EMBEDDED_CANONICAL, EMBEDDED_FRONTED, lex_yield
+from support import (EMBEDDED_CANONICAL, EMBEDDED_FRONTED, empty, foot,
+                     interior, lex, lex_yield, subst)
 
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            make_derivation)
@@ -14,12 +15,7 @@ from stagmt.model import (
     Link,
     SourceSet,
     SyncPair,
-    empty,
-    foot,
     index_grammar,
-    interior,
-    lex,
-    subst,
     validate_pair,
 )
 from stagmt.morphotok import tokenize
