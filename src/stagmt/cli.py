@@ -53,6 +53,15 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, ensure_ascii=False, sort_keys=True))
 
 
+def _report(args, lineno: int, line: str, exc: StagError, **fields) -> None:
+    """Report a failed input line on stderr and, with --format json, as an
+    error object holding fields besides the error's."""
+    print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
+    if args.format == "json":
+        _emit_json({"input": line, "line": lineno, "error": exc.code,
+                    "message": str(exc), **fields})
+
+
 def cmd_translate(args) -> int:
     grammar = _load(args)
     status = 0
@@ -61,11 +70,8 @@ def cmd_translate(args) -> int:
             result = translate_line(line, grammar, all_levels=args.all_derivations)
         except StagError as exc:
             status = 1
-            print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
-            if args.format == "json":
-                _emit_json({"input": line, "line": lineno, "error": exc.code,
-                            "message": str(exc), "translation": "ERROR"})
-            else:
+            _report(args, lineno, line, exc, translation="ERROR")
+            if args.format != "json":
                 print("ERROR")
             continue
 
@@ -112,10 +118,7 @@ def cmd_parse(args) -> int:
             levels = parse(sentence, grammar, all_levels=args.all_derivations)
         except StagError as exc:
             status = 1
-            print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
-            if args.format == "json":
-                _emit_json({"input": line, "line": lineno, "error": exc.code,
-                            "message": str(exc)})
+            _report(args, lineno, line, exc)
             continue
         if args.format == "json":
             _emit_json({
@@ -161,13 +164,19 @@ def cmd_check(args) -> int:
 
 def cmd_permutations(args) -> int:
     grammar = _load(args)
-    for _, line in _input_lines(args):
-        sentence = tokenize(line, grammar)
-        surfaces = [token.surface for token in sentence.tokens]
-        if len(surfaces) > MAX_PERMUTED_WORDS:
-            raise LimitExceededError(
-                f"{len(surfaces)} words have too many orders to try; "
-                f"the limit is {MAX_PERMUTED_WORDS}")
+    status = 0
+    for lineno, line in _input_lines(args):
+        try:
+            sentence = tokenize(line, grammar)
+            surfaces = [token.surface for token in sentence.tokens]
+            if len(surfaces) > MAX_PERMUTED_WORDS:
+                raise LimitExceededError(
+                    f"{len(surfaces)} words have too many orders to try; "
+                    f"the limit is {MAX_PERMUTED_WORDS}")
+        except StagError as exc:
+            status = 1
+            _report(args, lineno, line, exc)
+            continue
         ok = 0
         orders = sorted(set(itertools.permutations(surfaces)))
         rows = []
@@ -195,7 +204,7 @@ def cmd_permutations(args) -> int:
                 print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
                       f"{translation if translation is not None else '-'}")
             print(f"{ok}/{len(orders)} orders parse")
-    return 0
+    return status
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

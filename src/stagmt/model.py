@@ -381,6 +381,9 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
     for i, comp in enumerate(src.components):
         out.extend(_tree_diagnostics(pair.name, f"source[{i}]", comp, multi))
     out.extend(_tree_diagnostics(pair.name, "target", pair.target, False))
+    # an anchored use yields a word, so no derivation has more uses than words
+    if not any(comp.lex_words for comp in src.components):
+        diag("unanchored", "no source component has a lexical word")
 
     if not 0 <= src.head < len(src.components):
         diag("head-index", f"head index {src.head} out of range")

@@ -46,10 +46,13 @@ first, reading each instance's pair and component from ``ChartTables.comps``
 by component id. A derivation's cost (sum of use priorities minus one, so
 priority-1 pairs are free) and its use count are fixed by its instance
 tree, so the instance trees are bucketed by cost, those over the use budget
-dropped, before any grouping. Per cost, instances of
-multi-component pairs are grouped into uses by bijective matching per
-component, each grouping is composed and walked once, and those whose
-dominance requirements fail are discarded; a cost with none left is skipped.
+dropped, before any grouping. A use is its component-0 instance. Every
+pair of a grammar that validates is anchored, so no derivation has more
+uses than the input has lexical items, and that is the default budget. Per
+cost, each further component's instances of a multi-component pair are
+matched bijectively with that pair's uses, each grouping is composed and
+walked once, and those whose dominance requirements fail are discarded; a
+cost with none left is skipped.
 Surviving trees are canonicalized, deduplicated and sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees so no later stage composes them
@@ -510,25 +513,23 @@ def _collect_instances(comp: int, ops: tuple[Op, ...]):
     return comps, edges
 
 
-def _groupings(insts: list[tuple[str, int]], grammar: Grammar):
-    """Yield use assignments (instance index -> use id).
+def _groupings(insts: list[tuple[str, int]], uses: list[str], grammar: Grammar):
+    """Yield the use of each further component's instance, by instance index.
 
-    Singleton-pair instances each get their own use. Instances of a
-    multi-component pair are grouped by matching each further component's
-    instances bijectively with component 0's; every choice of one
-    permutation per further component is one candidate reading. More than
+    A use is its component-0 instance, and uses[u] names the pair of use u,
+    numbered in instance order. The instances of each further component of
+    a multi-component pair are matched bijectively with that pair's uses;
+    every choice of one permutation per further component is one candidate
+    reading. A tree in which a further component has more or fewer
+    instances than its pair has uses has none. More than
     ``MAX_GROUPINGS`` readings are refused before any is built.
     """
-    by_comp: dict[tuple[str, int], list[int]] = {}
-    for idx, inst in enumerate(insts):
-        if grammar.pair(inst[0]).source.is_multi:
-            by_comp.setdefault(inst, []).append(idx)
-
-    matched = []    # (a further component's instances, component 0's)
-    for name in sorted({name for name, _ in by_comp}):
-        base = by_comp.get((name, 0), [])
+    matched = []    # (a further component's instances, its pair's uses)
+    for name in sorted(name for name in {name for name, _ in insts}
+                       if grammar.pair(name).source.is_multi):
+        base = [use for use, other in enumerate(uses) if other == name]
         for ci in range(1, grammar.pair(name).n_components):
-            members = by_comp.get((name, ci), [])
+            members = [idx for idx, inst in enumerate(insts) if inst == (name, ci)]
             if len(members) != len(base):
                 return
             matched.append((members, base))
@@ -538,13 +539,8 @@ def _groupings(insts: list[tuple[str, int]], grammar: Grammar):
 
     for chosen in itertools.product(*(itertools.permutations(members)
                                       for members, _ in matched)):
-        partner = {}
-        for perm, (_, base) in zip(chosen, matched):
-            partner.update(zip(perm, base))
-        # a use is numbered when the first of its instances is met
-        use_ids: dict[int, int] = {}
-        yield {idx: use_ids.setdefault(partner.get(idx, idx), len(use_ids))
-               for idx in range(len(insts))}
+        yield {idx: use for perm, (_, base) in zip(chosen, matched)
+               for idx, use in zip(perm, base)}
 
 
 def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
@@ -554,8 +550,10 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
 
     Phase 1 runs up front, from every start pair's head component; its root
     instance trees are then bucketed by cost, which the instance tree alone
-    fixes, as it fixes the use count: every grouping makes one use per
-    component-0 instance, so a tree over max_uses is never grouped. Per
+    fixes, as it fixes the use count: a use is its component-0 instance, so
+    a tree over max_uses is never grouped. The default max_uses is the
+    number of lexical items, a bound rather than a cut for a grammar whose
+    pairs validate: each pair is anchored, so each use yields a word. Per
     cost, cheapest first, each grouping is composed and walked once: the
     walk's yield must be the input, its spans settle dominance and its
     numbering canonicalizes the kept tree. A cost whose every grouping
@@ -568,7 +566,7 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             raise LexicalGapError(word)
 
     if max_uses is None:
-        max_uses = len(lex) + 2
+        max_uses = len(lex)
     tables = grammar.chart_tables
     budget = max_uses * tables.max_comps
     span = _SpanParser(lex, tables)
@@ -585,19 +583,19 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
         for ops, _ in parses:
             comps, edges = _collect_instances(root, ops)
             insts = [tables.comps[comp] for comp in comps]  # (pair, component)
-            # every grouping makes one use per component-0 instance
-            heads = [name for name, ci in insts if ci == 0]
+            # a use is its component-0 instance, numbered in instance order
+            heads = {idx: use for use, idx in enumerate(
+                idx for idx, (_, ci) in enumerate(insts) if ci == 0)}
             if len(heads) <= max_uses:
-                buckets.setdefault(uses_cost(heads, grammar), []).append(
-                    (insts, edges, len(heads)))
+                uses = [insts[idx][0] for idx in heads]
+                buckets.setdefault(uses_cost(uses, grammar), []).append(
+                    (insts, edges, uses, heads))
 
     for cost in sorted(buckets):
         found: dict[Derivation, DerivedTree] = {}
-        for insts, edges, n_uses in buckets[cost]:
-            for assignment in _groupings(insts, grammar):
-                uses = [""] * n_uses
-                for idx, (name, _) in enumerate(insts):
-                    uses[assignment[idx]] = name
+        for insts, edges, uses, heads in buckets[cost]:
+            for further in _groupings(insts, uses, grammar):
+                assignment = heads | further    # instance index -> use
                 attachments = [Attachment(
                     assignment[idx], insts[idx][1], assignment[parent_idx],
                     insts[parent_idx][1], op.site, op.op)
@@ -623,8 +621,9 @@ def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
                     max_uses: int | None = None) -> tuple[Derivation, ...]:
     """Every valid derivation of the sentence, canonical and sorted.
 
-    Derivations use at most max_uses pairs (default: token count plus two,
-    enough for any set stacking the lexicon supports).
+    Derivations use at most max_uses pairs. The default, the number of
+    lexical items, cuts nothing for a grammar whose pairs validate: every
+    pair is anchored, so every use puts a word into the yield.
     """
     return tuple(tree.derivation
                  for level in _priority_levels(sentence, grammar, max_uses)

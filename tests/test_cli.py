@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,14 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, on this checkout's library."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "stagmt.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def corpus_transcript(*argv) -> str:
@@ -251,10 +260,24 @@ class TestParse:
 
 class TestCheck:
     def test_builtin_grammars_pass(self, capsys):
-        for name, pairs in (("chase", 8), ("ditransitive", 7), ("embedded", 6)):
+        for name, pairs in (("chase", 8), ("ditransitive", 7), ("embedded", 6),
+                            (str(AMBIGUOUS_GRAMMAR), 9)):
             status, out, _ = run(capsys, "check", "-g", name)
             assert status == 0
             assert out == f"OK, {pairs} pairs\n"
+
+    def test_unanchored_pair_refused(self, capsys, tmp_path):
+        # chase plus S(S*) on both sides: its uses could stack without end
+        doc = json.loads(builtin_grammar_path("chase").read_text())
+        zero_width = {"cat": "S", "children": [{"cat": "S", "kind": "foot"}]}
+        doc["pairs"].append({"name": "beta_zw", "priority": 1, "links": [],
+                             "source": {"components": [zero_width]},
+                             "target": zero_width})
+        bad = tmp_path / "zw.grammar"
+        bad.write_text(json.dumps(doc))
+        status, out, _ = run(capsys, "check", "-g", str(bad))
+        assert status == 1
+        assert "beta_zw" in out and "(unanchored)" in out
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "check", "-g", "/no/such.grammar")
@@ -335,6 +358,21 @@ class TestCheck:
         assert run(capsys, "check", "-g", str(deep))[0] == 0
         assert run(capsys, "translate", "-g", str(deep), "x.") == (0, "x.\n", "")
 
+    # a fresh CLI process has a shallower stack than pytest's: it too must
+    # load a tree at the cap and refuse one a level deeper
+    @pytest.mark.parametrize("depth, exits", [(MAX_TREE_DEPTH, (0, 0)),
+                                              (MAX_TREE_DEPTH + 1, (1, 2))],
+                             ids=["at_cap", "past_cap"])
+    def test_depth_cap_in_fresh_processes(self, tmp_path, depth, exits):
+        deep = tmp_path / "deep.grammar"
+        deep.write_text(nested_grammar(depth))
+        check = run_process("check", "-g", str(deep))
+        translate = run_process("translate", "-g", str(deep), "x.")
+        assert (check.returncode, translate.returncode) == exits
+        if depth > MAX_TREE_DEPTH:
+            assert "[syntax-error]" in check.stderr
+            assert "nested too deeply to read" in translate.stderr
+
     def test_field_of_the_wrong_type(self, capsys, tmp_path):
         doc = json.loads(builtin_grammar_path("chase").read_text())
         doc["particles"] = 5
@@ -391,7 +429,32 @@ class TestPermutations:
         status, out, err = run(capsys, "permutations", "-g", "chase",
                                *["Tom-i"] * 8, "ccossnunta.")
         assert (status, out) == (1, "")
-        assert "[limit-exceeded]" in err
+        assert err.startswith("line 1: limit-exceeded: 9 words")
+
+    PIPE = "Tom-i ccossnunta.\nXyz-q\nJerry-lul ccossnunta.\n"
+
+    def test_batch_goes_on_past_a_failing_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PIPE))
+        status, out, err = run(capsys, "permutations", "-g", "chase")
+        assert status == 1
+        assert err == ("line 2: unknown-particle: "
+                       "unknown particle 'q' in 'Xyz-q'\n")
+        tables = out.splitlines()
+        assert tables[0].startswith("Tom-i ccossnunta. | no")
+        assert tables[-3].startswith("Jerry-lul ccossnunta. | no")
+        assert tables.count("0/2 orders parse") == 2
+
+    def test_json_batch_goes_on_past_a_failing_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PIPE))
+        status, out, err = run(capsys, "permutations", "-g", "chase",
+                               "--format", "json")
+        assert status == 1
+        assert err.startswith("line 2: unknown-particle: ")
+        first, error, last = (json.loads(line) for line in out.splitlines())
+        assert (first["input"], first["total"]) == ("Tom-i ccossnunta.", 2)
+        assert error == {"input": "Xyz-q", "line": 2, "error": "unknown-particle",
+                         "message": "unknown particle 'q' in 'Xyz-q'"}
+        assert (last["input"], last["total"]) == ("Jerry-lul ccossnunta.", 2)
 
 
 def test_corpus_output_matches_golden():
@@ -408,10 +471,7 @@ def test_other_output_modes_match_golden(name):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stagmt.cli", "translate", "-g", "chase",
-         "Tom-i", "Jerry-lul", "ccossnunta."],
-        capture_output=True, text=True)
+    proc = run_process("translate", "-g", "chase", *CHASE_CANONICAL.split())
     assert proc.returncode == 0
     assert proc.stdout == "Tom chases Jerry.\n"
 

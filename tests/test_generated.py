@@ -5,13 +5,13 @@ initial and auxiliary trees, and sets of two or three components with
 dominance links, empty place-holders and zero-width auxiliaries (``S(e
 S*)``). Feet come first, in the middle, last or as an only child, interior
 nodes may be null- or obligatory-adjoining, and every pair carries an
-anchor, since the oracle refuses anchorless pairs. Sentences are the yields
-of random derivations (``support.random_derivation``), their shuffles and
-small edits, and short strings over the grammar's words. On each, the
-parser's derivations must equal the oracle's, in the same order, at the
-default budget and at the tightest one that keeps a derivation. A draw past
-either side's coded bound (the oracle's configurations, the parser's
-pass-2 parses) is rejected.
+anchor, as ``validate_pair`` requires. Sentences are the yields of random
+derivations (``support.random_derivation``), their shuffles and small
+edits, and short strings over the grammar's words. On each, the parser's
+derivations must equal the oracle's, in the same order, at the default
+budget and at the tightest one that keeps a derivation, and one use over
+the default must find no more. A draw past either side's coded bound (the
+oracle's configurations, the parser's pass-2 parses) is rejected.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
 (see ``conftest.py``) runs many more grammars.
@@ -204,6 +204,15 @@ def test_parser_equals_oracle(data):
         reject()
     assert parsed == found
     if found:
+        # every pair is anchored, so the default budget of one use per
+        # lexical item is a bound: a use more finds nothing more
+        try:
+            wider = all_derivations(sentence, grammar,
+                                    max_uses=len(sentence.lex_stream) + 1)
+        except LimitExceededError:
+            event("parser limit, a use over the default")
+            reject()
+        assert wider == parsed
         # a least cost set too high would lose the smallest derivations
         fewest = min(len(d.uses) for d in found)
         assert all_derivations(sentence, grammar, max_uses=fewest) == tuple(

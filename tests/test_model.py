@@ -183,6 +183,14 @@ class TestValidatePair:
         rules = {d.rule for d in validate_pair(pair)}
         assert "unlinked-substitution" in rules
 
+    def test_pair_needs_an_anchor(self):
+        # S(S*) has no word, so its uses could stack without end over any
+        # input; a word-less component is fine beside an anchored one
+        zero_width = _singleton("beta_zw", interior("S", foot("S")))
+        assert [d.rule for d in validate_pair(zero_width)] == ["unanchored"]
+        assert _beta().source.components[1].lex_words == ()
+        assert validate_pair(_beta()) == []
+
     def test_priority_must_be_positive(self):
         pair = _singleton("alpha_zero", interior("NP", lex("N", "Tom")), priority=0)
         rules = {d.rule for d in validate_pair(pair)}
