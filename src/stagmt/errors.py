@@ -89,9 +89,9 @@ class LexicalGapError(ParseError):
 
 
 class LimitExceededError(ParseError):
-    """The input is beyond a fixed limit: nested too deeply for the parser
-    to unpack, past the parser's caps on chart items, pass-2 parses or one
-    instance tree's groupings, or too many words to try every order of."""
+    """The input is beyond a fixed limit: past the parser's caps on chart
+    items, root instance trees or one instance tree's groupings, or too
+    many words to try every order of."""
 
     code = "limit-exceeded"
 

@@ -31,15 +31,18 @@ foot at one end in cubic time.
    cycles (stacked and zero-width auxiliaries over one span); the worklist
    settles each item once, at its least cost, so cycles end. Point
    partners come from the point table. No budget applies here.
-2. Enumeration unpacks the instance trees from the forest top down, and
-   ``max_uses`` is applied here, and only here, as an instance budget.
-   Every item's parse is one record, an (ops, size) pair: its attachments,
-   each an ``Op`` holding the attached instance's component id and
-   attachments, and its instance count. Each call returns exactly the
-   parses within its budget, and skips every hyperedge whose cost exceeds
-   what is left of it, so only productive items are ever visited. It reads
-   the one hyperedge map, and an open item's parses serve every right end
-   of its gap. ``MAX_PARSES`` caps the parses it stores.
+2. Enumeration lists the instance trees of the root items by one
+   depth-first search of the one hyperedge map, with an explicit stack
+   and no recursion, in the manner of agenda-driven deductive parsing
+   (Shieber, Schabes & Pereira 1995). ``max_uses`` is applied here, and
+   only here, as an instance budget. A search state is a partial tree:
+   the items still to expand, the instances found so far and a lower bound
+   on the tree's size, the instances plus every pending item's least cost.
+   A state over the budget is never pushed, and every state within it
+   completes to a tree, so the work grows with the trees found. Each tree
+   comes out flat, its instances' component ids with their parents' index
+   and the site each attaches at, parents first. ``MAX_PARSES`` caps the
+   trees one parse may enumerate.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
@@ -100,9 +103,10 @@ from .morphotok import TokenizedSentence
 # pass-1 chart items one parse may settle before it gives up with the coded
 # error limit-exceeded (the benchmark's largest chart holds a few hundred)
 MAX_CHART_ITEMS = 200_000
-# pass-2 parses one parse may hold in its memo before the coded error
-# limit-exceeded (the benchmark stores at most 188, a depth-197 chain 2,188)
-MAX_PARSES = 100_000
+# root instance trees pass 2 may enumerate for one parse before the coded
+# error limit-exceeded (the benchmark's inputs have at most 17 per start pair,
+# the canonical chase sentence 5, an embedding chain of any depth 1)
+MAX_PARSES = 10_000
 # groupings of one instance tree before the coded error limit-exceeded: k
 # instances of one set pair make k! (3! = 6 in the benchmark's grammars)
 MAX_GROUPINGS = 10_000
@@ -110,16 +114,6 @@ MAX_GROUPINGS = 10_000
 # the gap of an item with no words after its foot: it runs from the item's
 # end to a right end that the item leaves unfixed
 OPEN = "open"
-
-
-class Op(NamedTuple):
-    """One attached instance: the elementary site and operation it attaches
-    by, its component id, and its own attachments."""
-
-    site: GornAddress
-    op: str
-    comp: int
-    ops: tuple[Op, ...]
 
 
 class PriorityLevel(NamedTuple):
@@ -177,7 +171,7 @@ class ChartTables:
 
     The deduction rules are written once, here, indexed by antecedent
     symbol, and the symbols themselves are construction locals. Pass 2
-    only unpacks pass 1's hyperedges, reading from these tables just the
+    only searches pass 1's hyperedges, reading from these tables just the
     instance symbols and where an instance attaches (``site``).
     """
 
@@ -285,18 +279,16 @@ class ChartTables:
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
-    Holds the lexical stream, pass 1's forest (the least cost of every item
-    that covers words, and one hyperedge map holding those items' and the
-    point table's) and pass 2's memo; the rules, symbols and point items
-    come from the grammar's shared ``ChartTables``.
+    Holds the lexical stream and pass 1's forest (the least cost of every
+    item that covers words, and one hyperedge map holding those items' and
+    the point table's); the rules, symbols and point items come from the
+    grammar's shared ``ChartTables``.
     """
 
     def __init__(self, lex: tuple[str, ...], tables: ChartTables):
         self.lex = lex
         self.tables = tables
         self.best, self.edges = self._recognize()
-        self._memo: dict[tuple[tuple, int], tuple] = {}
-        self._stored = 0    # parses held in the memo
 
     def _recognize(self) -> tuple[dict[tuple, int], dict[tuple, list[tuple]]]:
         """Pass 1: the least instance count of every derivable item that
@@ -308,7 +300,7 @@ class _SpanParser:
         cheaper derivation found later re-queues only its consequent, so
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
         without re-sweeping the chart. Every firing is recorded as a
-        hyperedge of its consequent, cheapest or not, so pass 2 can unpack
+        hyperedge of its consequent, cheapest or not, so pass 2 can list
         every derivation: the cost it fired at (the consequent's own
         instance count plus its antecedents' least costs), then its
         antecedent item keys, left to right. No instance budget applies;
@@ -456,61 +448,59 @@ class _SpanParser:
             cost += 1
         return best, edges
 
-    def unpack(self, key: tuple, budget: int) -> tuple:
-        """Pass 2: every parse of an item with at most budget instances.
+    def trees(self, key: tuple, budget: int) -> Iterator[tuple]:
+        """Pass 2: every instance tree of an item with at most budget
+        instances, flat: one (component id, parent index, (site, operation))
+        per instance, each parent before its children. An instance the item
+        holds at its top, the item's own instance among them, has parent
+        index ``None``; the item's own has no site either.
 
-        Every item's parses are (ops, size) pairs: the attachments inside
-        the item, in post-order, and its instance count, an instance item
-        counting itself. A hyperedge whose recorded cost exceeds the budget
-        is skipped; any other yields the product of its antecedents'
-        parses, left to right, with the budget threaded through; an
-        instance antecedent becomes one attachment (``Op``) at the
-        consequent's ``site``. Every cycle of items passes through an
-        instance, which costs one, so the budget bounds the recursion.
-        Parses hold no positions, so a point item, named by its table key,
-        has one set of parses for every position it fills, and an open item
-        one for every right end of its gap. More than ``MAX_PARSES`` parses
-        in the memo, counted as they are built, are refused.
+        A depth-first search of the hyperedge map with an explicit stack. A
+        state holds the items still to expand, as a linked list of (item,
+        parent index, the ``site`` of the item that holds it); the instances
+        found so far, as a linked list, and their count; and its slack, the
+        budget less a lower bound on the tree's size: the count plus every
+        pending item's least cost. Expanding an item by a hyperedge costs
+        the hyperedge's recorded cost less the item's least cost. That
+        cost is the item's own instance count plus its antecedents' least
+        costs, so a state within the budget always completes to a tree, and
+        no state over it is pushed. The rightmost pending item is expanded
+        first. Trees hold no positions, so a point item, named by its table
+        key, has one set of trees for every position it fills, and an open
+        item one for every right end of its gap.
         """
-        hit = self._memo.get((key, budget))
-        if hit is not None:
-            return hit
-        t, sym = self.tables, key[0]
-        own = int(0 <= sym - t.inst0 < len(t.comps))
-        parses = []
-        for edge in self.edges.get(key, ()):
-            if edge[0] > budget:
+        t = self.tables
+        best, edges, point_best, site = self.best, self.edges, t.point_best, t.site
+        inst0, n_comps = t.inst0, len(t.comps)
+        least = best.get(key, point_best.get(key))
+        if least is None or least > budget:     # no tree fits
+            return
+        stack = [(((key, None, None), None), None, 0, budget - least)]
+        while stack:
+            pending, insts, count, slack = stack.pop()
+            if pending is None:
+                tree = []
+                while insts:
+                    inst, insts = insts
+                    tree.append(inst)
+                yield tuple(reversed(tree))
                 continue
-            partial = [((), own)]
-            for ante in edge[1:]:
-                comp = ante[0] - t.inst0
-                attached = 0 <= comp < len(t.comps)
-                grown = []
-                for ops, size in partial:
-                    for sub_ops, sub_size in self.unpack(ante, budget - size):
-                        if attached:
-                            sub_ops = (Op(*t.site[sym], comp, sub_ops),)
-                        grown.append((ops + sub_ops, size + sub_size))
-                    if self._stored + len(grown) > MAX_PARSES:
-                        raise LimitExceededError(
-                            f"the input needs more than {MAX_PARSES} parses")
-                partial = grown
-            self._stored += len(partial)
-            parses.extend(partial)
-        hit = self._memo[key, budget] = tuple(parses)
-        return hit
-
-
-def _collect_instances(comp: int, ops: tuple[Op, ...]):
-    """Flatten an instance tree into its instances' component ids, the root
-    first, and its edges as (child index, parent index, op)."""
-    comps, subtrees, edges = [comp], [ops], []
-    for idx, ops in enumerate(subtrees):  # the list grows while it is read
-        for op in ops:
-            edges.append((len(comps), idx, op))
-            comps.append(op.comp)
-            subtrees.append(op.ops)
-    return comps, edges
+            (item, parent, at), pending = pending
+            sym = item[0]
+            if 0 <= sym - inst0 < n_comps:  # an instance, parent of its own
+                insts = ((sym - inst0, parent, at), insts)
+                parent, count = count, count + 1
+            least = best.get(item)
+            if least is None:
+                least = point_best[item]
+            held_at = site.get(sym)     # where an instance antecedent attaches
+            for edge in edges[item]:
+                left = slack + least - edge[0]
+                if left >= 0:
+                    grown = pending
+                    for ante in edge[1:]:
+                        grown = ((ante, parent, held_at), grown)
+                    stack.append((grown, insts, count, left))
 
 
 def _groupings(insts: list[tuple[str, int]], uses: list[str], grammar: Grammar):
@@ -557,8 +547,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     cost, cheapest first, each grouping is composed and walked once: the
     walk's yield must be the input, its spans settle dominance and its
     numbering canonicalizes the kept tree. A cost whose every grouping
-    fails dominance yields no level. Only ``unpack`` recurses, so only it
-    is guarded against running out of stack.
+    fails dominance yields no level. No more than ``MAX_PARSES`` root
+    instance trees are enumerated.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -572,34 +562,32 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     span = _SpanParser(lex, tables)
 
     buckets: dict[int, list] = {}
+    n_trees = 0
     for pair in grammar.start_pairs:
-        root = tables.comp_id[pair.name, pair.source.head]
-        try:
-            parses = span.unpack((tables.inst0 + root, 0, len(lex), None),
-                                 budget)
-        except RecursionError:
-            raise LimitExceededError(
-                "the input nests too deeply to parse") from None
-        for ops, _ in parses:
-            comps, edges = _collect_instances(root, ops)
-            insts = [tables.comps[comp] for comp in comps]  # (pair, component)
+        root = tables.inst0 + tables.comp_id[pair.name, pair.source.head]
+        for flat in span.trees((root, 0, len(lex), None), budget):
+            n_trees += 1
+            if n_trees > MAX_PARSES:
+                raise LimitExceededError(
+                    f"the input has more than {MAX_PARSES} instance trees")
+            insts = [tables.comps[comp] for comp, _, _ in flat]  # (pair, component)
             # a use is its component-0 instance, numbered in instance order
             heads = {idx: use for use, idx in enumerate(
                 idx for idx, (_, ci) in enumerate(insts) if ci == 0)}
             if len(heads) <= max_uses:
                 uses = [insts[idx][0] for idx in heads]
                 buckets.setdefault(uses_cost(uses, grammar), []).append(
-                    (insts, edges, uses, heads))
+                    (insts, flat, uses, heads))
 
     for cost in sorted(buckets):
         found: dict[Derivation, DerivedTree] = {}
-        for insts, edges, uses, heads in buckets[cost]:
+        for insts, flat, uses, heads in buckets[cost]:
             for further in _groupings(insts, uses, grammar):
                 assignment = heads | further    # instance index -> use
                 attachments = [Attachment(
-                    assignment[idx], insts[idx][1], assignment[parent_idx],
-                    insts[parent_idx][1], op.site, op.op)
-                    for idx, parent_idx, op in edges]
+                    assignment[idx], insts[idx][1], assignment[parent],
+                    insts[parent][1], *at)
+                    for idx, (_, parent, at) in enumerate(flat) if idx]
                 derivation = make_derivation(uses, assignment[0], attachments)
                 tree = build_derived_tree(derivation, grammar)
                 produced, order, spans = walk_tree(tree)

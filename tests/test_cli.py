@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
                      CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
@@ -94,20 +97,31 @@ class TestTranslate:
         assert out == "Tom chases Jerry.\nERROR\n"
         assert err.startswith("line 3: no-parse:")
 
-    def test_too_deep_input_is_a_coded_error(self, capsys, monkeypatch):
-        # the object fronted over 80, then 400 embedding verbs: the batch
-        # goes on past an input that nests too deeply to parse
+    def test_deep_input_translates(self, capsys, monkeypatch):
+        # the object fronted over 80, then 400 embedding verbs: pass 2
+        # searches the forest with its own stack, so depth is no limit
         monkeypatch.setattr("sys.stdin", io.StringIO(
             f"{chain_sentence(80)}\n{chain_sentence(400)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")
-        shallow, deep, canonical = out.splitlines()
-        assert shallow == "Mary says " * 80 + "Tom chases Jerry."
-        if deep == "ERROR":
-            assert status == 1
-            assert err.startswith("line 2: limit-exceeded:")
-        else:
-            assert deep == "Mary says " * 400 + "Tom chases Jerry."
-        assert canonical == "Mary says Tom chases Jerry."
+        assert (status, err) == (0, "")
+        assert out.splitlines() == ["Mary says " * 80 + "Tom chases Jerry.",
+                                    "Mary says " * 400 + "Tom chases Jerry.",
+                                    "Mary says Tom chases Jerry."]
+
+    def test_deep_input_needs_no_stack(self):
+        # no code on the translate path recurses, so a recursion limit of
+        # 100 still translates a chain 400 embeddings deep
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys\n"
+                "from stagmt.grammar_io import load_grammar\n"
+                "from stagmt.pipeline import translate_line\n"
+                "grammar = load_grammar('embedded')\n"
+                "sys.setrecursionlimit(100)\n"
+                f"print(translate_line({chain_sentence(400)!r}, grammar).best.surface)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "Mary says " * 400 + "Tom chases Jerry.\n"
 
     def test_chart_limit_is_a_coded_error(self, capsys, monkeypatch):
         # pass 1 over the object fronted over three embedding verbs settles
@@ -148,6 +162,31 @@ class TestTranslate:
             translations = lines[::3]
         assert translations == ["Mary says " * 170 + "Tom chases Jerry.",
                                 "Mary says Tom chases Jerry."]
+
+    def test_one_untranslatable_candidate_fails_the_line(self, capsys, tmp_path):
+        # chase plus an adverb pair that links nothing: on the cheapest level
+        # it adjoins at the verb's root and translates, but a dearer level
+        # adjoins it at the root of beta_tom_sp's scrambled component, which
+        # has no target node for it, so every level fails the whole line
+        doc = json.loads(builtin_grammar_path("chase").read_text())
+        doc["pairs"].append({
+            "name": "beta_adv", "priority": 1, "links": [],
+            "source": {"components": [{"cat": "S", "children": [
+                {"cat": "ADV", "kind": "lex", "word": "acik"},
+                {"cat": "S", "kind": "foot"}]}]},
+            "target": {"cat": "S", "children": [
+                {"cat": "S", "kind": "foot"},
+                {"cat": "ADV", "kind": "lex", "word": "still"}]}})
+        adverb = tmp_path / "adverb.grammar"
+        adverb.write_text(json.dumps(doc))
+        line = "acik Tom-i Jerry-lul ccossnunta."
+        assert run(capsys, "translate", "-g", str(adverb), line) == (
+            0, "Tom chases Jerry still.\n", "")
+        status, out, err = run(capsys, "translate", "-g", str(adverb),
+                               "--all-derivations", line)
+        assert (status, out) == (1, "ERROR\n")
+        assert err.startswith("line 1: untranslatable-attachment: use 0 "
+                              "(beta_adv) attaches at u1/c0@e")
 
     def test_unknown_word(self, capsys):
         status, out, err = run(capsys, "translate", "-g", "chase",
@@ -455,6 +494,43 @@ class TestPermutations:
         assert error == {"input": "Xyz-q", "line": 2, "error": "unknown-particle",
                          "message": "unknown particle 'q' in 'Xyz-q'"}
         assert (last["input"], last["total"]) == ("Jerry-lul ccossnunta.", 2)
+
+
+# anchors, particle forms, glued forms and unknown words of the chase grammar
+BATCH_WORDS = ("Tom", "Jerry", "ccossnunta", "Tom-i", "Jerry-lul", "Tom-ul",
+               "Jerry-ka", "Tomi", "Jerrylul", "Spike", "Spike-lul", "Tom-q", "-i")
+batch_lines = st.one_of(
+    st.sampled_from(("", "   ", ".")),
+    st.builds(lambda words, end: " ".join(words) + end,
+              st.lists(st.sampled_from(BATCH_WORDS), min_size=1, max_size=4),
+              st.sampled_from((".", ""))),
+    st.just("Tom-i " * 8 + "ccossnunta."))   # too many words to permute
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("translate", "parse", "permutations")),
+       st.sampled_from(("text", "json")), st.lists(batch_lines, max_size=5))
+def test_batch_goes_on_past_every_failing_line(command, fmt, batch):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("".join(f"{line}\n" for line in batch))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([command, "-g", "chase", "--format", fmt])
+    # stderr holds one report per failed line, with its code, and nothing
+    # else (no traceback)
+    reports = [re.fullmatch(r"line (\d+): ([a-z-]+): .+", report)
+               for report in err.getvalue().splitlines()]
+    assert all(reports)
+    failed = [(int(report[1]), report[2]) for report in reports]
+    assert status == (1 if failed else 0)
+    if fmt == "json":
+        # the batch goes on: one object per nonblank line, an error object
+        # exactly for each failing line
+        lines = [(n, line.strip()) for n, line in enumerate(batch, 1)
+                 if line.strip()]
+        objects = [json.loads(text) for text in out.getvalue().splitlines()]
+        assert [obj["input"] for obj in objects] == [line for _, line in lines]
+        assert failed == [(n, obj["error"]) for (n, _), obj in zip(lines, objects)
+                          if "error" in obj]
 
 
 def test_corpus_output_matches_golden():

@@ -11,7 +11,7 @@ edits, and short strings over the grammar's words. On each, the parser's
 derivations must equal the oracle's, in the same order, at the default
 budget and at the tightest one that keeps a derivation, and one use over
 the default must find no more. A draw past either side's coded bound (the
-oracle's configurations, the parser's pass-2 parses) is rejected.
+oracle's configurations, the parser's root instance trees) is rejected.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
 (see ``conftest.py``) runs many more grammars.
@@ -197,8 +197,8 @@ def test_parser_equals_oracle(data):
     try:
         parsed = all_derivations(sentence, grammar)
     except LimitExceededError:
-        # past the parser's own coded bound on pass-2 parses (a stack of
-        # zero-width auxiliaries can make millions): as with the oracle's
+        # past the parser's own coded bound on root instance trees (a stack
+        # of zero-width auxiliaries can make millions): as with the oracle's
         # bound, the draw has nothing to compare
         event("parser limit")
         reject()

@@ -137,12 +137,11 @@ class TestFailureModes:
         assert info.value.code == "limit-exceeded"
 
     def test_parses_are_capped(self, g_chase, monkeypatch):
-        # pass 2 stores 61 parses for the canonical sentence, counted as
-        # each hyperedge's parses are built
+        # pass 2 finds 5 root instance trees for the canonical sentence
         sentence = tokenize(CHASE_CANONICAL, g_chase)
-        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 61)
+        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 5)
         assert len(all_derivations(sentence, g_chase)) == 3
-        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 60)
+        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 4)
         with pytest.raises(LimitExceededError) as info:
             all_derivations(sentence, g_chase)
         assert info.value.code == "limit-exceeded"
@@ -323,32 +322,12 @@ class TestChartTables:
 
 
 class TestForest:
-    """Pass 2 unpacks the hyperedges pass 1 records, each with the cost it
-    fired at. Within a budget it returns exactly the parses that fit, each
-    once, the cheapest of them at pass 1's least cost, each instance
-    counting itself, and it concatenates attachments left to right, an
-    adjunction after those below it."""
+    """Pass 2 searches the hyperedges pass 1 records, each with the cost it
+    fired at. Within a budget it yields exactly the instance trees that fit,
+    each once, the smallest of them at pass 1's least cost, flat, one
+    (component id, parent index, site) per instance, parents first."""
 
     BUDGET = 8
-
-    @staticmethod
-    def size(parse):
-        return parse[1]
-
-    @staticmethod
-    def instances(ops):
-        """The instances attached in ops, at any depth."""
-        return sum(1 + TestForest.instances(op.ops) for op in ops)
-
-    @staticmethod
-    def attachments(parses):
-        """The attachments of every parse and of every instance attached
-        below them."""
-        stack = [ops for ops, _ in parses]
-        while stack:
-            ops = stack.pop()
-            yield ops
-            stack.extend(op.ops for op in ops)
 
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
@@ -369,19 +348,24 @@ class TestForest:
                            for ante in edge[1:] if ante[1] == ante[2])
                 assert edge[0] == own + sum(best[ante] for ante in edge[1:])
             assert min(edge[0] for edge in found) == least
-            parses = span.unpack(key, self.BUDGET)
-            # distinct hyperedges derive distinct instance trees
-            assert len(set(parses)) == len(parses)
-            assert min(map(self.size, parses)) == least
-            for tighter in range(least, self.BUDGET):
-                assert span.unpack(key, tighter) == tuple(
-                    p for p in parses if self.size(p) <= tighter)
-            for ops, size in parses:
-                assert size == own + self.instances(ops)
-            for ops in self.attachments(parses):
-                # post-order: a site's descendants first, then left to right
-                order = [op.site.path + (float("inf"),) for op in ops]
-                assert order == sorted(order)
+            trees = list(span.trees(key, self.BUDGET))
+            # distinct hyperedges derive distinct instance trees, and a tree
+            # holds its instances, so its size is its instance count
+            assert len(set(trees)) == len(trees)
+            assert min(map(len, trees)) == least
+            for tighter in range(least - 1, self.BUDGET):
+                assert list(span.trees(key, tighter)) == [
+                    tree for tree in trees if len(tree) <= tighter]
+            for tree in trees:
+                for idx, (comp, parent, at) in enumerate(tree):
+                    assert 0 <= comp < len(t.comps)
+                    assert parent is None or parent < idx
+                    # only the item's own instance attaches nowhere
+                    assert (at is None) == (idx == 0 and own == 1)
+                # an instance item's tree is rooted in that instance
+                if own:
+                    assert tree[0][0] == key[0] - t.inst0
+                    assert all(parent is not None for _, parent, _ in tree[1:])
 
     @pytest.mark.parametrize("name, line", [
         ("chase", CHASE_SCRAMBLED), ("ditransitive", DITRANS_CANONICAL),

@@ -24,7 +24,7 @@ from stagmt.transfer import transfer_derivation
 NAMED_TUPLES = (
     model.GornAddress, model.SourceSet, model.Link, model.SyncPair,
     model.Particle, model.Diagnostic, derive.Attachment, derive.Derivation,
-    parser.Op, parser.PriorityLevel, morphotok.Token, pipeline.Candidate,
+    parser.PriorityLevel, morphotok.Token, pipeline.Candidate,
     pipeline.TranslationResult, oracle.OracleBound, oracle.EquivalenceReport)
 
 
@@ -40,8 +40,7 @@ def public_records(grammar):
         grammar.particles[0], validate_pair(pair._replace(priority=0))[0],
         grammar,
         result.best.source.derivation.attachments[0],
-        result.best.source.derivation,
-        parser.Op(ROOT, derive.OP_SUBST, 0, ()), result.levels[0],
+        result.best.source.derivation, result.levels[0],
         sentence.tokens[0], sentence, result.best, result, OracleBound(),
         assert_equivalence(sentence, grammar))
 

@@ -76,3 +76,31 @@ def test_no_private_names_across_modules():
                   and private(node.attr) and isinstance(node.value, ast.Name)
                   and node.value.id in imported]
     assert found == []
+
+
+def test_no_recursion():
+    # a recursive function fails on deep enough input (RecursionError, or the
+    # C stack), so no function may call itself. Exempt: the oracle, a
+    # referee for short inputs, and the grammar file's tree codec, whose
+    # depth MAX_TREE_DEPTH caps.
+    exempt = {("grammar_io.py", "_node_from_json"),
+              ("grammar_io.py", "_node_to_json")}
+    found = []
+    for path, tree in _trees():
+        if path.name == "oracle.py":
+            continue
+        owners = {"self", "cls"} | {node.name for node in ast.walk(tree)
+                                    if isinstance(node, ast.ClassDef)}
+        for func in ast.walk(tree):
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (path.name, func.name) in exempt):
+                continue
+            found += [f"{path.name}:{call.lineno}: {func.name} calls itself"
+                      for call in ast.walk(func) if isinstance(call, ast.Call)
+                      and ((isinstance(call.func, ast.Name)
+                            and call.func.id == func.name)
+                           or (isinstance(call.func, ast.Attribute)
+                               and call.func.attr == func.name
+                               and isinstance(call.func.value, ast.Name)
+                               and call.func.value.id in owners))]
+    assert found == []
