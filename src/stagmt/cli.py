@@ -9,6 +9,8 @@ Subcommands:
 Exit status: 0 on success, 1 when an input failed to process (no parse,
 unknown word, untranslatable derivation), 2 for unusable invocations or
 grammars. With --format json, one JSON object is printed per input line.
+In a permutations table an order that has no parse or an unknown stem is
+"no"; any other error fails the whole input line.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import json
 import sys
 
 from .derive import render_derivation, render_tree
-from .errors import (GrammarError, GrammarValidationError, LimitExceededError,
-                     StagError)
+from .errors import (GrammarError, GrammarValidationError, LexicalGapError,
+                     LimitExceededError, NoParseError, StagError)
 from .grammar_io import builtin_grammar_names, load_grammar
-from .model import Grammar
 from .morphotok import tokenize
 from .parser import parse
 from .pipeline import translate_line
@@ -30,15 +31,6 @@ from .transfer import transfer_steps
 
 # 8! = 40,320 orders; every order is parsed, and all are enumerated first
 MAX_PERMUTED_WORDS = 8
-
-
-def _load(args) -> Grammar:
-    try:
-        return load_grammar(args.grammar)
-    except OSError as exc:
-        raise SystemExit(f"error: {exc}")
-    except GrammarError as exc:
-        raise SystemExit(f"error: unusable grammar: {exc}")
 
 
 def _input_lines(args) -> list[tuple[int, str]]:
@@ -53,28 +45,38 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, ensure_ascii=False, sort_keys=True))
 
 
-def _report(args, lineno: int, line: str, exc: StagError, **fields) -> None:
-    """Report a failed input line on stderr and, with --format json, as an
-    error object holding fields besides the error's."""
-    print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
-    if args.format == "json":
-        _emit_json({"input": line, "line": lineno, "error": exc.code,
-                    "message": str(exc), **fields})
-
-
-def cmd_translate(args) -> int:
-    grammar = _load(args)
+def _run_lines(args, work) -> int:
+    """Load the grammar, then call work(line, grammar) on each numbered
+    nonblank input line. A line whose work raises a StagError is reported on
+    stderr and, with --format json, as an error object (translate also marks
+    it ERROR on stdout), and the batch goes on. Returns the exit status."""
+    try:
+        grammar = load_grammar(args.grammar)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except GrammarError as exc:
+        print(f"error: unusable grammar: {exc}", file=sys.stderr)
+        return 2
     status = 0
     for lineno, line in _input_lines(args):
         try:
-            result = translate_line(line, grammar, all_levels=args.all_derivations)
+            work(line, grammar)
         except StagError as exc:
             status = 1
-            _report(args, lineno, line, exc, translation="ERROR")
-            if args.format != "json":
+            print(f"line {lineno}: {exc.code}: {exc}", file=sys.stderr)
+            failed = {"translation": "ERROR"} if args.command == "translate" else {}
+            if args.format == "json":
+                _emit_json({"input": line, "line": lineno, "error": exc.code,
+                            "message": str(exc), **failed})
+            elif failed:
                 print("ERROR")
-            continue
+    return status
 
+
+def cmd_translate(args) -> int:
+    def work(line, grammar):
+        result = translate_line(line, grammar, all_levels=args.all_derivations)
         if args.format == "json":
             _emit_json({
                 "input": line,
@@ -91,35 +93,28 @@ def cmd_translate(args) -> int:
                                                c.target.derivation, grammar),
                 } for c in result.candidates],
             })
-            continue
-
-        print(result.best.surface)
+            return
+        out = [result.best.surface]
         if args.show in ("derivation", "both") or args.trace_transfer:
             for candidate in result.candidates:
-                print(f"# cost {candidate.cost}")
-                print(render_derivation(candidate.source.derivation, grammar))
+                out.append(f"# cost {candidate.cost}")
+                out.append(render_derivation(candidate.source.derivation, grammar))
                 if args.trace_transfer:
-                    for step in transfer_steps(candidate.source.derivation,
-                                               candidate.target.derivation, grammar):
-                        print(f"  {step}")
+                    out.extend(f"  {step}" for step in transfer_steps(
+                        candidate.source.derivation, candidate.target.derivation,
+                        grammar))
         if args.show in ("derived", "both"):
             for candidate in result.candidates:
-                print(f"source: {render_tree(candidate.source, grammar)}")
-                print(f"target: {render_tree(candidate.target, grammar)}")
-    return status
+                out.append(f"source: {render_tree(candidate.source, grammar)}")
+                out.append(f"target: {render_tree(candidate.target, grammar)}")
+        print("\n".join(out))
+    return _run_lines(args, work)
 
 
 def cmd_parse(args) -> int:
-    grammar = _load(args)
-    status = 0
-    for lineno, line in _input_lines(args):
-        try:
-            sentence = tokenize(line, grammar)
-            levels = parse(sentence, grammar, all_levels=args.all_derivations)
-        except StagError as exc:
-            status = 1
-            _report(args, lineno, line, exc)
-            continue
+    def work(line, grammar):
+        levels = parse(tokenize(line, grammar), grammar,
+                       all_levels=args.all_derivations)
         if args.format == "json":
             _emit_json({
                 "input": line,
@@ -133,15 +128,17 @@ def cmd_parse(args) -> int:
                     } for tree in level.trees],
                 } for level in levels],
             })
-            continue
+            return
+        out = []
         for level in levels:
-            print(f"cost {level.cost}: {len(level.trees)} derivation(s)")
+            out.append(f"cost {level.cost}: {len(level.trees)} derivation(s)")
             for tree in level.trees:
                 if args.show in ("derivation", "both"):
-                    print(render_derivation(tree.derivation, grammar))
+                    out.append(render_derivation(tree.derivation, grammar))
                 if args.show in ("derived", "both"):
-                    print(render_tree(tree, grammar))
-    return status
+                    out.append(render_tree(tree, grammar))
+        print("\n".join(out))
+    return _run_lines(args, work)
 
 
 def cmd_check(args) -> int:
@@ -163,48 +160,39 @@ def cmd_check(args) -> int:
 
 
 def cmd_permutations(args) -> int:
-    grammar = _load(args)
-    status = 0
-    for lineno, line in _input_lines(args):
-        try:
-            sentence = tokenize(line, grammar)
-            surfaces = [token.surface for token in sentence.tokens]
-            if len(surfaces) > MAX_PERMUTED_WORDS:
-                raise LimitExceededError(
-                    f"{len(surfaces)} words have too many orders to try; "
-                    f"the limit is {MAX_PERMUTED_WORDS}")
-        except StagError as exc:
-            status = 1
-            _report(args, lineno, line, exc)
-            continue
-        ok = 0
-        orders = sorted(set(itertools.permutations(surfaces)))
-        rows = []
-        for order in orders:
+    def work(line, grammar):
+        sentence = tokenize(line, grammar)
+        if len(sentence) > MAX_PERMUTED_WORDS:
+            raise LimitExceededError(
+                f"{len(sentence)} words have too many orders to try; "
+                f"the limit is {MAX_PERMUTED_WORDS}")
+        rows = []  # (order, cost, translation); no cost when it does not parse
+        for order in sorted(set(itertools.permutations(
+                token.surface for token in sentence.tokens))):
             candidate = " ".join(order) + sentence.terminator
             try:
-                result = translate_line(candidate, grammar)
-                rows.append((candidate, result.best.cost, result.best.surface))
-                ok += 1
-            except StagError:
+                best = translate_line(candidate, grammar).best
+                rows.append((candidate, best.cost, best.surface))
+            except (NoParseError, LexicalGapError):
                 rows.append((candidate, None, None))
+        ok = sum(cost is not None for _, cost, _ in rows)
         if args.format == "json":
             _emit_json({
                 "input": line,
                 "parsed": ok,
-                "total": len(orders),
+                "total": len(rows),
                 "orders": [{"sentence": s, "parses": c is not None, "cost": c,
                             "translation": t} for s, c, t in rows],
             })
-        else:
-            width = max(len(s) for s, _, _ in rows)
-            for candidate, cost, translation in rows:
-                parses = "yes" if translation is not None else "no"
-                cost_cell = "-" if cost is None else str(cost)
-                print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
-                      f"{translation if translation is not None else '-'}")
-            print(f"{ok}/{len(orders)} orders parse")
-    return status
+            return
+        width = max(len(s) for s, _, _ in rows)
+        for candidate, cost, translation in rows:
+            parses = "yes" if cost is not None else "no"
+            cost_cell = "-" if cost is None else str(cost)
+            print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
+                  f"{translation if translation is not None else '-'}")
+        print(f"{ok}/{len(rows)} orders parse")
+    return _run_lines(args, work)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -256,11 +244,6 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except StagError as exc:
         print(f"error: {exc} [{exc.code}]", file=sys.stderr)
         return 1

@@ -194,7 +194,11 @@ def _parse_grammar(text: str, origin: str) -> Grammar:
     for i, entry in enumerate(_list(doc["particles"], f"{origin}.particles")):
         ppath = f"{origin}.particles[{i}]"
         _require(entry, _PARTICLE_KEYS, _PARTICLE_KEYS, ppath)
-        particles.append(Particle(form=_string(entry["form"], f"{ppath}.form"),
+        form = _string(entry["form"], f"{ppath}.form")
+        if not form:  # the empty form is a suffix of every word
+            raise GrammarSchemaError("particle form must be nonempty",
+                                     f"{ppath}.form")
+        particles.append(Particle(form=form,
                                   case=_string(entry["case"], f"{ppath}.case")))
 
     pairs = [

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
-                     CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
+                     CHASE_CANONICAL, CHASE_NEGATIVES, CHASE_SCRAMBLED,
+                     CHASE_WORDS, DITRANS_NEGATIVES, DITRANS_WORDS,
+                     EMBEDDED_CANONICAL, EMBEDDED_NEGATIVES, EMBEDDED_WORDS,
                      chain_sentence, corpus)
 
 from stagmt.cli import main
@@ -23,7 +25,7 @@ from stagmt.grammar_io import MAX_TREE_DEPTH, builtin_grammar_path
 
 # Regenerate after an intended output change: PYTHONPATH=src python tests/test_cli.py
 GOLDEN = Path(__file__).parent / "golden"
-# golden file -> CLI arguments, run over each shipped grammar's regression corpus
+# golden file -> CLI arguments, run over each shipped grammar's golden input
 GOLDEN_RUNS = {
     "translate_corpus.txt": ("translate", "--show", "both", "--trace-transfer",
                              "--all-derivations"),
@@ -31,7 +33,14 @@ GOLDEN_RUNS = {
                                   "--all-derivations"),
     "parse_corpus.txt": ("parse", "--all-derivations"),
     "parse_json_corpus.txt": ("parse", "--format", "json", "--all-derivations"),
+    "permutations_corpus.txt": ("permutations",),
+    "permutations_json_corpus.txt": ("permutations", "--format", "json"),
 }
+# grammar -> the words of its word-order study sentence (as in
+# scripts/scrambling_study.py) and its lines that must not parse
+PERMUTATION_INPUTS = {"chase": (CHASE_WORDS, CHASE_NEGATIVES),
+                      "ditransitive": (DITRANS_WORDS, DITRANS_NEGATIVES),
+                      "embedded": (EMBEDDED_WORDS, EMBEDDED_NEGATIVES)}
 
 
 def nested_grammar(depth):
@@ -60,14 +69,24 @@ def run_process(*argv):
                           env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def golden_input(command, name) -> tuple[str, ...]:
+    """The lines a golden run feeds on stdin: the grammar's regression corpus,
+    or for permutations its study sentence and negative lines."""
+    if command != "permutations":
+        return corpus(name)
+    words, negatives = PERMUTATION_INPUTS[name]
+    return (" ".join(words) + ".", *negatives)
+
+
 def corpus_transcript(*argv) -> str:
     """Exit status, stdout and stderr of one CLI run per shipped grammar over
-    its regression corpus, fed on stdin."""
+    its golden input, fed on stdin."""
     parts = []
     for name in ("chase", "ditransitive", "embedded"):
         out, err = io.StringIO(), io.StringIO()
         stdin = sys.stdin
-        sys.stdin = io.StringIO("".join(f"{line}\n" for line in corpus(name)))
+        sys.stdin = io.StringIO("".join(f"{line}\n"
+                                        for line in golden_input(argv[0], name)))
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = main([argv[0], "-g", name, *argv[1:]])
@@ -495,6 +514,50 @@ class TestPermutations:
                          "message": "unknown particle 'q' in 'Xyz-q'"}
         assert (last["input"], last["total"]) == ("Jerry-lul ccossnunta.", 2)
 
+    def failed_line(self, capsys, fmt, *argv):
+        """Status, stdout and stderr of permutations over one line that
+        fails; in JSON, checks the line's error object and drops it from
+        stdout, so both formats leave stdout empty."""
+        status, out, err = run(capsys, "permutations", "--format", fmt, *argv)
+        if fmt == "json":
+            error = json.loads(out)
+            assert set(error) == {"input", "line", "error", "message"}
+            assert error["error"] == err.split(": ")[1]
+            out = ""
+        return status, out, err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_untranslatable_order_fails_the_line(self, capsys, tmp_path, fmt):
+        # chase plus a set whose zero-width component adjoins over the span it
+        # covers and which links nothing: every order that parses has no
+        # target node for it, as translate says of the line itself
+        doc = json.loads(builtin_grammar_path("chase").read_text())
+        doc["pairs"].append({
+            "name": "beta_cal", "priority": 2, "links": [],
+            "source": {"components": [
+                {"cat": "S", "children": [{"cat": "e", "kind": "empty"},
+                                          {"cat": "S", "kind": "foot"}]},
+                {"cat": "S", "children": [{"cat": "A", "kind": "lex", "word": "cal"},
+                                          {"cat": "S", "kind": "foot"}]}]},
+            "target": {"cat": "S", "children": [{"cat": "S", "kind": "foot"}]}})
+        cal = tmp_path / "cal.grammar"
+        cal.write_text(json.dumps(doc))
+        line = "cal cal Tom-i Jerry-lul ccossnunta."
+        assert run(capsys, "translate", "-g", str(cal), line)[:2] == (1, "ERROR\n")
+        status, out, err = self.failed_line(capsys, fmt, "-g", str(cal), line)
+        assert (status, out) == (1, "")
+        assert err.startswith("line 1: untranslatable-attachment: use ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_on_an_order_fails_the_line(self, capsys, monkeypatch, fmt):
+        # the canonical order has 5 root instance trees, past a cap of 3: it
+        # is not an order that does not parse
+        monkeypatch.setattr("stagmt.parser.MAX_PARSES", 3)
+        status, out, err = self.failed_line(capsys, fmt, "-g", "chase",
+                                            CHASE_CANONICAL)
+        assert (status, out) == (1, "")
+        assert err.startswith("line 1: limit-exceeded:")
+
 
 # anchors, particle forms, glued forms and unknown words of the chase grammar
 BATCH_WORDS = ("Tom", "Jerry", "ccossnunta", "Tom-i", "Jerry-lul", "Tom-ul",
@@ -542,6 +605,13 @@ def test_corpus_output_matches_golden():
 @pytest.mark.parametrize("name", ["translate_json_corpus.txt", "parse_corpus.txt",
                                   "parse_json_corpus.txt"])
 def test_other_output_modes_match_golden(name):
+    assert corpus_transcript(*GOLDEN_RUNS[name]) == (GOLDEN / name).read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["permutations_corpus.txt",
+                                  "permutations_json_corpus.txt"])
+def test_permutations_match_golden(name):
     assert corpus_transcript(*GOLDEN_RUNS[name]) == (GOLDEN / name).read_text(
         encoding="utf-8")
 

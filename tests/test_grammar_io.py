@@ -219,6 +219,10 @@ class TestSchemaErrors:
                  "head must be an integer"),
         "link tgt": (lambda doc: doc["pairs"][0]["links"][0].update(tgt="9"),
                      "link tgt 9 does not name a node"),
+        # else the unknown word 'Tomx' segments as stem '' plus particle ''
+        "empty particle form": (
+            lambda doc: doc["particles"].append({"form": "", "case": "nom"}),
+            r"\.particles\[4\]\.form: particle form must be nonempty"),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))
