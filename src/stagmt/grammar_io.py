@@ -198,6 +198,15 @@ def _parse_grammar(text: str, origin: str) -> Grammar:
         if not form:  # the empty form is a suffix of every word
             raise GrammarSchemaError("particle form must be nonempty",
                                      f"{ppath}.form")
+        # a line splits into words at whitespace, and a word at its last
+        # hyphen, so no word segments to such a form
+        if "-" in form or form.split() != [form]:
+            raise GrammarSchemaError(
+                f"particle form {form!r} holds a hyphen or whitespace",
+                f"{ppath}.form")
+        if any(p.form == form for p in particles):
+            raise GrammarSchemaError(
+                f"particle form {form!r} is listed twice", f"{ppath}.form")
         particles.append(Particle(form=form,
                                   case=_string(entry["case"], f"{ppath}.case")))
 

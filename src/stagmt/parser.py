@@ -30,7 +30,11 @@ foot at one end in cubic time.
    firing, with its cost, as a hyperedge of its consequent. Items form
    cycles (stacked and zero-width auxiliaries over one span); the worklist
    settles each item once, at its least cost, so cycles end. Point
-   partners come from the point table. No budget applies here.
+   partners come from the point table. No budget applies here. A settled
+   item finds all its rules in its symbol's one row of ``ChartTables``.
+   Firings go to one flat log, filed into the per-item hyperedge map on
+   pass 2's first read, which only a start pair's root item settled within
+   the budget makes: an input that derives no goal item files none.
 2. Enumeration lists the instance trees of the root items by one
    depth-first search of the one hyperedge map, with an explicit stack
    and no recursion, in the manner of agenda-driven deductive parsing
@@ -68,6 +72,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
+from functools import cached_property
 from typing import NamedTuple
 
 from .derive import (
@@ -163,16 +168,20 @@ class ChartTables:
     sentence: ``point_best`` and ``point_edges`` hold its chart, every item
     at position 0 and every gap (0, 0), the only right end there. That key
     is a point item's only key: a sentence's hyperedges name their point
-    antecedents by it, and its hyperedge map starts as a copy of
-    ``point_edges``. For pass 1's partner lookups, ``points`` holds the
+    antecedents by it, and its hyperedge map, once filed, starts as a copy
+    of ``point_edges``. For pass 1's partner lookups, ``points`` holds the
     point items by symbol, as (gap, key, cost) with the gap ``None`` or
     ``OPEN``, and ``point_auxes`` the zero-width auxiliaries by category,
     as (key, cost). A sentence's pass 1 never queues point items.
 
-    The deduction rules are written once, here, indexed by antecedent
-    symbol, and the symbols themselves are construction locals. Pass 2
-    only searches pass 1's hyperedges, reading from these tables just the
-    instance symbols and where an instance attaches (``site``).
+    The deduction rules are written once, here, in one row per antecedent
+    symbol (``rules``, a list indexed by symbol): its unary rules, its rule
+    as a left and as a right operand, the node it hosts adjunctions at and,
+    for an auxiliary instance, its root category. A settled item reads its
+    row with one index and one unpack. The symbols themselves are
+    construction locals. Pass 2 only searches pass 1's hyperedges, reading
+    from these tables just the instance symbols and where an instance
+    attaches (``site``).
     """
 
     def __init__(self, grammar: Grammar):
@@ -214,21 +223,21 @@ class ChartTables:
         # any other. An obligatory-adjoining foot is never derivable.
         self.feet = [n for n, node in enumerate(nodes)
                      if node.kind == KIND_FOOT and below[n] == n]
-        self.unary: dict[int, list[tuple[int, int]]] = {}
-        self.as_left: dict[int, tuple[int, int]] = {}
-        self.as_right: dict[int, tuple[int, int]] = {}
+        unary: dict[int, list[tuple[int, int]]] = {}
+        as_left: dict[int, tuple[int, int]] = {}
+        as_right: dict[int, tuple[int, int]] = {}
+        host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
+        aux_cat: dict[int, str] = {}              # instance symbol -> root cat
         self.lex_syms: dict[str, list[int]] = {}
         self.empty_syms: list[int] = []
         # cat -> (node id, below symbol) of its adjoinable nodes
         self.hosts: dict[str, list[tuple[int, int]]] = {}
-        self.host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
-        self.aux_cat: dict[int, str] = {}         # instance symbol -> root cat
         # slot or host symbol -> (address, operation) of an instance there
         self.site: dict[int, tuple[GornAddress, str]] = {}
         subst_slots: dict[str, list[int]] = {}
         for n, node in enumerate(nodes):
             if below[n] != n and node.adjoin != ADJOIN_OA:
-                self.unary.setdefault(below[n], []).append((n, 0))
+                unary.setdefault(below[n], []).append((n, 0))
             if node.kind == KIND_SUBST:
                 subst_slots.setdefault(node.cat, []).append(below[n])
                 self.site[below[n]] = (addrs[n], OP_SUBST)
@@ -238,25 +247,32 @@ class ChartTables:
                 self.empty_syms.append(below[n])
             elif hosting[n]:
                 self.hosts.setdefault(node.cat, []).append((n, below[n]))
-                self.host_of[below[n]] = (n, node.cat)
+                host_of[below[n]] = (n, node.cat)
                 self.site[n] = (addrs[n], OP_ADJOIN)
             kids = children[n]
             middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
             next_sym += len(middle)
             out = (below[n], *middle, *kids[-1:])
             if len(kids) == 1:
-                self.unary.setdefault(kids[0], []).append((out[0], 0))
+                unary.setdefault(kids[0], []).append((out[0], 0))
             for k in range(len(kids) - 1):
-                self.as_left[kids[k]] = (out[k + 1], out[k])
-                self.as_right[out[k + 1]] = (kids[k], out[k])
+                as_left[kids[k]] = (out[k + 1], out[k])
+                as_right[out[k + 1]] = (kids[k], out[k])
         for c, (root, is_aux) in enumerate(roots):
             inst = self.inst0 + c
-            self.unary.setdefault(root, []).append((inst, 1))
+            unary.setdefault(root, []).append((inst, 1))
             if is_aux:
-                self.aux_cat[inst] = nodes[root].cat
+                aux_cat[inst] = nodes[root].cat
             else:
                 for slot in subst_slots.get(nodes[root].cat, ()):
-                    self.unary.setdefault(inst, []).append((slot, 0))
+                    unary.setdefault(inst, []).append((slot, 0))
+        # symbol -> (unary rules as (consequent, instance count), as a left
+        # operand (right partner, consequent), as a right operand (left
+        # partner, consequent), as a host (node id, cat), as an auxiliary
+        # instance its root cat), each None where the symbol has no such rule
+        self.rules = [(tuple(unary.get(sym, ())), as_left.get(sym),
+                       as_right.get(sym), host_of.get(sym), aux_cat.get(sym))
+                      for sym in range(next_sym)]
 
         # the point table: pass 1 over the empty sentence derives every
         # point item; its least cost and hyperedges are the same at every
@@ -271,28 +287,39 @@ class ChartTables:
         for key, cost in self.point_best.items():
             sym, gap = key[0], key[3]
             self.points.setdefault(sym, []).append((gap and OPEN, key, cost))
-            if sym in self.aux_cat:
-                self.point_auxes.setdefault(self.aux_cat[sym], []).append(
-                    (key, cost))
+            if sym in aux_cat:
+                self.point_auxes.setdefault(aux_cat[sym], []).append((key, cost))
 
 
 class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
-    Holds the lexical stream and pass 1's forest (the least cost of every
-    item that covers words, and one hyperedge map holding those items' and
-    the point table's); the rules, symbols and point items come from the
+    Holds the lexical stream and pass 1's forest: the least cost of every
+    item that covers words, and the log of every firing, filed on first
+    read into one hyperedge map holding those items' and the point table's
+    (``edges``). The rules, symbols and point items come from the
     grammar's shared ``ChartTables``.
     """
 
     def __init__(self, lex: tuple[str, ...], tables: ChartTables):
         self.lex = lex
         self.tables = tables
-        self.best, self.edges = self._recognize()
+        self.best, self.log = self._recognize()
 
-    def _recognize(self) -> tuple[dict[tuple, int], dict[tuple, list[tuple]]]:
+    @cached_property
+    def edges(self) -> dict[tuple, list[tuple]]:
+        """The per-item hyperedge map, filed from the log on first read:
+        the point table's hyperedges, then each item over words with its
+        hyperedges in firing order. Sentence items cover words, so no key
+        of theirs is a table key."""
+        edges = dict(self.tables.point_edges)
+        for key, edge in self.log:
+            edges.setdefault(key, []).append(edge)
+        return edges
+
+    def _recognize(self) -> tuple[dict[tuple, int], list[tuple[tuple, tuple]]]:
         """Pass 1: the least instance count of every derivable item that
-        covers words, and the hyperedges that derive it.
+        covers words, and the log of the hyperedges that derive them.
 
         Knuth's generalisation of Dijkstra's algorithm to the TAG CKY
         deduction rules: an item leaves the bucket queue once, at its least
@@ -303,8 +330,12 @@ class _SpanParser:
         hyperedge of its consequent, cheapest or not, so pass 2 can list
         every derivation: the cost it fired at (the consequent's own
         instance count plus its antecedents' least costs), then its
-        antecedent item keys, left to right. No instance budget applies;
-        pass 2 applies it.
+        antecedent item keys, left to right. It is appended to one flat
+        log as (consequent key, hyperedge); ``edges`` files the log by
+        consequent only if pass 2 reads it, so an input whose root item
+        never settles pays for no per-item map. A settled item reads all
+        its rules from its symbol's row of ``ChartTables.rules``. No
+        instance budget applies; pass 2 applies it.
 
         Point items (over no words, feet among them) are never queued,
         except over the empty sentence, whose chart is the point table: an
@@ -328,12 +359,11 @@ class _SpanParser:
         capped at ``MAX_CHART_ITEMS`` items.
         """
         t, n_lex = self.tables, len(self.lex)
-        unary, as_left, as_right = t.unary, t.as_left, t.as_right
-        hosts, host_of, aux_cat = t.hosts, t.host_of, t.aux_cat
+        rules, hosts = t.rules, t.hosts
         points, point_auxes = t.points, t.point_auxes
         best: dict[tuple, int] = {}
-        # sentence items cover words, so no key of theirs is a table key
-        edges: dict[tuple, list[tuple]] = dict(t.point_edges)
+        log: list[tuple[tuple, tuple]] = []
+        fired = log.append
         queue: list[list[tuple]] = [[]]
 
         def push(key, edge):
@@ -342,7 +372,7 @@ class _SpanParser:
             if known is None and len(best) >= MAX_CHART_ITEMS:
                 raise LimitExceededError(
                     f"the input needs more than {MAX_CHART_ITEMS} chart items")
-            edges.setdefault(key, []).append(edge)
+            fired((key, edge))
             if known is None or cost < known:
                 best[key] = cost
                 while len(queue) <= cost:
@@ -384,10 +414,11 @@ class _SpanParser:
                 if best[key] != cost:
                     continue
                 sym, i, j, gap = key
-                for out, extra in unary.get(sym, ()):
+                unary, as_left, as_right, host_of, aux_cat = rules[sym]
+                for out, extra in unary:
                     push((out, i, j, gap), (cost + extra, key))
-                if sym in as_left:
-                    right, out = as_left[sym]
+                if as_left is not None:
+                    right, out = as_left
                     if gap is OPEN:     # a right partner over words closes it
                         open_lefts.setdefault(sym, []).append(key)
                         for other in free_rights.get(right, ()):
@@ -404,8 +435,8 @@ class _SpanParser:
                         if gap is None or pgap is None:
                             push((out, i, j, gap or pgap),
                                  (cost + extra, key, pkey))
-                if sym in as_right:
-                    left, out = as_right[sym]
+                if as_right is not None:
+                    left, out = as_right
                     starts.setdefault((sym, i), []).append(key)
                     for other in ends.get((left, i), ()):
                         if gap is None or other[3] is None:
@@ -424,8 +455,8 @@ class _SpanParser:
                             for p in range(i + 1):
                                 push((out, p, j, (p, i)),
                                      (cost + extra, pkey, key))
-                if sym in host_of:
-                    n, cat = host_of[sym]
+                if host_of is not None:
+                    n, cat = host_of
                     host_items.setdefault((n, i), []).append(key)
                     for aux in aux_by_gap.get((cat, i), ()):
                         out = adjoined(n, key, aux)
@@ -433,10 +464,10 @@ class _SpanParser:
                             push(out, (cost + best[aux], key, aux))
                     for pkey, extra in point_auxes.get(cat, ()):
                         push((n, i, j, gap), (cost + extra, key, pkey))
-                if sym in aux_cat:
+                if aux_cat is not None:
                     gi = j if gap is OPEN else gap[0]
-                    aux_by_gap.setdefault((aux_cat[sym], gi), []).append(key)
-                    for n, below in hosts.get(aux_cat[sym], ()):
+                    aux_by_gap.setdefault((aux_cat, gi), []).append(key)
+                    for n, below in hosts.get(aux_cat, ()):
                         for host in host_items.get((n, gi), ()):
                             out = adjoined(n, host, key)
                             if out:
@@ -446,7 +477,7 @@ class _SpanParser:
                             if out:
                                 push(out, (cost + extra, pkey, key))
             cost += 1
-        return best, edges
+        return best, log
 
     def trees(self, key: tuple, budget: int) -> Iterator[tuple]:
         """Pass 2: every instance tree of an item with at most budget
@@ -470,11 +501,12 @@ class _SpanParser:
         item one for every right end of its gap.
         """
         t = self.tables
-        best, edges, point_best, site = self.best, self.edges, t.point_best, t.site
+        best, point_best, site = self.best, t.point_best, t.site
         inst0, n_comps = t.inst0, len(t.comps)
         least = best.get(key, point_best.get(key))
         if least is None or least > budget:     # no tree fits
             return
+        edges = self.edges      # filed only for an item with a tree to find
         stack = [(((key, None, None), None), None, 0, budget - least)]
         while stack:
             pending, insts, count, slack = stack.pop()

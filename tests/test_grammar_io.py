@@ -223,6 +223,17 @@ class TestSchemaErrors:
         "empty particle form": (
             lambda doc: doc["particles"].append({"form": "", "case": "nom"}),
             r"\.particles\[4\]\.form: particle form must be nonempty"),
+        # no word segments to it: 'Jerry-l-y' splits at its last hyphen
+        "hyphen in particle form": (
+            lambda doc: doc["particles"].append({"form": "l-y", "case": "acc"}),
+            r"\.particles\[4\]\.form: particle form 'l-y' holds a hyphen"),
+        "whitespace in particle form": (
+            lambda doc: doc["particles"].append({"form": "l y", "case": "acc"}),
+            r"\.particles\[4\]\.form: particle form 'l y' holds a hyphen"),
+        # else the grammar's particle map keeps only the last case
+        "particle form twice": (
+            lambda doc: doc["particles"].append({"form": "i", "case": "acc"}),
+            r"\.particles\[4\]\.form: particle form 'i' is listed twice"),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))

@@ -1,6 +1,8 @@
 """Parsing: derivation search, ranking, determinism, word-order coverage."""
 
+import functools
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +419,30 @@ class TestForest:
             tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream, tables)
         assert len(span.best) == 37
 
+    @pytest.mark.parametrize("line, filed", [
+        ("ccossnunta Tom-i Jerry-lul.", 0),
+        # no parse, but its root item settles (at cost 4), so pass 2 reads
+        # the hyperedges to find that no grouping of its trees survives
+        ("Tom-i Jerry-ka ccossnunta.", 1),
+        (CHASE_CANONICAL, 1)])
+    def test_forest_is_filed_only_for_a_settled_root(self, g_chase,
+                                                     monkeypatch, line, filed):
+        # pass 1 logs its firings; the per-item map is filed on first read,
+        # which pass 2 makes only from a start pair's settled root item
+        built = []
+
+        class Counting(stagmt.parser._SpanParser):
+            @functools.cached_property
+            def edges(self):
+                built.append(self.lex)
+                return super().edges
+
+        g_chase.chart_tables    # the point table's run is not counted
+        monkeypatch.setattr(stagmt.parser, "_SpanParser", Counting)
+        parsed = derivations_of(line, g_chase)
+        assert bool(parsed) == (line == CHASE_CANONICAL)
+        assert built == [tokenize(line, g_chase).lex_stream] * filed
+
     def test_left_operand_dearer_than_the_right(self):
         # L(X X) costs two and settles after the X slot to its right, so
         # the left operand is the one that finds its partner settled
@@ -431,3 +457,39 @@ class TestForest:
             source_language="ko", target_language="en", start_symbol="S",
             particles=())
         self.check(grammar, "x x x.")
+
+
+FOREST_SIZES = Path(__file__).parent / "golden" / "forest_sizes.txt"
+
+
+def forest_sizes() -> str:
+    """Pass 1's forest over every corpus line of the shipped grammars: the
+    items that cover words, their hyperedges, and each start pair's root
+    least cost ("-" where the root never settles)."""
+    out = []
+    for name in ("chase", "ditransitive", "embedded"):
+        grammar = load_grammar(name)
+        tables = grammar.chart_tables
+        out.append(f"=== {name}")
+        for line in corpus(name):
+            lex_stream = tokenize(line, grammar).lex_stream
+            span = stagmt.parser._SpanParser(lex_stream, tables)
+            roots = []
+            for pair in grammar.start_pairs:
+                root = tables.inst0 + tables.comp_id[pair.name, pair.source.head]
+                least = span.best.get((root, 0, len(lex_stream), None))
+                roots.append(f"{pair.name} {'-' if least is None else least}")
+            hyperedges = sum(len(span.edges[key]) for key in span.best)
+            out.append(f"{line}\t{len(span.best)} items\t{hyperedges} hyperedges"
+                       f"\t{', '.join(roots)}")
+    return "\n".join(out) + "\n"
+
+
+def test_forest_sizes_match_golden():
+    # a referee for rewrites of pass 1: the same items, hyperedges and root
+    # least costs on every corpus line
+    assert forest_sizes() == FOREST_SIZES.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    FOREST_SIZES.write_text(forest_sizes(), encoding="utf-8")
