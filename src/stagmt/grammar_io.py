@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import GrammarSchemaError, GrammarSyntaxError, GrammarValidationError
+from .errors import GrammarSchemaError, GrammarSyntaxError
 from .model import (
     ADJOIN_ALLOW,
     ADJOIN_VALUES,
@@ -28,8 +28,6 @@ from .model import (
     SourceSet,
     SyncPair,
     TreeNode,
-    index_grammar,
-    validate_pair,
 )
 
 FORMAT_VERSION = 1
@@ -214,13 +212,7 @@ def _parse_grammar(text: str, origin: str) -> Grammar:
         _pair_from_json(p, f"{origin}.pairs[{i}]")
         for i, p in enumerate(_list(doc["pairs"], f"{origin}.pairs"))]
 
-    diagnostics = []
-    for pair in pairs:
-        diagnostics.extend(validate_pair(pair))
-    if diagnostics:
-        raise GrammarValidationError(diagnostics)
-
-    return index_grammar(pairs, particles=particles, **names)
+    return Grammar(pairs=pairs, particles=particles, **names)
 
 
 def load_grammar(path) -> Grammar:

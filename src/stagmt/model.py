@@ -18,9 +18,12 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DuplicatePairNameError, GrammarError, NoStartPairError
+from .errors import (DuplicatePairNameError, GrammarError,
+                     GrammarValidationError, NoStartPairError)
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .parser import ChartTables
 
 KIND_INTERIOR = "interior"
@@ -252,17 +255,32 @@ class Diagnostic(NamedTuple):
 class Grammar(Record):
     """Validated pair inventory plus the derived lookup tables.
 
-    Immutable after construction; safe to share across concurrent parses.
+    Construction checks every pair (``validate_pair``), then refuses a
+    duplicate pair name and a grammar with no start pair, so every
+    ``Grammar`` is valid. Immutable after construction; safe to share
+    across concurrent parses.
     """
 
     _fields = ("source_language", "target_language", "start_symbol", "pairs",
                "particles")
 
     def __init__(self, source_language: str, target_language: str,
-                 start_symbol: str, pairs: tuple[SyncPair, ...],
-                 particles: tuple[Particle, ...]):
+                 start_symbol: str, pairs: Iterable[SyncPair],
+                 particles: Iterable[Particle]):
+        pairs = tuple(pairs)
+        diagnostics = [d for pair in pairs for d in validate_pair(pair)]
+        if diagnostics:
+            raise GrammarValidationError(diagnostics)
+        seen: set[str] = set()
+        for pair in pairs:
+            if pair.name in seen:
+                raise DuplicatePairNameError(f"duplicate pair name {pair.name!r}")
+            seen.add(pair.name)
         self._set(source_language, target_language, start_symbol, pairs,
-                  particles)
+                  tuple(particles))
+        if not self.start_pairs:
+            raise NoStartPairError(
+                f"no pair has an initial head component rooted in {start_symbol!r}")
 
     @cached_property
     def pair_by_name(self) -> dict[str, SyncPair]:
@@ -458,19 +476,3 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
 
     return out
 
-
-def index_grammar(pairs, *, source_language: str, target_language: str,
-                  start_symbol: str, particles) -> Grammar:
-    """Assemble a Grammar, rejecting duplicate names and missing start pairs."""
-    pairs = tuple(pairs)
-    seen: set[str] = set()
-    for pair in pairs:
-        if pair.name in seen:
-            raise DuplicatePairNameError(f"duplicate pair name {pair.name!r}")
-        seen.add(pair.name)
-    grammar = Grammar(source_language=source_language, target_language=target_language,
-                      start_symbol=start_symbol, pairs=pairs, particles=tuple(particles))
-    if not grammar.start_pairs:
-        raise NoStartPairError(
-            f"no pair has an initial head component rooted in {start_symbol!r}")
-    return grammar

@@ -100,14 +100,12 @@ def _pair_lex(pair) -> Counter:
 
 
 def _use_multisets(lex_counts: Counter, grammar: Grammar, bound: OracleBound):
-    """All multisets of pair names whose anchors exactly cover the input."""
-    names = sorted(grammar.pair_by_name)
-    for name in names:
-        if not _pair_lex(grammar.pair(name)):
-            raise OracleBoundError(
-                f"pair {name!r} has no anchor words; blind enumeration "
-                "cannot be made exhaustive")
+    """All multisets of pair names whose anchors exactly cover the input.
 
+    Every pair of a grammar is anchored, so each copy of a pair consumes a
+    word and the search is finite and exhaustive.
+    """
+    names = sorted(grammar.pair_by_name)
     results: list[tuple[str, ...]] = []
 
     def extend(idx: int, remaining: Counter, chosen: list[str]):
@@ -333,11 +331,11 @@ def assert_equivalence(sentence: TokenizedSentence, grammar: Grammar,
     Never raises for bound overruns: a too-small bound is reported in the
     result so corpus sweeps can flag it instead of dying.
     """
-    from .errors import LexicalGapError, NoParseError
+    from .errors import LexicalGapError
     from .parser import all_derivations
     try:
         parsed = set(all_derivations(sentence, grammar))
-    except (NoParseError, LexicalGapError):
+    except LexicalGapError:
         parsed = set()
     try:
         brute = set(brute_force_derivations(sentence, grammar, bound))

@@ -15,47 +15,27 @@ auxiliaries, feet), are implicit: their antecedents are point items at the
 same position, so their least costs and hyperedges depend on the grammar
 alone. ``ChartTables`` derives them once, as pass 1 over the empty sentence
 (the point table), and a sentence's chart holds only items that cover
-words. A point item's only key is its point-table key, whatever position
-it fills, so a sentence's forest is one hyperedge map: the point table's
-hyperedges and those of the items over words. An item with nothing after
-its foot has an open gap: it covers the words up to its foot, and the gap's
-right end stays unfixed until a partner over words to its right fixes it.
-So a foot's left sibling makes one item, not one per right end of the gap,
-and a foot is an open point item: its gap is all it covers. This is how
-Tree Insertion Grammar (Schabes & Waters 1995) parses auxiliaries with a
-foot at one end in cubic time.
+words. An item with no words after its foot leaves its gap's right end
+open, so a foot's left sibling makes one item, not one per right end of
+the gap. This is how Tree Insertion Grammar (Schabes & Waters 1995) parses
+auxiliaries with a foot at one end in cubic time.
 
-1. Recognition builds a packed forest: a Knuth-style worklist finds the
-   least instance count of every derivable item and records every rule
-   firing, with its cost, as a hyperedge of its consequent. Items form
-   cycles (stacked and zero-width auxiliaries over one span); the worklist
-   settles each item once, at its least cost, so cycles end. Point
-   partners come from the point table. No budget applies here. A settled
-   item finds all its rules in its symbol's one row of ``ChartTables``.
-   Firings go to one flat log, filed into the per-item hyperedge map on
-   pass 2's first read, which only a start pair's root item settled within
-   the budget makes: an input that derives no goal item files none.
+1. Recognition builds a packed forest: a Knuth-style worklist settles
+   every derivable item once, at its least instance count, and records
+   every rule firing, with its cost, as a hyperedge of its consequent.
 2. Enumeration lists the instance trees of the root items by one
-   depth-first search of the one hyperedge map, with an explicit stack
-   and no recursion, in the manner of agenda-driven deductive parsing
-   (Shieber, Schabes & Pereira 1995). ``max_uses`` is applied here, and
-   only here, as an instance budget. A search state is a partial tree:
-   the items still to expand, the instances found so far and a lower bound
-   on the tree's size, the instances plus every pending item's least cost.
-   A state over the budget is never pushed, and every state within it
-   completes to a tree, so the work grows with the trees found. Each tree
-   comes out flat, its instances' component ids with their parents' index
-   and the site each attaches at, parents first. ``MAX_PARSES`` caps the
-   trees one parse may enumerate.
+   depth-first search of that forest, with an explicit stack and no
+   recursion, in the manner of agenda-driven deductive parsing (Shieber,
+   Schabes & Pereira 1995). ``max_uses`` is applied here, and only here,
+   as an instance budget, and ``MAX_PARSES`` caps the trees one parse may
+   enumerate.
 
 Phase 2 restores set discipline one priority level at a time, cheapest
 first, reading each instance's pair and component from ``ChartTables.comps``
 by component id. A derivation's cost (sum of use priorities minus one, so
 priority-1 pairs are free) and its use count are fixed by its instance
 tree, so the instance trees are bucketed by cost, those over the use budget
-dropped, before any grouping. A use is its component-0 instance. Every
-pair of a grammar that validates is anchored, so no derivation has more
-uses than the input has lexical items, and that is the default budget. Per
+dropped, before any grouping. A use is its component-0 instance. Per
 cost, each further component's instances of a multi-component pair are
 matched bijectively with that pair's uses, each grouping is composed and
 walked once, and those whose dominance requirements fail are discarded; a
@@ -160,19 +140,16 @@ class ChartTables:
       symbol of p's last child; the ones in between get ids of their own.
 
     A point item covers no words: its span is (i, i), and its foot gap,
-    if any, is open. Its antecedents are point items at the same position,
-    so no sentence or position changes its least cost or its hyperedges.
-    A foot (``feet``, the at symbols of every foot that can be derived) is
-    a point item at cost 0 whose gap is all it covers, so it is an operand
+    if any, is open. A foot (``feet``, the at symbol of every foot) is a
+    point item at cost 0 whose gap is all it covers, so it is an operand
     like any other child. The point table is pass 1 over the empty
     sentence: ``point_best`` and ``point_edges`` hold its chart, every item
     at position 0 and every gap (0, 0), the only right end there. That key
-    is a point item's only key: a sentence's hyperedges name their point
-    antecedents by it, and its hyperedge map, once filed, starts as a copy
-    of ``point_edges``. For pass 1's partner lookups, ``points`` holds the
-    point items by symbol, as (gap, key, cost) with the gap ``None`` or
-    ``OPEN``, and ``point_auxes`` the zero-width auxiliaries by category,
-    as (key, cost). A sentence's pass 1 never queues point items.
+    is a point item's only key, whatever position it fills: a sentence's
+    hyperedges name their point antecedents by it. For pass 1's partner
+    lookups, ``points`` holds the point items by symbol, as (gap, key,
+    cost) with the gap ``None`` or ``OPEN``, and ``point_auxes`` the
+    zero-width auxiliaries by category, as (key, cost).
 
     The deduction rules are written once, here, in one row per antecedent
     symbol (``rules``, a list indexed by symbol): its unary rules, its rule
@@ -218,11 +195,8 @@ class ChartTables:
         self.inst0 = next_sym
         next_sym += len(self.comps)
 
-        # the deduction rules, indexed by antecedent symbol; a foot is an
-        # open point item (it covers only its gap), so it is an operand like
-        # any other. An obligatory-adjoining foot is never derivable.
-        self.feet = [n for n, node in enumerate(nodes)
-                     if node.kind == KIND_FOOT and below[n] == n]
+        # the deduction rules, indexed by antecedent symbol
+        self.feet = [n for n, node in enumerate(nodes) if node.kind == KIND_FOOT]
         unary: dict[int, list[tuple[int, int]]] = {}
         as_left: dict[int, tuple[int, int]] = {}
         as_right: dict[int, tuple[int, int]] = {}
@@ -274,11 +248,9 @@ class ChartTables:
                        as_right.get(sym), host_of.get(sym), aux_cat.get(sym))
                       for sym in range(next_sym)]
 
-        # the point table: pass 1 over the empty sentence derives every
-        # point item; its least cost and hyperedges are the same at every
-        # position of every sentence. That run covers no words, so it meets
-        # no point partners and starts from no point hyperedges, and its
-        # gaps all end at 0.
+        # the point table's run covers no words, so it meets no point
+        # partners and starts from no point hyperedges, and its gaps all
+        # end at 0
         self.points: dict[int, list[tuple[str | None, tuple, int]]] = {}
         self.point_auxes: dict[str, list[tuple[tuple, int]]] = {}
         self.point_edges: dict[tuple, list[tuple]] = {}
@@ -295,10 +267,9 @@ class _SpanParser:
     """Both passes of phase 1 over one lexical stream.
 
     Holds the lexical stream and pass 1's forest: the least cost of every
-    item that covers words, and the log of every firing, filed on first
-    read into one hyperedge map holding those items' and the point table's
-    (``edges``). The rules, symbols and point items come from the
-    grammar's shared ``ChartTables``.
+    item that covers words and the log of every firing, which ``edges``
+    files. The rules, symbols and point items come from the grammar's
+    shared ``ChartTables``.
     """
 
     def __init__(self, lex: tuple[str, ...], tables: ChartTables):
@@ -311,7 +282,9 @@ class _SpanParser:
         """The per-item hyperedge map, filed from the log on first read:
         the point table's hyperedges, then each item over words with its
         hyperedges in firing order. Sentence items cover words, so no key
-        of theirs is a table key."""
+        of theirs is a table key. Pass 2 reads it only once a start pair's
+        root item settled within the budget, so an input that derives no
+        goal item files none."""
         edges = dict(self.tables.point_edges)
         for key, edge in self.log:
             edges.setdefault(key, []).append(edge)
@@ -326,23 +299,18 @@ class _SpanParser:
         cost, and is then combined with the partners already settled. A
         cheaper derivation found later re-queues only its consequent, so
         cycles (stacked or zero-width auxiliaries) reach the least fixpoint
-        without re-sweeping the chart. Every firing is recorded as a
-        hyperedge of its consequent, cheapest or not, so pass 2 can list
-        every derivation: the cost it fired at (the consequent's own
-        instance count plus its antecedents' least costs), then its
-        antecedent item keys, left to right. It is appended to one flat
-        log as (consequent key, hyperedge); ``edges`` files the log by
-        consequent only if pass 2 reads it, so an input whose root item
-        never settles pays for no per-item map. A settled item reads all
-        its rules from its symbol's row of ``ChartTables.rules``. No
-        instance budget applies; pass 2 applies it.
+        without re-sweeping the chart. Every firing is logged as
+        (consequent key, hyperedge), cheapest or not, so pass 2 can list
+        every derivation. A hyperedge is the cost it fired at (the
+        consequent's own instance count plus its antecedents' least
+        costs), then its antecedent item keys, left to right. No instance
+        budget applies; pass 2 applies it.
 
         Point items (over no words, feet among them) are never queued,
         except over the empty sentence, whose chart is the point table: an
         item that settles meets its point partners there, a left operand
         at its end, a right operand at its start, a host the zero-width
-        auxiliaries and an auxiliary the hosts at its gap's start, and its
-        hyperedges name them by their table keys.
+        auxiliaries and an auxiliary the hosts at its gap's start.
 
         An open gap is carried unchanged by unary rules, by a gap-free left
         operand and by a point partner on its right. Each rule that fixes
@@ -494,11 +462,12 @@ class _SpanParser:
         pending item's least cost. Expanding an item by a hyperedge costs
         the hyperedge's recorded cost less the item's least cost. That
         cost is the item's own instance count plus its antecedents' least
-        costs, so a state within the budget always completes to a tree, and
-        no state over it is pushed. The rightmost pending item is expanded
-        first. Trees hold no positions, so a point item, named by its table
-        key, has one set of trees for every position it fills, and an open
-        item one for every right end of its gap.
+        costs, so a state within the budget always completes to a tree, no
+        state over it is pushed, and the work grows with the trees found.
+        The rightmost pending item is expanded first. Trees hold no
+        positions, so a point item, named by its table key, has one set of
+        trees for every position it fills, and an open item one for every
+        right end of its gap.
         """
         t = self.tables
         best, point_best, site = self.best, t.point_best, t.site
@@ -570,17 +539,10 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     """The priority levels of the sentence, cheapest first, each built only
     when it is asked for.
 
-    Phase 1 runs up front, from every start pair's head component; its root
-    instance trees are then bucketed by cost, which the instance tree alone
-    fixes, as it fixes the use count: a use is its component-0 instance, so
-    a tree over max_uses is never grouped. The default max_uses is the
-    number of lexical items, a bound rather than a cut for a grammar whose
-    pairs validate: each pair is anchored, so each use yields a word. Per
-    cost, cheapest first, each grouping is composed and walked once: the
-    walk's yield must be the input, its spans settle dominance and its
-    numbering canonicalizes the kept tree. A cost whose every grouping
-    fails dominance yields no level. No more than ``MAX_PARSES`` root
-    instance trees are enumerated.
+    Phase 1 runs up front, from every start pair's head component. Each
+    grouping's one walk checks its yield against the input; its spans
+    settle dominance, and its numbering canonicalizes the kept tree.
+    ``max_uses`` None is ``all_derivations``' default.
     """
     lex = sentence.lex_stream
     for word in lex:
@@ -642,8 +604,8 @@ def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,
     """Every valid derivation of the sentence, canonical and sorted.
 
     Derivations use at most max_uses pairs. The default, the number of
-    lexical items, cuts nothing for a grammar whose pairs validate: every
-    pair is anchored, so every use puts a word into the yield.
+    lexical items, cuts nothing: every pair of a ``Grammar`` is anchored,
+    so every use puts a word into the yield.
     """
     return tuple(tree.derivation
                  for level in _priority_levels(sentence, grammar, max_uses)

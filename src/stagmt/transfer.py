@@ -34,9 +34,10 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     For each non-root use, the attachment of its head component determines
     the target attachment: the linked address when the source site carries a
     link, the host's target root when the site is the host head's own root
-    (the fixed root-to-root convention, which is what scrambled auxiliaries
-    use). The operation is carried through unchanged; whether it fits the
-    target tree is realization's concern.
+    (the fixed root-to-root convention, which serves a singleton auxiliary
+    adjoined there; scrambled auxiliaries are non-head components, and
+    their attachments are dropped). The operation is carried through
+    unchanged; whether it fits the target tree is realization's concern.
     """
     heads = _attached_heads(derivation, grammar)
     attachments = []

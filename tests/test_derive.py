@@ -39,9 +39,10 @@ from stagmt.model import (
     KIND_SUBST,
     ElementaryTree,
     GornAddress,
+    Grammar,
+    Link,
     SourceSet,
     SyncPair,
-    index_grammar,
 )
 from stagmt.pipeline import translate_line
 from stagmt.transfer import transfer_derivation
@@ -160,9 +161,9 @@ class TestBuildDerivedTree:
             source=SourceSet(components=(ElementaryTree(interior(
                 "S", interior("VP", lex("V", "ran"), adjoin=ADJOIN_OA))),)),
             target=ElementaryTree(interior("S", lex("V", "ran"))))
-        grammar = index_grammar([gamma], source_language="ko",
-                                target_language="en", start_symbol="S",
-                                particles=[])
+        grammar = Grammar(pairs=[gamma], source_language="ko",
+                          target_language="en", start_symbol="S",
+                          particles=[])
         with pytest.raises(ObligatoryAdjunctionError):
             build_derived_tree(make_derivation(("gamma_oa",), 0, []), grammar)
 
@@ -215,9 +216,9 @@ class TestBuildDerivedTree:
             source=SourceSet(components=(ElementaryTree(
                 interior("S", lex("A", "y"), foot("S"))),)),
             target=ElementaryTree(interior("S", lex("A", "y"), foot("S"))))
-        grammar = index_grammar([host, aux], source_language="ko",
-                                target_language="en", start_symbol="S",
-                                particles=[])
+        grammar = Grammar(pairs=[host, aux], source_language="ko",
+                          target_language="en", start_symbol="S",
+                          particles=[])
         at_na = make_derivation(("gamma_na", "beta_y"), 0, [
             att(1, 0, 0, 0, "1", OP_ADJOIN)])
         with pytest.raises(NAViolationError):
@@ -418,22 +419,32 @@ class TestCheckSetConstraints:
         violations = set_constraint_violations(crossed, g_chase)
         assert any("category" in v for v in violations)
 
-    def test_dominance_failure_reported(self, g_chase):
-        # Same trees, but with the dominance requirement reversed: the
-        # place-holder can never dominate the auxiliary that contains it.
-        beta = g_chase.pair("beta_jerry_op")
-        reversed_beta = SyncPair(
-            name="beta_jerry_op",
-            source=SourceSet(components=beta.source.components,
-                             head=beta.source.head, dominance=((1, 0),)),
-            target=beta.target, links=beta.links, priority=beta.priority)
-        pairs = [reversed_beta if p.name == beta.name else p
-                 for p in g_chase.pairs]
-        doctored = index_grammar(pairs, source_language="ko",
-                                 target_language="en", start_symbol="S",
-                                 particles=list(g_chase.particles))
-        assert not check_set_constraints(SCRAMBLED, doctored)
-        violations = set_constraint_violations(SCRAMBLED, doctored)
+    def test_dominance_failure_reported(self):
+        # The set {S(X(x) S*), B(y)} requires its B component to dominate its
+        # auxiliary; substituted into the host the auxiliary adjoins at, B
+        # lands below it.
+        host = SyncPair(
+            name="gamma_z",
+            source=SourceSet(components=(ElementaryTree(
+                interior("S", subst("B"), lex("Z", "z"))),)),
+            target=ElementaryTree(interior("S", subst("B"), lex("Z", "z"))),
+            links=(Link(comp=0, src=A("1"), tgt=A("1")),))
+        scrambled = SyncPair(
+            name="beta_xy",
+            source=SourceSet(components=(
+                ElementaryTree(interior("S", lex("X", "x"), foot("S"))),
+                ElementaryTree(interior("B", lex("Y", "y")))),
+                head=0, dominance=((1, 0),)),
+            target=ElementaryTree(interior("S", foot("S"))))
+        grammar = Grammar(pairs=[host, scrambled], source_language="ko",
+                          target_language="en", start_symbol="S",
+                          particles=[])
+        below = make_derivation(("gamma_z", "beta_xy"), 0, [
+            att(1, 0, 0, 0, "e", OP_ADJOIN),
+            att(1, 1, 0, 0, "1", OP_SUBST),
+        ])
+        assert not check_set_constraints(below, grammar)
+        violations = set_constraint_violations(below, grammar)
         assert any("dominance" in v for v in violations)
 
 

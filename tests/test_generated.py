@@ -32,11 +32,10 @@ from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
     ElementaryTree,
+    Grammar,
     Link,
     SourceSet,
     SyncPair,
-    index_grammar,
-    validate_pair,
 )
 from stagmt import oracle
 from stagmt.errors import LimitExceededError, OracleBoundError
@@ -147,10 +146,8 @@ def grammars(draw):
                               auxiliary=kind == "auxiliary"))
             pair = pair_of(name, [tree], priority=draw(st.integers(1, 3)))
         pairs.append(pair)
-    for pair in pairs:
-        assert validate_pair(pair) == [], validate_pair(pair)
-    return index_grammar(pairs, source_language="ko", target_language="en",
-                         start_symbol="S", particles=())
+    return Grammar(pairs=pairs, source_language="ko", target_language="en",
+                   start_symbol="S", particles=())
 
 
 @st.composite

@@ -35,9 +35,9 @@ from stagmt.model import (
     ADJOIN_OA,
     ElementaryTree,
     GornAddress,
+    Grammar,
     SourceSet,
     SyncPair,
-    index_grammar,
 )
 from stagmt.pipeline import translate_line
 from stagmt.transfer import transfer_derivation
@@ -95,8 +95,8 @@ class TestRealize:
             target=ElementaryTree(
                 interior("S", lex("ADV", "really"), foot("S"))),
             priority=1)
-        doctored = index_grammar(
-            g_chase.pairs + (dangler,),
+        doctored = Grammar(
+            pairs=g_chase.pairs + (dangler,),
             source_language="ko", target_language="en",
             start_symbol="S", particles=g_chase.particles)
         td = make_derivation(("beta_really",), 0, [])
@@ -110,8 +110,8 @@ class TestRealize:
             source=SourceSet((ElementaryTree(interior("S", lex("V", "ttwinta"))),)),
             target=ElementaryTree(interior(
                 "S", interior("VP", lex("V", "ran"), adjoin=ADJOIN_OA))))
-        doctored = index_grammar(
-            g_chase.pairs + (ran,),
+        doctored = Grammar(
+            pairs=g_chase.pairs + (ran,),
             source_language="ko", target_language="en",
             start_symbol="S", particles=g_chase.particles)
         td = make_derivation(("gamma_ran",), 0, [])

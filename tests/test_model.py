@@ -8,20 +8,22 @@ from hypothesis import given, strategies as st
 
 from support import empty, foot, interior, lex, subst
 
+import stagmt
 import stagmt.model
-from stagmt.errors import DuplicatePairNameError, NoStartPairError
+from stagmt.errors import (DuplicatePairNameError, GrammarValidationError,
+                           NoStartPairError)
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
     ElementaryTree,
     GornAddress,
+    Grammar,
     Link,
     Particle,
     ROOT,
     SourceSet,
     SyncPair,
     TreeNode,
-    index_grammar,
     validate_pair,
 )
 
@@ -278,26 +280,26 @@ class TestIndexGrammar:
     def test_duplicate_names_rejected(self):
         a = _singleton("alpha_tom", interior("NP", lex("N", "Tom")))
         with pytest.raises(DuplicatePairNameError):
-            index_grammar([a, a], source_language="ko", target_language="en",
-                          start_symbol="S", particles=[])
+            Grammar(pairs=[a, a], source_language="ko", target_language="en",
+                    start_symbol="S", particles=[])
 
     def test_start_pair_required(self):
         a = _singleton("alpha_tom", interior("NP", lex("N", "Tom")))
         with pytest.raises(NoStartPairError):
-            index_grammar([a], source_language="ko", target_language="en",
-                          start_symbol="S", particles=[])
+            Grammar(pairs=[a], source_language="ko", target_language="en",
+                    start_symbol="S", particles=[])
 
     def test_auxiliary_head_cannot_start(self):
         # an auxiliary rooted in the start symbol adjoins into a derivation
         # but cannot root one
         beta = _singleton("beta_adv", interior("S", lex("A", "a"), foot("S")))
         gamma = _singleton("gamma_x", interior("S", lex("V", "x")))
-        grammar = index_grammar([beta, gamma], source_language="ko",
-                                target_language="en", start_symbol="S", particles=[])
+        grammar = Grammar(pairs=[beta, gamma], source_language="ko",
+                          target_language="en", start_symbol="S", particles=[])
         assert [pair.name for pair in grammar.start_pairs] == ["gamma_x"]
         with pytest.raises(NoStartPairError):
-            index_grammar([beta], source_language="ko", target_language="en",
-                          start_symbol="S", particles=[])
+            Grammar(pairs=[beta], source_language="ko", target_language="en",
+                    start_symbol="S", particles=[])
 
     def test_anchor_index_excludes_particles(self, g_chase):
         assert g_chase.anchor_index == {
@@ -320,6 +322,65 @@ class TestIndexGrammar:
         pair = g_chase.pair("gamma_chase")
         with pytest.raises(AttributeError):
             pair.priority = 5
+
+
+class TestEveryGrammarIsValid:
+    """Building a Grammar runs the checks that loading a grammar file does,
+    in the same order: every pair's diagnostics in one error, then
+    duplicate names, then the start pair."""
+
+    @staticmethod
+    def build(pairs, g_chase):
+        return stagmt.Grammar(source_language="ko", target_language="en",
+                              start_symbol="S", pairs=pairs,
+                              particles=g_chase.particles)
+
+    def test_duplicate_name_is_refused(self, g_chase):
+        # accepted, a second alpha_tom_sp on "Mary i" made the canonical
+        # sentence's derived tree yield Mary, an internal error
+        mary = _singleton("alpha_tom_sp",
+                          interior("SP", lex("N", "Mary"), lex("P", "i")),
+                          target=interior("NP", lex("N", "Mary")))
+        with pytest.raises(DuplicatePairNameError, match="alpha_tom_sp") as info:
+            self.build(g_chase.pairs + (mary,), g_chase)
+        assert info.value.code == "duplicate-name"
+
+    def test_unanchored_pair_is_refused(self, g_chase):
+        # accepted, S(S*) made the default use budget cut derivations
+        # silently: each further use adds one, and yields no word
+        ghost = _singleton("beta_ghost", interior("S", foot("S")))
+        with pytest.raises(GrammarValidationError) as info:
+            self.build(g_chase.pairs + (ghost,), g_chase)
+        assert info.value.code == "validation-error"
+        assert [(d.pair, d.rule) for d in info.value.diagnostics] == [
+            ("beta_ghost", "unanchored")]
+
+    def test_bad_head_index_is_refused(self, g_chase):
+        # accepted, it made start_pairs raise a bare IndexError
+        beta = g_chase.pair("beta_jerry_op")
+        bad = beta._replace(source=beta.source._replace(head=5))
+        with pytest.raises(GrammarValidationError) as info:
+            self.build(tuple(bad if p is beta else p for p in g_chase.pairs),
+                       g_chase)
+        assert info.value.code == "validation-error"
+        assert [(d.pair, d.rule) for d in info.value.diagnostics] == [
+            ("beta_jerry_op", "head-index")]
+
+    def test_every_diagnostic_comes_in_one_error(self, g_chase):
+        # validation precedes the duplicate-name check, as in the loader
+        ghost = _singleton("beta_ghost", interior("S", foot("S")))
+        bad = _beta(priority=0)
+        with pytest.raises(GrammarValidationError) as info:
+            self.build(g_chase.pairs + (ghost, bad, bad), g_chase)
+        assert [(d.pair, d.rule) for d in info.value.diagnostics] == [
+            ("beta_ghost", "unanchored"), ("beta_x", "priority"),
+            ("beta_x", "priority")]
+
+    def test_fields_are_tuples(self, g_chase):
+        grammar = stagmt.Grammar("ko", "en", "S", list(g_chase.pairs),
+                                 list(g_chase.particles))
+        assert type(grammar.pairs) is type(grammar.particles) is tuple
+        assert grammar == g_chase
 
 
 def test_obligatory_adjoin_value_is_modelled():

@@ -8,10 +8,12 @@ from support import interior, lex, subst
 from stagmt.errors import EmptyInputError, UnknownParticleError
 from stagmt.model import (
     ElementaryTree,
+    GornAddress,
+    Grammar,
+    Link,
     SourceSet,
     SyncPair,
     Particle,
-    index_grammar,
 )
 from stagmt.morphotok import Token, TokenizedSentence, segment_token, tokenize
 
@@ -64,9 +66,10 @@ class TestSegmentToken:
             name="gamma_v",
             source=SourceSet(components=(
                 ElementaryTree(interior("S", subst("SP"), lex("V", "nolli"))),)),
-            target=ElementaryTree(interior("S", subst("NP"), lex("V", "teases"))))
-        grammar = index_grammar(
-            [gamma], source_language="ko", target_language="en",
+            target=ElementaryTree(interior("S", subst("NP"), lex("V", "teases"))),
+            links=(Link(comp=0, src=GornAddress((1,)), tgt=GornAddress((1,))),))
+        grammar = Grammar(
+            pairs=[gamma], source_language="ko", target_language="en",
             start_symbol="S", particles=[Particle(form="i", case="nom")])
         token = segment_token("nolli", grammar)
         assert token == Token(surface="nolli", stem="nolli")

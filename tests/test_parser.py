@@ -34,9 +34,10 @@ from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ADJOIN_NA,
     ElementaryTree,
+    Grammar,
+    Link,
     SourceSet,
     SyncPair,
-    index_grammar,
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse
@@ -395,8 +396,8 @@ class TestForest:
                 ElementaryTree(tree) for tree in trees)),
                 target=ElementaryTree(interior("S", foot("S"))), priority=2)
 
-        grammar = index_grammar(
-            g_chase.pairs + (
+        grammar = Grammar(
+            pairs=g_chase.pairs + (
                 pair("beta_ttu", interior("S", lex("B", "ttu"), interior(
                     "S", foot("S"), adjoin=ADJOIN_NA))),
                 pair("beta_cal", interior("S", empty(), foot("S")),
@@ -447,16 +448,18 @@ class TestForest:
         # L(X X) costs two and settles after the X slot to its right, so
         # the left operand is the one that finds its partner settled
         def singleton(name, tree):
-            return SyncPair(name=name, source=SourceSet((ElementaryTree(tree),)),
-                            target=ElementaryTree(tree))
+            et = ElementaryTree(tree)
+            return SyncPair(name=name, source=SourceSet((et,)), target=et,
+                            links=tuple(Link(0, a, a) for a in et.subst_addresses))
 
-        grammar = index_grammar(
-            (singleton("gamma", interior("S", interior("L", subst("X"), subst("X")),
-                                         subst("X"))),
-             singleton("alpha_x", interior("X", lex("X", "x")))),
+        grammar = Grammar(
+            pairs=(singleton("gamma", interior(
+                "S", lex("V", "v"), interior("L", subst("X"), subst("X")),
+                subst("X"))),
+                singleton("alpha_x", interior("X", lex("X", "x")))),
             source_language="ko", target_language="en", start_symbol="S",
             particles=())
-        self.check(grammar, "x x x.")
+        self.check(grammar, "v x x x.")
 
 
 FOREST_SIZES = Path(__file__).parent / "golden" / "forest_sizes.txt"

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +105,12 @@ def test_no_recursion():
                                and isinstance(call.func.value, ast.Name)
                                and call.func.value.id in owners))]
     assert found == []
+
+
+def test_line_count_skips_docstrings_comments_and_blanks():
+    script = SRC.parents[1] / "scripts" / "line_count.py"
+    count = runpy.run_path(str(script))["count"]
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nX = 1  # code\n\n'
+              'def f():\n    """One line."""\n    s = """not a\n    docstring"""\n'
+              '    return s\n')
+    assert count(source) == (12, 5)

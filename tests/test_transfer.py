@@ -12,11 +12,10 @@ from stagmt.model import (
     ROOT,
     ElementaryTree,
     GornAddress,
+    Grammar,
     Link,
     SourceSet,
     SyncPair,
-    index_grammar,
-    validate_pair,
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import parse
@@ -122,9 +121,8 @@ class TestScrambledTransfer:
             name="alpha_ku",
             source=SourceSet((ElementaryTree(interior("D", lex("DET", "ku"))),)),
             target=ElementaryTree(interior("D", lex("DET", "that"))))
-        assert validate_pair(det_jerry) == []
-        grammar = index_grammar(
-            g_chase.pairs + (det_jerry, that), source_language="ko",
+        grammar = Grammar(
+            pairs=g_chase.pairs + (det_jerry, that), source_language="ko",
             target_language="en", start_symbol="S", particles=g_chase.particles)
         d = make_derivation(
             ("gamma_chase", "alpha_tom_sp", "beta_det_jerry_op", "alpha_ku"), 0,
@@ -151,22 +149,23 @@ class TestLongDistanceTransfer:
         assert canonical == shape(EMBEDDED_CANONICAL)
 
 
-class TestRootRule:
-    @pytest.fixture()
-    def g_adverb(self, g_chase):
-        """chase plus a singleton auxiliary with no link for its site."""
-        really = SyncPair(
-            name="beta_really",
-            source=SourceSet((ElementaryTree(
-                interior("S", lex("ADV", "cengmal"), foot("S"))),)),
-            target=ElementaryTree(
-                interior("S", lex("ADV", "really"), foot("S"))),
-            priority=1)
-        return index_grammar(
-            g_chase.pairs + (really,),
-            source_language="ko", target_language="en",
-            start_symbol="S", particles=g_chase.particles)
+@pytest.fixture()
+def g_adverb(g_chase):
+    """chase plus a singleton auxiliary with no link for its site."""
+    really = SyncPair(
+        name="beta_really",
+        source=SourceSet((ElementaryTree(
+            interior("S", lex("ADV", "cengmal"), foot("S"))),)),
+        target=ElementaryTree(
+            interior("S", lex("ADV", "really"), foot("S"))),
+        priority=1)
+    return Grammar(
+        pairs=g_chase.pairs + (really,),
+        source_language="ko", target_language="en",
+        start_symbol="S", particles=g_chase.particles)
 
+
+class TestRootRule:
     def test_root_adjunction_maps_to_target_root(self, g_adverb):
         d = make_derivation(
             ("gamma_chase", "alpha_tom_sp", "alpha_jerry_op", "beta_really"), 0,
@@ -177,15 +176,17 @@ class TestRootRule:
 
 
 class TestFailures:
-    def test_unlinked_slot_is_untranslatable(self, g_chase):
-        gamma = g_chase.pair("gamma_chase")
-        lame = gamma._replace(links=(gamma.links[0],))
-        doctored = index_grammar(
-            (lame,) + tuple(p for p in g_chase.pairs if p.name != "gamma_chase"),
-            source_language="ko", target_language="en",
-            start_symbol="S", particles=g_chase.particles)
-        with pytest.raises(UntranslatableAttachmentError, match="u0/c0@2"):
-            transfer_derivation(CANONICAL, doctored)
+    def test_unlinked_slot_is_untranslatable(self, g_adverb):
+        # the root of the scrambled auxiliary, a non-head component, is
+        # neither linked nor its pair's head root
+        d = make_derivation(
+            ("gamma_chase", "alpha_tom_sp", "beta_jerry_op", "beta_really"), 0,
+            [att(1, 0, 0, 0, "1", OP_SUBST), att(2, 0, 0, 0, "e", OP_ADJOIN),
+             att(2, 1, 0, 0, "2", OP_SUBST), att(3, 0, 2, 0, "e", OP_ADJOIN)])
+        assert lex_yield(build_derived_tree(d, g_adverb)) == (
+            "cengmal", "Jerry", "lul", "Tom", "i", "ccossnunta")
+        with pytest.raises(UntranslatableAttachmentError, match="u2/c0@e"):
+            transfer_derivation(d, g_adverb)
 
     def test_dangling_use(self, g_chase):
         d = make_derivation(
