@@ -3,8 +3,11 @@
 
 Every permutation of each study sentence's words — parseable or not — is fed
 to both the parser and the blind oracle; any disagreement is printed with the
-derivations present on only one side. Exit status 1 on any mismatch, so this
-can run in CI.
+derivations present on only one side. Each order is checked twice: every
+derivation (``all_derivations``) against the oracle's, and the cheapest
+level that ``parse`` returns, the one translate uses, against the oracle's
+derivations of least cost, or ``no-parse`` where the oracle finds none.
+Exit status 1 on any mismatch, so this can run in CI.
 
 Usage: python3 scripts/oracle_audit.py [--grammar NAME ...] [--max-uses N]
 """
@@ -21,9 +24,12 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stagmt.derive import render_derivation
+from stagmt.errors import NoParseError
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
-from stagmt.oracle import OracleBound, assert_equivalence
+from stagmt.oracle import (OracleBound, assert_equivalence,
+                           brute_force_derivations)
+from stagmt.parser import parse
 
 SENTENCES = {
     "chase": ("Tom-i", "Jerry-lul", "ccossnunta"),
@@ -37,6 +43,32 @@ GRAMMAR_FILES = {"ambiguous": Path(__file__).resolve().parents[1] / "benchmark"
                  / "grammars" / "ambiguous.grammar"}
 
 
+def show(label: str, derivations, grammar) -> None:
+    for derivation in derivations:
+        print(f"  {label}:")
+        for row in render_derivation(derivation, grammar).splitlines():
+            print(f"    {row}")
+
+
+def cheapest_agrees(sentence, grammar, bound: OracleBound) -> bool:
+    """Whether parse's cheapest level, or no-parse, is the oracle's
+    derivations of least cost, in ranking order; each side printed if not."""
+    try:
+        parsed = parse(sentence, grammar)[0].derivations
+    except NoParseError:
+        parsed = ()
+    found = brute_force_derivations(sentence, grammar, bound)
+    least = min((d.cost(grammar) for d in found), default=None)
+    wanted = tuple(d for d in found if d.cost(grammar) == least)
+    if parsed == wanted:
+        return True
+    print(f"{' '.join(sentence.lex_stream)}: cheapest level "
+          f"parser={len(parsed)} oracle={len(wanted)} [DISAGREE]")
+    show("parser's cheapest level", parsed, grammar)
+    show("oracle's least cost", wanted, grammar)
+    return False
+
+
 def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
     grammar = load_grammar(str(GRAMMAR_FILES.get(name, name)))
     lines = [" ".join(order) + "."
@@ -44,20 +76,16 @@ def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
     mismatches = 0
     start = time.perf_counter()
     for line in lines:
-        report = assert_equivalence(tokenize(line, grammar), grammar, bound)
+        sentence = tokenize(line, grammar)
+        report = assert_equivalence(sentence, grammar, bound)
         if verbose or not report.match:
             print(report.summary())
-        if report.match:
-            continue
-        mismatches += 1
-        for derivation in report.only_parser:
-            print("  parser only:")
-            for row in render_derivation(derivation, grammar).splitlines():
-                print(f"    {row}")
-        for derivation in report.only_oracle:
-            print("  oracle only:")
-            for row in render_derivation(derivation, grammar).splitlines():
-                print(f"    {row}")
+        if not report.match:
+            mismatches += 1
+            show("parser only", report.only_parser, grammar)
+            show("oracle only", report.only_oracle, grammar)
+        elif not cheapest_agrees(sentence, grammar, bound):
+            mismatches += 1
     elapsed = time.perf_counter() - start
     print(f"{name}: {len(lines)} orders audited, {mismatches} mismatch(es), "
           f"{elapsed:.2f}s")

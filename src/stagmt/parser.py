@@ -23,28 +23,30 @@ auxiliaries with a foot at one end in cubic time.
 1. Recognition builds a packed forest: a Knuth-style worklist settles
    every derivable item once, at its least instance count, and records
    every rule firing, with its cost, as a hyperedge of its consequent.
-2. Enumeration lists the instance trees of the root items by one
-   depth-first search of that forest, with an explicit stack and no
-   recursion, in the manner of agenda-driven deductive parsing (Shieber,
-   Schabes & Pereira 1995). ``max_uses`` is applied here, and only here,
-   as an instance budget, and ``MAX_PARSES`` caps the trees one parse may
+2. Enumeration lists the instance trees of the start pairs' root items,
+   cheapest first, by one uniform-cost search of that forest, with explicit
+   stacks and no recursion, in the manner of agenda-driven deductive
+   parsing (Shieber, Schabes & Pereira 1995). It hands the trees out one
+   priority cost at a time and finds those of a cost without expanding
+   any dearer state. ``max_uses`` is applied here, and only here, as an
+   instance budget, and ``MAX_PARSES`` caps the trees one parse may
    enumerate.
 
-Phase 2 restores set discipline one priority level at a time, cheapest
-first, reading each instance's pair and component from ``ChartTables.comps``
-by component id. A derivation's cost (sum of use priorities minus one, so
-priority-1 pairs are free) and its use count are fixed by its instance
-tree, so the instance trees are bucketed by cost, those over the use budget
-dropped, before any grouping. A use is its component-0 instance. Per
-cost, each further component's instances of a multi-component pair are
-matched bijectively with that pair's uses, each grouping is composed and
-walked once, and those whose dominance requirements fail are discarded; a
-cost with none left is skipped.
+Phase 2 restores set discipline one priority level at a time, reading each
+instance's pair and component from ``ChartTables.comps`` by component id.
+A derivation's cost (sum of use priorities minus one, so priority-1 pairs
+are free) and its use count are fixed by its instance tree, so each batch
+of trees from enumeration is one level's candidates, those over the use
+budget dropped. A use is its component-0 instance. Each further
+component's instances of a multi-component pair are matched bijectively
+with that pair's uses, each grouping is composed and walked once, and
+those whose dominance requirements fail are discarded; a cost with none
+left is skipped, and the next batch is enumerated.
 Surviving trees are canonicalized, deduplicated and sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees so no later stage composes them
-again; dearer levels are never grouped or composed unless asked for.
-``all_derivations`` returns every level's derivations flat.
+again; dearer levels are never enumerated, grouped or composed unless asked
+for. ``all_derivations`` returns every level's derivations flat.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .derive import (
     dominance_violations,
     make_derivation,
     ranking_key,
-    uses_cost,
     walk_tree,
 )
 from .errors import (InternalError, LexicalGapError, LimitExceededError,
@@ -88,9 +89,10 @@ from .morphotok import TokenizedSentence
 # pass-1 chart items one parse may settle before it gives up with the coded
 # error limit-exceeded (the benchmark's largest chart holds a few hundred)
 MAX_CHART_ITEMS = 200_000
-# root instance trees pass 2 may enumerate for one parse before the coded
-# error limit-exceeded (the benchmark's inputs have at most 17 per start pair,
-# the canonical chase sentence 5, an embedding chain of any depth 1)
+# root instance trees pass 2 may enumerate for one parse, cheapest level
+# first, before the coded error limit-exceeded (translating a benchmark input
+# enumerates at most 4, the canonical chase sentence 1 of its 5, an embedding
+# chain of any depth 1; every level of a benchmark input holds at most 17)
 MAX_PARSES = 10_000
 # groupings of one instance tree before the coded error limit-exceeded: k
 # instances of one set pair make k! (3! = 6 in the benchmark's grammars)
@@ -164,6 +166,8 @@ class ChartTables:
     def __init__(self, grammar: Grammar):
         self.comps: list[tuple[str, int]] = []
         self.comp_id: dict[tuple[str, int], int] = {}
+        # pass 2's charge for an instance: a use is its component-0 instance
+        self.comp_cost: list[int] = []
         nodes: list[TreeNode] = []
         addrs: list[GornAddress] = []
         children: list[list[int]] = []
@@ -172,6 +176,7 @@ class ChartTables:
             for ci, comp in enumerate(pair.source.components):
                 self.comp_id[pair.name, ci] = len(self.comps)
                 self.comps.append((pair.name, ci))
+                self.comp_cost.append(pair.priority - 1 if ci == 0 else 0)
                 roots.append((len(nodes), comp.is_auxiliary))
                 ids: dict[tuple[int, ...], int] = {}
                 for address, node in comp.nodes.items():
@@ -447,61 +452,93 @@ class _SpanParser:
             cost += 1
         return best, log
 
-    def trees(self, key: tuple, budget: int) -> Iterator[tuple]:
-        """Pass 2: every instance tree of an item with at most budget
-        instances, flat: one (component id, parent index, (site, operation))
-        per instance, each parent before its children. An instance the item
-        holds at its top, the item's own instance among them, has parent
-        index ``None``; the item's own has no site either.
+    def trees(self, roots: list[tuple], budget: int
+              ) -> Iterator[tuple[int, list[tuple]]]:
+        """Pass 2: every instance tree of the root items with at most budget
+        instances, cheapest first, as one (cost, trees) batch per priority
+        cost that has any. A tree's cost is the sum of ``comp_cost`` over
+        its instances: priority minus one per use. A tree is flat: one
+        (component id, parent index, (site, operation)) per instance, each
+        parent before its children. An instance a root item holds at its
+        top, the item's own instance among them, has parent index ``None``;
+        the item's own has no site either. More than ``MAX_PARSES`` trees
+        are refused.
 
-        A depth-first search of the hyperedge map with an explicit stack. A
-        state holds the items still to expand, as a linked list of (item,
-        parent index, the ``site`` of the item that holds it); the instances
-        found so far, as a linked list, and their count; and its slack, the
+        A uniform-cost search of the hyperedge map (Knuth 1977), with one
+        explicit stack per cost so far, as pass 1's bucket queue. A state
+        holds the items still to expand, as a linked list of (item, parent
+        index, the ``site`` of the item that holds it); the instances found
+        so far, as a linked list, and their count; and its slack, the
         budget less a lower bound on the tree's size: the count plus every
         pending item's least cost. Expanding an item by a hyperedge costs
         the hyperedge's recorded cost less the item's least cost. That
         cost is the item's own instance count plus its antecedents' least
         costs, so a state within the budget always completes to a tree, no
         state over it is pushed, and the work grows with the trees found.
-        The rightmost pending item is expanded first. Trees hold no
-        positions, so a point item, named by its table key, has one set of
-        trees for every position it fills, and an open item one for every
-        right end of its gap.
+        The successors of a state that pops an instance are pushed on the
+        stack of its cost plus the instance's charge, the others on the
+        current one, whose rightmost pending item is expanded first. No
+        charge is negative, since every priority is at least 1, so once
+        the stack of cost c is empty every tree of cost c has been found
+        and no dearer state expanded: a batch is complete when it is
+        handed out, and a caller that stops after it pays for no dearer
+        one. Trees hold no positions, so a point item, named by its table
+        key, has one set of trees for every position it fills, and an open
+        item one for every right end of its gap.
         """
         t = self.tables
         best, point_best, site = self.best, t.point_best, t.site
-        inst0, n_comps = t.inst0, len(t.comps)
-        least = best.get(key, point_best.get(key))
-        if least is None or least > budget:     # no tree fits
+        inst0, comp_cost = t.inst0, t.comp_cost
+        n_comps = len(comp_cost)
+        buckets: list[list[tuple]] = [[]]
+        for key in reversed(roots):     # the first root is expanded first
+            least = best.get(key, point_best.get(key))
+            if least is not None and least <= budget:   # some tree fits
+                buckets[0].append((((key, None, None), None), None, 0,
+                                   budget - least))
+        if not buckets[0]:
             return
         edges = self.edges      # filed only for an item with a tree to find
-        stack = [(((key, None, None), None), None, 0, budget - least)]
-        while stack:
-            pending, insts, count, slack = stack.pop()
-            if pending is None:
-                tree = []
-                while insts:
-                    inst, insts = insts
-                    tree.append(inst)
-                yield tuple(reversed(tree))
-                continue
-            (item, parent, at), pending = pending
-            sym = item[0]
-            if 0 <= sym - inst0 < n_comps:  # an instance, parent of its own
-                insts = ((sym - inst0, parent, at), insts)
-                parent, count = count, count + 1
-            least = best.get(item)
-            if least is None:
-                least = point_best[item]
-            held_at = site.get(sym)     # where an instance antecedent attaches
-            for edge in edges[item]:
-                left = slack + least - edge[0]
-                if left >= 0:
-                    grown = pending
-                    for ante in edge[1:]:
-                        grown = ((ante, parent, held_at), grown)
-                    stack.append((grown, insts, count, left))
+        n_trees = 0
+        for cost, stack in enumerate(buckets):  # the queue grows while read
+            found = []
+            while stack:
+                pending, insts, count, slack = stack.pop()
+                if pending is None:
+                    n_trees += 1
+                    if n_trees > MAX_PARSES:
+                        raise LimitExceededError(
+                            f"the input has more than {MAX_PARSES} instance trees")
+                    tree = []
+                    while insts:
+                        inst, insts = insts
+                        tree.append(inst)
+                    found.append(tuple(reversed(tree)))
+                    continue
+                (item, parent, at), pending = pending
+                sym = item[0]
+                comp, out = sym - inst0, stack
+                if 0 <= comp < n_comps:     # an instance, parent of its own
+                    insts = ((comp, parent, at), insts)
+                    parent, count = count, count + 1
+                    if comp_cost[comp]:
+                        dearer = cost + comp_cost[comp]
+                        while len(buckets) <= dearer:
+                            buckets.append([])
+                        out = buckets[dearer]
+                least = best.get(item)
+                if least is None:
+                    least = point_best[item]
+                held_at = site.get(sym)     # where an instance antecedent attaches
+                for edge in edges[item]:
+                    left = slack + least - edge[0]
+                    if left >= 0:
+                        grown = pending
+                        for ante in edge[1:]:
+                            grown = ((ante, parent, held_at), grown)
+                        out.append((grown, insts, count, left))
+            if found:
+                yield cost, found
 
 
 def _groupings(insts: list[tuple[str, int]], uses: list[str], grammar: Grammar):
@@ -555,27 +592,18 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     budget = max_uses * tables.max_comps
     span = _SpanParser(lex, tables)
 
-    buckets: dict[int, list] = {}
-    n_trees = 0
-    for pair in grammar.start_pairs:
-        root = tables.inst0 + tables.comp_id[pair.name, pair.source.head]
-        for flat in span.trees((root, 0, len(lex), None), budget):
-            n_trees += 1
-            if n_trees > MAX_PARSES:
-                raise LimitExceededError(
-                    f"the input has more than {MAX_PARSES} instance trees")
+    roots = [(tables.inst0 + tables.comp_id[pair.name, pair.source.head],
+              0, len(lex), None) for pair in grammar.start_pairs]
+    for cost, batch in span.trees(roots, budget):
+        found: dict[Derivation, DerivedTree] = {}
+        for flat in batch:
             insts = [tables.comps[comp] for comp, _, _ in flat]  # (pair, component)
             # a use is its component-0 instance, numbered in instance order
             heads = {idx: use for use, idx in enumerate(
                 idx for idx, (_, ci) in enumerate(insts) if ci == 0)}
-            if len(heads) <= max_uses:
-                uses = [insts[idx][0] for idx in heads]
-                buckets.setdefault(uses_cost(uses, grammar), []).append(
-                    (insts, flat, uses, heads))
-
-    for cost in sorted(buckets):
-        found: dict[Derivation, DerivedTree] = {}
-        for insts, flat, uses, heads in buckets[cost]:
+            if len(heads) > max_uses:
+                continue
+            uses = [insts[idx][0] for idx in heads]
             for further in _groupings(insts, uses, grammar):
                 assignment = heads | further    # instance index -> use
                 attachments = [Attachment(

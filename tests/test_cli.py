@@ -550,9 +550,9 @@ class TestPermutations:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_limit_on_an_order_fails_the_line(self, capsys, monkeypatch, fmt):
-        # the canonical order has 5 root instance trees, past a cap of 3: it
-        # is not an order that does not parse
-        monkeypatch.setattr("stagmt.parser.MAX_PARSES", 3)
+        # the canonical order's cheapest level has 1 root instance tree,
+        # past a cap of 0: it is not an order that does not parse
+        monkeypatch.setattr("stagmt.parser.MAX_PARSES", 0)
         status, out, err = self.failed_line(capsys, fmt, "-g", "chase",
                                             CHASE_CANONICAL)
         assert (status, out) == (1, "")

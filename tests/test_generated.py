@@ -10,7 +10,9 @@ derivations (``support.random_derivation``), their shuffles and small
 edits, and short strings over the grammar's words. On each, the parser's
 derivations must equal the oracle's, in the same order, at the default
 budget and at the tightest one that keeps a derivation, and one use over
-the default must find no more. A draw past either side's coded bound (the
+the default must find no more; ``parse`` must return exactly the oracle's
+derivations of least cost. Pairs draw their priority independently of
+their component count, which no shipped grammar does. A draw past either side's coded bound (the
 oracle's configurations, the parser's root instance trees) is rejected.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
@@ -38,10 +40,10 @@ from stagmt.model import (
     SyncPair,
 )
 from stagmt import oracle
-from stagmt.errors import LimitExceededError, OracleBoundError
+from stagmt.errors import LimitExceededError, NoParseError, OracleBoundError
 from stagmt.morphotok import tokenize
 from stagmt.oracle import brute_force_derivations
-from stagmt.parser import all_derivations
+from stagmt.parser import all_derivations, parse
 
 WORDS = ("a", "b", "c", "d")
 CATS = ("S", "A", "B")
@@ -200,6 +202,19 @@ def test_parser_equals_oracle(data):
         event("parser limit")
         reject()
     assert parsed == found
+    if len({grammar.pair(name).priority for d in found for name in d.uses}) > 1:
+        event("derivations mix priorities")
+    # the default translate path searches cheapest first: its one level is
+    # the oracle's derivations of least cost
+    try:
+        cheapest = parse(sentence, grammar)[0].derivations
+    except NoParseError:
+        cheapest = ()
+    except LimitExceededError:
+        event("parser limit, cheapest level")
+        reject()
+    least = min((d.cost(grammar) for d in found), default=None)
+    assert cheapest == tuple(d for d in found if d.cost(grammar) == least)
     if found:
         # every pair is anchored, so the default budget of one use per
         # lexical item is a bound: a use more finds nothing more

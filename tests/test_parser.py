@@ -27,7 +27,7 @@ from support import (
 )
 
 import stagmt.parser
-from stagmt.derive import build_derived_tree, render_tree
+from stagmt.derive import build_derived_tree, render_tree, uses_cost
 from stagmt.errors import (InternalError, LexicalGapError,
                            LimitExceededError, NoParseError)
 from stagmt.grammar_io import load_grammar
@@ -267,6 +267,16 @@ class TestLevelsOnDemand:
         parse(sentence, g_chase, all_levels=True)
         assert len(composed) == 3
 
+    def test_dearer_levels_are_not_enumerated(self, g_chase, monkeypatch):
+        # the canonical sentence has 5 root instance trees, 1 of them at
+        # cost 0: the cheapest level is built without listing the others
+        sentence = tokenize(CHASE_CANONICAL, g_chase)
+        monkeypatch.setattr(stagmt.parser, "MAX_PARSES", 1)
+        assert [level.cost for level in parse(sentence, g_chase)] == [0]
+        with pytest.raises(LimitExceededError) as info:
+            parse(sentence, g_chase, all_levels=True)
+        assert info.value.code == "limit-exceeded"
+
 
 class TestDeterminism:
     def test_parse_is_reproducible(self, g_chase):
@@ -328,9 +338,14 @@ class TestForest:
     """Pass 2 searches the hyperedges pass 1 records, each with the cost it
     fired at. Within a budget it yields exactly the instance trees that fit,
     each once, the smallest of them at pass 1's least cost, flat, one
-    (component id, parent index, site) per instance, parents first."""
+    (component id, parent index, site) per instance, parents first, in
+    batches of one priority cost, cheapest first."""
 
     BUDGET = 8
+
+    @staticmethod
+    def flat(batches):
+        return [tree for _, trees in batches for tree in trees]
 
     def check(self, grammar, line):
         span = stagmt.parser._SpanParser(tokenize(line, grammar).lex_stream,
@@ -351,13 +366,23 @@ class TestForest:
                            for ante in edge[1:] if ante[1] == ante[2])
                 assert edge[0] == own + sum(best[ante] for ante in edge[1:])
             assert min(edge[0] for edge in found) == least
-            trees = list(span.trees(key, self.BUDGET))
+            batches = list(span.trees([key], self.BUDGET))
+            # the batch costs strictly increase, and a tree's cost is
+            # priority minus one per use, its component-0 instances
+            costs = [cost for cost, _ in batches]
+            assert costs == sorted(set(costs))
+            for cost, trees in batches:
+                for tree in trees:
+                    assert cost == uses_cost([
+                        t.comps[comp][0] for comp, _, _ in tree
+                        if t.comps[comp][1] == 0], grammar)
+            trees = self.flat(batches)
             # distinct hyperedges derive distinct instance trees, and a tree
             # holds its instances, so its size is its instance count
             assert len(set(trees)) == len(trees)
             assert min(map(len, trees)) == least
             for tighter in range(least - 1, self.BUDGET):
-                assert list(span.trees(key, tighter)) == [
+                assert self.flat(span.trees([key], tighter)) == [
                     tree for tree in trees if len(tree) <= tighter]
             for tree in trees:
                 for idx, (comp, parent, at) in enumerate(tree):
