@@ -12,8 +12,9 @@ derivations must equal the oracle's, in the same order, at the default
 budget and at the tightest one that keeps a derivation, and one use over
 the default must find no more; ``parse`` must return exactly the oracle's
 derivations of least cost. Pairs draw their priority independently of
-their component count, which no shipped grammar does. A draw past either side's coded bound (the
-oracle's configurations, the parser's root instance trees) is rejected.
+their component count, which no shipped grammar does. A draw past either
+side's coded bound (the oracle's configurations, the parser's root
+instance trees) is rejected.
 
 The default profile keeps this quick; ``--hypothesis-profile=thorough``
 (see ``conftest.py``) runs many more grammars.
