@@ -3,24 +3,31 @@
 A derivation names a multiset of pair uses and says, for every component of
 every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Attachments are named tuples
-sorted by (use, comp), so a reader takes them in one pass. Composition turns
-a derivation into a derived tree, which is a function of the derivation read
-off top down. ``compose`` is the one engine and the one checker: source
-derivations reach it through ``build_derived_tree``, and target derivations,
-whose trees are single components (component 0 of each use), through
-``generator.realize``, so both sides run the same checks.
+sorted by (use, comp), so a reader takes them in one pass. Composition reads
+a derivation's derived tree off top down, as a function of the derivation.
+``compose`` is the one engine and the one checker: source derivations reach
+it through ``build_derived_tree``, and target derivations, whose trees are
+single components (component 0 of each use), through ``generator.realize``,
+so both sides run the same checks.
 
-``compose`` first indexes the attachments by the site they fill, checking
-in one pass over them that the uses, components and operation exist, that
-every component but the root instance attaches once, and that each fits
-its site in its host's elementary tree. It then clones the root instance in
-preorder, with an explicit stack of one frame per instance being cloned: a
-filled slot enters the instance substituted there, and a node hosting an
-adjunction is cloned and enters the auxiliary instance, whose foot the
-clone fills. Unfilled slots, stranded feet and unmet obligatory adjunction
-are met on the way, and an instance never entered hangs from a cycle of
-attachments. A finished tree is its root, whose nodes link only to their
-children (so reference counting frees it), and its derivation.
+``compose`` first indexes the attachments by the instance they attach to,
+and within it by the preorder index of the site they fill, checking in one
+pass over them that the uses, components and operation exist, that every
+component but the root instance attaches once, and that each fits its site
+in its host's elementary tree. It then expands the root instance in derived
+preorder over the elementary trees' compiled tables
+(``ElementaryTree.compiled``), with an explicit stack of runs of one
+instance's nodes: a filled slot enters the instance substituted there, and
+an adjunction at a node enters the auxiliary instance first, whose foot
+then takes that node and all below it before the host resumes. Unfilled
+slots, stranded feet and unmet obligatory adjunction are met on the way,
+and an instance never entered hangs from a cycle of attachments.
+
+The expansion builds no node. It reads off what the parser and the
+generator need: the lexical yield, where case particles join their nouns,
+the uses' order of first appearance and the instances' spans. A
+``DerivedTree`` carries these and its derivation, and builds its nodes
+(``DNode``) by the same expansion only when its ``root`` is first read.
 """
 
 from __future__ import annotations
@@ -105,66 +112,70 @@ class DNode:
         self.comp = comp
         self.addr = addr
 
-    @property
-    def provenance(self) -> str:
-        return f"u{self.use}/c{self.comp}:{self.addr}"
-
     def __repr__(self) -> str:
-        return f"<DNode {self.cat} {self.provenance}>"
+        return f"<DNode {self.cat} {_provenance(self.use, self.comp, self.addr)}>"
 
 
 class DerivedTree:
-    """A composed tree: its root and the derivation it was composed from,
-    which the parser replaces with the canonical one."""
+    """A composed tree: the derivation it was composed from, which the
+    parser replaces with the canonical one, and what its expansion read
+    off in preorder.
 
-    __slots__ = ("root", "derivation")
+    ``words`` is its lexical yield, and ``joins`` the indexes k in words
+    where words k and k + 1 are a noun and its case particle. ``order``
+    ranks each use by first appearance. ``spans[use, comp]`` is [start,
+    end): start ranks that instance's root among the instance roots in
+    preorder, and end counts the instance roots met before its subtree
+    ends, so one instance root lies below another's exactly when its start
+    falls in the other's span. ``order`` and ``spans`` keep the numbering
+    the tree was composed with; ``canonicalize`` renumbers by ``order``.
 
-    def __init__(self, root: DNode, derivation: Derivation):
-        self.root = root
+    ``root`` is built when first read, its nodes numbered as
+    ``derivation`` is then, and kept until the derivation is replaced.
+    """
+
+    __slots__ = ("derivation", "words", "joins", "order", "spans", "_composed",
+                 "_built")
+
+    def __init__(self, elementary, derivation: Derivation, root_comp: int):
         self.derivation = derivation
+        self._composed = (elementary, derivation.uses, root_comp)
+        self._built = (None, None)  # (the derivation it numbers by, the root)
+        self.words, self.joins, self.order, self.spans, _ = _expand(
+            elementary, derivation, root_comp, False)
+
+    @property
+    def root(self) -> DNode:
+        derivation, root = self._built
+        if derivation is not self.derivation:
+            derivation = self.derivation
+            elementary, uses, root_comp = self._composed
+            by_name = dict(zip(uses, elementary))  # renumbering keeps pair names
+            root = _expand([by_name[name] for name in derivation.uses],
+                           derivation, root_comp, True)[4][0]
+            self._built = (derivation, root)
+        return root
 
 
-def walk_tree(tree: DerivedTree) -> tuple[tuple[str, ...], dict[int, int], dict]:
-    """Walk a composed tree once in preorder. Returns its lexical yield, the
-    rank of each use in first appearance, and spans[use, comp], the
-    preorder interval [start, end) of that instance's root and all below
-    it. The walk relabels the nodes' uses by rank; spans keep the numbers
-    of tree.derivation, which canonicalize renumbers by the same ranks."""
-    order: dict[int, int] = {}
-    spans: dict = {}
-    words = []
-    stack: list = [tree.root]
-    position = 0
-    while stack:
-        node = stack.pop()
-        if node.__class__ is tuple:  # the end of the instance it keys
-            spans[node] = (spans[node], position)
-            continue
-        if not node.addr.path:  # an instance root: mark where it ends
-            spans[node.use, node.comp] = position
-            stack.append((node.use, node.comp))
-        if node.kind == KIND_LEX:
-            words.append(node.word)
-        node.use = order.setdefault(node.use, len(order))
-        position += 1
-        stack += node.children[::-1]
-    return tuple(words), order, spans
+def _provenance(use: int, comp: int, addr: GornAddress) -> str:
+    return f"u{use}/c{comp}:{addr}"
 
 
 def _where(att: Attachment) -> str:
-    return f"u{att.host}/c{att.host_comp}:{att.site}"
+    return _provenance(att.host, att.host_comp, att.site)
 
 
 def _index_sites(elementary, derivation: Derivation, root_comp: int):
-    """The derivation's attachments by the site they fill, as (host, host
-    component, address path). One pass checks each attachment's shape, then
-    its site; after it, every instance but the root's must have attached."""
+    """The derivation's attachments by the instance they attach to, as (host,
+    host component), and within it by their site's preorder index. One pass
+    checks each attachment's shape, then its site; after it, every instance
+    but the root's must have attached."""
     n = len(elementary)
     if not 0 <= derivation.root < n:
         raise IllegalAttachmentError(f"root index {derivation.root} out of range")
     root = (derivation.root, root_comp)
     attached: set[tuple[int, int]] = set()
-    sites: dict[tuple[int, int, tuple[int, ...]], Attachment] = {}
+    sites: dict[tuple[int, int], dict[int, Attachment]] = {}
     for att in derivation.attachments:
         if not (0 <= att.use < n and 0 <= att.host < n):
             raise IllegalAttachmentError(
@@ -184,18 +195,20 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
             raise IllegalAttachmentError(
                 "root head component must not attach anywhere")
         attached.add(instance)
-        key = (att.host, att.host_comp, att.site.path)
-        site = elementary[att.host][att.host_comp].node_at(att.site)
+        nodes, _, index, _, _ = elementary[att.host][att.host_comp].compiled
+        index = index.get(att.site.path)
         tree = elementary[att.use][att.comp]
-        if site is None:
+        if index is None:
             raise IllegalAttachmentError(
                 f"no node at site {att.site} of use {att.host}")
+        site = nodes[index]
+        filled = sites.setdefault((att.host, att.host_comp), {})
         if att.op == OP_SUBST:
             if att.site.is_root:
                 raise IllegalAttachmentError(f"slot {_where(att)} has no parent")
             if site.kind != KIND_SUBST:
                 raise NotASlotError(f"substitution into {site.kind} node {_where(att)}")
-            if key in sites:
+            if index in filled:
                 raise IllegalAttachmentError(f"slot {_where(att)} is already filled")
             if tree.root_cat != site.cat:
                 raise CategoryMismatchError(
@@ -210,19 +223,97 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
             if site.adjoin == ADJOIN_NA:
                 raise NAViolationError(
                     f"adjunction at null-adjoining node {_where(att)}")
-            if key in sites:
+            if index in filled:
                 raise DoubleAdjunctionError(f"second adjunction at {_where(att)}")
             if tree.root_cat != site.cat:
                 raise CategoryMismatchError(
                     f"cannot adjoin {tree.root_cat} auxiliary at {site.cat} node")
-        sites[key] = att
-    if len(sites) < sum(map(len, elementary)) - 1:
+        filled[index] = att
+    if len(attached) < sum(map(len, elementary)) - 1:
         use, comp = next((use, comp) for use, trees in enumerate(elementary)
                          for comp in range(len(trees))
                          if (use, comp) not in attached and (use, comp) != root)
         raise IllegalAttachmentError(f"missing component: ({use}, {comp}) of "
                                      f"{derivation.uses[use]} never attaches")
     return sites
+
+
+def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
+    """Expand the derivation in derived preorder, checking it, as compose
+    documents. Returns the yield, the joins, the use order and the spans
+    that DerivedTree documents, and a list that holds the root node when
+    build is set, with a node made per derived node in preorder."""
+    sites = _index_sites(elementary, derivation, root_comp)
+    words: list[str] = []
+    joins: list[int] = []
+    order: dict[int, int] = {}
+    spans: dict = {}
+    top: list[DNode] = []
+    # (children, arity) of each node built whose children are not all made
+    parents: list[tuple[list, int]] = [(top, 1)]
+    # a frame runs over nodes [i, stop) of instance (use, comp), stop None
+    # for all of them, and its foot takes the frame filler; an instance's
+    # span key marks where its span ends
+    stack: list = [[derivation.root, root_comp, 0, None, None]]
+    while stack:
+        frame = stack.pop()
+        if frame.__class__ is tuple:
+            spans[frame] = (spans[frame], len(spans))
+            continue
+        use, comp, i, stop, filler = frame
+        nodes, addresses, _, ends, marked = elementary[use][comp].compiled
+        filled = sites.get((use, comp), {})
+        stop = stop or len(nodes)
+        if not i and filled.get(0) is None:  # the instance root, in its subtree's frame
+            order.setdefault(use, len(order))
+            spans[use, comp] = len(spans)
+            stack.append((use, comp))
+        while i < stop:
+            if i in filled and filled[i] is not None:  # enter its instance
+                att = filled[i]
+                filled[i] = None  # a node adjoined at, for the foot that takes it
+                if att.op == OP_SUBST:
+                    stack += ([use, comp, i + 1, stop, filler],
+                              [att.use, att.comp, 0, None, None])
+                else:  # the auxiliary's foot takes node i and all below it
+                    below = [use, comp, i, ends[i], filler]
+                    stack += ([use, comp, ends[i], stop, filler],
+                              [att.use, att.comp, 0, None, below])
+                break
+            node = nodes[i]
+            kind = node.kind
+            if kind == KIND_LEX:
+                words.append(node.word)
+            elif kind == KIND_FOOT:
+                if filler is None:
+                    raise IllegalAttachmentError(
+                        f"stranded foot node {_provenance(use, comp, addresses[i])}")
+                stack += ([use, comp, i + 1, stop, None], filler)
+                break
+            elif kind == KIND_SUBST:
+                raise UnfilledSlotError(_provenance(use, comp, addresses[i]), node.cat)
+            elif node.adjoin == ADJOIN_OA and i not in filled:
+                where = _provenance(use, comp, addresses[i])
+                raise ObligatoryAdjunctionError(
+                    f"no adjunction at obligatory-adjoining node {where}")
+            elif marked[i]:
+                joins.append(len(words))
+            if build:
+                made = DNode(node, use, comp, addresses[i])
+                children, arity = parents[-1]
+                children.append(made)
+                if len(children) == arity:
+                    parents.pop()
+                if node.children:
+                    parents.append((made.children, len(node.children)))
+            i += 1
+    # every instance but the root attaches once, and is entered only from
+    # its host, so those whose root was never met hang from a cycle
+    unreached = len(derivation.attachments) + 1 - len(spans)
+    if unreached:
+        raise IllegalAttachmentError(
+            f"cyclic attachment: {unreached} instance(s) never reached from the root")
+    return tuple(words), joins, order, spans, top
 
 
 def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
@@ -238,52 +329,7 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
     result is not finished (unfilled slot, stranded foot, unsatisfied
     obligatory adjunction).
     """
-    sites = _index_sites(elementary, derivation, root_comp)
-    top: list[DNode] = []
-    entered = 1  # instances entered, the root's first
-    # a frame per instance being cloned: its nodes still to clone, use,
-    # component, clones by path, foot filler and the list its root goes into
-    stack = [(iter(elementary[derivation.root][root_comp].nodes.items()),
-              derivation.root, root_comp, {}, None, top)]
-    while stack:
-        nodes, use, comp, clones, filler, into = stack[-1]
-        for addr, src in nodes:  # preorder, so a node's parent is cloned first
-            path = addr.path
-            siblings = clones[path[:-1]].children if path else into
-            att = sites.get((use, comp, path))
-            if att is None:
-                if src.kind == KIND_FOOT and filler is not None:
-                    siblings.append(filler)
-                    continue
-                node = clones[path] = DNode(src, use, comp, addr)
-                if src.kind == KIND_SUBST:
-                    raise UnfilledSlotError(node.provenance, node.cat)
-                if src.kind == KIND_FOOT:
-                    raise IllegalAttachmentError(
-                        f"stranded foot node {node.provenance}")
-                if src.adjoin == ADJOIN_OA:
-                    raise ObligatoryAdjunctionError(
-                        f"no adjunction at obligatory-adjoining node {node.provenance}")
-                siblings.append(node)
-                continue
-            # enter the attached instance; this one resumes when it is done
-            entered += 1
-            # an adjunction site is cloned, and the auxiliary's foot takes it
-            host = None
-            if att.op == OP_ADJOIN:
-                host = clones[path] = DNode(src, use, comp, addr)
-            stack.append((iter(elementary[att.use][att.comp].nodes.items()),
-                          att.use, att.comp, {}, host, siblings))
-            break
-        else:
-            stack.pop()
-    # every instance but the root attaches once, and is entered only from
-    # its host, so those never entered hang from a cycle
-    unreached = len(sites) + 1 - entered
-    if unreached:
-        raise IllegalAttachmentError(
-            f"cyclic attachment: {unreached} instance(s) never reached from the root")
-    return DerivedTree(root=top[0], derivation=derivation)
+    return DerivedTree(elementary, derivation, root_comp)
 
 
 def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
@@ -301,10 +347,11 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
     return compose([pair.source.components for pair in pairs], derivation, head)
 
 
-def dominance_violations(tree: DerivedTree, grammar: Grammar, spans: dict) -> list[str]:
+def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree, read
-    off walk_tree(tree)'s spans, before tree.derivation is renumbered."""
+    off its spans, before tree.derivation is renumbered."""
     derivation = tree.derivation
+    spans = tree.spans
     out = []
     for use, name in enumerate(derivation.uses):
         for dominator, dominated in grammar.pair(name).source.dominance:
@@ -357,7 +404,7 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
 
 def canonicalize(derivation: Derivation, order: dict[int, int]) -> Derivation:
     """Renumber a derivation's uses by order, their ranks of first
-    appearance in its composed tree's preorder, as walk_tree returns them.
+    appearance in its composed tree's preorder (``DerivedTree.order``).
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.

@@ -4,12 +4,13 @@ A target derivation (see ``transfer``) is a ``derive.Derivation`` whose uses
 each have one component, the pair's target tree, so it composes through the
 same ``derive.compose`` engine and end checks as the source side, and the
 target tree carries it just as a source tree carries the parse's derivation.
+The sentence is read off the expansion's words; no node is built for it.
 """
 
 from __future__ import annotations
 
 from .derive import Derivation, DerivedTree, compose
-from .model import KIND_LEX, Grammar
+from .model import Grammar
 
 
 def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
@@ -17,30 +18,15 @@ def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
     return compose([(grammar.pair(name).target,) for name in target.uses], target, 0)
 
 
-def _is_marked_nominal(node) -> bool:
-    """A phrase whose children are exactly a lexical N then a lexical P."""
-    if len(node.children) != 2:
-        return False
-    n, p = node.children
-    return (n.kind == KIND_LEX and p.kind == KIND_LEX
-            and n.cat == "N" and p.cat == "P")
-
-
 def yield_surface(tree: DerivedTree, punct: str = ".") -> str:
-    """Flatten lexical leaves to a sentence string.
+    """Join the tree's lexical yield into a sentence string.
 
     Case particles attach to their noun with a hyphen: within a phrase whose
-    children are exactly N followed by P, the two lexical items join as one
-    word. Everything else is space-separated, with punct appended.
+    children are exactly N followed by P (``tree.joins``), the two lexical
+    items join as one word. Everything else is space-separated, with punct
+    appended.
     """
-    words: list[str] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if _is_marked_nominal(node):
-            words.append(f"{node.children[0].word}-{node.children[1].word}")
-        elif node.kind == KIND_LEX:
-            words.append(node.word)
-        else:
-            stack.extend(reversed(node.children))
+    words = list(tree.words)
+    for k in reversed(tree.joins):
+        words[k:k + 2] = [f"{words[k]}-{words[k + 1]}"]
     return " ".join(words) + punct

@@ -119,7 +119,7 @@ class TreeNode(Record):
     ``feats`` is stored as a sorted tuple of (name, value) pairs so nodes
     stay hashable; values are atomic strings, or the set variable "@set"
     inside multi-component sets. Composition reads these fields at every
-    node it clones, and a slot reads faster than a named-tuple field.
+    node it expands, and a slot reads faster than a named-tuple field.
     """
 
     __slots__ = _fields = ("cat", "kind", "adjoin", "word", "feats", "children")
@@ -157,6 +157,26 @@ class ElementaryTree(Record):
 
     def node_at(self, addr: GornAddress) -> TreeNode | None:
         return self.nodes.get(addr)
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """The tables composition expands this tree by: (nodes, addresses,
+        index, ends, marked), the nodes and their addresses in preorder,
+        each node's preorder index by its address path, and by index, one
+        past the last node below it and whether its children are exactly a
+        lexical N then a lexical P, a case particle on its noun. Tree roots
+        are interior and lexical nodes are never sites, so no substitution
+        or adjunction changes that: the flag holds of the node's image in
+        every derived tree."""
+        addresses, nodes = zip(*self.nodes.items())
+        index = {addr.path: i for i, addr in enumerate(addresses)}
+        # in preorder, the nodes at or below node i are the next ones whose
+        # paths start with its path
+        ends = tuple(i + sum(a.path[:len(at.path)] == at.path for a in addresses)
+                     for i, at in enumerate(addresses))
+        marked = tuple([(kid.kind, kid.cat) for kid in node.children]
+                       == [(KIND_LEX, "N"), (KIND_LEX, "P")] for node in nodes)
+        return nodes, addresses, index, ends, marked
 
     @cached_property
     def foot_address(self) -> GornAddress | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import EmptyInputError, UnknownParticleError
+from .errors import EmptyInputError, LexicalGapError, UnknownParticleError
 from .model import Grammar, Record
 
 TERMINATOR = "."
@@ -60,7 +60,7 @@ def segment_token(word: str, grammar: Grammar) -> Token:
     "ccossnunta" intact even if some particle happens to be a suffix of
     them); otherwise the longest known particle suffix is stripped. A word
     that matches nothing comes back whole with no particle — whether it is
-    a usable stem is the parser's question, not the segmenter's.
+    a usable stem is ``check_anchored``'s question, not the segmenter's.
     """
     particles = grammar.particle_map
     if "-" in word:
@@ -97,3 +97,13 @@ def tokenize(line: str, grammar: Grammar) -> TokenizedSentence:
         raise EmptyInputError("no words in input line")
     tokens = tuple(segment_token(word, grammar) for word in text.split())
     return TokenizedSentence(tokens=tokens, terminator=terminator)
+
+
+def check_anchored(sentence: TokenizedSentence, grammar: Grammar) -> None:
+    """Refuse a sentence with a token whose stem (the whole word, when it
+    carries no particle) anchors no pair, naming that stem. A particle is
+    legal only after a stem, so a particle standing alone is refused too:
+    the grammar's anchors exclude particle forms."""
+    for token in sentence.tokens:
+        if token.stem not in grammar.anchor_index:
+            raise LexicalGapError(token.stem)

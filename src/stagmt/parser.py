@@ -39,14 +39,15 @@ are free) and its use count are fixed by its instance tree, so each batch
 of trees from enumeration is one level's candidates, those over the use
 budget dropped. A use is its component-0 instance. Each further
 component's instances of a multi-component pair are matched bijectively
-with that pair's uses, each grouping is composed and walked once, and
-those whose dominance requirements fail are discarded; a cost with none
-left is skipped, and the next batch is enumerated.
+with that pair's uses, each grouping is expanded once, without building
+its nodes, and those whose dominance requirements fail are discarded; a
+cost with none left is skipped, and the next batch is enumerated.
 Surviving trees are canonicalized, deduplicated and sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
-carrying its derivations' composed trees so no later stage composes them
-again; dearer levels are never enumerated, grouped or composed unless asked
-for. ``all_derivations`` returns every level's derivations flat.
+carrying its derivations' composed trees, whose nodes are built only if a
+caller reads them, so no later stage composes them again; dearer levels
+are never enumerated, grouped or composed unless asked for.
+``all_derivations`` returns every level's derivations flat.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ from .derive import (
     dominance_violations,
     make_derivation,
     ranking_key,
-    walk_tree,
 )
-from .errors import (InternalError, LexicalGapError, LimitExceededError,
-                     NoParseError)
+from .errors import InternalError, LimitExceededError, NoParseError
 from .model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -84,7 +83,7 @@ from .model import (
     Grammar,
     TreeNode,
 )
-from .morphotok import TokenizedSentence
+from .morphotok import TokenizedSentence, check_anchored
 
 # pass-1 chart items one parse may settle before it gives up with the coded
 # error limit-exceeded (the benchmark's largest chart holds a few hundred)
@@ -577,14 +576,12 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     when it is asked for.
 
     Phase 1 runs up front, from every start pair's head component. Each
-    grouping's one walk checks its yield against the input; its spans
-    settle dominance, and its numbering canonicalizes the kept tree.
+    grouping's one expansion checks its yield against the input; its spans
+    settle dominance, and its use order canonicalizes the kept tree.
     ``max_uses`` None is ``all_derivations``' default.
     """
+    check_anchored(sentence, grammar)
     lex = sentence.lex_stream
-    for word in lex:
-        if word not in grammar.anchor_index and word not in grammar.particle_map:
-            raise LexicalGapError(word)
 
     if max_uses is None:
         max_uses = len(lex)
@@ -612,14 +609,12 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                     for idx, (_, parent, at) in enumerate(flat) if idx]
                 derivation = make_derivation(uses, assignment[0], attachments)
                 tree = build_derived_tree(derivation, grammar)
-                produced, order, spans = walk_tree(tree)
-                if produced != lex:
+                if tree.words != lex:
                     raise InternalError(
-                        f"derived tree yields {produced}, not the input {lex}")
-                if dominance_violations(tree, grammar, spans):
+                        f"derived tree yields {tree.words}, not the input {lex}")
+                if dominance_violations(tree, grammar):
                     continue
-                # walk_tree numbered the tree's nodes as canonicalize does
-                tree.derivation = canonicalize(derivation, order)
+                tree.derivation = canonicalize(derivation, tree.order)
                 found.setdefault(tree.derivation, tree)
         if found:
             yield PriorityLevel(cost=cost, trees=tuple(sorted(

@@ -20,7 +20,6 @@ from stagmt.derive import (
     canonicalize,
     dominance_violations,
     make_derivation,
-    walk_tree,
 )
 from stagmt.errors import CompositionError
 from stagmt.model import (ADJOIN_ALLOW, ADJOIN_NA, KIND_EMPTY, KIND_FOOT,
@@ -71,6 +70,31 @@ def preorder(tree):
 def lex_yield(tree) -> tuple[str, ...]:
     """The words at a composed tree's lexical leaves, left to right."""
     return tuple(node.word for node in preorder(tree) if node.kind == KIND_LEX)
+
+
+def read_off(tree):
+    """What a composed tree's expansion reads off, read from its built
+    nodes instead: the lexical yield, the joins, each use's rank of first
+    appearance and each instance's span, as ``DerivedTree`` documents them,
+    numbered as the nodes are."""
+    words, joins, order, spans = [], [], {}, {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # the end of the instance it keys
+            spans[node] = (spans[node], len(spans))
+            continue
+        order.setdefault(node.use, len(order))
+        if node.addr.is_root:
+            spans[node.use, node.comp] = len(spans)
+            stack.append((node.use, node.comp))
+        if node.kind == KIND_LEX:
+            words.append(node.word)
+        if [(kid.kind, kid.cat) for kid in node.children] == [
+                (KIND_LEX, "N"), (KIND_LEX, "P")]:
+            joins.append(len(words))
+        stack.extend(reversed(node.children))
+    return tuple(words), joins, order, spans
 
 
 # Node builders for elementary trees written in Python.
@@ -160,19 +184,19 @@ def attachment_of(derivation, use: int, comp: int):
 
 
 def canonical(tree):
-    """Walk a composed tree and give it its canonical derivation, as the
-    parser does for a kept candidate; returns that derivation."""
-    tree.derivation = canonicalize(tree.derivation, walk_tree(tree)[1])
+    """Give a composed tree its canonical derivation, by its expansion's use
+    order, as the parser does for a kept candidate; returns that
+    derivation."""
+    tree.derivation = canonicalize(tree.derivation, tree.order)
     return tree.derivation
 
 
 def violations(tree, grammar: Grammar) -> list[str]:
-    """Walk a composed tree, read its dominance violations off the walk's
+    """Read a composed tree's dominance violations off its expansion's
     spans, and give it its canonical derivation, as the parser does for
     each candidate."""
-    _, order, spans = walk_tree(tree)
-    found = dominance_violations(tree, grammar, spans)
-    tree.derivation = canonicalize(tree.derivation, order)
+    found = dominance_violations(tree, grammar)
+    canonical(tree)
     return found
 
 

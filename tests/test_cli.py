@@ -214,6 +214,11 @@ class TestTranslate:
         assert out == "ERROR\n"
         assert "lexical-gap" in err
 
+    def test_stray_particle_is_a_lexical_gap(self, capsys):
+        # a particle is legal only after a stem, so a bare one names itself
+        assert run(capsys, "translate", "-g", "chase", "Tom-i ul ccossnunta.") == (
+            1, "ERROR\n", "line 1: lexical-gap: no pair is anchored on 'ul'\n")
+
     def test_show_derivation(self, capsys):
         _, out, _ = run(capsys, "translate", "-g", "chase", "--show",
                         "derivation", *CHASE_SCRAMBLED.split())

@@ -6,12 +6,15 @@ import sys
 
 import pytest
 
-from support import (canonical, chain_sentence, check_set_constraints, foot,
+from support import (CHASE_CANONICAL, DITRANS_CANONICAL, EMBEDDED_CANONICAL,
+                     canonical, chain_sentence, check_set_constraints, foot,
                      interior, lex, lex_yield, preorder,
                      set_constraint_violations, subst, violations)
 
+import stagmt.derive
 from stagmt.derive import (
     Attachment,
+    DNode,
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
@@ -374,6 +377,30 @@ class TestWorkingTreeOps:
         assert jerry.children[1] is roots[0, 0]
 
 
+@pytest.mark.parametrize("name, line", [("chase", CHASE_CANONICAL),
+                                        ("ditransitive", DITRANS_CANONICAL),
+                                        ("embedded", EMBEDDED_CANONICAL)])
+def test_nodes_are_built_only_when_read(name, line, monkeypatch, request):
+    built = []
+
+    class Counted(DNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(stagmt.derive, "DNode", Counted)
+    grammar = request.getfixturevalue(f"g_{name}")
+    best = translate_line(line, grammar).best
+    assert built == []  # translating reads words, spans and order only
+    root = best.source.root
+    assert built[0] is root
+    assert len(built) == sum(1 for _ in preorder(best.source))
+    assert best.source.root is root  # kept: a second read builds nothing
+    assert built == list(preorder(best.source))
+
+
 def test_composition_does_not_recurse(g_embedded):
     # 123 uses; a recursive composer needs a frame per level of the tree
     source = translate_line(chain_sentence(60), g_embedded).best.source
@@ -465,7 +492,7 @@ class TestCanonicalize:
                  for a in base.attachments])
             assert canonical(build_derived_tree(relabeled, g_chase)) == base
 
-    def test_tree_is_relabelled_in_place(self, g_chase):
+    def test_tree_is_relabelled_when_read(self, g_chase):
         base = STACKED
         relabeled = make_derivation(
             tuple(reversed(base.uses)), len(base.uses) - 1 - base.root,
@@ -475,14 +502,15 @@ class TestCanonicalize:
              for a in base.attachments])
         tree = build_derived_tree(relabeled, g_chase)
         rendered = render_tree(tree, g_chase)
-        before = [(node, node.use) for node in preorder(tree)]
+        before = [(node.cat, node.addr, node.use) for node in preorder(tree)]
         assert canonical(tree) == base
         assert tree.derivation == base
         assert render_tree(tree, g_chase) == rendered
-        # the same nodes, relabelled: use u of the input is use n - 1 - u
+        # the nodes read after canonicalizing are numbered by the canonical
+        # derivation: use u of the input is use n - 1 - u
         n = len(base.uses)
-        assert [(node, n - 1 - use) for node, use in before] == [
-            (node, node.use) for node in preorder(tree)]
+        assert [(cat, addr, n - 1 - use) for cat, addr, use in before] == [
+            (node.cat, node.addr, node.use) for node in preorder(tree)]
         assert set(instance_roots(tree)) == {
             (use, comp) for use, name in enumerate(base.uses)
             for comp in range(g_chase.pair(name).n_components)}

@@ -11,8 +11,11 @@ edits, and short strings over the grammar's words. On each, the parser's
 derivations must equal the oracle's, in the same order, at the default
 budget and at the tightest one that keeps a derivation, and one use over
 the default must find no more; ``parse`` must return exactly the oracle's
-derivations of least cost. Pairs draw their priority independently of
-their component count, which no shipped grammar does. A draw past either
+derivations of least cost. On each derivation, and on its target where
+that composes, what composition reads off (yield, joins, use order, spans)
+must equal what a walk of the built nodes reads. Pairs, the start pair
+among them, draw their priority independently of their component count,
+which no shipped grammar does. A draw past either
 side's coded bound (the oracle's configurations, the parser's root
 instance trees) is rejected.
 
@@ -26,7 +29,7 @@ from unittest import mock
 from hypothesis import (HealthCheck, event, given, reject, settings,
                         strategies as st)
 
-from support import (empty, foot, interior, lex, lex_yield, random_derivation,
+from support import (empty, foot, interior, lex, random_derivation, read_off,
                      subst)
 
 from stagmt.derive import build_derived_tree
@@ -41,10 +44,13 @@ from stagmt.model import (
     SyncPair,
 )
 from stagmt import oracle
-from stagmt.errors import LimitExceededError, NoParseError, OracleBoundError
+from stagmt.errors import (LimitExceededError, NoParseError, OracleBoundError,
+                           StagError)
+from stagmt.generator import realize
 from stagmt.morphotok import tokenize
 from stagmt.oracle import brute_force_derivations
 from stagmt.parser import all_derivations, parse
+from stagmt.transfer import transfer_derivation
 
 WORDS = ("a", "b", "c", "d")
 CATS = ("S", "A", "B")
@@ -138,7 +144,8 @@ def tree_sets(draw, name: str):
 @st.composite
 def grammars(draw):
     """A start pair plus one to three more pairs, all valid."""
-    pairs = [pair_of("p0", [draw(trees("S", auxiliary=False))])]
+    pairs = [pair_of("p0", [draw(trees("S", auxiliary=False))],
+                     priority=draw(st.integers(1, 3)))]
     for i in range(1, 1 + draw(st.integers(1, 3))):
         name = f"p{i}"
         kind = draw(st.sampled_from(("initial", "auxiliary", "set")))
@@ -156,15 +163,18 @@ def grammars(draw):
 @st.composite
 def sentences(draw, grammar):
     """Word strings: a random derivation's yield, its shuffle, the yield
-    with one word inserted, dropped or replaced, or any short string."""
+    with one word inserted, dropped or replaced, or any short string. The
+    derivation is one of two or more pairs where a few draws find one, so
+    that more sentences can mix priorities."""
     rng = random.Random(draw(st.integers(0, 2**16)))
     words = sorted(grammar.anchor_index)
     derived = None
     for _ in range(20):
         derivation = random_derivation(grammar, rng, max_uses=4)
         if derivation is not None:
-            derived = list(lex_yield(build_derived_tree(derivation, grammar)))
-            break
+            derived = list(build_derived_tree(derivation, grammar).words)
+            if len(set(derivation.uses)) > 1:
+                break
     kind = draw(st.sampled_from(("yield", "shuffle", "edit", "random")))
     if derived is None or len(derived) > MAX_WORDS or kind == "random":
         return draw(st.lists(st.sampled_from(words), min_size=1,
@@ -203,6 +213,16 @@ def test_parser_equals_oracle(data):
         event("parser limit")
         reject()
     assert parsed == found
+    # the expansion refereed by the built nodes, on each derivation and on
+    # its target where that transfers and composes
+    for derivation in parsed:
+        trees = [build_derived_tree(derivation, grammar)]
+        try:
+            trees.append(realize(transfer_derivation(derivation, grammar), grammar))
+        except StagError:
+            event("a target does not compose")
+        for tree in trees:
+            assert read_off(tree) == (tree.words, tree.joins, tree.order, tree.spans)
     if len({grammar.pair(name).priority for d in found for name in d.uses}) > 1:
         event("derivations mix priorities")
     # the default translate path searches cheapest first: its one level is

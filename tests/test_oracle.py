@@ -25,7 +25,7 @@ import stagmt.parser
 from stagmt import oracle
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            canonicalize, dominance_violations, make_derivation,
-                           ranking_key, render_derivation, render_tree, walk_tree)
+                           ranking_key, render_derivation, render_tree)
 from stagmt.errors import GrammarValidationError, OracleBoundError, StagError
 from stagmt.grammar_io import load_grammar
 from stagmt.model import (
@@ -226,8 +226,8 @@ class TestDominanceFallThrough:
 
         rejected = []
 
-        def recording(tree, grammar, spans):
-            violations = dominance_violations(tree, grammar, spans)
+        def recording(tree, grammar):
+            violations = dominance_violations(tree, grammar)
             if violations:
                 rejected.append(tree.derivation.cost(grammar))
             return violations
@@ -257,8 +257,8 @@ def _below(top):
 
 
 def _check_spans(derivation, grammar) -> list[str]:
-    """Check walk_tree's instance spans and dominance_violations against the
-    reference search; returns the violations."""
+    """Check the expansion's instance spans and dominance_violations against
+    the reference search over the built nodes; returns the violations."""
     tree = build_derived_tree(derivation, grammar)
     roots = {(node.use, node.comp): node
              for node in preorder(tree) if node.addr.is_root}
@@ -270,15 +270,15 @@ def _check_spans(derivation, grammar) -> list[str]:
         if not any(node is roots[use, lower] for node in _below(roots[use, upper]))]
     contains = {(a, b): any(node is roots[b] for node in _below(roots[a]))
                 for a in roots for b in roots}
-    _, order, spans = walk_tree(tree)
+    spans = tree.spans
     for (a, b), inside in contains.items():
         start, end = spans[a]
         assert (start <= spans[b][0] < end) == inside, (a, b)
-    assert dominance_violations(tree, grammar, spans) == expected
-    # the one-call helper walks, checks and canonicalizes a fresh tree alike
+    assert dominance_violations(tree, grammar) == expected
+    # the one-call helper checks and canonicalizes a fresh tree alike
     alone = build_derived_tree(derivation, grammar)
     assert violations(alone, grammar) == expected
-    assert alone.derivation == canonicalize(tree.derivation, order)
+    assert alone.derivation == canonicalize(tree.derivation, tree.order)
     return expected
 
 
@@ -342,8 +342,8 @@ class TestIntervalDominance:
         g = _fall_through_grammar()
         rejected = []
 
-        def recording(tree, grammar, spans):
-            violations = dominance_violations(tree, grammar, spans)
+        def recording(tree, grammar):
+            violations = dominance_violations(tree, grammar)
             if violations:
                 rejected.append(tree.derivation)
             return violations

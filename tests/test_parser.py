@@ -124,6 +124,15 @@ class TestFailureModes:
         with pytest.raises(LexicalGapError):
             parse(tokenize("Tom-i Spike ccossnunta.", g_chase), g_chase)
 
+    def test_stray_particle_is_a_lexical_gap(self, g_chase):
+        # a particle is legal only after a stem in its own word: split off,
+        # it is a gap even where the lexical stream would parse
+        sentence = tokenize("Tom i Jerry-lul ccossnunta.", g_chase)
+        assert sentence.lex_stream == tokenize(CHASE_CANONICAL, g_chase).lex_stream
+        with pytest.raises(LexicalGapError) as info:
+            parse(sentence, g_chase)
+        assert str(info.value) == "no pair is anchored on 'i'"
+
     def test_no_parse_raises(self, g_chase):
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
@@ -181,7 +190,7 @@ class TestFailureModes:
         # the yield check must survive python -O, so it cannot be an assert
         def misyielding(derivation, grammar):
             tree = build_derived_tree(derivation, grammar)
-            tree.root.children = tree.root.children[1:]  # drops its first words
+            tree.words = tree.words[1:]  # drops its first word
             return tree
 
         monkeypatch.setattr(stagmt.parser, "build_derived_tree", misyielding)
