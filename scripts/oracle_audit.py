@@ -3,7 +3,10 @@
 
 Every permutation of each study sentence's words — parseable or not — is fed
 to both the parser and the blind oracle; any disagreement is printed with the
-derivations present on only one side. Each order is checked twice: every
+derivations present on only one side. So is the sentence with one particle
+written as a word of its own (``Tom i Jerry-lul ccossnunta.``), once per
+particle: the lexical check refuses it, so neither side may derive it,
+although its lexical stream parses. Each line is checked twice: every
 derivation (``all_derivations``) against the oracle's, and the cheapest
 level that ``parse`` returns, the one translate uses, against the oracle's
 derivations of least cost, or ``no-parse`` where the oracle finds none.
@@ -24,7 +27,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stagmt.derive import render_derivation
-from stagmt.errors import NoParseError
+from stagmt.errors import LexicalGapError, NoParseError
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.oracle import (OracleBound, assert_equivalence,
@@ -57,6 +60,8 @@ def cheapest_agrees(sentence, grammar, bound: OracleBound) -> bool:
         parsed = parse(sentence, grammar)[0].derivations
     except NoParseError:
         parsed = ()
+    except LexicalGapError:     # refused before either side derives it
+        return True
     found = brute_force_derivations(sentence, grammar, bound)
     least = min((d.cost(grammar) for d in found), default=None)
     wanted = tuple(d for d in found if d.cost(grammar) == least)
@@ -73,6 +78,8 @@ def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
     grammar = load_grammar(str(GRAMMAR_FILES.get(name, name)))
     lines = [" ".join(order) + "."
              for order in sorted(set(itertools.permutations(words)))]
+    lines += [" ".join(words[:k] + (word.replace("-", " "),) + words[k + 1:]) + "."
+              for k, word in enumerate(words) if "-" in word]
     mismatches = 0
     start = time.perf_counter()
     for line in lines:
@@ -87,7 +94,7 @@ def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
         elif not cheapest_agrees(sentence, grammar, bound):
             mismatches += 1
     elapsed = time.perf_counter() - start
-    print(f"{name}: {len(lines)} orders audited, {mismatches} mismatch(es), "
+    print(f"{name}: {len(lines)} lines audited, {mismatches} mismatch(es), "
           f"{elapsed:.2f}s")
     return mismatches
 

@@ -16,12 +16,13 @@ pass over them that the uses, components and operation exist, that every
 component but the root instance attaches once, and that each fits its site
 in its host's elementary tree. It then expands the root instance in derived
 preorder over the elementary trees' compiled tables
-(``ElementaryTree.compiled``), with an explicit stack of runs of one
-instance's nodes: a filled slot enters the instance substituted there, and
-an adjunction at a node enters the auxiliary instance first, whose foot
-then takes that node and all below it before the host resumes. Unfilled
-slots, stranded feet and unmet obligatory adjunction are met on the way,
-and an instance never entered hangs from a cycle of attachments.
+(``ElementaryTree.compiled``, which codes each node by what expanding it
+does), looking up each node's attachment once, with an explicit stack of
+runs of one instance's nodes: a filled slot enters the instance substituted
+there, and an adjunction at a node enters the auxiliary instance first,
+whose foot then takes that node and all below it before the host resumes.
+Unfilled slots, stranded feet and unmet obligatory adjunction are met on
+the way, and an instance never entered hangs from a cycle of attachments.
 
 The expansion builds no node. It reads off what the parser and the
 generator need: the lexical yield, where case particles join their nouns,
@@ -46,12 +47,13 @@ from .errors import (
 )
 from .model import (
     ADJOIN_NA,
-    ADJOIN_OA,
+    CODE_FOOT,
+    CODE_JOIN,
+    CODE_SLOT,
+    CODE_WORD,
     KIND_EMPTY,
-    KIND_FOOT,
     KIND_INTERIOR,
     KIND_LEX,
-    KIND_SUBST,
     GornAddress,
     Grammar,
     SET_VARIABLE,
@@ -60,6 +62,10 @@ from .model import (
 
 OP_SUBST = "subst"
 OP_ADJOIN = "adjoin"
+
+# the sites of an instance that nothing attaches to; never written, since
+# only a site that holds an attachment is
+_NO_SITES: dict[int, Attachment] = {}
 
 
 class Attachment(NamedTuple):
@@ -177,46 +183,47 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
     attached: set[tuple[int, int]] = set()
     sites: dict[tuple[int, int], dict[int, Attachment]] = {}
     for att in derivation.attachments:
-        if not (0 <= att.use < n and 0 <= att.host < n):
+        use, comp, host, host_comp, address, op = att
+        if not (0 <= use < n and 0 <= host < n):
             raise IllegalAttachmentError(
-                f"attachment references unknown use ({att.use}, {att.host})")
-        if not 0 <= att.comp < len(elementary[att.use]):
-            raise IllegalAttachmentError(f"use {att.use} has no component {att.comp}")
-        if not 0 <= att.host_comp < len(elementary[att.host]):
+                f"attachment references unknown use ({use}, {host})")
+        if not 0 <= comp < len(elementary[use]):
+            raise IllegalAttachmentError(f"use {use} has no component {comp}")
+        if not 0 <= host_comp < len(elementary[host]):
             raise IllegalAttachmentError(
-                f"use {att.host} has no component {att.host_comp}")
-        if att.op not in (OP_SUBST, OP_ADJOIN):
-            raise IllegalAttachmentError(f"unknown operation {att.op!r}")
-        instance = (att.use, att.comp)
+                f"use {host} has no component {host_comp}")
+        if op not in (OP_SUBST, OP_ADJOIN):
+            raise IllegalAttachmentError(f"unknown operation {op!r}")
+        instance = (use, comp)
         if instance in attached:
             raise IllegalAttachmentError(
-                f"component ({att.use}, {att.comp}) attaches twice")
+                f"component ({use}, {comp}) attaches twice")
         if instance == root:
             raise IllegalAttachmentError(
                 "root head component must not attach anywhere")
         attached.add(instance)
-        nodes, _, index, _, _ = elementary[att.host][att.host_comp].compiled
-        index = index.get(att.site.path)
-        tree = elementary[att.use][att.comp]
+        nodes, _, index, _, codes = elementary[host][host_comp].compiled
+        index = index.get(address.path)
+        tree = elementary[use][comp]
         if index is None:
             raise IllegalAttachmentError(
-                f"no node at site {att.site} of use {att.host}")
+                f"no node at site {address} of use {host}")
         site = nodes[index]
-        filled = sites.setdefault((att.host, att.host_comp), {})
-        if att.op == OP_SUBST:
-            if att.site.is_root:
+        filled = sites.setdefault((host, host_comp), {})
+        if op == OP_SUBST:
+            if not address.path:
                 raise IllegalAttachmentError(f"slot {_where(att)} has no parent")
-            if site.kind != KIND_SUBST:
+            if codes[index] != CODE_SLOT:
                 raise NotASlotError(f"substitution into {site.kind} node {_where(att)}")
             if index in filled:
                 raise IllegalAttachmentError(f"slot {_where(att)} is already filled")
-            if tree.root_cat != site.cat:
+            if tree.root.cat != site.cat:
                 raise CategoryMismatchError(
-                    f"cannot substitute {tree.root_cat} into {site.cat} slot")
+                    f"cannot substitute {tree.root.cat} into {site.cat} slot")
         else:
             if tree.foot_address is None:
                 raise IllegalAttachmentError(
-                    f"component {att.comp} of use {att.use} is not auxiliary")
+                    f"component {comp} of use {use} is not auxiliary")
             if site.kind != KIND_INTERIOR:
                 raise IllegalAttachmentError(
                     f"adjunction at {site.kind} node {_where(att)}")
@@ -225,9 +232,9 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
                     f"adjunction at null-adjoining node {_where(att)}")
             if index in filled:
                 raise DoubleAdjunctionError(f"second adjunction at {_where(att)}")
-            if tree.root_cat != site.cat:
+            if tree.root.cat != site.cat:
                 raise CategoryMismatchError(
-                    f"cannot adjoin {tree.root_cat} auxiliary at {site.cat} node")
+                    f"cannot adjoin {tree.root.cat} auxiliary at {site.cat} node")
         filled[index] = att
     if len(attached) < sum(map(len, elementary)) - 1:
         use, comp = next((use, comp) for use, trees in enumerate(elementary)
@@ -261,16 +268,16 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
             spans[frame] = (spans[frame], len(spans))
             continue
         use, comp, i, stop, filler = frame
-        nodes, addresses, _, ends, marked = elementary[use][comp].compiled
-        filled = sites.get((use, comp), {})
+        nodes, addresses, _, ends, codes = elementary[use][comp].compiled
+        filled = sites.get((use, comp), _NO_SITES)
         stop = stop or len(nodes)
         if not i and filled.get(0) is None:  # the instance root, in its subtree's frame
             order.setdefault(use, len(order))
             spans[use, comp] = len(spans)
             stack.append((use, comp))
         while i < stop:
-            if i in filled and filled[i] is not None:  # enter its instance
-                att = filled[i]
+            att = filled.get(i)
+            if att is not None:  # enter its instance
                 filled[i] = None  # a node adjoined at, for the foot that takes it
                 if att.op == OP_SUBST:
                     stack += ([use, comp, i + 1, stop, filler],
@@ -280,25 +287,29 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
                     stack += ([use, comp, ends[i], stop, filler],
                               [att.use, att.comp, 0, None, below])
                 break
-            node = nodes[i]
-            kind = node.kind
-            if kind == KIND_LEX:
-                words.append(node.word)
-            elif kind == KIND_FOOT:
-                if filler is None:
-                    raise IllegalAttachmentError(
-                        f"stranded foot node {_provenance(use, comp, addresses[i])}")
-                stack += ([use, comp, i + 1, stop, None], filler)
-                break
-            elif kind == KIND_SUBST:
-                raise UnfilledSlotError(_provenance(use, comp, addresses[i]), node.cat)
-            elif node.adjoin == ADJOIN_OA and i not in filled:
-                where = _provenance(use, comp, addresses[i])
-                raise ObligatoryAdjunctionError(
-                    f"no adjunction at obligatory-adjoining node {where}")
-            elif marked[i]:
-                joins.append(len(words))
+            code = codes[i]
+            if code:
+                if code == CODE_WORD:
+                    words.append(nodes[i].word)
+                elif code == CODE_JOIN:
+                    joins.append(len(words))
+                elif code == CODE_FOOT:
+                    if filler is None:
+                        raise IllegalAttachmentError(
+                            f"stranded foot node {_provenance(use, comp, addresses[i])}")
+                    stack += ([use, comp, i + 1, stop, None], filler)
+                    break
+                elif code == CODE_SLOT:
+                    raise UnfilledSlotError(_provenance(use, comp, addresses[i]),
+                                            nodes[i].cat)
+                elif i not in filled:  # CODE_OA is set
+                    where = _provenance(use, comp, addresses[i])
+                    raise ObligatoryAdjunctionError(
+                        f"no adjunction at obligatory-adjoining node {where}")
+                elif code & CODE_JOIN:
+                    joins.append(len(words))
             if build:
+                node = nodes[i]
                 made = DNode(node, use, comp, addresses[i])
                 children, arity = parents[-1]
                 children.append(made)

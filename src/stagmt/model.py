@@ -40,6 +40,13 @@ ADJOIN_VALUES = (ADJOIN_ALLOW, ADJOIN_NA, ADJOIN_OA)
 
 SET_VARIABLE = "@set"
 
+# what expanding a node does (ElementaryTree.compiled): an interior node's
+# code holds CODE_JOIN when it joins a case particle to its noun and CODE_OA
+# when it is obligatory-adjoining, and is 0 when it does neither, as an
+# empty leaf's is; a lexical leaf, a foot and a slot have one code each
+CODE_JOIN, CODE_OA, CODE_WORD, CODE_FOOT, CODE_SLOT = 1, 2, 4, 5, 6
+_LEAF_CODES = {KIND_LEX: CODE_WORD, KIND_FOOT: CODE_FOOT, KIND_SUBST: CODE_SLOT}
+
 
 class GornAddress(NamedTuple):
     """Path of 1-based child positions; the empty path is the root."""
@@ -59,7 +66,7 @@ class GornAddress(NamedTuple):
         return cls(path)
 
     def __str__(self) -> str:
-        return "e" if not self.path else ".".join(str(p) for p in self.path)
+        return ".".join(map(str, self.path)) if self.path else "e"
 
     def __repr__(self) -> str:
         return f"GornAddress({str(self)!r})"
@@ -161,22 +168,26 @@ class ElementaryTree(Record):
     @cached_property
     def compiled(self) -> tuple:
         """The tables composition expands this tree by: (nodes, addresses,
-        index, ends, marked), the nodes and their addresses in preorder,
+        index, ends, codes), the nodes and their addresses in preorder,
         each node's preorder index by its address path, and by index, one
-        past the last node below it and whether its children are exactly a
-        lexical N then a lexical P, a case particle on its noun. Tree roots
-        are interior and lexical nodes are never sites, so no substitution
-        or adjunction changes that: the flag holds of the node's image in
-        every derived tree."""
+        past the last node below it and its ``CODE_*``, what expanding the
+        node does. ``CODE_JOIN`` marks an interior node whose children are
+        exactly a lexical N then a lexical P, a case particle on its noun.
+        Tree roots are interior and lexical nodes are never sites, so no
+        substitution or adjunction changes that: the mark holds of the
+        node's image in every derived tree."""
         addresses, nodes = zip(*self.nodes.items())
         index = {addr.path: i for i, addr in enumerate(addresses)}
         # in preorder, the nodes at or below node i are the next ones whose
         # paths start with its path
         ends = tuple(i + sum(a.path[:len(at.path)] == at.path for a in addresses)
                      for i, at in enumerate(addresses))
-        marked = tuple([(kid.kind, kid.cat) for kid in node.children]
-                       == [(KIND_LEX, "N"), (KIND_LEX, "P")] for node in nodes)
-        return nodes, addresses, index, ends, marked
+        codes = tuple(_LEAF_CODES.get(node.kind) or (
+            (node.adjoin == ADJOIN_OA) * CODE_OA
+            | ([(kid.kind, kid.cat) for kid in node.children]
+               == [(KIND_LEX, "N"), (KIND_LEX, "P")]) * CODE_JOIN)
+            for node in nodes)
+        return nodes, addresses, index, ends, codes
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
@@ -311,6 +322,17 @@ class Grammar(Record):
             return self.pair_by_name[name]
         except KeyError:
             raise GrammarError(f"the grammar has no pair named {name!r}") from None
+
+    @cached_property
+    def target_sites(self) -> dict[tuple[str, int, GornAddress], GornAddress]:
+        """Where transfer carries a source site, by (pair name, component,
+        source address): the target address a link of the pair names, or
+        for the root of the pair's head component, when no link names it,
+        the target root."""
+        sites = {(p.name, p.source.head, ROOT): ROOT for p in self.pairs}
+        sites.update(((p.name, link.comp, link.src), link.tgt)
+                     for p in self.pairs for link in p.links)
+        return sites
 
     @cached_property
     def particle_map(self) -> dict[str, str]:

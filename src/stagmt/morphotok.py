@@ -23,7 +23,6 @@ class Token(NamedTuple):
     surface: str
     stem: str
     particle: str | None = None
-    case: str | None = None
 
     @property
     def lex(self) -> tuple[str, ...]:
@@ -62,23 +61,20 @@ def segment_token(word: str, grammar: Grammar) -> Token:
     that matches nothing comes back whole with no particle — whether it is
     a usable stem is ``check_anchored``'s question, not the segmenter's.
     """
-    particles = grammar.particle_map
     if "-" in word:
         stem, _, particle = word.rpartition("-")
         if not stem:
             raise UnknownParticleError(f"no stem before hyphen in {word!r}")
-        if particle not in particles:
+        if particle not in grammar.particle_map:
             raise UnknownParticleError(f"unknown particle {particle!r} in {word!r}")
-        return Token(surface=word, stem=stem, particle=particle,
-                     case=particles[particle])
+        return Token(surface=word, stem=stem, particle=particle)
 
     if word in grammar.anchor_index:
         return Token(surface=word, stem=word)
 
     for form in grammar.particles_longest_first:
         if word.endswith(form) and len(word) > len(form):
-            return Token(surface=word, stem=word[: -len(form)], particle=form,
-                         case=particles[form])
+            return Token(surface=word, stem=word[: -len(form)], particle=form)
     return Token(surface=word, stem=word)
 
 

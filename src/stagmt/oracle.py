@@ -15,9 +15,10 @@ recursive expander over immutable nested tuples, the foot filler passed as
 an argument, where compose expands under an explicit stack. Only the
 Derivation record type, its canonical numbering and its ranking order are
 shared, so both sides speak the same language when their result sets are
-compared. The oracle ranks the uses of an accepted configuration by first
-appearance in its own expanded form, in preorder, and hands that numbering
-to canonicalize.
+compared, and so is the lexical check (``morphotok.check_anchored``) that
+``assert_equivalence`` runs before both sides. The oracle ranks the uses of
+an accepted configuration by first appearance in its own expanded form, in
+preorder, and hands that numbering to canonicalize.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .derive import (
     make_derivation,
     ranking_key,
 )
-from .errors import OracleBoundError
+from .errors import LexicalGapError, OracleBoundError
 from .model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -46,7 +47,7 @@ from .model import (
     ROOT,
     Grammar,
 )
-from .morphotok import TokenizedSentence
+from .morphotok import TokenizedSentence, check_anchored
 
 # attachment configurations tried per sentence before the oracle gives up
 MAX_CONFIGS = 2_000_000
@@ -328,15 +329,18 @@ def assert_equivalence(sentence: TokenizedSentence, grammar: Grammar,
                        bound: OracleBound = OracleBound()) -> EquivalenceReport:
     """Compare the real parser against the oracle on one sentence.
 
-    Never raises for bound overruns: a too-small bound is reported in the
-    result so corpus sweeps can flag it instead of dying.
+    A sentence that ``check_anchored`` refuses, as the parser does before
+    it parses, has no derivations on either side. Never raises for bound
+    overruns: a too-small bound is reported in the result so corpus sweeps
+    can flag it instead of dying.
     """
-    from .errors import LexicalGapError
     from .parser import all_derivations
     try:
-        parsed = set(all_derivations(sentence, grammar))
+        check_anchored(sentence, grammar)
     except LexicalGapError:
-        parsed = set()
+        return EquivalenceReport(lex=sentence.lex_stream, parser_count=0,
+                                 oracle_count=0, only_parser=(), only_oracle=())
+    parsed = set(all_derivations(sentence, grammar))
     try:
         brute = set(brute_force_derivations(sentence, grammar, bound))
     except OracleBoundError as exc:

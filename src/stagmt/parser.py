@@ -33,16 +33,17 @@ auxiliaries with a foot at one end in cubic time.
    enumerate.
 
 Phase 2 restores set discipline one priority level at a time, reading each
-instance's pair and component from ``ChartTables.comps`` by component id.
-A derivation's cost (sum of use priorities minus one, so priority-1 pairs
-are free) and its use count are fixed by its instance tree, so each batch
-of trees from enumeration is one level's candidates, those over the use
-budget dropped. A use is its component-0 instance. Each further
-component's instances of a multi-component pair are matched bijectively
-with that pair's uses, each grouping is expanded once, without building
-its nodes, and those whose dominance requirements fail are discarded; a
-cost with none left is skipped, and the next batch is enumerated.
-Surviving trees are canonicalized, deduplicated and sorted.
+instance's pair and component from ``ChartTables.comps`` by component id,
+and each set pair's components from ``ChartTables.sets``. A derivation's
+cost (sum of use priorities minus one, so priority-1 pairs are free) and
+its use count are fixed by its instance tree, so each batch of trees from
+enumeration is one level's candidates, those over the use budget dropped.
+A use is its component-0 instance. Each further component's instances of
+a multi-component pair are matched bijectively with that pair's uses, each
+grouping is expanded once, without building its nodes, and those whose
+dominance requirements fail are discarded; a cost with none left is
+skipped, and the next batch is enumerated. Surviving trees are
+canonicalized, deduplicated and, when more than one is left, sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees, whose nodes are built only if a
 caller reads them, so no later stage composes them again; dearer levels
@@ -159,7 +160,9 @@ class ChartTables:
     row with one index and one unpack. The symbols themselves are
     construction locals. Pass 2 only searches pass 1's hyperedges, reading
     from these tables just the instance symbols and where an instance
-    attaches (``site``).
+    attaches (``site``). Phase 2 groups an instance tree's set instances by
+    ``sets``, the component ids of each set pair, set pairs in name order,
+    and ``set_of``, the index there of each set pair's component id.
     """
 
     def __init__(self, grammar: Grammar):
@@ -187,6 +190,10 @@ class ChartTables:
                     children.append([])
         # pass 2's instance budget allows max_comps instances per use
         self.max_comps = max((p.n_components for p in grammar.pairs), default=1)
+        sets = sorted((p.name, p.n_components) for p in grammar.pairs
+                      if p.source.is_multi)
+        self.sets = [[self.comp_id[name, ci] for ci in range(k)] for name, k in sets]
+        self.set_of = {comp: rank for rank, ids in enumerate(self.sets) for comp in ids}
         aux_cats = {nodes[root].cat for root, is_aux in roots if is_aux}
         hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
                    and node.cat in aux_cats for node in nodes]
@@ -540,32 +547,39 @@ class _SpanParser:
                 yield cost, found
 
 
-def _groupings(insts: list[tuple[str, int]], uses: list[str], grammar: Grammar):
+def _groupings(flat: tuple, heads: dict[int, int], tables: ChartTables):
     """Yield the use of each further component's instance, by instance index.
 
-    A use is its component-0 instance, and uses[u] names the pair of use u,
-    numbered in instance order. The instances of each further component of
-    a multi-component pair are matched bijectively with that pair's uses;
+    flat is an instance tree from ``_SpanParser.trees``, and heads numbers
+    its component-0 instances, the uses, in instance order. One pass over
+    it files the instances of each set pair's components by component id
+    (``ChartTables.sets``). The instances of each further component of a
+    multi-component pair are matched bijectively with that pair's uses;
     every choice of one permutation per further component is one candidate
     reading. A tree in which a further component has more or fewer
     instances than its pair has uses has none. More than
     ``MAX_GROUPINGS`` readings are refused before any is built.
     """
+    set_of = tables.set_of
+    members: dict[int, list[int]] = {}  # component id -> its instances
+    for idx, (comp, _, _) in enumerate(flat):
+        if comp in set_of:
+            members.setdefault(comp, []).append(idx)
     matched = []    # (a further component's instances, its pair's uses)
-    for name in sorted(name for name in {name for name, _ in insts}
-                       if grammar.pair(name).source.is_multi):
-        base = [use for use, other in enumerate(uses) if other == name]
-        for ci in range(1, grammar.pair(name).n_components):
-            members = [idx for idx, inst in enumerate(insts) if inst == (name, ci)]
-            if len(members) != len(base):
+    for rank in sorted({set_of[comp] for comp in members}):
+        first, *further = tables.sets[rank]
+        base = [heads[idx] for idx in members.get(first, ())]
+        for comp in further:
+            found = members.get(comp, ())
+            if len(found) != len(base):
                 return
-            matched.append((members, base))
+            matched.append((found, base))
     if math.prod(math.factorial(len(base)) for _, base in matched) > MAX_GROUPINGS:
         raise LimitExceededError(
             f"an instance tree has more than {MAX_GROUPINGS} groupings")
 
-    for chosen in itertools.product(*(itertools.permutations(members)
-                                      for members, _ in matched)):
+    for chosen in itertools.product(*(itertools.permutations(found)
+                                      for found, _ in matched)):
         yield {idx: use for perm, (_, base) in zip(chosen, matched)
                for idx, use in zip(perm, base)}
 
@@ -601,7 +615,7 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             if len(heads) > max_uses:
                 continue
             uses = [insts[idx][0] for idx in heads]
-            for further in _groupings(insts, uses, grammar):
+            for further in _groupings(flat, heads, tables):
                 assignment = heads | further    # instance index -> use
                 attachments = [Attachment(
                     assignment[idx], insts[idx][1], assignment[parent],
@@ -616,10 +630,10 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                     continue
                 tree.derivation = canonicalize(derivation, tree.order)
                 found.setdefault(tree.derivation, tree)
-        if found:
-            yield PriorityLevel(cost=cost, trees=tuple(sorted(
-                found.values(),
-                key=lambda t: ranking_key(t.derivation, grammar))))
+        if found:   # a level of one derivation needs no ranking
+            trees = found.values() if len(found) == 1 else sorted(
+                found.values(), key=lambda t: ranking_key(t.derivation, grammar))
+            yield PriorityLevel(cost=cost, trees=tuple(trees))
 
 
 def all_derivations(sentence: TokenizedSentence, grammar: Grammar, *,

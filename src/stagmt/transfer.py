@@ -8,16 +8,18 @@ node of its target tree. Everything else is read off the host pair's links.
 For each non-root use we look at where its head component attached on the
 source side; if that site is linked, the use's target tree attaches at the
 linked target address, and if the site is the host head's root (an
-adjunction), it attaches at the target root. Attachments of non-head
-components — the scrambled auxiliaries — have no target-side counterpart at
-all, which is exactly how word-order variation disappears in translation.
+adjunction), it attaches at the target root. Both rules depend on the
+grammar alone, so they are filed once per grammar (``Grammar.target_sites``)
+and a use costs one lookup. Attachments of non-head components — the
+scrambled auxiliaries — have no target-side counterpart at all, which is
+exactly how word-order variation disappears in translation.
 """
 
 from __future__ import annotations
 
 from .derive import Attachment, Derivation, make_derivation
 from .errors import DanglingUseError, UntranslatableAttachmentError
-from .model import ROOT, Grammar
+from .model import Grammar
 
 
 def _attached_heads(derivation: Derivation, grammar: Grammar) -> dict[int, Attachment]:
@@ -36,29 +38,27 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     link, the host's target root when the site is the host head's own root
     (the fixed root-to-root convention, which serves a singleton auxiliary
     adjoined there; scrambled auxiliaries are non-head components, and
-    their attachments are dropped). The operation is carried through
-    unchanged; whether it fits the target tree is realization's concern.
+    their attachments are dropped). Both are read from
+    ``Grammar.target_sites``. The operation is carried through unchanged;
+    whether it fits the target tree is realization's concern.
     """
     heads = _attached_heads(derivation, grammar)
+    uses, target_sites = derivation.uses, grammar.target_sites
     attachments = []
-    for use, name in enumerate(derivation.uses):
+    for use, name in enumerate(uses):
         if use == derivation.root:
             continue
         head_att = heads.get(use)
         if head_att is None:
             raise DanglingUseError(
                 f"use {use} ({name}): head component is attached nowhere")
-        host_pair = grammar.pair(derivation.uses[head_att.host])
-        link = host_pair.link_for(head_att.host_comp, head_att.site)
-        if link is not None:
-            site = link.tgt
-        elif head_att.site == ROOT and head_att.host_comp == host_pair.source.head:
-            site = ROOT
-        else:
+        host = uses[head_att.host]
+        site = target_sites.get((host, head_att.host_comp, head_att.site))
+        if site is None:
             raise UntranslatableAttachmentError(
                 f"use {use} ({name}) attaches at u{head_att.host}/"
                 f"c{head_att.host_comp}@{head_att.site}, which maps to no "
-                f"target node of {host_pair.name}")
+                f"target node of {host}")
         attachments.append(Attachment(use, 0, head_att.host, 0, site, head_att.op))
     return make_derivation(derivation.uses, derivation.root, attachments)
 

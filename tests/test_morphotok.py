@@ -26,8 +26,7 @@ stems = st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll")),
 class TestSegmentToken:
     def test_hyphen_is_explicit(self, g_chase):
         token = segment_token("Jerry-lul", g_chase)
-        assert token == Token(surface="Jerry-lul", stem="Jerry",
-                              particle="lul", case="acc")
+        assert token == Token(surface="Jerry-lul", stem="Jerry", particle="lul")
 
     def test_last_hyphen_wins(self, g_chase):
         token = segment_token("San-Jose-ka", g_chase)
@@ -75,8 +74,12 @@ class TestSegmentToken:
         assert token == Token(surface="nolli", stem="nolli")
 
     def test_case_comes_from_particle_table(self, g_chase):
-        assert segment_token("Tom-i", g_chase).case == "nom"
-        assert segment_token("Jerry-lul", g_chase).case == "acc"
+        # a token carries its particle; the case is the grammar's entry for it
+        for word, stem, particle, case in (("Tom-i", "Tom", "i", "nom"),
+                                           ("Jerry-lul", "Jerry", "lul", "acc")):
+            token = segment_token(word, g_chase)
+            assert (token.stem, token.particle) == (stem, particle)
+            assert g_chase.particle_map[token.particle] == case
 
     @given(stems, st.sampled_from(PARTICLES))
     def test_hyphenated_form_always_splits_as_written(self, g_chase, stem, particle):

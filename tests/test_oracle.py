@@ -573,6 +573,14 @@ class TestEquivalenceReports:
             tokenize("Spike-i Jerry-lul ccossnunta.", g_chase), g_chase)
         assert report.summary().endswith("parser=0 oracle=0 [agree]")
 
+    def test_bare_particle_agrees_on_nothing(self, g_chase):
+        # a particle written as a word anchors nothing, so neither side
+        # derives the line, although its lexical stream parses
+        sentence = tokenize("Tom i Jerry-lul ccossnunta.", g_chase)
+        assert sentence.lex_stream == tokenize(CHASE_CANONICAL, g_chase).lex_stream
+        report = assert_equivalence(sentence, g_chase)
+        assert report.summary().endswith("parser=0 oracle=0 [agree]")
+
     def test_crippled_parser_is_caught(self, g_chase, monkeypatch):
         # a parser that cannot adjoin misses every scrambled reading
         def no_adjunction(sentence, grammar):

@@ -27,7 +27,8 @@ from support import (
 )
 
 import stagmt.parser
-from stagmt.derive import build_derived_tree, render_tree, uses_cost
+from stagmt.derive import (build_derived_tree, ranking_key, render_tree,
+                           uses_cost)
 from stagmt.errors import (InternalError, LexicalGapError,
                            LimitExceededError, NoParseError)
 from stagmt.grammar_io import load_grammar
@@ -218,6 +219,26 @@ class TestRanking:
                 assert (render_tree(tree, g_chase)
                         == render_tree(build_derived_tree(tree.derivation, g_chase),
                                        g_chase))
+
+    def test_only_a_level_of_several_derivations_is_ranked(self, g_chase,
+                                                           monkeypatch):
+        keyed = []
+
+        def counting(derivation, grammar):
+            keyed.append(derivation)
+            return ranking_key(derivation, grammar)
+
+        monkeypatch.setattr(stagmt.parser, "ranking_key", counting)
+        levels = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase,
+                       all_levels=True)
+        assert [len(level.trees) for level in levels] == [1, 1, 1]
+        assert keyed == []
+        # the fronted objects' six derivations are found out of ranking order
+        grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
+        (level,) = parse(tokenize(AMBIGUOUS_FRONTED, grammar), grammar)
+        assert len(keyed) == len(level.derivations) == 6
+        assert level.derivations == tuple(sorted(
+            level.derivations, key=lambda d: ranking_key(d, grammar)))
 
     def test_groups_are_never_mixed(self, g_chase):
         ds = derivations_of(CHASE_CANONICAL, g_chase)
