@@ -10,7 +10,10 @@ Exit status: 0 on success, 1 when an input failed to process (no parse,
 unknown word, untranslatable derivation), 2 for unusable invocations or
 grammars. With --format json, one JSON object is printed per input line.
 In a permutations table an order that has no parse or an unknown stem is
-"no"; any other error fails the whole input line.
+"no"; any other error fails the whole input line. Each order that parses is
+numbered by its family, in order of first appearance: the orders whose best
+translations share a target derivation up to use numbering and pair names
+(``transfer.target_key``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .grammar_io import builtin_grammar_names, load_grammar
 from .morphotok import tokenize
 from .parser import parse
 from .pipeline import translate_line
-from .transfer import transfer_steps
+from .transfer import target_key, transfer_steps
 
 # 8! = 40,320 orders; every order is parsed, and all are enumerated first
 MAX_PERMUTED_WORDS = 8
@@ -166,32 +169,39 @@ def cmd_permutations(args) -> int:
             raise LimitExceededError(
                 f"{len(sentence)} words have too many orders to try; "
                 f"the limit is {MAX_PERMUTED_WORDS}")
-        rows = []  # (order, cost, translation); no cost when it does not parse
+        rows = []  # (order, cost, family, translation); None when it does not parse
+        families: dict[tuple, int] = {}
         for order in sorted(set(itertools.permutations(
                 token.surface for token in sentence.tokens))):
             candidate = " ".join(order) + sentence.terminator
             try:
                 best = translate_line(candidate, grammar).best
-                rows.append((candidate, best.cost, best.surface))
             except (NoParseError, LexicalGapError):
-                rows.append((candidate, None, None))
-        ok = sum(cost is not None for _, cost, _ in rows)
+                rows.append((candidate, None, None, None))
+                continue
+            key = target_key(best.target.derivation, grammar)
+            rows.append((candidate, best.cost,
+                         families.setdefault(key, len(families) + 1), best.surface))
+        ok = sum(cost is not None for _, cost, _, _ in rows)
         if args.format == "json":
             _emit_json({
                 "input": line,
                 "parsed": ok,
                 "total": len(rows),
+                "families": len(families),
                 "orders": [{"sentence": s, "parses": c is not None, "cost": c,
-                            "translation": t} for s, c, t in rows],
+                            "family": f, "translation": t} for s, c, f, t in rows],
             })
             return
-        width = max(len(s) for s, _, _ in rows)
-        for candidate, cost, translation in rows:
+        width = max(len(s) for s, _, _, _ in rows)
+        for candidate, cost, family, translation in rows:
             parses = "yes" if cost is not None else "no"
             cost_cell = "-" if cost is None else str(cost)
+            family_cell = "-" if family is None else f"f{family}"
             print(f"{candidate:<{width}} | {parses:<3} | {cost_cell:>4} | "
-                  f"{translation if translation is not None else '-'}")
-        print(f"{ok}/{len(rows)} orders parse")
+                  f"{family_cell:<2} | {translation or '-'}")
+        n = len(families)
+        print(f"{ok}/{len(rows)} orders parse, {n} famil{'y' if n == 1 else 'ies'}")
     return _run_lines(args, work)
 
 

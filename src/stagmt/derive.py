@@ -88,13 +88,8 @@ class Derivation(NamedTuple):
     attachments: tuple[Attachment, ...]
 
     def cost(self, grammar: Grammar) -> int:
-        return uses_cost(self.uses, grammar)
-
-
-def uses_cost(pair_names, grammar: Grammar) -> int:
-    """The cost of one use of each named pair: priority minus one per use,
-    so priority-1 pairs are free."""
-    return sum(grammar.pair(name).priority - 1 for name in pair_names)
+        """Priority minus one per use, so priority-1 pairs are free."""
+        return sum(grammar.pair(name).priority - 1 for name in self.uses)
 
 
 def make_derivation(uses, root, attachments) -> Derivation:

@@ -71,10 +71,6 @@ class GornAddress(NamedTuple):
     def __repr__(self) -> str:
         return f"GornAddress({str(self)!r})"
 
-    @property
-    def is_root(self) -> bool:
-        return not self.path
-
     def child(self, position: int) -> "GornAddress":
         return GornAddress(self.path + (position,))
 
@@ -257,12 +253,6 @@ class SyncPair(NamedTuple):
     @property
     def n_components(self) -> int:
         return len(self.source.components)
-
-    def link_for(self, comp: int, src: GornAddress) -> Link | None:
-        for link in self.links:
-            if link.comp == comp and link.src == src:
-                return link
-        return None
 
 
 class Particle(NamedTuple):
@@ -505,7 +495,7 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
     # Substitution slots in the head component and target must be linked;
     # other components may be unlinked.
     for addr in src.components[src.head].subst_addresses:
-        if pair.link_for(src.head, addr) is None:
+        if (src.head, addr) not in seen_src:
             diag("unlinked-substitution",
                  f"substitution slot {addr} in head component has no link",
                  addr=str(addr))

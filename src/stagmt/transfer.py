@@ -63,6 +63,29 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     return make_derivation(derivation.uses, derivation.root, attachments)
 
 
+def target_key(target: Derivation, grammar: Grammar) -> tuple:
+    """A hashable canonical form of a target derivation, built bottom up:
+    a use's form is its pair's target tree and the (site, form) of each use
+    attached to it, sorted by site. Use numbers do not enter it, so
+    renumbering the uses keeps the key, and neither do pair names, so pairs
+    whose target trees are equal share a key: the analyses of a sentence's
+    scrambled orders and of its canonical order give one key, which is how
+    word-order variation collapses in transfer. The key fixes every target
+    tree and where it attaches, and ``realize`` is deterministic, so
+    derivations with one key have one translation."""
+    below: dict[int, list] = {}  # host -> [(site, use), ...]
+    for att in target.attachments:
+        below.setdefault(att.host, []).append((att.site, att.use))
+    order = [target.root]  # hosts before the uses they host
+    for use in order:
+        order.extend(child for _, child in below.get(use, ()))
+    forms: dict[int, tuple] = {}
+    for use in reversed(order):  # a host's sites are distinct
+        forms[use] = (grammar.pair(target.uses[use]).target, tuple(
+            (site, forms[child]) for site, child in sorted(below.get(use, ()))))
+    return forms[target.root]
+
+
 def transfer_steps(source: Derivation, target: Derivation, grammar: Grammar) -> list[str]:
     """One trace line per target attachment: the source head attachment it
     was read from and the target site it maps to."""

@@ -85,7 +85,7 @@ def read_off(tree):
             spans[node] = (spans[node], len(spans))
             continue
         order.setdefault(node.use, len(order))
-        if node.addr.is_root:
+        if not node.addr.path:
             spans[node.use, node.comp] = len(spans)
             stack.append((node.use, node.comp))
         if node.kind == KIND_LEX:

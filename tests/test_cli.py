@@ -36,8 +36,8 @@ GOLDEN_RUNS = {
     "permutations_corpus.txt": ("permutations",),
     "permutations_json_corpus.txt": ("permutations", "--format", "json"),
 }
-# grammar -> the words of its word-order study sentence (as in
-# scripts/scrambling_study.py) and its lines that must not parse
+# grammar -> the words of its word-order study sentence and its lines that
+# must not parse
 PERMUTATION_INPUTS = {"chase": (CHASE_WORDS, CHASE_NEGATIVES),
                       "ditransitive": (DITRANS_WORDS, DITRANS_NEGATIVES),
                       "embedded": (EMBEDDED_WORDS, EMBEDDED_NEGATIVES)}
@@ -461,10 +461,11 @@ class TestPermutations:
                              *CHASE_CANONICAL.split())
         assert status == 0
         lines = out.splitlines()
-        assert lines[-1] == "2/6 orders parse"
-        assert any(line.startswith("Tom-i Jerry-lul ccossnunta. | yes |    0 | Tom chases Jerry.")
+        assert lines[-1] == "2/6 orders parse, 1 family"
+        assert any(line.startswith(
+            "Tom-i Jerry-lul ccossnunta. | yes |    0 | f1 | Tom chases Jerry.")
                    for line in lines)
-        assert any("| no  |    - | -" in line for line in lines)
+        assert any("| no  |    - | -  | -" in line for line in lines)
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "permutations", "-g", "chase", "--format",
@@ -476,6 +477,26 @@ class TestPermutations:
         costs = {o["sentence"]: o["cost"] for o in payload["orders"]}
         assert costs[CHASE_CANONICAL] == 0
         assert costs[CHASE_SCRAMBLED] == 1
+
+    def test_orders_collapse_into_families(self, capsys):
+        # the paper's claim: a scrambled order translates like the canonical
+        # one, because their target derivations are one up to use numbering.
+        # Embedded splits in two, as Mary-ka and Tom-i are both nominative.
+        expected = {"chase": (2, 1), "ditransitive": (6, 1), "embedded": (6, 2)}
+        for name, (words, _) in PERMUTATION_INPUTS.items():
+            _, out, _ = run(capsys, "permutations", "-g", name, "--format",
+                            "json", " ".join(words) + ".")
+            payload = json.loads(out)
+            assert (payload["parsed"], payload["families"]) == expected[name]
+            translations = {}
+            for order in payload["orders"]:
+                assert (order["family"] is None) == (not order["parses"])
+                if order["parses"]:
+                    translations.setdefault(order["family"], set()).add(
+                        order["translation"])
+            # numbered 1, 2, ... by first appearance, one translation each
+            assert list(translations) == list(range(1, payload["families"] + 1))
+            assert all(len(ts) == 1 for ts in translations.values())
 
     def test_stdin_gives_one_object_per_line(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(
@@ -505,7 +526,7 @@ class TestPermutations:
         tables = out.splitlines()
         assert tables[0].startswith("Tom-i ccossnunta. | no")
         assert tables[-3].startswith("Jerry-lul ccossnunta. | no")
-        assert tables.count("0/2 orders parse") == 2
+        assert tables.count("0/2 orders parse, 0 families") == 2
 
     def test_json_batch_goes_on_past_a_failing_line(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self.PIPE))

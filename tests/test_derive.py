@@ -313,7 +313,7 @@ def instance_roots(tree):
     """Each (use, comp)'s instance root in a composed tree, checked to be one."""
     roots = {}
     for node in preorder(tree):
-        if node.addr.is_root:
+        if not node.addr.path:
             assert (node.use, node.comp) not in roots
             roots[node.use, node.comp] = node
     return roots

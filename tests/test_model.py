@@ -35,7 +35,7 @@ class TestGornAddress:
     def test_root_spellings(self):
         assert GornAddress.parse("e") == ROOT
         assert str(ROOT) == "e"
-        assert ROOT.is_root
+        assert ROOT.path == ()
 
     def test_parse_dotted(self):
         assert GornAddress.parse("2.2").path == (2, 2)

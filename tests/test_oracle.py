@@ -261,7 +261,7 @@ def _check_spans(derivation, grammar) -> list[str]:
     the reference search over the built nodes; returns the violations."""
     tree = build_derived_tree(derivation, grammar)
     roots = {(node.use, node.comp): node
-             for node in preorder(tree) if node.addr.is_root}
+             for node in preorder(tree) if not node.addr.path}
     expected = [
         f"dominance: use {use} ({name}) component {upper} does not dominate "
         f"component {lower}"

@@ -27,8 +27,8 @@ from support import (
 )
 
 import stagmt.parser
-from stagmt.derive import (build_derived_tree, ranking_key, render_tree,
-                           uses_cost)
+from stagmt.derive import (Derivation, build_derived_tree, ranking_key,
+                           render_tree)
 from stagmt.errors import (InternalError, LexicalGapError,
                            LimitExceededError, NoParseError)
 from stagmt.grammar_io import load_grammar
@@ -403,9 +403,9 @@ class TestForest:
             assert costs == sorted(set(costs))
             for cost, trees in batches:
                 for tree in trees:
-                    assert cost == uses_cost([
-                        t.comps[comp][0] for comp, _, _ in tree
-                        if t.comps[comp][1] == 0], grammar)
+                    uses = tuple(t.comps[comp][0] for comp, _, _ in tree
+                                 if t.comps[comp][1] == 0)
+                    assert cost == Derivation(uses, 0, ()).cost(grammar)
             trees = self.flat(batches)
             # distinct hyperedges derive distinct instance trees, and a tree
             # holds its instances, so its size is its instance count

@@ -107,6 +107,35 @@ def test_no_recursion():
     assert found == []
 
 
+def test_every_definition_is_named_by_the_program():
+    # code that only tests call should go: each function, class and method
+    # of the library, dunders aside, must be named somewhere in src/,
+    # scripts/ or benchmark/ (its tests aside) other than by its definition:
+    # read as a name or an attribute, imported, or spelled as a string
+    root = SRC.parents[1]
+    named = set()
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).parts
+        if parts[0] not in ("src", "scripts", "benchmark") or "tests" in parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    found = [f"{path.name}:{node.lineno}: {node.name}"
+             for path, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in named]
+    assert found == []
+
+
 def test_line_count_skips_docstrings_comments_and_blanks():
     script = SRC.parents[1] / "scripts" / "line_count.py"
     count = runpy.run_path(str(script))["count"]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from support import (EMBEDDED_CANONICAL, EMBEDDED_FRONTED, empty, foot,
-                     interior, lex, lex_yield, subst)
+from support import (CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
+                     EMBEDDED_FRONTED, empty, foot, interior, lex, lex_yield,
+                     subst)
 
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            make_derivation)
@@ -19,7 +20,8 @@ from stagmt.model import (
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import parse
-from stagmt.transfer import transfer_derivation, transfer_steps
+from stagmt.pipeline import translate_line
+from stagmt.transfer import target_key, transfer_derivation, transfer_steps
 
 
 def att(use, comp, host, host_comp, site, op):
@@ -43,18 +45,21 @@ STACKED = make_derivation(
 
 
 class TestResolveAttachment:
+    # Grammar.target_sites is the table transfer reads: (pair, component,
+    # source address) -> target address
     def test_linked_sites(self, g_chase):
-        gamma = g_chase.pair("gamma_chase")
-        assert gamma.link_for(0, GornAddress.parse("1")).tgt == GornAddress.parse("1")
-        assert gamma.link_for(0, GornAddress.parse("2")).tgt == GornAddress.parse("2.2")
+        sites = g_chase.target_sites
+        assert sites["gamma_chase", 0, GornAddress.parse("1")] == GornAddress.parse("1")
+        assert sites["gamma_chase", 0, GornAddress.parse("2")] == GornAddress.parse("2.2")
+        # the root rule: the head component's root maps to the target root
+        assert sites["gamma_chase", 0, ROOT] == ROOT
 
     def test_unlinked_site_is_none(self, g_chase):
-        gamma = g_chase.pair("gamma_chase")
-        assert gamma.link_for(0, ROOT) is None
+        # the verb's node is neither linked nor the head's root
+        assert g_chase.target_sites.get(("gamma_chase", 0, GornAddress.parse("3"))) is None
 
     def test_wrong_component_is_none(self, g_chase):
-        gamma = g_chase.pair("gamma_chase")
-        assert gamma.link_for(1, GornAddress.parse("1")) is None
+        assert g_chase.target_sites.get(("gamma_chase", 1, GornAddress.parse("1"))) is None
 
     def test_ditransitive_links_swap_object_order(self, g_ditransitive):
         give = g_ditransitive.pair("gamma_give")
@@ -147,6 +152,37 @@ class TestLongDistanceTransfer:
         canonical = {(n.replace("beta_", "alpha_"), h, s, o)
                      for n, h, s, o in fronted}
         assert canonical == shape(EMBEDDED_CANONICAL)
+
+
+def best_target(line, grammar):
+    return translate_line(line, grammar).best.target.derivation
+
+
+class TestTargetKey:
+    def test_scrambled_order_shares_the_canonical_key(self, g_chase):
+        # the fronted object's pair differs from the canonical one, but its
+        # target tree is equal, so the two derivations are one translation
+        canonical = best_target(CHASE_CANONICAL, g_chase)
+        scrambled = best_target(CHASE_SCRAMBLED, g_chase)
+        assert canonical.uses != scrambled.uses
+        assert target_key(canonical, g_chase) == target_key(scrambled, g_chase)
+
+    def test_renumbering_keeps_the_key(self, g_embedded):
+        target = best_target(EMBEDDED_FRONTED, g_embedded)
+        last = len(target.uses) - 1  # use u becomes use last - u
+        renumbered = make_derivation(
+            target.uses[::-1], last - target.root,
+            [a._replace(use=last - a.use, host=last - a.host)
+             for a in target.attachments])
+        assert renumbered != target
+        assert target_key(renumbered, g_embedded) == target_key(target, g_embedded)
+
+    def test_readings_that_swap_the_subjects_differ(self, g_embedded):
+        # Mary-ka and Tom-i are both nominative, so the order decides who
+        # says and who chases
+        swapped = "Tom-i Mary-ka Jerry-lul ccossnunta malhanta."
+        assert (target_key(best_target(EMBEDDED_CANONICAL, g_embedded), g_embedded)
+                != target_key(best_target(swapped, g_embedded), g_embedded))
 
 
 @pytest.fixture()
