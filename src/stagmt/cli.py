@@ -92,8 +92,7 @@ def cmd_translate(args) -> int:
                     "target_tree": render_tree(c.target, grammar),
                     "derivation": render_derivation(c.source.derivation,
                                                     grammar).split("\n"),
-                    "transfer": transfer_steps(c.source.derivation,
-                                               c.target.derivation, grammar),
+                    "transfer": transfer_steps(c.source.derivation, grammar),
                 } for c in result.candidates],
             })
             return
@@ -104,8 +103,7 @@ def cmd_translate(args) -> int:
                 out.append(render_derivation(candidate.source.derivation, grammar))
                 if args.trace_transfer:
                     out.extend(f"  {step}" for step in transfer_steps(
-                        candidate.source.derivation, candidate.target.derivation,
-                        grammar))
+                        candidate.source.derivation, grammar))
         if args.show in ("derived", "both"):
             for candidate in result.candidates:
                 out.append(f"source: {render_tree(candidate.source, grammar)}")
@@ -179,7 +177,7 @@ def cmd_permutations(args) -> int:
             except (NoParseError, LexicalGapError):
                 rows.append((candidate, None, None, None))
                 continue
-            key = target_key(best.target.derivation, grammar)
+            key = target_key(best.target, grammar)
             rows.append((candidate, best.cost,
                          families.setdefault(key, len(families) + 1), best.surface))
         ok = sum(cost is not None for _, cost, _, _ in rows)

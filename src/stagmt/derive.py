@@ -25,10 +25,15 @@ Unfilled slots, stranded feet and unmet obligatory adjunction are met on
 the way, and an instance never entered hangs from a cycle of attachments.
 
 The expansion builds no node. It reads off what the parser and the
-generator need: the lexical yield, where case particles join their nouns,
-the uses' order of first appearance and the instances' spans. A
-``DerivedTree`` carries these and its derivation, and builds its nodes
-(``DNode``) by the same expansion only when its ``root`` is first read.
+generator need: the lexical yield, where case particles join their nouns
+and the instances' spans. It numbers each use by its first appearance in
+the derived tree's preorder, which is a function of the derivation, so
+renumbering a derivation's uses does not change what it composes into. A
+``DerivedTree`` carries what the expansion read off and the derivation in
+that numbering, its canonical form (``canonicalize``), which it computes
+when ``derivation`` is first read. It builds its nodes (``DNode``) by the
+same expansion only when its ``root`` is first read. Nothing renumbers a
+composed tree afterwards.
 """
 
 from __future__ import annotations
@@ -118,44 +123,44 @@ class DNode:
 
 
 class DerivedTree:
-    """A composed tree: the derivation it was composed from, which the
-    parser replaces with the canonical one, and what its expansion read
-    off in preorder.
+    """A composed tree: its derivation, numbered canonically, and what its
+    expansion read off in preorder.
 
-    ``words`` is its lexical yield, and ``joins`` the indexes k in words
-    where words k and k + 1 are a noun and its case particle. ``order``
-    ranks each use by first appearance. ``spans[use, comp]`` is [start,
-    end): start ranks that instance's root among the instance roots in
-    preorder, and end counts the instance roots met before its subtree
-    ends, so one instance root lies below another's exactly when its start
-    falls in the other's span. ``order`` and ``spans`` keep the numbering
-    the tree was composed with; ``canonicalize`` renumbers by ``order``.
+    Uses are numbered by first appearance in the tree's preorder, so
+    ``derivation`` is the canonical form of the derivation the tree was
+    composed from (``canonicalize``), and ``spans`` and the nodes of
+    ``root`` are numbered as it is. ``words`` is the lexical yield, and
+    ``joins`` the indexes k in words where words k and k + 1 are a noun and
+    its case particle. ``spans[use, comp]`` is [start, end): start ranks
+    that instance's root among the instance roots in preorder, and end
+    counts the instance roots met before its subtree ends, so one instance
+    root lies below another's exactly when its start falls in the other's
+    span.
 
-    ``root`` is built when first read, its nodes numbered as
-    ``derivation`` is then, and kept until the derivation is replaced.
+    ``derivation`` is computed, and ``root`` built by the same expansion,
+    when first read; both are kept, and neither can be assigned.
     """
 
-    __slots__ = ("derivation", "words", "joins", "order", "spans", "_composed",
-                 "_built")
+    __slots__ = ("words", "joins", "spans", "_composed", "_order",
+                 "_derivation", "_root")
 
     def __init__(self, elementary, derivation: Derivation, root_comp: int):
-        self.derivation = derivation
-        self._composed = (elementary, derivation.uses, root_comp)
-        self._built = (None, None)  # (the derivation it numbers by, the root)
-        self.words, self.joins, self.order, self.spans, _ = _expand(
+        self._composed = (elementary, derivation, root_comp)
+        self._derivation = self._root = None
+        self.words, self.joins, self._order, self.spans, _ = _expand(
             elementary, derivation, root_comp, False)
 
     @property
+    def derivation(self) -> Derivation:
+        if self._derivation is None:
+            self._derivation = canonicalize(self._composed[1], self._order)
+        return self._derivation
+
+    @property
     def root(self) -> DNode:
-        derivation, root = self._built
-        if derivation is not self.derivation:
-            derivation = self.derivation
-            elementary, uses, root_comp = self._composed
-            by_name = dict(zip(uses, elementary))  # renumbering keeps pair names
-            root = _expand([by_name[name] for name in derivation.uses],
-                           derivation, root_comp, True)[4][0]
-            self._built = (derivation, root)
-        return root
+        if self._root is None:
+            self._root = _expand(*self._composed, True)[4][0]
+        return self._root
 
 
 def _provenance(use: int, comp: int, addr: GornAddress) -> str:
@@ -242,9 +247,10 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
 
 def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
     """Expand the derivation in derived preorder, checking it, as compose
-    documents. Returns the yield, the joins, the use order and the spans
-    that DerivedTree documents, and a list that holds the root node when
-    build is set, with a node made per derived node in preorder."""
+    documents. Returns the yield, the joins, each use's rank of first
+    appearance, the spans that DerivedTree documents and a list that holds
+    the root node when build is set, with a node made per derived node in
+    preorder. Spans and nodes number a use by its rank."""
     sites = _index_sites(elementary, derivation, root_comp)
     words: list[str] = []
     joins: list[int] = []
@@ -267,9 +273,9 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
         filled = sites.get((use, comp), _NO_SITES)
         stop = stop or len(nodes)
         if not i and filled.get(0) is None:  # the instance root, in its subtree's frame
-            order.setdefault(use, len(order))
-            spans[use, comp] = len(spans)
-            stack.append((use, comp))
+            rank = order.setdefault(use, len(order))
+            spans[rank, comp] = len(spans)
+            stack.append((rank, comp))
         while i < stop:
             att = filled.get(i)
             if att is not None:  # enter its instance
@@ -305,7 +311,7 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
                     joins.append(len(words))
             if build:
                 node = nodes[i]
-                made = DNode(node, use, comp, addresses[i])
+                made = DNode(node, order[use], comp, addresses[i])
                 children, arity = parents[-1]
                 children.append(made)
                 if len(children) == arity:
@@ -327,13 +333,13 @@ def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
 
     elementary[use][comp] is the tree of component comp of use; the
     instance of component root_comp of the derivation's root use tops the
-    result, which carries the derivation. Raises a CompositionError
-    subclass when the derivation is ill-formed (a root, use, component or
-    operation that does not exist, a component attaching twice or never,
-    the root instance attaching), when an attachment does not apply (bad
-    site, category clash, NA or double adjunction, cycle) or when the
-    result is not finished (unfilled slot, stranded foot, unsatisfied
-    obligatory adjunction).
+    result, which carries the derivation's canonical form. Raises a
+    CompositionError subclass when the derivation is ill-formed (a root,
+    use, component or operation that does not exist, a component attaching
+    twice or never, the root instance attaching), when an attachment does
+    not apply (bad site, category clash, NA or double adjunction, cycle) or
+    when the result is not finished (unfilled slot, stranded foot,
+    unsatisfied obligatory adjunction).
     """
     return DerivedTree(elementary, derivation, root_comp)
 
@@ -354,8 +360,8 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
 
 
 def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
-    """Dominance requirements of set uses that fail in the composed tree, read
-    off its spans, before tree.derivation is renumbered."""
+    """Dominance requirements of set uses that fail in the composed tree,
+    read off its spans."""
     derivation = tree.derivation
     spans = tree.spans
     out = []
@@ -410,7 +416,7 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
 
 def canonicalize(derivation: Derivation, order: dict[int, int]) -> Derivation:
     """Renumber a derivation's uses by order, their ranks of first
-    appearance in its composed tree's preorder (``DerivedTree.order``).
+    appearance in its composed tree's preorder, as composing it finds them.
 
     Two derivations that differ only in use numbering canonicalize to equal
     values, which is what parser/oracle comparison and deduplication rely on.

@@ -2,8 +2,10 @@
 
 A target derivation (see ``transfer``) is a ``derive.Derivation`` whose uses
 each have one component, the pair's target tree, so it composes through the
-same ``derive.compose`` engine and end checks as the source side, and the
-target tree carries it just as a source tree carries the parse's derivation.
+same ``derive.compose`` engine and end checks as the source side. The
+target tree carries it in canonical numbering, by first appearance in the
+target tree, just as a source tree carries the parse's derivation, so the
+two trees of a translation may number the same use differently.
 The sentence is read off the expansion's words; no node is built for it.
 """
 

@@ -28,6 +28,7 @@ from .model import (
     SourceSet,
     SyncPair,
     TreeNode,
+    check_particles,
 )
 
 FORMAT_VERSION = 1
@@ -192,21 +193,9 @@ def _parse_grammar(text: str, origin: str) -> Grammar:
     for i, entry in enumerate(_list(doc["particles"], f"{origin}.particles")):
         ppath = f"{origin}.particles[{i}]"
         _require(entry, _PARTICLE_KEYS, _PARTICLE_KEYS, ppath)
-        form = _string(entry["form"], f"{ppath}.form")
-        if not form:  # the empty form is a suffix of every word
-            raise GrammarSchemaError("particle form must be nonempty",
-                                     f"{ppath}.form")
-        # a line splits into words at whitespace, and a word at its last
-        # hyphen, so no word segments to such a form
-        if "-" in form or form.split() != [form]:
-            raise GrammarSchemaError(
-                f"particle form {form!r} holds a hyphen or whitespace",
-                f"{ppath}.form")
-        if any(p.form == form for p in particles):
-            raise GrammarSchemaError(
-                f"particle form {form!r} is listed twice", f"{ppath}.form")
-        particles.append(Particle(form=form,
+        particles.append(Particle(form=_string(entry["form"], f"{ppath}.form"),
                                   case=_string(entry["case"], f"{ppath}.case")))
+    check_particles(particles, f"{origin}.particles")
 
     pairs = [
         _pair_from_json(p, f"{origin}.pairs[{i}]")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (DuplicatePairNameError, GrammarError,
+from .errors import (DuplicatePairNameError, GrammarError, GrammarSchemaError,
                      GrammarValidationError, NoStartPairError)
 
 if TYPE_CHECKING:
@@ -260,6 +260,25 @@ class Particle(NamedTuple):
     case: str
 
 
+def check_particles(particles, path: str = "particles") -> None:
+    """Refuse a particle form that no word segments to, or one listed twice;
+    path names the list in the error."""
+    seen: set[str] = set()
+    for i, particle in enumerate(particles):
+        form, where = particle.form, f"{path}[{i}].form"
+        if not form:  # the empty form is a suffix of every word
+            raise GrammarSchemaError("particle form must be nonempty", where)
+        # a line splits into words at whitespace, and a word at its last
+        # hyphen, so no word segments to such a form
+        if "-" in form or form.split() != [form]:
+            raise GrammarSchemaError(
+                f"particle form {form!r} holds a hyphen or whitespace", where)
+        if form in seen:  # else the particle map keeps only the last case
+            raise GrammarSchemaError(f"particle form {form!r} is listed twice",
+                                     where)
+        seen.add(form)
+
+
 class Diagnostic(NamedTuple):
     """One validation finding; any finding invalidates the pair."""
 
@@ -276,10 +295,10 @@ class Diagnostic(NamedTuple):
 class Grammar(Record):
     """Validated pair inventory plus the derived lookup tables.
 
-    Construction checks every pair (``validate_pair``), then refuses a
-    duplicate pair name and a grammar with no start pair, so every
-    ``Grammar`` is valid. Immutable after construction; safe to share
-    across concurrent parses.
+    Construction checks the particle forms (``check_particles``) and every
+    pair (``validate_pair``), then refuses a duplicate pair name and a
+    grammar with no start pair, so every ``Grammar`` is valid. Immutable
+    after construction; safe to share across concurrent parses.
     """
 
     _fields = ("source_language", "target_language", "start_symbol", "pairs",
@@ -288,7 +307,8 @@ class Grammar(Record):
     def __init__(self, source_language: str, target_language: str,
                  start_symbol: str, pairs: Iterable[SyncPair],
                  particles: Iterable[Particle]):
-        pairs = tuple(pairs)
+        pairs, particles = tuple(pairs), tuple(particles)
+        check_particles(particles)
         diagnostics = [d for pair in pairs for d in validate_pair(pair)]
         if diagnostics:
             raise GrammarValidationError(diagnostics)
@@ -298,7 +318,7 @@ class Grammar(Record):
                 raise DuplicatePairNameError(f"duplicate pair name {pair.name!r}")
             seen.add(pair.name)
         self._set(source_language, target_language, start_symbol, pairs,
-                  tuple(particles))
+                  particles)
         if not self.start_pairs:
             raise NoStartPairError(
                 f"no pair has an initial head component rooted in {start_symbol!r}")

@@ -42,8 +42,9 @@ A use is its component-0 instance. Each further component's instances of
 a multi-component pair are matched bijectively with that pair's uses, each
 grouping is expanded once, without building its nodes, and those whose
 dominance requirements fail are discarded; a cost with none left is
-skipped, and the next batch is enumerated. Surviving trees are
-canonicalized, deduplicated and, when more than one is left, sorted.
+skipped, and the next batch is enumerated. Composing a grouping numbers its
+uses canonically, so surviving trees are deduplicated by their derivations
+as composed and, when more than one is left, sorted.
 ``parse`` returns the cheapest level, or every level when asked, each
 carrying its derivations' composed trees, whose nodes are built only if a
 caller reads them, so no later stage composes them again; dearer levels
@@ -66,7 +67,6 @@ from .derive import (
     Derivation,
     DerivedTree,
     build_derived_tree,
-    canonicalize,
     dominance_violations,
     make_derivation,
     ranking_key,
@@ -590,8 +590,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     when it is asked for.
 
     Phase 1 runs up front, from every start pair's head component. Each
-    grouping's one expansion checks its yield against the input; its spans
-    settle dominance, and its use order canonicalizes the kept tree.
+    grouping's one expansion checks its yield against the input and gives
+    its canonical derivation; its spans settle dominance.
     ``max_uses`` None is ``all_derivations``' default.
     """
     check_anchored(sentence, grammar)
@@ -626,10 +626,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                 if tree.words != lex:
                     raise InternalError(
                         f"derived tree yields {tree.words}, not the input {lex}")
-                if dominance_violations(tree, grammar):
-                    continue
-                tree.derivation = canonicalize(derivation, tree.order)
-                found.setdefault(tree.derivation, tree)
+                if not dominance_violations(tree, grammar):
+                    found.setdefault(tree.derivation, tree)
         if found:   # a level of one derivation needs no ranking
             trees = found.values() if len(found) == 1 else sorted(
                 found.values(), key=lambda t: ranking_key(t.derivation, grammar))

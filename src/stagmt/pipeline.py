@@ -1,7 +1,9 @@
 """End-to-end translation: tokenize, parse, transfer, realize.
 
 A translation is a synchronous pair of composed trees, each carrying the
-derivation it was built from. Nothing is rendered here, and no tree node is
+derivation it was built from, numbered canonically by its own tree; the
+target derivation that ``transfer_derivation`` hands to ``realize`` keeps
+the source's numbering. Nothing is rendered here, and no tree node is
 built: the surface is read off the target's words, and callers that print
 either tree render it with ``derive.render_tree``, which builds its nodes.
 """

@@ -13,11 +13,17 @@ grammar alone, so they are filed once per grammar (``Grammar.target_sites``)
 and a use costs one lookup. Attachments of non-head components — the
 scrambled auxiliaries — have no target-side counterpart at all, which is
 exactly how word-order variation disappears in translation.
+
+The realized target tree (``generator.realize``) carries the target
+derivation in its own canonical numbering, by first appearance in the
+target tree, which may differ from the source's. So the transfer trace
+(``transfer_steps``) is read from the source derivation alone, and the
+family key of a translation (``target_key``) from the realized target.
 """
 
 from __future__ import annotations
 
-from .derive import Attachment, Derivation, make_derivation
+from .derive import Attachment, Derivation, DerivedTree, make_derivation
 from .errors import DanglingUseError, UntranslatableAttachmentError
 from .model import Grammar
 
@@ -31,7 +37,8 @@ def _attached_heads(derivation: Derivation, grammar: Grammar) -> dict[int, Attac
 
 
 def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
-    """Carry a source derivation across the bilingual pairs.
+    """Carry a source derivation across the bilingual pairs, keeping its use
+    numbering.
 
     For each non-root use, the attachment of its head component determines
     the target attachment: the linked address when the source site carries a
@@ -63,35 +70,27 @@ def transfer_derivation(derivation: Derivation, grammar: Grammar) -> Derivation:
     return make_derivation(derivation.uses, derivation.root, attachments)
 
 
-def target_key(target: Derivation, grammar: Grammar) -> tuple:
-    """A hashable canonical form of a target derivation, built bottom up:
-    a use's form is its pair's target tree and the (site, form) of each use
-    attached to it, sorted by site. Use numbers do not enter it, so
-    renumbering the uses keeps the key, and neither do pair names, so pairs
-    whose target trees are equal share a key: the analyses of a sentence's
-    scrambled orders and of its canonical order give one key, which is how
-    word-order variation collapses in transfer. The key fixes every target
-    tree and where it attaches, and ``realize`` is deterministic, so
-    derivations with one key have one translation."""
-    below: dict[int, list] = {}  # host -> [(site, use), ...]
-    for att in target.attachments:
-        below.setdefault(att.host, []).append((att.site, att.use))
-    order = [target.root]  # hosts before the uses they host
-    for use in order:
-        order.extend(child for _, child in below.get(use, ()))
-    forms: dict[int, tuple] = {}
-    for use in reversed(order):  # a host's sites are distinct
-        forms[use] = (grammar.pair(target.uses[use]).target, tuple(
-            (site, forms[child]) for site, child in sorted(below.get(use, ()))))
-    return forms[target.root]
+def target_key(target: DerivedTree, grammar: Grammar) -> tuple:
+    """A hashable canonical form of a realized target: its canonical
+    derivation with each pair name replaced by the pair's target tree. Use
+    numbers follow the target tree, so renumbering the uses keeps the key,
+    and pairs whose target trees are equal share a key: the analyses of a
+    sentence's scrambled orders and of its canonical order give one key,
+    which is how word-order variation collapses in transfer. The key fixes
+    every target tree and where it attaches, and ``realize`` is
+    deterministic, so derivations with one key have one translation."""
+    derivation = target.derivation
+    return (tuple(grammar.pair(name).target for name in derivation.uses),
+            derivation.root, derivation.attachments)
 
 
-def transfer_steps(source: Derivation, target: Derivation, grammar: Grammar) -> list[str]:
-    """One trace line per target attachment: the source head attachment it
-    was read from and the target site it maps to."""
+def transfer_steps(source: Derivation, grammar: Grammar) -> list[str]:
+    """One trace line per target attachment, in the source's use numbering:
+    the source head attachment it is read from and the target site it maps
+    to."""
     heads = _attached_heads(source, grammar)
     lines = []
-    for att in target.attachments:
+    for att in transfer_derivation(source, grammar).attachments:
         src = heads[att.use]
         lines.append(f"u{att.use} {source.uses[att.use]}: source u{src.host}/"
                      f"c{src.host_comp}@{src.site} -> target "

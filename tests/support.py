@@ -17,7 +17,6 @@ from stagmt.derive import (
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
-    canonicalize,
     dominance_violations,
     make_derivation,
 )
@@ -74,9 +73,9 @@ def lex_yield(tree) -> tuple[str, ...]:
 
 def read_off(tree):
     """What a composed tree's expansion reads off, read from its built
-    nodes instead: the lexical yield, the joins, each use's rank of first
-    appearance and each instance's span, as ``DerivedTree`` documents them,
-    numbered as the nodes are."""
+    nodes instead: the lexical yield, the joins and each instance's span,
+    as ``DerivedTree`` documents them, numbered as the nodes are, and the
+    nodes' uses in order of first appearance in preorder."""
     words, joins, order, spans = [], [], {}, {}
     stack = [tree.root]
     while stack:
@@ -84,7 +83,7 @@ def read_off(tree):
         if node.__class__ is tuple:  # the end of the instance it keys
             spans[node] = (spans[node], len(spans))
             continue
-        order.setdefault(node.use, len(order))
+        order.setdefault(node.use)
         if not node.addr.path:
             spans[node.use, node.comp] = len(spans)
             stack.append((node.use, node.comp))
@@ -94,7 +93,7 @@ def read_off(tree):
                 (KIND_LEX, "N"), (KIND_LEX, "P")]:
             joins.append(len(words))
         stack.extend(reversed(node.children))
-    return tuple(words), joins, order, spans
+    return tuple(words), joins, list(order), spans
 
 
 # Node builders for elementary trees written in Python.
@@ -183,23 +182,6 @@ def attachment_of(derivation, use: int, comp: int):
                  if (att.use, att.comp) == (use, comp)), None)
 
 
-def canonical(tree):
-    """Give a composed tree its canonical derivation, by its expansion's use
-    order, as the parser does for a kept candidate; returns that
-    derivation."""
-    tree.derivation = canonicalize(tree.derivation, tree.order)
-    return tree.derivation
-
-
-def violations(tree, grammar: Grammar) -> list[str]:
-    """Read a composed tree's dominance violations off its expansion's
-    spans, and give it its canonical derivation, as the parser does for
-    each candidate."""
-    found = dominance_violations(tree, grammar)
-    canonical(tree)
-    return found
-
-
 def set_constraint_violations(derivation, grammar: Grammar) -> list[str]:
     """Why a derivation breaks its multi-component side conditions.
 
@@ -213,7 +195,7 @@ def set_constraint_violations(derivation, grammar: Grammar) -> list[str]:
         tree = build_derived_tree(derivation, grammar)
     except CompositionError as exc:
         return [f"{exc.code}: {exc}"]
-    return violations(tree, grammar)
+    return dominance_violations(tree, grammar)
 
 
 def check_set_constraints(derivation, grammar: Grammar) -> bool:

@@ -24,12 +24,12 @@ from support import (
     permutation_closure,
     preorder,
     sample_derivations,
-    violations,
 )
 
 from stagmt.derive import (
     OP_ADJOIN,
     build_derived_tree,
+    dominance_violations,
     make_derivation,
     render_tree,
 )
@@ -204,7 +204,7 @@ def test_criterion_5_long_distance_scrambling(g_embedded):
           "both components attached to the same use: not long-distance")
 
     tree = build_derived_tree(derivation, g_embedded)
-    check(failures, not violations(tree, g_embedded),
+    check(failures, not dominance_violations(tree, g_embedded),
           "dominance link violated in the derived tree")
 
     scrambled = translate_line(EMBEDDED_FRONTED, g_embedded)

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from support import (CHASE_CANONICAL, DITRANS_CANONICAL, EMBEDDED_CANONICAL,
-                     canonical, chain_sentence, check_set_constraints, foot,
-                     interior, lex, lex_yield, preorder,
-                     set_constraint_violations, subst, violations)
+from support import (AMBIGUOUS_GRAMMAR, AMBIGUOUS_WORDS, CHASE_CANONICAL,
+                     DITRANS_CANONICAL, EMBEDDED_CANONICAL, chain_sentence,
+                     check_set_constraints, corpus, foot, interior, lex,
+                     lex_yield, permutation_closure, preorder, read_off,
+                     set_constraint_violations, subst)
 
 import stagmt.derive
 from stagmt.derive import (
@@ -18,7 +19,9 @@ from stagmt.derive import (
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
+    canonicalize,
     compose,
+    dominance_violations,
     make_derivation,
     render_derivation,
     render_tree,
@@ -30,11 +33,13 @@ from stagmt.errors import (
     IllegalAttachmentError,
     InternalError,
     NAViolationError,
+    NoParseError,
     NotASlotError,
     ObligatoryAdjunctionError,
     UnfilledSlotError,
 )
 from stagmt.generator import realize, yield_surface
+from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -47,6 +52,8 @@ from stagmt.model import (
     SourceSet,
     SyncPair,
 )
+from stagmt.morphotok import tokenize
+from stagmt.parser import parse
 from stagmt.pipeline import translate_line
 from stagmt.transfer import transfer_derivation
 
@@ -370,11 +377,15 @@ class TestWorkingTreeOps:
                        att(2, 0, 1, 0, "e", OP_ADJOIN),
                        att(2, 1, 0, 0, "1", OP_SUBST)],
                       (0, 0))
+        # the nodes number uses by first appearance: beta_tom_sp, then
+        # beta_jerry_op, then gamma_chase
+        assert tree.derivation.uses == ("beta_tom_sp", "beta_jerry_op",
+                                        "gamma_chase")
         roots = instance_roots(tree)
         jerry = roots[1, 0]
-        assert tree.root is roots[2, 0]
+        assert tree.root is roots[0, 0]
         assert tree.root.children[1] is jerry
-        assert jerry.children[1] is roots[0, 0]
+        assert jerry.children[1] is roots[2, 0]
 
 
 @pytest.mark.parametrize("name, line", [("chase", CHASE_CANONICAL),
@@ -411,8 +422,8 @@ def test_composition_does_not_recurse(g_embedded):
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         tree = build_derived_tree(derivation, g_embedded)
-        assert canonical(tree) == derivation
-        assert violations(tree, g_embedded) == []
+        assert tree.derivation == derivation
+        assert dominance_violations(tree, g_embedded) == []
         assert render_tree(tree, g_embedded) == rendered
         target = realize(transfer_derivation(derivation, g_embedded), g_embedded)
     finally:
@@ -478,7 +489,7 @@ class TestCheckSetConstraints:
 class TestCanonicalize:
     def test_frozen_derivations_are_fixed_points(self, g_chase):
         for derivation in (CANONICAL, SCRAMBLED, STACKED):
-            assert canonical(build_derived_tree(derivation, g_chase)) == derivation
+            assert build_derived_tree(derivation, g_chase).derivation == derivation
 
     def test_use_renumbering_is_quotiented_away(self, g_chase):
         base = SCRAMBLED
@@ -490,38 +501,42 @@ class TestCanonicalize:
                 [Attachment(use=perm[a.use], comp=a.comp, host=perm[a.host],
                             host_comp=a.host_comp, site=a.site, op=a.op)
                  for a in base.attachments])
-            assert canonical(build_derived_tree(relabeled, g_chase)) == base
+            tree = build_derived_tree(relabeled, g_chase)
+            assert tree.derivation == base
+            assert read_off(tree)[2] == list(range(n))
 
-    def test_tree_is_relabelled_when_read(self, g_chase):
-        base = STACKED
-        relabeled = make_derivation(
-            tuple(reversed(base.uses)), len(base.uses) - 1 - base.root,
-            [Attachment(use=len(base.uses) - 1 - a.use, comp=a.comp,
-                        host=len(base.uses) - 1 - a.host,
-                        host_comp=a.host_comp, site=a.site, op=a.op)
-             for a in base.attachments])
-        tree = build_derived_tree(relabeled, g_chase)
-        rendered = render_tree(tree, g_chase)
-        before = [(node.cat, node.addr, node.use) for node in preorder(tree)]
-        assert canonical(tree) == base
-        assert tree.derivation == base
-        assert render_tree(tree, g_chase) == rendered
-        # the nodes read after canonicalizing are numbered by the canonical
-        # derivation: use u of the input is use n - 1 - u
-        n = len(base.uses)
-        assert [(cat, addr, n - 1 - use) for cat, addr, use in before] == [
-            (node.cat, node.addr, node.use) for node in preorder(tree)]
-        assert set(instance_roots(tree)) == {
-            (use, comp) for use, name in enumerate(base.uses)
-            for comp in range(g_chase.pair(name).n_components)}
+    @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded",
+                                      "ambiguous"])
+    def test_parsed_trees_are_numbered_by_first_appearance(self, name, request):
+        # every tree a parse returns: its derivation, spans and nodes share
+        # one numbering, by first appearance in the tree's preorder
+        if name == "ambiguous":
+            grammar = load_grammar(AMBIGUOUS_GRAMMAR)
+            lines = permutation_closure(AMBIGUOUS_WORDS)
+        else:
+            grammar = request.getfixturevalue(f"g_{name}")
+            lines = corpus(name)
+        trees = 0
+        for line in lines:
+            try:
+                levels = parse(tokenize(line, grammar), grammar, all_levels=True)
+            except NoParseError:
+                continue
+            for tree in (tree for level in levels for tree in level.trees):
+                trees += 1
+                uses = tree.derivation.uses
+                assert dominance_violations(tree, grammar) == []
+                assert read_off(tree)[2] == list(range(len(uses)))
+                assert set(tree.spans) == {
+                    (use, comp) for use, pair in enumerate(uses)
+                    for comp in range(grammar.pair(pair).n_components)}
+        assert trees
 
-    def test_use_missing_from_the_tree_is_an_internal_error(self, g_chase):
-        tree = build_derived_tree(CANONICAL, g_chase)
-        tree.derivation = make_derivation(
-            CANONICAL.uses + ("alpha_tom_sp",), CANONICAL.root,
-            CANONICAL.attachments)
+    def test_use_missing_from_the_tree_is_an_internal_error(self):
+        longer = make_derivation(CANONICAL.uses + ("alpha_tom_sp",),
+                                 CANONICAL.root, CANONICAL.attachments)
         with pytest.raises(InternalError, match="lacks 1 of its 4 uses"):
-            canonical(tree)
+            canonicalize(longer, {0: 0, 1: 1, 2: 2})
 
 
 

@@ -222,7 +222,9 @@ def test_parser_equals_oracle(data):
         except StagError:
             event("a target does not compose")
         for tree in trees:
-            assert read_off(tree) == (tree.words, tree.joins, tree.order, tree.spans)
+            words, joins, order, spans = read_off(tree)
+            assert (words, joins, spans) == (tree.words, tree.joins, tree.spans)
+            assert order == list(range(len(tree.derivation.uses)))
     if len({grammar.pair(name).priority for d in found for name in d.uses}) > 1:
         event("derivations mix priorities")
     # the default translate path searches cheapest first: its one level is

@@ -10,8 +10,8 @@ from support import empty, foot, interior, lex, subst
 
 import stagmt
 import stagmt.model
-from stagmt.errors import (DuplicatePairNameError, GrammarValidationError,
-                           NoStartPairError)
+from stagmt.errors import (DuplicatePairNameError, GrammarSchemaError,
+                           GrammarValidationError, NoStartPairError)
 from stagmt.model import (
     ADJOIN_NA,
     ADJOIN_OA,
@@ -326,8 +326,8 @@ class TestIndexGrammar:
 
 class TestEveryGrammarIsValid:
     """Building a Grammar runs the checks that loading a grammar file does,
-    in the same order: every pair's diagnostics in one error, then
-    duplicate names, then the start pair."""
+    in the same order: the particle forms, then every pair's diagnostics in
+    one error, then duplicate names, then the start pair."""
 
     @staticmethod
     def build(pairs, g_chase):
@@ -375,6 +375,25 @@ class TestEveryGrammarIsValid:
         assert [(d.pair, d.rule) for d in info.value.diagnostics] == [
             ("beta_ghost", "unanchored"), ("beta_x", "priority"),
             ("beta_x", "priority")]
+
+    @pytest.mark.parametrize("form, message", [
+        # accepted, "Spike Jerry-lul ccossnunta." failed on the pair anchored
+        # on '' instead of naming the unknown word Spike
+        ("", "particle form must be nonempty"),
+        ("i-x", "particle form 'i-x' holds a hyphen or whitespace"),
+        ("u l", "particle form 'u l' holds a hyphen or whitespace"),
+        ("i", "particle form 'i' is listed twice"),
+    ])
+    def test_bad_particle_form_is_refused(self, g_chase, form, message):
+        # checked before the pairs, as in the loader: the ghost pair would
+        # be refused too
+        ghost = _singleton("beta_ghost", interior("S", foot("S")))
+        with pytest.raises(GrammarSchemaError) as info:
+            stagmt.Grammar(source_language="ko", target_language="en",
+                           start_symbol="S", pairs=g_chase.pairs + (ghost,),
+                           particles=[*g_chase.particles, Particle(form, "x")])
+        assert info.value.code == "schema-error"
+        assert str(info.value) == f"particles[4].form: {message}"
 
     def test_fields_are_tuples(self, g_chase):
         grammar = stagmt.Grammar("ko", "en", "S", list(g_chase.pairs),

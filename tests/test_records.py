@@ -29,8 +29,8 @@ NAMED_TUPLES = (
 
 
 def public_records(grammar):
-    """One instance of every public record. DerivedTree is left out: it is
-    mutable, since canonicalize gives it its canonical derivation."""
+    """One instance of every public record. DerivedTree is left out: it
+    builds its nodes when they are first read, so it is not a value record."""
     result = translate_line("Jerry-lul Tom-i ccossnunta.", grammar,
                             all_levels=True)
     pair = grammar.pair("gamma_chase")

@@ -107,6 +107,25 @@ def test_no_recursion():
     assert found == []
 
 
+def test_compose_owns_use_numbering():
+    # composing numbers a tree's uses, so no other module renumbers a
+    # derivation: only derive and the oracle, whose numbering is its own,
+    # name canonicalize, and no code stores to a derivation attribute
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "derivation"
+                    and not isinstance(node.ctx, ast.Load)):
+                found.append(f"{path.name}:{node.lineno}: assigns "
+                             f"{ast.unparse(node)}")
+            elif ("canonicalize" in (getattr(node, "id", None),
+                                     getattr(node, "attr", None),
+                                     getattr(node, "name", None))
+                  and path.name not in ("derive.py", "oracle.py")):
+                found.append(f"{path.name}:{node.lineno}: names canonicalize")
+    assert found == []
+
+
 def test_every_definition_is_named_by_the_program():
     # code that only tests call should go: each function, class and method
     # of the library, dunders aside, must be named somewhere in src/,

@@ -9,6 +9,7 @@ from support import (CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            make_derivation)
 from stagmt.errors import DanglingUseError, UntranslatableAttachmentError
+from stagmt.generator import realize
 from stagmt.model import (
     ROOT,
     ElementaryTree,
@@ -76,8 +77,7 @@ class TestCanonicalTransfer:
                                   att(2, 0, 0, 0, "2.2", OP_SUBST))
 
     def test_steps_trace_the_links(self, g_chase):
-        td = transfer_derivation(CANONICAL, g_chase)
-        assert transfer_steps(CANONICAL, td, g_chase) == [
+        assert transfer_steps(CANONICAL, g_chase) == [
             "u1 alpha_tom_sp: source u0/c0@1 -> target u0@1 (subst)",
             "u2 alpha_jerry_op: source u0/c0@2 -> target u0@2.2 (subst)"]
 
@@ -92,7 +92,7 @@ class TestScrambledTransfer:
     def test_fronting_leaves_no_target_trace(self, g_chase):
         td = transfer_derivation(SCRAMBLED, g_chase)
         assert all(a.op == OP_SUBST for a in td.attachments)
-        assert len(transfer_steps(SCRAMBLED, td, g_chase)) == len(td.attachments) == 2
+        assert len(transfer_steps(SCRAMBLED, g_chase)) == len(td.attachments) == 2
 
     def test_same_landing_sites_as_canonical(self, g_chase):
         def shape(derivation):
@@ -155,7 +155,7 @@ class TestLongDistanceTransfer:
 
 
 def best_target(line, grammar):
-    return translate_line(line, grammar).best.target.derivation
+    return translate_line(line, grammar).best.target
 
 
 class TestTargetKey:
@@ -164,18 +164,20 @@ class TestTargetKey:
         # target tree is equal, so the two derivations are one translation
         canonical = best_target(CHASE_CANONICAL, g_chase)
         scrambled = best_target(CHASE_SCRAMBLED, g_chase)
-        assert canonical.uses != scrambled.uses
+        assert canonical.derivation.uses != scrambled.derivation.uses
         assert target_key(canonical, g_chase) == target_key(scrambled, g_chase)
 
     def test_renumbering_keeps_the_key(self, g_embedded):
-        target = best_target(EMBEDDED_FRONTED, g_embedded)
+        source = translate_line(EMBEDDED_FRONTED, g_embedded).best.source
+        target = transfer_derivation(source.derivation, g_embedded)
         last = len(target.uses) - 1  # use u becomes use last - u
         renumbered = make_derivation(
             target.uses[::-1], last - target.root,
             [a._replace(use=last - a.use, host=last - a.host)
              for a in target.attachments])
         assert renumbered != target
-        assert target_key(renumbered, g_embedded) == target_key(target, g_embedded)
+        assert (target_key(realize(renumbered, g_embedded), g_embedded)
+                == target_key(realize(target, g_embedded), g_embedded))
 
     def test_readings_that_swap_the_subjects_differ(self, g_embedded):
         # Mary-ka and Tom-i are both nominative, so the order decides who
