@@ -10,7 +10,12 @@ although its lexical stream parses. Each line is checked twice: every
 derivation (``all_derivations``) against the oracle's, and the cheapest
 level that ``parse`` returns, the one translate uses, against the oracle's
 derivations of least cost, or ``no-parse`` where the oracle finds none.
-Exit status 1 on any mismatch, so this can run in CI.
+Every tree of every level that ``parse`` returns is refereed too: the
+parser reads it off its instance tree without composing it, so reading its
+root must compose it with every check, and composing its derivation afresh
+(``build_derived_tree``) must read off the same words, joins, spans,
+canonical derivation and dominance verdict. Exit status 1 on any mismatch,
+so this can run in CI.
 
 Usage: python3 scripts/oracle_audit.py [--grammar NAME ...] [--max-uses N]
 """
@@ -26,8 +31,9 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stagmt.derive import render_derivation
-from stagmt.errors import LexicalGapError, NoParseError
+from stagmt.derive import (build_derived_tree, dominance_violations,
+                           render_derivation)
+from stagmt.errors import LexicalGapError, NoParseError, StagError
 from stagmt.grammar_io import load_grammar
 from stagmt.morphotok import tokenize
 from stagmt.oracle import (OracleBound, assert_equivalence,
@@ -74,6 +80,35 @@ def cheapest_agrees(sentence, grammar, bound: OracleBound) -> bool:
     return False
 
 
+def walked_agree(sentence, grammar) -> bool:
+    """Whether every tree of every level that parse returns composes when
+    its root is read and reads off what composing its derivation does;
+    each tree that does not is printed."""
+    try:
+        levels = parse(sentence, grammar, all_levels=True)
+    except (NoParseError, LexicalGapError):
+        return True
+    agree = True
+    for tree in (tree for level in levels for tree in level.trees):
+        try:
+            tree.root
+            composed = build_derived_tree(tree.derivation, grammar)
+        except StagError as exc:
+            differ = [f"composing: {exc.code}: {exc}"]
+        else:
+            differ = [fact for fact in ("words", "joins", "spans", "derivation")
+                      if getattr(tree, fact) != getattr(composed, fact)]
+            if (dominance_violations(tree, grammar)
+                    != dominance_violations(composed, grammar)):
+                differ.append("dominance")
+        if differ:
+            agree = False
+            print(f"{' '.join(sentence.lex_stream)}: walked tree differs from "
+                  f"composing in {', '.join(differ)} [DISAGREE]")
+            show("walked", (tree.derivation,), grammar)
+    return agree
+
+
 def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
     grammar = load_grammar(str(GRAMMAR_FILES.get(name, name)))
     lines = [" ".join(order) + "."
@@ -91,7 +126,8 @@ def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
             mismatches += 1
             show("parser only", report.only_parser, grammar)
             show("oracle only", report.only_oracle, grammar)
-        elif not cheapest_agrees(sentence, grammar, bound):
+        elif not (cheapest_agrees(sentence, grammar, bound)
+                  and walked_agree(sentence, grammar)):
             mismatches += 1
     elapsed = time.perf_counter() - start
     print(f"{name}: {len(lines)} lines audited, {mismatches} mismatch(es), "

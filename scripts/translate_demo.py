@@ -57,7 +57,7 @@ def show(line: str, grammar) -> None:
 
     best = result.best
     print(f"\nchosen: cost {best.cost}, pairs {', '.join(best.source.derivation.uses)}")
-    for step in transfer_steps(best.source.derivation, grammar):
+    for step in transfer_steps(best.source.derivation, best.transferred, grammar):
         print(f"  transfer: {step}")
     print(f"  target: {render_tree(best.target, grammar)}")
     print(f"translation: {best.surface}")

@@ -92,7 +92,8 @@ def cmd_translate(args) -> int:
                     "target_tree": render_tree(c.target, grammar),
                     "derivation": render_derivation(c.source.derivation,
                                                     grammar).split("\n"),
-                    "transfer": transfer_steps(c.source.derivation, grammar),
+                    "transfer": transfer_steps(c.source.derivation, c.transferred,
+                                               grammar),
                 } for c in result.candidates],
             })
             return
@@ -103,7 +104,7 @@ def cmd_translate(args) -> int:
                 out.append(render_derivation(candidate.source.derivation, grammar))
                 if args.trace_transfer:
                     out.extend(f"  {step}" for step in transfer_steps(
-                        candidate.source.derivation, grammar))
+                        candidate.source.derivation, candidate.transferred, grammar))
         if args.show in ("derived", "both"):
             for candidate in result.candidates:
                 out.append(f"source: {render_tree(candidate.source, grammar)}")

@@ -8,7 +8,10 @@ a derivation's derived tree off top down, as a function of the derivation.
 ``compose`` is the one engine and the one checker: source derivations reach
 it through ``build_derived_tree``, and target derivations, whose trees are
 single components (component 0 of each use), through ``generator.realize``,
-so both sides run the same checks.
+so both sides run the same checks. The parser composes nothing: it reads
+what a source tree needs off its own instance trees and hands it to
+``DerivedTree`` (its walked argument), whose nodes, built only when read,
+come from ``compose``'s expansion with every check.
 
 ``compose`` first indexes the attachments by the instance they attach to,
 and within it by the preorder index of the site they fill, checking in one
@@ -24,9 +27,9 @@ whose foot then takes that node and all below it before the host resumes.
 Unfilled slots, stranded feet and unmet obligatory adjunction are met on
 the way, and an instance never entered hangs from a cycle of attachments.
 
-The expansion builds no node. It reads off what the parser and the
-generator need: the lexical yield, where case particles join their nouns
-and the instances' spans. It numbers each use by its first appearance in
+The expansion builds no node. It reads off what the generator and the
+readers of a tree need: the lexical yield, where case particles join their
+nouns and the instances' spans. It numbers each use by its first appearance in
 the derived tree's preorder, which is a function of the derivation, so
 renumbering a derivation's uses does not change what it composes into. A
 ``DerivedTree`` carries what the expansion read off and the derivation in
@@ -138,17 +141,25 @@ class DerivedTree:
     span.
 
     ``derivation`` is computed, and ``root`` built by the same expansion,
-    when first read; both are kept, and neither can be assigned.
+    when first read; both are kept, and neither can be assigned. A tree
+    given walked, the (words, joins, spans) of a canonical derivation read
+    off already, as the parser reads its instance trees, expands nothing
+    until ``root`` is read, and then checks everything compose checks.
     """
 
     __slots__ = ("words", "joins", "spans", "_composed", "_order",
                  "_derivation", "_root")
 
-    def __init__(self, elementary, derivation: Derivation, root_comp: int):
+    def __init__(self, elementary, derivation: Derivation, root_comp: int,
+                 walked: tuple | None = None):
         self._composed = (elementary, derivation, root_comp)
         self._derivation = self._root = None
-        self.words, self.joins, self._order, self.spans, _ = _expand(
-            elementary, derivation, root_comp, False)
+        if walked is None:
+            self.words, self.joins, self._order, self.spans, _ = _expand(
+                elementary, derivation, root_comp, False)
+        else:
+            self._derivation = derivation
+            self.words, self.joins, self.spans = walked
 
     @property
     def derivation(self) -> Derivation:
@@ -363,10 +374,10 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree,
     read off its spans."""
     derivation = tree.derivation
-    spans = tree.spans
+    spans, links = tree.spans, grammar.dominance
     out = []
     for use, name in enumerate(derivation.uses):
-        for dominator, dominated in grammar.pair(name).source.dominance:
+        for dominator, dominated in links.get(name, ()):
             start, end = spans[use, dominator]
             if not start <= spans[use, dominated][0] < end:
                 out.append(f"dominance: use {use} ({name}) component {dominator}"

@@ -1,18 +1,20 @@
 """End-to-end translation: tokenize, parse, transfer, realize.
 
-A translation is a synchronous pair of composed trees, each carrying the
-derivation it was built from, numbered canonically by its own tree; the
-target derivation that ``transfer_derivation`` hands to ``realize`` keeps
-the source's numbering. Nothing is rendered here, and no tree node is
-built: the surface is read off the target's words, and callers that print
-either tree render it with ``derive.render_tree``, which builds its nodes.
+A translation is a synchronous pair of trees, the source tree the parser
+read off and the composed target tree, each carrying the derivation it was
+built from, numbered canonically by its own tree; the target derivation
+that ``transfer_derivation`` hands to ``realize`` keeps the source's
+numbering, and the candidate keeps it for the transfer trace. Nothing is
+rendered here, and no tree node is built: the surface is read off the
+target's words, and callers that print either tree render it with
+``derive.render_tree``, which builds its nodes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .derive import DerivedTree
+from .derive import Derivation, DerivedTree
 from .generator import realize, yield_surface
 from .model import Grammar
 from .morphotok import tokenize
@@ -21,10 +23,13 @@ from .transfer import transfer_derivation
 
 
 class Candidate(NamedTuple):
-    """One translation: the source and target trees and the target's surface."""
+    """One translation: the source tree, the target derivation transferred
+    from it (in the source's use numbering), the target tree composed from
+    that and the target's surface."""
 
     cost: int
     source: DerivedTree
+    transferred: Derivation
     target: DerivedTree
     surface: str
 
@@ -59,8 +64,9 @@ def translate_line(line: str, grammar: Grammar, *,
     candidates = []
     for level in levels:
         for source in level.trees:
-            target = realize(transfer_derivation(source.derivation, grammar), grammar)
+            transferred = transfer_derivation(source.derivation, grammar)
+            target = realize(transferred, grammar)
             candidates.append(Candidate(
-                cost=level.cost, source=source, target=target,
-                surface=yield_surface(target, sentence.terminator)))
+                cost=level.cost, source=source, transferred=transferred,
+                target=target, surface=yield_surface(target, sentence.terminator)))
     return TranslationResult(levels=levels, candidates=tuple(candidates))

@@ -17,8 +17,9 @@ exactly how word-order variation disappears in translation.
 The realized target tree (``generator.realize``) carries the target
 derivation in its own canonical numbering, by first appearance in the
 target tree, which may differ from the source's. So the transfer trace
-(``transfer_steps``) is read from the source derivation alone, and the
-family key of a translation (``target_key``) from the realized target.
+(``transfer_steps``) is read from the source derivation and the target
+derivation that transfer made from it, both in the source's numbering, and
+the family key of a translation (``target_key``) from the realized target.
 """
 
 from __future__ import annotations
@@ -84,13 +85,15 @@ def target_key(target: DerivedTree, grammar: Grammar) -> tuple:
             derivation.root, derivation.attachments)
 
 
-def transfer_steps(source: Derivation, grammar: Grammar) -> list[str]:
-    """One trace line per target attachment, in the source's use numbering:
-    the source head attachment it is read from and the target site it maps
-    to."""
+def transfer_steps(source: Derivation, target: Derivation,
+                   grammar: Grammar) -> list[str]:
+    """One trace line per attachment of target, the target derivation that
+    ``transfer_derivation`` made from source, in the source's use
+    numbering: the source head attachment it is read from and the target
+    site it maps to."""
     heads = _attached_heads(source, grammar)
     lines = []
-    for att in transfer_derivation(source, grammar).attachments:
+    for att in target.attachments:
         src = heads[att.use]
         lines.append(f"u{att.use} {source.uses[att.use]}: source u{src.host}/"
                      f"c{src.host_comp}@{src.site} -> target "

@@ -19,6 +19,7 @@ from support import (AMBIGUOUS_CANONICAL, AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR,
                      EMBEDDED_CANONICAL, EMBEDDED_NEGATIVES, EMBEDDED_WORDS,
                      chain_sentence, corpus)
 
+import stagmt.transfer
 from stagmt.cli import main
 from stagmt.grammar_io import MAX_TREE_DEPTH, builtin_grammar_path
 
@@ -236,6 +237,25 @@ class TestTranslate:
         _, out, _ = run(capsys, "translate", "-g", "chase", "--trace-transfer",
                         *CHASE_SCRAMBLED.split())
         assert "-> target" in out
+
+    @pytest.mark.parametrize("fmt", [["--trace-transfer"], ["--format", "json"]],
+                             ids=["trace", "json"])
+    def test_each_candidate_is_transferred_once(self, capsys, fmt):
+        # the transfer trace reads the target derivation the candidate keeps
+        transferred = []
+        transfer = stagmt.transfer.transfer_derivation
+
+        def counting(derivation, grammar):
+            transferred.append(derivation)
+            return transfer(derivation, grammar)
+
+        with mock.patch("stagmt.pipeline.transfer_derivation", counting), \
+                mock.patch("stagmt.transfer.transfer_derivation", counting):
+            _, out, _ = run(capsys, "translate", "-g", "chase", *fmt,
+                            "--all-derivations", *CHASE_CANONICAL.split())
+        candidates = (len(json.loads(out)["candidates"]) if "--format" in fmt
+                      else out.count("# cost"))
+        assert len(transferred) == candidates == 3
 
     def test_all_derivations_shows_every_level(self, capsys):
         _, out, _ = run(capsys, "translate", "-g", "chase", "--all-derivations",

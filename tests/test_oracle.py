@@ -20,6 +20,7 @@ from support import (
     subst,
 )
 
+import stagmt.derive
 import stagmt.parser
 from stagmt import oracle
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
@@ -215,6 +216,19 @@ def _fall_through_grammar():
     return _grammar(pairs)
 
 
+def _count_compositions(monkeypatch) -> list:
+    """A list that gains an entry each time compose expands a tree."""
+    composed = []
+    expand = stagmt.derive._expand
+
+    def counting(*args):
+        composed.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(stagmt.derive, "_expand", counting)
+    return composed
+
+
 class TestDominanceFallThrough:
     """The cheapest cost can hold groupings only, all failing dominance;
     the best level is then the next cost that parses."""
@@ -223,7 +237,7 @@ class TestDominanceFallThrough:
         g = _fall_through_grammar()
         sentence = tokenize("x y z.", g)
 
-        rejected = []
+        rejected, composed = [], _count_compositions(monkeypatch)
 
         def recording(tree, grammar):
             violations = dominance_violations(tree, grammar)
@@ -233,7 +247,8 @@ class TestDominanceFallThrough:
 
         monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
         (best,) = parse(sentence, g)
-        assert rejected == [1]
+        # the walk's spans settle dominance: no grouping is composed
+        assert (rejected, composed) == ([1], [])
         assert best.cost == 2
         assert [d.uses for d in best.derivations] == [
             ("beta_x", "gamma_z", "alpha_y")]
@@ -337,7 +352,7 @@ class TestIntervalDominance:
         # the cost-1 grouping puts B(y) below the S its auxiliary adjoins
         # to: the dominated component lies outside the dominating one
         g = _fall_through_grammar()
-        rejected = []
+        rejected, composed = [], _count_compositions(monkeypatch)
 
         def recording(tree, grammar):
             violations = dominance_violations(tree, grammar)
@@ -348,6 +363,7 @@ class TestIntervalDominance:
         monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
         all_derivations(tokenize("x y z.", g), g)
         (derivation,) = rejected
+        assert composed == []   # rejected on the walk's spans
         assert _check_spans(derivation, g) == [
             "dominance: use 0 (beta_xy) component 1 does not dominate component 0"]
 

@@ -9,6 +9,7 @@ import pytest
 from support import (
     AMBIGUOUS_FRONTED,
     AMBIGUOUS_GRAMMAR,
+    AMBIGUOUS_WORDS,
     CHASE_CANONICAL,
     CHASE_SCRAMBLED,
     CHASE_WORDS,
@@ -16,6 +17,7 @@ from support import (
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
     attachment_of,
+    check_walked,
     corpus,
     empty,
     foot,
@@ -26,6 +28,7 @@ from support import (
     subst,
 )
 
+import stagmt.derive
 import stagmt.parser
 from stagmt.derive import (Derivation, build_derived_tree, ranking_key,
                            render_tree)
@@ -189,15 +192,38 @@ class TestFailureModes:
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
         # the yield check must survive python -O, so it cannot be an assert
-        def misyielding(derivation, grammar):
-            tree = build_derived_tree(derivation, grammar)
-            tree.words = tree.words[1:]  # drops its first word
-            return tree
+        walk = stagmt.parser._walk
 
-        monkeypatch.setattr(stagmt.parser, "build_derived_tree", misyielding)
+        def misyielding(flat, tables):
+            words, *rest = walk(flat, tables)
+            return (words[1:], *rest)  # drops its first word
+
+        monkeypatch.setattr(stagmt.parser, "_walk", misyielding)
         with pytest.raises(InternalError, match="derived tree yields") as info:
             derivations_of(CHASE_CANONICAL, g_chase)
         assert info.value.code == "internal-error"
+
+
+@pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded",
+                                  "ambiguous"])
+def test_walked_trees_agree_with_composing(name):
+    # every tree of every level, over the corpora and the three-object orders
+    if name == "ambiguous":
+        grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
+        lines = permutation_closure(AMBIGUOUS_WORDS)
+    else:
+        grammar = load_grammar(name)
+        lines = corpus(name)
+    trees = 0
+    for line in lines:
+        try:
+            levels = parse(tokenize(line, grammar), grammar, all_levels=True)
+        except (NoParseError, LexicalGapError):
+            continue
+        for tree in (tree for level in levels for tree in level.trees):
+            check_walked(tree, grammar)
+            trees += 1
+    assert trees
 
 
 class TestRanking:
@@ -283,19 +309,30 @@ class TestLevelsOnDemand:
         assert parsed > 0
 
     def test_dearer_levels_are_not_composed(self, g_chase, monkeypatch):
-        composed = []
+        # phase 2 walks each instance tree that has a grouping, dearer
+        # levels' only when asked, and composes none: a tree composes when
+        # its root is first read
+        walked, composed = [], []
+        walk, expand = stagmt.parser._walk, stagmt.derive._expand
 
-        def counting(derivation, grammar):
-            composed.append(derivation)
-            return build_derived_tree(derivation, grammar)
+        def walking(flat, tables):
+            walked.append(flat)
+            return walk(flat, tables)
 
-        monkeypatch.setattr(stagmt.parser, "build_derived_tree", counting)
+        def composing(*args):
+            composed.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(stagmt.parser, "_walk", walking)
+        monkeypatch.setattr(stagmt.derive, "_expand", composing)
         sentence = tokenize(CHASE_CANONICAL, g_chase)
         parse(sentence, g_chase)
+        assert (len(walked), len(composed)) == (1, 0)
+        walked.clear()
+        levels = parse(sentence, g_chase, all_levels=True)
+        assert (len(walked), len(composed)) == (3, 0)
+        render_tree(levels[-1].trees[0], g_chase)
         assert len(composed) == 1
-        composed.clear()
-        parse(sentence, g_chase, all_levels=True)
-        assert len(composed) == 3
 
     def test_dearer_levels_are_not_enumerated(self, g_chase, monkeypatch):
         # the canonical sentence has 5 root instance trees, 1 of them at

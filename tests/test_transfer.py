@@ -77,7 +77,9 @@ class TestCanonicalTransfer:
                                   att(2, 0, 0, 0, "2.2", OP_SUBST))
 
     def test_steps_trace_the_links(self, g_chase):
-        assert transfer_steps(CANONICAL, g_chase) == [
+        steps = transfer_steps(CANONICAL, transfer_derivation(CANONICAL, g_chase),
+                               g_chase)
+        assert steps == [
             "u1 alpha_tom_sp: source u0/c0@1 -> target u0@1 (subst)",
             "u2 alpha_jerry_op: source u0/c0@2 -> target u0@2.2 (subst)"]
 
@@ -92,7 +94,7 @@ class TestScrambledTransfer:
     def test_fronting_leaves_no_target_trace(self, g_chase):
         td = transfer_derivation(SCRAMBLED, g_chase)
         assert all(a.op == OP_SUBST for a in td.attachments)
-        assert len(transfer_steps(SCRAMBLED, g_chase)) == len(td.attachments) == 2
+        assert len(transfer_steps(SCRAMBLED, td, g_chase)) == len(td.attachments) == 2
 
     def test_same_landing_sites_as_canonical(self, g_chase):
         def shape(derivation):
