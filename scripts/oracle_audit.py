@@ -80,7 +80,7 @@ def cheapest_agrees(sentence, grammar, bound: OracleBound) -> bool:
     return False
 
 
-def walked_agree(sentence, grammar) -> bool:
+def parsed_agree(sentence, grammar) -> bool:
     """Whether every tree of every level that parse returns composes when
     its root is read and reads off what composing its derivation does;
     each tree that does not is printed."""
@@ -103,9 +103,9 @@ def walked_agree(sentence, grammar) -> bool:
                 differ.append("dominance")
         if differ:
             agree = False
-            print(f"{' '.join(sentence.lex_stream)}: walked tree differs from "
+            print(f"{' '.join(sentence.lex_stream)}: parsed tree differs from "
                   f"composing in {', '.join(differ)} [DISAGREE]")
-            show("walked", (tree.derivation,), grammar)
+            show("parsed", (tree.derivation,), grammar)
     return agree
 
 
@@ -127,7 +127,7 @@ def audit(name: str, words, bound: OracleBound, verbose: bool) -> int:
             show("parser only", report.only_parser, grammar)
             show("oracle only", report.only_oracle, grammar)
         elif not (cheapest_agrees(sentence, grammar, bound)
-                  and walked_agree(sentence, grammar)):
+                  and parsed_agree(sentence, grammar)):
             mismatches += 1
     elapsed = time.perf_counter() - start
     print(f"{name}: {len(lines)} lines audited, {mismatches} mismatch(es), "

@@ -5,33 +5,35 @@ every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Attachments are named tuples
 sorted by (use, comp), so a reader takes them in one pass. Composition reads
 a derivation's derived tree off top down, as a function of the derivation.
-``compose`` is the one engine and the one checker: source derivations reach
-it through ``build_derived_tree``, and target derivations, whose trees are
-single components (component 0 of each use), through ``generator.realize``,
-so both sides run the same checks. The parser composes nothing: it reads
-what a source tree needs off its own instance trees and hands it to
-``DerivedTree`` (its walked argument), whose nodes, built only when read,
-come from ``compose``'s expansion with every check.
+``compose`` is the one checker and ``expand`` the one engine: source
+derivations reach them through ``build_derived_tree``, and target
+derivations, whose trees are single components (component 0 of each use),
+through ``generator.realize``, so both sides run the same checks. The
+parser composes nothing: it runs ``expand`` over its own instance trees,
+each instance its own use, for what a source tree needs, and hands that to
+``DerivedTree`` (its expanded argument), whose nodes, built only when read,
+come from composing with every check.
 
 ``compose`` first indexes the attachments by the instance they attach to,
-and within it by the preorder index of the site they fill, checking in one
-pass over them that the uses, components and operation exist, that every
-component but the root instance attaches once, and that each fits its site
-in its host's elementary tree. It then expands the root instance in derived
-preorder over the elementary trees' compiled tables
-(``ElementaryTree.compiled``, which codes each node by what expanding it
-does), looking up each node's attachment once, with an explicit stack of
-runs of one instance's nodes: a filled slot enters the instance substituted
+and within it by the preorder index of the site they fill
+(``_index_sites``), checking in one pass over them that the uses,
+components and operation exist, that every component but the root instance
+attaches once, and that each fits its site in its host's elementary tree.
+``expand`` then expands the root instance in derived preorder over the
+elementary trees' compiled tables (``ElementaryTree.compiled``, which codes
+each node by what expanding it does), looking up each node's attachment
+once, with an explicit stack of runs of one instance's nodes: a filled slot enters the instance substituted
 there, and an adjunction at a node enters the auxiliary instance first,
 whose foot then takes that node and all below it before the host resumes.
 Unfilled slots, stranded feet and unmet obligatory adjunction are met on
 the way, and an instance never entered hangs from a cycle of attachments.
 
-The expansion builds no node. It reads off what the generator and the
-readers of a tree need: the lexical yield, where case particles join their
-nouns and the instances' spans. It numbers each use by its first appearance in
-the derived tree's preorder, which is a function of the derivation, so
-renumbering a derivation's uses does not change what it composes into. A
+The expansion builds no node. It reads off what the parser, the generator
+and the readers of a tree need: the lexical yield, where case particles
+join their nouns and the instances' spans. It numbers each use by its first
+appearance in the derived tree's preorder, which is a function of the
+derivation, so renumbering a derivation's uses does not change what it
+composes into. A
 ``DerivedTree`` carries what the expansion read off and the derivation in
 that numbering, its canonical form (``canonicalize``), which it computes
 when ``derivation`` is first read. It builds its nodes (``DNode``) by the
@@ -73,7 +75,7 @@ OP_ADJOIN = "adjoin"
 
 # the sites of an instance that nothing attaches to; never written, since
 # only a site that holds an attachment is
-_NO_SITES: dict[int, Attachment] = {}
+_NO_SITES: dict[int, tuple] = {}
 
 
 class Attachment(NamedTuple):
@@ -142,24 +144,22 @@ class DerivedTree:
 
     ``derivation`` is computed, and ``root`` built by the same expansion,
     when first read; both are kept, and neither can be assigned. A tree
-    given walked, the (words, joins, spans) of a canonical derivation read
-    off already, as the parser reads its instance trees, expands nothing
-    until ``root`` is read, and then checks everything compose checks.
+    given expanded, what ``expand`` returns for the canonical derivation
+    given, read off already as the parser reads its instance trees (no use
+    order, no nodes), expands nothing until ``root`` is read, and then
+    composes with every check.
     """
 
     __slots__ = ("words", "joins", "spans", "_composed", "_order",
                  "_derivation", "_root")
 
     def __init__(self, elementary, derivation: Derivation, root_comp: int,
-                 walked: tuple | None = None):
+                 expanded: tuple | None = None):
         self._composed = (elementary, derivation, root_comp)
-        self._derivation = self._root = None
-        if walked is None:
-            self.words, self.joins, self._order, self.spans, _ = _expand(
-                elementary, derivation, root_comp, False)
-        else:
-            self._derivation = derivation
-            self.words, self.joins, self.spans = walked
+        # a tree the parser read off comes with its canonical derivation
+        self._derivation, self._root = expanded and derivation, None
+        self.words, self.joins, self._order, self.spans, _ = expanded or expand(
+            *_index_sites(*self._composed), False)
 
     @property
     def derivation(self) -> Derivation:
@@ -170,7 +170,7 @@ class DerivedTree:
     @property
     def root(self) -> DNode:
         if self._root is None:
-            self._root = _expand(*self._composed, True)[4][0]
+            self._root = expand(*_index_sites(*self._composed), True)[4][0]
         return self._root
 
 
@@ -183,16 +183,17 @@ def _where(att: Attachment) -> str:
 
 
 def _index_sites(elementary, derivation: Derivation, root_comp: int):
-    """The derivation's attachments by the instance they attach to, as (host,
-    host component), and within it by their site's preorder index. One pass
-    checks each attachment's shape, then its site; after it, every instance
-    but the root's must have attached."""
+    """The derivation as ``expand`` takes it: elementary, the attachments as
+    (use, comp, op) by the instance they attach to, as (host, host
+    component), and within it by their site's preorder index, and the root
+    instance. One pass checks each attachment's shape, then its site; after
+    it, every instance but the root's must have attached."""
     n = len(elementary)
     if not 0 <= derivation.root < n:
         raise IllegalAttachmentError(f"root index {derivation.root} out of range")
     root = (derivation.root, root_comp)
     attached: set[tuple[int, int]] = set()
-    sites: dict[tuple[int, int], dict[int, Attachment]] = {}
+    sites: dict[tuple[int, int], dict[int, tuple]] = {}
     for att in derivation.attachments:
         use, comp, host, host_comp, address, op = att
         if not (0 <= use < n and 0 <= host < n):
@@ -246,23 +247,27 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
             if tree.root.cat != site.cat:
                 raise CategoryMismatchError(
                     f"cannot adjoin {tree.root.cat} auxiliary at {site.cat} node")
-        filled[index] = att
+        filled[index] = (use, comp, op)
     if len(attached) < sum(map(len, elementary)) - 1:
         use, comp = next((use, comp) for use, trees in enumerate(elementary)
                          for comp in range(len(trees))
                          if (use, comp) not in attached and (use, comp) != root)
         raise IllegalAttachmentError(f"missing component: ({use}, {comp}) of "
                                      f"{derivation.uses[use]} never attaches")
-    return sites
+    return elementary, sites, root
 
 
-def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
-    """Expand the derivation in derived preorder, checking it, as compose
-    documents. Returns the yield, the joins, each use's rank of first
-    appearance, the spans that DerivedTree documents and a list that holds
-    the root node when build is set, with a node made per derived node in
-    preorder. Spans and nodes number a use by its rank."""
-    sites = _index_sites(elementary, derivation, root_comp)
+def expand(elementary, sites, root: tuple[int, int], build: bool):
+    """Expand instance root, a (use, comp), in derived preorder, as compose
+    documents. elementary[use][comp] is an instance's tree, and sites holds
+    each attachment's (use, comp, op) as ``_index_sites`` files them, which
+    it uses up; every instance but root attaches once, at a site that takes
+    it, as ``_index_sites`` checks and this does not. This checks what is
+    met on the way: unfilled slots, stranded feet, unmet obligatory
+    adjunction and cycles. Returns the yield, the joins, each use's rank of
+    first appearance, the spans that DerivedTree documents and a list that
+    holds the root node when build is set, with a node made per derived
+    node in preorder. Spans and nodes number a use by its rank."""
     words: list[str] = []
     joins: list[int] = []
     order: dict[int, int] = {}
@@ -273,7 +278,7 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
     # a frame runs over nodes [i, stop) of instance (use, comp), stop None
     # for all of them, and its foot takes the frame filler; an instance's
     # span key marks where its span ends
-    stack: list = [[derivation.root, root_comp, 0, None, None]]
+    stack: list = [[*root, 0, None, None]]
     while stack:
         frame = stack.pop()
         if frame.__class__ is tuple:
@@ -291,13 +296,13 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
             att = filled.get(i)
             if att is not None:  # enter its instance
                 filled[i] = None  # a node adjoined at, for the foot that takes it
-                if att.op == OP_SUBST:
+                if att[2] == OP_SUBST:
                     stack += ([use, comp, i + 1, stop, filler],
-                              [att.use, att.comp, 0, None, None])
+                              [*att[:2], 0, None, None])
                 else:  # the auxiliary's foot takes node i and all below it
                     below = [use, comp, i, ends[i], filler]
                     stack += ([use, comp, ends[i], stop, filler],
-                              [att.use, att.comp, 0, None, below])
+                              [*att[:2], 0, None, below])
                 break
             code = codes[i]
             if code:
@@ -332,7 +337,7 @@ def _expand(elementary, derivation: Derivation, root_comp: int, build: bool):
             i += 1
     # every instance but the root attaches once, and is entered only from
     # its host, so those whose root was never met hang from a cycle
-    unreached = len(derivation.attachments) + 1 - len(spans)
+    unreached = sum(map(len, sites.values())) + 1 - len(spans)
     if unreached:
         raise IllegalAttachmentError(
             f"cyclic attachment: {unreached} instance(s) never reached from the root")
@@ -374,10 +379,10 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree,
     read off its spans."""
     derivation = tree.derivation
-    spans, links = tree.spans, grammar.dominance
+    spans = tree.spans
     out = []
     for use, name in enumerate(derivation.uses):
-        for dominator, dominated in links.get(name, ()):
+        for dominator, dominated in grammar.pair(name).source.dominance:
             start, end = spans[use, dominator]
             if not start <= spans[use, dominated][0] < end:
                 out.append(f"dominance: use {use} ({name}) component {dominator}"

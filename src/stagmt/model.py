@@ -15,7 +15,6 @@ fields composition reads at every node, are read-only plain classes
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -187,22 +186,6 @@ class ElementaryTree(Record):
         return nodes, addresses, index, ends, codes
 
     @cached_property
-    def skeleton(self) -> tuple:
-        """The tables the parser walks a parsed instance of this tree by, a
-        run of nodes between two sites at a time: (ends, stream, before,
-        foot). ends is as in ``compiled``; stream holds the words in
-        preorder, with None for each ``CODE_JOIN`` node, and nodes [i, j)
-        read stream[before[i]:before[j]]; foot is the foot's preorder
-        index, None if there is none."""
-        nodes, _, _, ends, codes = self.compiled
-        read = [code == CODE_WORD or code < CODE_WORD and code & CODE_JOIN
-                for code in codes]
-        return (ends, tuple(node.word if code == CODE_WORD else None
-                            for node, code, r in zip(nodes, codes, read) if r),
-                (0, *itertools.accumulate(map(bool, read))),
-                codes.index(CODE_FOOT) if CODE_FOOT in codes else None)
-
-    @cached_property
     def foot_address(self) -> GornAddress | None:
         for addr, node in self.nodes.items():
             if node.kind == KIND_FOOT:
@@ -343,11 +326,6 @@ class Grammar(Record):
     @cached_property
     def pair_by_name(self) -> dict[str, SyncPair]:
         return {p.name: p for p in self.pairs}
-
-    @cached_property
-    def dominance(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """The dominance links of each pair that has any, by pair name."""
-        return {p.name: p.source.dominance for p in self.pairs if p.source.dominance}
 
     def pair(self, name: str) -> SyncPair:
         try:

@@ -40,19 +40,20 @@ its use count are fixed by its instance tree, so each batch of trees from
 enumeration is one level's candidates, those over the use budget dropped.
 A use is its component-0 instance. Each further component's instances of
 a multi-component pair are matched bijectively with that pair's uses. An
-instance tree that has a grouping is walked once (``_walk``), over its
-instances' trees' runs of words between sites (``ElementaryTree.skeleton``)
-rather than their nodes, for what composing it would read off: its yield,
-checked against the input, its instances in order of first appearance in
-derived preorder and their spans. Nothing is composed. Each grouping's uses
-are numbered by first appearance, which makes its canonical derivation,
-and those whose dominance requirements fail on the spans are discarded; a
-cost with none left is skipped, and the next batch is enumerated.
-Surviving trees are deduplicated by their derivations and, when more than
-one is left, sorted. ``parse`` returns the cheapest level, or every level
-when asked, each carrying its derivations' source trees, which compose,
-with every check, only when a caller reads their nodes; dearer levels are
-never enumerated, grouped or walked unless asked for.
+instance tree that has a grouping is expanded once, by compose's engine
+(``derive.expand``), each instance its own use, at the sites pass 2 found;
+``compose``'s checks of those sites are left out, since pass 1's deduction
+rules guarantee them. The expansion gives its yield, checked against the
+input, its instances in order of first appearance in derived preorder and
+their spans. No derivation is composed. Each grouping's uses are numbered
+by first appearance, which makes its canonical derivation directly, and
+those whose dominance requirements fail on the spans are discarded; a cost
+with none left is skipped, and the next batch is enumerated. Surviving
+trees are deduplicated by their derivations and, when more than one is
+left, sorted. ``parse`` returns the cheapest level, or every level when
+asked, each carrying its derivations' source trees, which compose, with
+every check, only when a caller reads their nodes; dearer levels are never
+enumerated, grouped or expanded unless asked for.
 ``all_derivations`` returns every level's derivations flat.
 """
 
@@ -71,6 +72,7 @@ from .derive import (
     Derivation,
     DerivedTree,
     dominance_violations,
+    expand,
     make_derivation,
     ranking_key,
 )
@@ -167,9 +169,8 @@ class ChartTables:
     attaches (``site``, with the site's preorder index in its tree). Phase
     2 groups an instance tree's set instances by ``sets``, the component
     ids of each set pair, set pairs in name order, and ``set_of``, the index
-    there of each set pair's component id; it walks an instance by its
-    tree's ``skeletons`` entry and gives a use of a pair ``components``,
-    that pair's source trees.
+    there of each set pair's component id; it expands an instance tree, and
+    gives a use of a pair, ``components``, that pair's source trees.
     """
 
     def __init__(self, grammar: Grammar):
@@ -177,12 +178,10 @@ class ChartTables:
         self.comp_id: dict[tuple[str, int], int] = {}
         # pass 2's charge for an instance: a use is its component-0 instance
         self.comp_cost: list[int] = []
-        # phase 2's, by component id
-        self.skeletons: list[tuple] = []
+        # phase 2's, by component id: its pair's source trees
         self.components: list[tuple[ElementaryTree, ...]] = []
         nodes: list[TreeNode] = []
-        addrs: list[GornAddress] = []
-        local: list[int] = []   # node id -> preorder index in its tree
+        addrs: list[tuple[GornAddress, int]] = []  # and preorder index in its tree
         children: list[list[int]] = []
         roots: list[tuple[int, bool]] = []  # component id -> (root, auxiliary)
         for pair in grammar.pairs:
@@ -190,17 +189,15 @@ class ChartTables:
                 self.comp_id[pair.name, ci] = len(self.comps)
                 self.comps.append((pair.name, ci))
                 self.comp_cost.append(pair.priority - 1 if ci == 0 else 0)
-                self.skeletons.append(comp.skeleton)
                 self.components.append(pair.source.components)
                 roots.append((len(nodes), comp.is_auxiliary))
                 ids: dict[tuple[int, ...], int] = {}
                 for address, node in comp.nodes.items():
-                    local.append(len(ids))
                     ids[address.path] = len(nodes)
                     if address.path:
                         children[ids[address.path[:-1]]].append(len(nodes))
                     nodes.append(node)
-                    addrs.append(address)
+                    addrs.append((address, len(ids) - 1))
                     children.append([])
         # pass 2's instance budget allows max_comps instances per use
         self.max_comps = max((p.n_components for p in grammar.pairs), default=1)
@@ -231,16 +228,16 @@ class ChartTables:
         self.empty_syms: list[int] = []
         # cat -> (node id, below symbol) of its adjoinable nodes
         self.hosts: dict[str, list[tuple[int, int]]] = {}
-        # slot or host symbol -> (address, operation, preorder index) of
+        # slot or host symbol -> (address, preorder index, operation) of
         # the site where an instance there attaches
-        self.site: dict[int, tuple[GornAddress, str, int]] = {}
+        self.site: dict[int, tuple[GornAddress, int, str]] = {}
         subst_slots: dict[str, list[int]] = {}
         for n, node in enumerate(nodes):
             if below[n] != n and node.adjoin != ADJOIN_OA:
                 unary.setdefault(below[n], []).append((n, 0))
             if node.kind == KIND_SUBST:
                 subst_slots.setdefault(node.cat, []).append(below[n])
-                self.site[below[n]] = (addrs[n], OP_SUBST, local[n])
+                self.site[below[n]] = (*addrs[n], OP_SUBST)
             elif node.kind == KIND_LEX:
                 self.lex_syms.setdefault(node.word, []).append(below[n])
             elif node.kind == KIND_EMPTY:
@@ -248,7 +245,7 @@ class ChartTables:
             elif hosting[n]:
                 self.hosts.setdefault(node.cat, []).append((n, below[n]))
                 host_of[below[n]] = (n, node.cat)
-                self.site[n] = (addrs[n], OP_ADJOIN, local[n])
+                self.site[n] = (*addrs[n], OP_ADJOIN)
             kids = children[n]
             middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
             next_sym += len(middle)
@@ -562,12 +559,12 @@ class _SpanParser:
                 yield cost, found
 
 
-def _groupings(flat: tuple, heads: dict[int, int], tables: ChartTables):
-    """Yield the use of each further component's instance, by instance index.
+def _groupings(flat: tuple, tables: ChartTables):
+    """Yield the use of each further component's instance, by instance
+    index, a use being its component-0 instance's index.
 
-    flat is an instance tree from ``_SpanParser.trees``, and heads numbers
-    its component-0 instances, the uses, in instance order. One pass over
-    it files the instances of each set pair's components by component id
+    flat is an instance tree from ``_SpanParser.trees``. One pass over it
+    files the instances of each set pair's components by component id
     (``ChartTables.sets``). The instances of each further component of a
     multi-component pair are matched bijectively with that pair's uses;
     every choice of one permutation per further component is one candidate
@@ -583,7 +580,7 @@ def _groupings(flat: tuple, heads: dict[int, int], tables: ChartTables):
     matched = []    # (a further component's instances, its pair's uses)
     for rank in sorted({set_of[comp] for comp in members}):
         first, *further = tables.sets[rank]
-        base = [heads[idx] for idx in members.get(first, ())]
+        base = members.get(first, ())
         for comp in further:
             found = members.get(comp, ())
             if len(found) != len(base):
@@ -599,74 +596,15 @@ def _groupings(flat: tuple, heads: dict[int, int], tables: ChartTables):
                for idx, use in zip(perm, base)}
 
 
-def _walk(flat: tuple, tables: ChartTables):
-    """Read an instance tree's derived tree off, without building or
-    checking it: its yield as ``DerivedTree`` has it (words, joins), its
-    instance indexes in order of first appearance in preorder, and by
-    instance index the span that ``DerivedTree`` documents.
-
-    This is compose's expansion, run over each instance's ``skeleton``
-    rather than its nodes: a frame reads the words of nodes [i, stop) of
-    one instance up to its next site or its foot, so the walk takes a few
-    steps per instance and per run of words. Pass 1's deduction rules have
-    checked what compose checks; compose checks it again if a tree's
-    ``root`` is read.
-    """
-    skeletons = [tables.skeletons[comp] for comp, _, _ in flat]
-    sites = [[] for _ in flat]  # by host: (preorder index, instance, op)
-    for idx, (_, parent, (_, op, index)) in enumerate(flat[1:], 1):
-        sites[parent].append((index, idx, op))
-    for filled in sites:
-        filled.sort()
-    stream, entered, spans = [], [], [None] * len(flat)
-    # a frame runs over nodes [i, stop) of instance inst, stop 0 for all of
-    # them, from its k-th site on, and its foot takes the frame filler; an
-    # instance's index marks where its span ends
-    stack: list = [(0, 0, 0, 0, None)]
-    while stack:
-        frame = stack.pop()
-        if frame.__class__ is int:
-            spans[frame] = (spans[frame], len(entered))
-            continue
-        inst, i, stop, k, filler = frame
-        ends, words, before, foot = skeletons[inst]
-        filled = sites[inst]
-        stop = at = stop or ends[0]
-        if k < len(filled) and filled[k][0] < stop:
-            at, child, op = filled[k]
-        if not i and at:    # the instance root, unless adjoined at first
-            spans[inst] = len(entered)
-            entered.append(inst)
-            stack.append(inst)
-        if foot is not None and i <= foot < at:
-            stream += words[before[i]:before[foot]]
-            stack += ((inst, foot + 1, stop, k, None), filler)
-            continue
-        stream += words[before[i]:before[at]]
-        if at == stop:
-            continue
-        if op == OP_SUBST:
-            stack += ((inst, at + 1, stop, k + 1, filler), (child, 0, 0, 0, None))
-            continue
-        # the auxiliary's foot takes node at and all below it
-        end, after = ends[at], k + 1
-        while after < len(filled) and filled[after][0] < end:
-            after += 1
-        stack += ((inst, end, stop, after, filler),
-                  (child, 0, 0, 0, (inst, at, end, k + 1, filler)))
-    joins = [k - n for n, k in enumerate(k for k, w in enumerate(stream) if w is None)]
-    return tuple(filter(None, stream)), joins, entered, spans
-
-
 def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
                      max_uses: int | None) -> Iterator[PriorityLevel]:
     """The priority levels of the sentence, cheapest first, each built only
     when it is asked for.
 
     Phase 1 runs up front, from every start pair's head component. An
-    instance tree with a grouping is walked once (``_walk``): the walk's
-    yield is checked against the input, and it numbers each grouping's
-    uses canonically and gives the spans that settle dominance.
+    instance tree with a grouping is expanded once: its yield is checked
+    against the input, and its order of first appearance numbers each
+    grouping's uses canonically and its spans settle dominance.
     ``max_uses`` None is ``all_derivations``' default.
     """
     check_anchored(sentence, grammar)
@@ -684,33 +622,38 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
         found: dict[Derivation, DerivedTree] = {}
         for flat in batch:
             insts = [tables.comps[comp] for comp, _, _ in flat]  # (pair, component)
-            # a use is its component-0 instance, numbered in instance order
-            heads = {idx: use for use, idx in enumerate(
-                idx for idx, (_, ci) in enumerate(insts) if ci == 0)}
+            # a use is its component-0 instance
+            heads = {idx: idx for idx, (_, ci) in enumerate(insts) if ci == 0}
             if len(heads) > max_uses:
                 continue
-            uses = [insts[idx][0] for idx in heads]
-            components = [tables.components[flat[idx][0]] for idx in heads]
-            walked = None
-            for further in _groupings(flat, heads, tables):
-                if walked is None:
-                    words, joins, entered, spans = walked = _walk(flat, tables)
+            expanded = None
+            for further in _groupings(flat, tables):
+                if expanded is None:    # each instance its own use
+                    sites: dict[tuple[int, int], dict[int, tuple]] = {}
+                    for idx, (_, parent, (_, index, op)) in enumerate(flat[1:], 1):
+                        sites.setdefault((parent, insts[parent][1]), {})[index] = (
+                            idx, insts[idx][1], op)
+                    words, joins, entered, spans, _ = expanded = expand(
+                        [tables.components[comp] for comp, _, _ in flat], sites,
+                        (0, insts[0][1]), False)
                     if words != lex:
                         raise InternalError(
                             f"derived tree yields {words}, not the input {lex}")
                 use_of = heads | further    # instance index -> use
-                rank: dict[int, int] = {}   # use -> its canonical number
-                for idx in entered:
-                    rank.setdefault(use_of[idx], len(rank))
+                # use -> its canonical number, its rank of first appearance
+                rank = {use: n for n, use in enumerate(
+                    dict.fromkeys(use_of[idx] for idx in entered))}
                 canon = [rank[use_of[idx]] for idx in range(len(flat))]
-                derivation = make_derivation([uses[use] for use in rank], canon[0], [
+                derivation = make_derivation([insts[use][0] for use in rank], canon[0], [
                     Attachment(canon[idx], insts[idx][1], canon[parent],
                                insts[parent][1], address, op)
-                    for idx, (_, parent, (address, op, _)) in enumerate(flat[1:], 1)])
+                    for idx, (_, parent, (address, _, op)) in enumerate(flat[1:], 1)])
+                # spans, like entered, are in order of first appearance
                 tree = DerivedTree(
-                    [components[use] for use in rank], derivation, insts[0][1],
-                    (words, joins, {(canon[idx], insts[idx][1]): spans[idx]
-                                    for idx in entered}))
+                    [tables.components[flat[use][0]] for use in rank], derivation,
+                    insts[0][1], (words, joins, None, {
+                        (canon[idx], insts[idx][1]): span
+                        for idx, span in zip(entered, spans.values())}, None))
                 if not dominance_violations(tree, grammar):
                     found.setdefault(derivation, tree)
         if found:   # a level of one derivation needs no ranking
@@ -737,7 +680,7 @@ def parse(sentence: TokenizedSentence, grammar: Grammar, *,
     """Parse and rank: the cheapest priority level, or with all_levels every
     level, cheapest first.
 
-    Levels above the cheapest are neither walked nor checked unless
+    Levels above the cheapest are neither expanded nor checked unless
     all_levels is set. Each level carries its derivations with their source
     trees, which compose when a caller first reads their nodes. Raises
     NoParseError when no derivation covers the input; the budget is

@@ -96,12 +96,12 @@ def read_off(tree):
     return tuple(words), joins, list(order), spans
 
 
-def check_walked(tree, grammar: Grammar) -> None:
+def check_against_composing(tree, grammar: Grammar) -> None:
     """Referee a tree the parser returns, which it read off its instance
-    tree without composing, against composing its derivation: reading its
-    root runs every compose check, and the composed tree reads off the same
-    words, joins, spans and canonical derivation, with the same dominance
-    verdict."""
+    tree without composing its derivation, against composing that: reading
+    its root runs every compose check, and the composed tree reads off the
+    same words, joins, spans and canonical derivation, with the same
+    dominance verdict."""
     assert tree.root is not None
     composed = build_derived_tree(tree.derivation, grammar)
     assert (tree.words, tree.joins, tree.spans, tree.derivation) == (

@@ -16,7 +16,7 @@ that composes, what composition reads off (yield, joins, use order, spans)
 must equal what a walk of the built nodes reads. Every tree of every
 level that ``parse`` returns, which the parser reads off its instance tree
 without composing, must compose when its root is read and agree with
-composing its derivation (``support.check_walked``). Pairs, the start pair
+composing its derivation (``support.check_against_composing``). Pairs, the start pair
 among them, draw their priority independently of their component count,
 which no shipped grammar does. A draw past either
 side's coded bound (the oracle's configurations, the parser's root
@@ -32,7 +32,7 @@ from unittest import mock
 from hypothesis import (HealthCheck, event, given, reject, settings,
                         strategies as st)
 
-from support import (check_walked, empty, foot, interior, lex,
+from support import (check_against_composing, empty, foot, interior, lex,
                      random_derivation, read_off, subst)
 
 from stagmt.derive import build_derived_tree
@@ -219,7 +219,7 @@ def test_parser_equals_oracle(data):
     if parsed:  # the same search, so no bound that all_derivations kept to
         for level in parse(sentence, grammar, all_levels=True):
             for tree in level.trees:
-                check_walked(tree, grammar)
+                check_against_composing(tree, grammar)
     # the expansion refereed by the built nodes, on each derivation and on
     # its target where that transfers and composes
     for derivation in parsed:

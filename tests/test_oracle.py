@@ -10,6 +10,7 @@ from support import (
     CHASE_SCRAMBLED,
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
+    check_against_composing,
     corpus,
     empty,
     foot,
@@ -219,13 +220,13 @@ def _fall_through_grammar():
 def _count_compositions(monkeypatch) -> list:
     """A list that gains an entry each time compose expands a tree."""
     composed = []
-    expand = stagmt.derive._expand
+    expand = stagmt.derive.expand
 
     def counting(*args):
         composed.append(args)
         return expand(*args)
 
-    monkeypatch.setattr(stagmt.derive, "_expand", counting)
+    monkeypatch.setattr(stagmt.derive, "expand", counting)
     return composed
 
 
@@ -247,7 +248,7 @@ class TestDominanceFallThrough:
 
         monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
         (best,) = parse(sentence, g)
-        # the walk's spans settle dominance: no grouping is composed
+        # the instance tree's expansion settles dominance: nothing composes
         assert (rejected, composed) == ([1], [])
         assert best.cost == 2
         assert [d.uses for d in best.derivations] == [
@@ -363,7 +364,7 @@ class TestIntervalDominance:
         monkeypatch.setattr(stagmt.parser, "dominance_violations", recording)
         all_derivations(tokenize("x y z.", g), g)
         (derivation,) = rejected
-        assert composed == []   # rejected on the walk's spans
+        assert composed == []   # rejected on the instance tree's spans
         assert _check_spans(derivation, g) == [
             "dominance: use 0 (beta_xy) component 1 does not dominate component 0"]
 
@@ -540,6 +541,11 @@ class TestFootPositions:
         found = brute_force_derivations(sentence, g)
         assert len(found) == count
         assert all_derivations(sentence, g) == found
+        # the parser's spans, joins and use order, not only its yield, are
+        # those of composing, whatever the foot's place
+        for level in parse(sentence, g, all_levels=True):
+            for tree in level.trees:
+                check_against_composing(tree, g)
         # at the tightest budget, a least cost set too high loses parses
         fewest = min(len(d.uses) for d in found)
         assert all_derivations(sentence, g, max_uses=fewest) == tuple(

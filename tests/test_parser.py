@@ -17,7 +17,7 @@ from support import (
     DITRANS_CANONICAL,
     EMBEDDED_FRONTED,
     attachment_of,
-    check_walked,
+    check_against_composing,
     corpus,
     empty,
     foot,
@@ -192,13 +192,13 @@ class TestFailureModes:
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
         # the yield check must survive python -O, so it cannot be an assert
-        walk = stagmt.parser._walk
+        expand = stagmt.parser.expand
 
-        def misyielding(flat, tables):
-            words, *rest = walk(flat, tables)
+        def misyielding(*args):
+            words, *rest = expand(*args)
             return (words[1:], *rest)  # drops its first word
 
-        monkeypatch.setattr(stagmt.parser, "_walk", misyielding)
+        monkeypatch.setattr(stagmt.parser, "expand", misyielding)
         with pytest.raises(InternalError, match="derived tree yields") as info:
             derivations_of(CHASE_CANONICAL, g_chase)
         assert info.value.code == "internal-error"
@@ -206,7 +206,7 @@ class TestFailureModes:
 
 @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded",
                                   "ambiguous"])
-def test_walked_trees_agree_with_composing(name):
+def test_parsed_trees_agree_with_composing(name):
     # every tree of every level, over the corpora and the three-object orders
     if name == "ambiguous":
         grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
@@ -221,7 +221,7 @@ def test_walked_trees_agree_with_composing(name):
         except (NoParseError, LexicalGapError):
             continue
         for tree in (tree for level in levels for tree in level.trees):
-            check_walked(tree, grammar)
+            check_against_composing(tree, grammar)
             trees += 1
     assert trees
 
@@ -309,28 +309,27 @@ class TestLevelsOnDemand:
         assert parsed > 0
 
     def test_dearer_levels_are_not_composed(self, g_chase, monkeypatch):
-        # phase 2 walks each instance tree that has a grouping, dearer
+        # phase 2 expands each instance tree that has a grouping, dearer
         # levels' only when asked, and composes none: a tree composes when
         # its root is first read
-        walked, composed = [], []
-        walk, expand = stagmt.parser._walk, stagmt.derive._expand
+        expanded, composed = [], []
 
-        def walking(flat, tables):
-            walked.append(flat)
-            return walk(flat, tables)
+        def counting(calls, expand):
+            def count(*args):
+                calls.append(args)
+                return expand(*args)
+            return count
 
-        def composing(*args):
-            composed.append(args)
-            return expand(*args)
-
-        monkeypatch.setattr(stagmt.parser, "_walk", walking)
-        monkeypatch.setattr(stagmt.derive, "_expand", composing)
+        monkeypatch.setattr(stagmt.parser, "expand",
+                            counting(expanded, stagmt.parser.expand))
+        monkeypatch.setattr(stagmt.derive, "expand",
+                            counting(composed, stagmt.derive.expand))
         sentence = tokenize(CHASE_CANONICAL, g_chase)
         parse(sentence, g_chase)
-        assert (len(walked), len(composed)) == (1, 0)
-        walked.clear()
+        assert (len(expanded), len(composed)) == (1, 0)
+        expanded.clear()
         levels = parse(sentence, g_chase, all_levels=True)
-        assert (len(walked), len(composed)) == (3, 0)
+        assert (len(expanded), len(composed)) == (3, 0)
         render_tree(levels[-1].trees[0], g_chase)
         assert len(composed) == 1
 
