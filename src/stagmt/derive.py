@@ -99,7 +99,7 @@ class Derivation(NamedTuple):
 
     def cost(self, grammar: Grammar) -> int:
         """Priority minus one per use, so priority-1 pairs are free."""
-        return sum(grammar.pair(name).priority - 1 for name in self.uses)
+        return sum(grammar.pair_by_name[name].priority - 1 for name in self.uses)
 
 
 def make_derivation(uses, root, attachments) -> Derivation:
@@ -368,7 +368,7 @@ def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
     Dominance requirements are a separate judgement, see
     dominance_violations.
     """
-    pairs = [grammar.pair(name) for name in derivation.uses]
+    pairs = [grammar.pair_by_name[name] for name in derivation.uses]
     root = derivation.root
     # compose rejects a root out of range, whatever component it is given
     head = pairs[root].source.head if 0 <= root < len(pairs) else 0
@@ -379,10 +379,10 @@ def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:
     """Dominance requirements of set uses that fail in the composed tree,
     read off its spans."""
     derivation = tree.derivation
-    spans = tree.spans
+    spans, pairs = tree.spans, grammar.pair_by_name
     out = []
     for use, name in enumerate(derivation.uses):
-        for dominator, dominated in grammar.pair(name).source.dominance:
+        for dominator, dominated in pairs[name].source.dominance:
             start, end = spans[use, dominator]
             if not start <= spans[use, dominated][0] < end:
                 out.append(f"dominance: use {use} ({name}) component {dominator}"
@@ -410,7 +410,7 @@ def render_tree(tree: DerivedTree, grammar: Grammar) -> str:
         mark = marks.get(node.use)
         if mark is None:
             mark = ""
-            if grammar.pair(uses[node.use]).source.is_multi:
+            if grammar.pair_by_name[uses[node.use]].source.is_multi:
                 sets += 1
                 mark = f"<{sets}>"
             marks[node.use] = mark
@@ -453,7 +453,7 @@ def render_derivation(derivation: Derivation, grammar: Grammar) -> str:
     parts: list[list[str]] = [[] for _ in derivation.uses]
     for att in derivation.attachments:  # by use, then component
         where = f"{att.op} u{att.host}/c{att.host_comp}@{att.site}"
-        if grammar.pair(derivation.uses[att.use]).n_components > 1:
+        if grammar.pair_by_name[derivation.uses[att.use]].n_components > 1:
             where = f"c{att.comp} {where}"
         parts[att.use].append(where)
     lines = []

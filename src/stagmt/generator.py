@@ -17,7 +17,8 @@ from .model import Grammar
 
 def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
     """Compose a target derivation into a target derived tree."""
-    return compose([(grammar.pair(name).target,) for name in target.uses], target, 0)
+    return compose([(grammar.pair_by_name[name].target,) for name in target.uses],
+                   target, 0)
 
 
 def yield_surface(tree: DerivedTree, punct: str = ".") -> str:

@@ -24,6 +24,7 @@ from .errors import (DuplicatePairNameError, GrammarError, GrammarSchemaError,
 if TYPE_CHECKING:
     from collections.abc import Iterable
 
+    from .morphotok import Token
     from .parser import ChartTables
 
 KIND_INTERIOR = "interior"
@@ -292,6 +293,13 @@ class Diagnostic(NamedTuple):
         return f"[error] {self.pair}{where}: {self.message} ({self.rule})"
 
 
+class PairTable(dict):
+    """Pairs by name, in which an unknown name is a coded error."""
+
+    def __missing__(self, name: str):
+        raise GrammarError(f"the grammar has no pair named {name!r}")
+
+
 class Grammar(Record):
     """Validated pair inventory plus the derived lookup tables.
 
@@ -324,14 +332,12 @@ class Grammar(Record):
                 f"no pair has an initial head component rooted in {start_symbol!r}")
 
     @cached_property
-    def pair_by_name(self) -> dict[str, SyncPair]:
-        return {p.name: p for p in self.pairs}
+    def pair_by_name(self) -> PairTable:
+        """The pairs by name; the translate path reads uses' pairs here."""
+        return PairTable((p.name, p) for p in self.pairs)
 
     def pair(self, name: str) -> SyncPair:
-        try:
-            return self.pair_by_name[name]
-        except KeyError:
-            raise GrammarError(f"the grammar has no pair named {name!r}") from None
+        return self.pair_by_name[name]
 
     @cached_property
     def target_sites(self) -> dict[tuple[str, int, GornAddress], GornAddress]:
@@ -366,6 +372,24 @@ class Grammar(Record):
                         continue
                     index.setdefault(word, set()).add(pair.name)
         return {w: tuple(sorted(names)) for w, names in sorted(index.items())}
+
+    @cached_property
+    def word_tokens(self) -> dict[str, Token]:
+        """The token of each word form whose stem anchors a pair, as
+        ``morphotok.segment_token`` segments it: every anchor followed by a
+        hyphen and a particle and, when the anchor holds no hyphen, bare and
+        with a particle glued on. Built on first use."""
+        from .morphotok import segment_token
+        tokens = {}
+        for stem in self.anchor_index:
+            forms = [f"{stem}-{particle}" for particle in self.particle_map]
+            if "-" not in stem:     # else both split at the anchor's hyphen
+                forms += [stem, *(stem + particle for particle in self.particle_map)]
+            for form in forms:
+                token = segment_token(form, self)
+                if token.stem in self.anchor_index:
+                    tokens[form] = token
+        return tokens
 
     @cached_property
     def start_pairs(self) -> tuple[SyncPair, ...]:

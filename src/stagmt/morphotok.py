@@ -83,6 +83,8 @@ def tokenize(line: str, grammar: Grammar) -> TokenizedSentence:
 
     A single trailing "." is stripped and remembered as the terminator; a
     line without one gets an empty terminator so output can mirror input.
+    A word form the grammar anchors is read from ``Grammar.word_tokens``,
+    and any other is segmented.
     """
     text = line.strip()
     terminator = ""
@@ -91,7 +93,9 @@ def tokenize(line: str, grammar: Grammar) -> TokenizedSentence:
         text = text[:-1].rstrip()
     if not text:
         raise EmptyInputError("no words in input line")
-    tokens = tuple(segment_token(word, grammar) for word in text.split())
+    known = grammar.word_tokens
+    tokens = tuple(known.get(word) or segment_token(word, grammar)
+                   for word in text.split())
     return TokenizedSentence(tokens=tokens, terminator=terminator)
 
 

@@ -154,15 +154,15 @@ class ChartTables:
     sentence: ``point_best`` and ``point_edges`` hold its chart, every item
     at position 0 and every gap (0, 0), the only right end there. That key
     is a point item's only key, whatever position it fills: a sentence's
-    hyperedges name their point antecedents by it. For pass 1's partner
-    lookups, ``points`` holds the point items by symbol, as (gap, key,
-    cost) with the gap ``None`` or ``OPEN``, and ``point_auxes`` the
-    zero-width auxiliaries by category, as (key, cost).
+    hyperedges name their point antecedents by it.
 
     The deduction rules are written once, here, in one row per antecedent
     symbol (``rules``, a list indexed by symbol): its unary rules, its rule
     as a left and as a right operand, the node it hosts adjunctions at and,
-    for an auxiliary instance, its root category. A settled item reads its
+    for an auxiliary instance, its root category. Each rule carries the
+    point items it can meet, so pass 1 looks none up: the point items of
+    an operand's partner, the zero-width auxiliaries a host can take and
+    the point hosts an auxiliary can adjoin at. A settled item reads its
     row with one index and one unpack. The symbols themselves are
     construction locals. Pass 2 only searches pass 1's hyperedges, reading
     from these tables just the instance symbols and where an instance
@@ -227,7 +227,7 @@ class ChartTables:
         self.lex_syms: dict[str, list[int]] = {}
         self.empty_syms: list[int] = []
         # cat -> (node id, below symbol) of its adjoinable nodes
-        self.hosts: dict[str, list[tuple[int, int]]] = {}
+        hosts: dict[str, list[tuple[int, int]]] = {}
         # slot or host symbol -> (address, preorder index, operation) of
         # the site where an instance there attaches
         self.site: dict[int, tuple[GornAddress, int, str]] = {}
@@ -243,7 +243,7 @@ class ChartTables:
             elif node.kind == KIND_EMPTY:
                 self.empty_syms.append(below[n])
             elif hosting[n]:
-                self.hosts.setdefault(node.cat, []).append((n, below[n]))
+                hosts.setdefault(node.cat, []).append((n, below[n]))
                 host_of[below[n]] = (n, node.cat)
                 self.site[n] = (*addrs[n], OP_ADJOIN)
             kids = children[n]
@@ -263,27 +263,45 @@ class ChartTables:
             else:
                 for slot in subst_slots.get(nodes[root].cat, ()):
                     unary.setdefault(inst, []).append((slot, 0))
-        # symbol -> (unary rules as (consequent, instance count), as a left
-        # operand (right partner, consequent), as a right operand (left
-        # partner, consequent), as a host (node id, cat), as an auxiliary
-        # instance its root cat), each None where the symbol has no such rule
-        self.rules = [(tuple(unary.get(sym, ())), as_left.get(sym),
-                       as_right.get(sym), host_of.get(sym), aux_cat.get(sym))
-                      for sym in range(next_sym)]
+
+        def rows(points, point_auxes):
+            """symbol -> (unary rules as (consequent, instance count), as a
+            left operand (right partner, consequent, the partner's point
+            items), as a right operand (left partner, consequent, the
+            partner's point items), as a host (node id, cat, the zero-width
+            auxiliaries of cat), as an auxiliary instance (its root cat, the
+            point items at the hosts of cat as (node id, below symbol, gap,
+            key, cost))), each None where the symbol has no such rule"""
+            lefts = {sym: (partner, out, points.get(partner, ()))
+                     for sym, (partner, out) in as_left.items()}
+            rights = {sym: (partner, out, points.get(partner, ()))
+                      for sym, (partner, out) in as_right.items()}
+            host_rows = {sym: (n, cat, point_auxes.get(cat, ()))
+                         for sym, (n, cat) in host_of.items()}
+            aux_rows = {sym: (cat, [(n, below, *point)
+                                    for n, below in hosts.get(cat, ())
+                                    for point in points.get(below, ())])
+                        for sym, cat in aux_cat.items()}
+            return [(tuple(unary.get(sym, ())), lefts.get(sym), rights.get(sym),
+                     host_rows.get(sym), aux_rows.get(sym)) for sym in range(next_sym)]
 
         # the point table's run covers no words, so it meets no point
         # partners and starts from no point hyperedges, and its gaps all
         # end at 0
-        self.points: dict[int, list[tuple[str | None, tuple, int]]] = {}
-        self.point_auxes: dict[str, list[tuple[tuple, int]]] = {}
+        self.rules = rows({}, {})
         self.point_edges: dict[tuple, list[tuple]] = {}
         empty = _SpanParser((), self)
         self.point_best, self.point_edges = empty.best, empty.edges
+        # the point items by symbol, as (gap, key, cost) with the gap None
+        # or OPEN, and the zero-width auxiliaries by category, as (key, cost)
+        points: dict[int, list[tuple[str | None, tuple, int]]] = {}
+        point_auxes: dict[str, list[tuple[tuple, int]]] = {}
         for key, cost in self.point_best.items():
             sym, gap = key[0], key[3]
-            self.points.setdefault(sym, []).append((gap and OPEN, key, cost))
+            points.setdefault(sym, []).append((gap and OPEN, key, cost))
             if sym in aux_cat:
-                self.point_auxes.setdefault(aux_cat[sym], []).append((key, cost))
+                point_auxes.setdefault(aux_cat[sym], []).append((key, cost))
+        self.rules = rows(points, point_auxes)
 
 
 class _SpanParser:
@@ -331,9 +349,12 @@ class _SpanParser:
 
         Point items (over no words, feet among them) are never queued,
         except over the empty sentence, whose chart is the point table: an
-        item that settles meets its point partners there, a left operand
-        at its end, a right operand at its start, a host the zero-width
-        auxiliaries and an auxiliary the hosts at its gap's start.
+        item that settles meets the point partners its row carries, a left
+        operand at its end, a right operand at its start, a host the
+        zero-width auxiliaries and an auxiliary the point hosts at its
+        gap's start. Settled hosts are filed by category and start, so an
+        auxiliary finds the hosts over words at its gap's start with one
+        lookup.
 
         An open gap is carried unchanged by unary rules, by a gap-free left
         operand and by a point partner on its right. Each rule that fixes
@@ -350,8 +371,7 @@ class _SpanParser:
         capped at ``MAX_CHART_ITEMS`` items.
         """
         t, n_lex = self.tables, len(self.lex)
-        rules, hosts = t.rules, t.hosts
-        points, point_auxes = t.points, t.point_auxes
+        rules = t.rules
         best: dict[tuple, int] = {}
         log: list[tuple[tuple, tuple]] = []
         fired = log.append
@@ -398,18 +418,18 @@ class _SpanParser:
         open_lefts: dict[int, list] = {}            # open left operands
         free_rights: dict[int, list] = {}           # gap-free right operands
         aux_by_gap: dict[tuple[str, int], list] = {}     # by gap start
-        host_items: dict[tuple[int, int], list] = {}     # by node and start
+        host_items: dict[tuple[str, int], list] = {}     # (node, key) by cat, start
         cost = 0
         while cost < len(queue):
             for key in queue[cost]:     # the bucket grows while it is read
                 if best[key] != cost:
                     continue
                 sym, i, j, gap = key
-                unary, as_left, as_right, host_of, aux_cat = rules[sym]
+                unary, as_left, as_right, host_of, aux_of = rules[sym]
                 for out, extra in unary:
                     push((out, i, j, gap), (cost + extra, key))
                 if as_left is not None:
-                    right, out = as_left
+                    right, out, right_points = as_left
                     if gap is OPEN:     # a right partner over words closes it
                         open_lefts.setdefault(sym, []).append(key)
                         for other in free_rights.get(right, ()):
@@ -422,12 +442,12 @@ class _SpanParser:
                             if gap is None or other[3] is None:
                                 push((out, i, other[2], gap or other[3]),
                                      (cost + best[other], key, other))
-                    for pgap, pkey, extra in points.get(right, ()):
+                    for pgap, pkey, extra in right_points:
                         if gap is None or pgap is None:
                             push((out, i, j, gap or pgap),
                                  (cost + extra, key, pkey))
                 if as_right is not None:
-                    left, out = as_right
+                    left, out, left_points = as_right
                     starts.setdefault((sym, i), []).append(key)
                     for other in ends.get((left, i), ()):
                         if gap is None or other[3] is None:
@@ -439,7 +459,7 @@ class _SpanParser:
                             if other[2] <= i:
                                 push((out, other[1], j, (other[2], i)),
                                      (cost + best[other], other, key))
-                    for pgap, pkey, extra in points.get(left, ()):
+                    for pgap, pkey, extra in left_points:
                         if pgap is None:
                             push((out, i, j, gap), (cost + extra, pkey, key))
                         elif gap is None:   # its gap runs from any p to i
@@ -447,26 +467,26 @@ class _SpanParser:
                                 push((out, p, j, (p, i)),
                                      (cost + extra, pkey, key))
                 if host_of is not None:
-                    n, cat = host_of
-                    host_items.setdefault((n, i), []).append(key)
+                    n, cat, zero_auxes = host_of
+                    host_items.setdefault((cat, i), []).append((n, key))
                     for aux in aux_by_gap.get((cat, i), ()):
                         out = adjoined(n, key, aux)
                         if out:
                             push(out, (cost + best[aux], key, aux))
-                    for pkey, extra in point_auxes.get(cat, ()):
+                    for pkey, extra in zero_auxes:
                         push((n, i, j, gap), (cost + extra, key, pkey))
-                if aux_cat is not None:
+                if aux_of is not None:
+                    cat, point_hosts = aux_of
                     gi = j if gap is OPEN else gap[0]
-                    aux_by_gap.setdefault((aux_cat, gi), []).append(key)
-                    for n, below in hosts.get(aux_cat, ()):
-                        for host in host_items.get((n, gi), ()):
-                            out = adjoined(n, host, key)
-                            if out:
-                                push(out, (cost + best[host], host, key))
-                        for pgap, pkey, extra in points.get(below, ()):
-                            out = adjoined(n, (below, gi, gi, pgap), key)
-                            if out:
-                                push(out, (cost + extra, pkey, key))
+                    aux_by_gap.setdefault((cat, gi), []).append(key)
+                    for n, host in host_items.get((cat, gi), ()):
+                        out = adjoined(n, host, key)
+                        if out:
+                            push(out, (cost + best[host], host, key))
+                    for n, below, pgap, pkey, extra in point_hosts:
+                        out = adjoined(n, (below, gi, gi, pgap), key)
+                        if out:
+                            push(out, (cost + extra, pkey, key))
             cost += 1
         return best, log
 

@@ -32,7 +32,7 @@ from .model import Grammar
 def _attached_heads(derivation: Derivation, grammar: Grammar) -> dict[int, Attachment]:
     """Where each attached use's head component attaches on the source side,
     read in one pass over the attachments."""
-    head_comps = [grammar.pair(name).source.head for name in derivation.uses]
+    head_comps = [grammar.pair_by_name[name].source.head for name in derivation.uses]
     return {att.use: att for att in derivation.attachments
             if att.comp == head_comps[att.use]}
 
@@ -81,7 +81,7 @@ def target_key(target: DerivedTree, grammar: Grammar) -> tuple:
     every target tree and where it attaches, and ``realize`` is
     deterministic, so derivations with one key have one translation."""
     derivation = target.derivation
-    return (tuple(grammar.pair(name).target for name in derivation.uses),
+    return (tuple(grammar.pair_by_name[name].target for name in derivation.uses),
             derivation.root, derivation.attachments)
 
 

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from support import interior, lex, subst
 
-from stagmt.errors import EmptyInputError, UnknownParticleError
+import stagmt.morphotok
+from stagmt.errors import EmptyInputError, StagError, UnknownParticleError
+from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ElementaryTree,
     GornAddress,
@@ -18,6 +20,7 @@ from stagmt.model import (
 from stagmt.morphotok import Token, TokenizedSentence, segment_token, tokenize
 
 PARTICLES = ("i", "ka", "lul", "ul")
+SHIPPED = ("chase", "ditransitive", "embedded")
 
 stems = st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll")),
                 min_size=1, max_size=8)
@@ -134,3 +137,70 @@ class TestTokenize:
         assert isinstance(sentence, TokenizedSentence)
         with pytest.raises(AttributeError):
             sentence.terminator = "!"
+
+
+def anchored_forms(grammar):
+    """Every anchor bare, and followed by every particle after a hyphen and
+    glued on."""
+    return [form for stem in grammar.anchor_index
+            for form in (stem, *(stem + sep + particle for sep in ("-", "")
+                                 for particle in grammar.particle_map))]
+
+
+def with_anchor(word):
+    """The chase grammar plus a pair that word anchors."""
+    g_chase = load_grammar("chase")
+    tree = ElementaryTree(interior("S", lex("V", word)))
+    extra = SyncPair(name="alpha_extra", source=SourceSet((tree,)), target=tree)
+    return Grammar(pairs=g_chase.pairs + (extra,),
+                   source_language="ko", target_language="en",
+                   start_symbol="S", particles=g_chase.particles)
+
+
+class TestWordTokens:
+    """A word form whose stem anchors a pair is read from the grammar's
+    table, any other is segmented; either way the tokens and the errors are
+    segment_token's."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_anchored_forms_are_read_from_the_table(self, name, monkeypatch):
+        grammar = load_grammar(name)
+        forms = anchored_forms(grammar)
+        segmented = tuple(segment_token(form, grammar) for form in forms)
+        grammar.word_tokens     # built on first use, by segment_token
+        calls = []
+        monkeypatch.setattr(stagmt.morphotok, "segment_token",
+                            lambda *args: calls.append(args))
+        assert tokenize(" ".join(forms), grammar).tokens == segmented
+        assert calls == []
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_table_holds_only_anchored_stems(self, name):
+        grammar = load_grammar(name)
+        assert grammar.word_tokens
+        for form, token in grammar.word_tokens.items():
+            assert token.stem in grammar.anchor_index
+            assert token == segment_token(form, grammar)
+
+    def test_glued_form_that_splits_elsewhere(self):
+        # "Paul" with "ul" glued on segments by the longest particle as
+        # "Pau" + "lul", a stem that anchors nothing, so the table leaves
+        # the form out and tokenizing segments it
+        grammar = with_anchor("Paul")
+        assert grammar.word_tokens["Paullul"] == Token("Paullul", "Paul", "lul")
+        assert "Paulul" not in grammar.word_tokens
+        assert tokenize("Paulul.", grammar).tokens == (
+            Token("Paulul", "Pau", "lul"),)
+
+    @pytest.mark.parametrize("word", ["Jerry-xyz", "-lul", "Tom-", "San-Jose",
+                                      "San-Joseka"])
+    def test_refused_forms_raise_as_segmenting_does(self, word):
+        # an anchor that holds a hyphen splits there when bare or glued
+        grammar = with_anchor("San-Jose")
+        assert grammar.word_tokens["San-Jose-ka"].stem == "San-Jose"
+        with pytest.raises(StagError) as direct:
+            segment_token(word, grammar)
+        with pytest.raises(StagError) as through:
+            tokenize(f"Tom-i {word} ccossnunta.", grammar)
+        assert (through.value.code, str(through.value)) == (
+            direct.value.code, str(direct.value))

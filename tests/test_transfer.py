@@ -2,13 +2,16 @@
 
 import pytest
 
-from support import (CHASE_CANONICAL, CHASE_SCRAMBLED, EMBEDDED_CANONICAL,
+from support import (AMBIGUOUS_FRONTED, AMBIGUOUS_GRAMMAR, CHASE_CANONICAL,
+                     CHASE_SCRAMBLED, DITRANS_CANONICAL, EMBEDDED_CANONICAL,
                      EMBEDDED_FRONTED, empty, foot, interior, lex, lex_yield,
                      subst)
 
 from stagmt.derive import (OP_ADJOIN, OP_SUBST, Attachment, build_derived_tree,
                            make_derivation)
-from stagmt.errors import DanglingUseError, UntranslatableAttachmentError
+from stagmt.errors import (DanglingUseError, GrammarError,
+                           UntranslatableAttachmentError)
+from stagmt.grammar_io import load_grammar
 from stagmt.generator import realize
 from stagmt.model import (
     ROOT,
@@ -237,3 +240,30 @@ class TestFailures:
             [att(1, 0, 0, 0, "1", OP_SUBST)])
         with pytest.raises(DanglingUseError, match="alpha_jerry_op"):
             transfer_derivation(d, g_chase)
+
+
+class TestPairTable:
+    """The translate path reads each use's pair from ``Grammar.pair_by_name``,
+    where an unknown name is still the coded grammar-error."""
+
+    @pytest.mark.parametrize("source, line", [
+        ("chase", CHASE_SCRAMBLED), ("ditransitive", DITRANS_CANONICAL),
+        ("embedded", EMBEDDED_FRONTED), (str(AMBIGUOUS_GRAMMAR), AMBIGUOUS_FRONTED)])
+    def test_translating_calls_no_pair_lookup(self, source, line, monkeypatch):
+        grammar = load_grammar(source)
+        first = translate_line(line, grammar, all_levels=True)  # builds the tables
+        calls = []
+        monkeypatch.setattr(Grammar, "pair", lambda self, name: calls.append(name))
+        again = translate_line(line, grammar, all_levels=True)
+        assert again.translations == first.translations
+        assert [c.source.derivation for c in again.candidates] == [
+            c.source.derivation for c in first.candidates]
+        assert calls == []
+
+    def test_unknown_pair_is_a_coded_error(self, g_chase):
+        nameless = make_derivation(["nope"], 0, [])
+        for read in (nameless.cost, lambda g: transfer_derivation(nameless, g)):
+            with pytest.raises(GrammarError) as info:
+                read(g_chase)
+            assert (info.value.code, str(info.value)) == (
+                "grammar-error", "the grammar has no pair named 'nope'")
