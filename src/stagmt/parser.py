@@ -9,7 +9,11 @@ foot gap. It runs as two passes over one chart of TAG CKY items (node, span
 and foot gap). The node numbering and the deduction rules depend only on
 the grammar, so they are built once per grammar (``ChartTables``) and
 shared by all its parses. A node where no adjunction can happen has one
-symbol for "with" and "without an adjunction here". Point items, which
+symbol for "with" and "without an adjunction here". A component's root has
+no item of its own: each rule that completes a root makes the component's
+instance item, one instance dearer, so no unary rule relays one to the
+other (such relays fold into the rules that feed them, Shieber, Schabes &
+Pereira 1995). Point items, which
 cover no words (trace components, the slots they fill, zero-width
 auxiliaries, feet), are implicit: their antecedents are point items at the
 same position, so their least costs and hyperedges depend on the grammar
@@ -26,7 +30,9 @@ auxiliaries with a foot at one end in cubic time.
 2. Enumeration lists the instance trees of the start pairs' root items,
    cheapest first, by one uniform-cost search of that forest, with explicit
    stacks and no recursion, in the manner of agenda-driven deductive
-   parsing (Shieber, Schabes & Pereira 1995). It hands the trees out one
+   parsing. It expands only items whose symbol can hold an instance
+   (``ChartTables.holds``): any other item costs 0 and has one instance
+   tree, the empty one, so it is never pushed. It hands the trees out one
    priority cost at a time and finds those of a cost without expanding
    any dearer state. ``max_uses`` is applied here, and only here, as an
    instance budget, and ``MAX_PARSES`` caps the trees one parse may
@@ -136,13 +142,17 @@ class ChartTables:
     unfixed. The symbols are:
 
     - at symbol (the node id n): the subtree at n, with at most one
-      adjunction at n;
+      adjunction at n. A component's root has none: its instance symbol
+      stands in for it;
     - below symbol of n: the subtree at n, no adjunction at n. Where no
       adjunction can happen at n (a leaf, or an interior node that is
       null-adjoining or has no auxiliary of its category) and n is not
       obligatory-adjoining, the two items are the same and the below
       symbol is n itself;
-    - instance symbol (``inst0 + c``): one whole instance of component c;
+    - instance symbol (``inst0 + c``): one whole instance of component c.
+      Each rule that completes c's root makes it, one instance dearer:
+      the rule of the root's children, or for a root where adjunction can
+      happen, the unary rule from its below symbol and an adjunction there;
     - sequence symbols of interior node p, one per child k: p's children
       from the k-th on. The first is p's below symbol and the last the at
       symbol of p's last child; the ones in between get ids of their own.
@@ -158,19 +168,25 @@ class ChartTables:
 
     The deduction rules are written once, here, in one row per antecedent
     symbol (``rules``, a list indexed by symbol): its unary rules, its rule
-    as a left and as a right operand, the node it hosts adjunctions at and,
+    as a left and as a right operand, the symbol its adjunctions make and,
     for an auxiliary instance, its root category. Each rule carries the
-    point items it can meet, so pass 1 looks none up: the point items of
-    an operand's partner, the zero-width auxiliaries a host can take and
-    the point hosts an auxiliary can adjoin at. A settled item reads its
-    row with one index and one unpack. The symbols themselves are
-    construction locals. Pass 2 only searches pass 1's hyperedges, reading
-    from these tables just the instance symbols and where an instance
-    attaches (``site``, with the site's preorder index in its tree). Phase
-    2 groups an instance tree's set instances by ``sets``, the component
-    ids of each set pair, set pairs in name order, and ``set_of``, the index
-    there of each set pair's component id; it expands an instance tree, and
-    gives a use of a pair, ``components``, that pair's source trees.
+    instance count of its consequent (1 where it makes an instance, else
+    0) and the point items it can meet, so pass 1 looks none up: the point
+    items of an operand's partner, the zero-width auxiliaries a host can
+    take and the point hosts an auxiliary can adjoin at, each point item's
+    cost with that count added. A settled item reads its row with one
+    index and one unpack. The symbols themselves are construction locals.
+    ``holds`` flags, by symbol, whether an item of it can hold an instance:
+    an instance, a site, or what a rule makes from one, to a fixpoint over
+    the rules. Pass 2 only searches pass 1's hyperedges, reading from these
+    tables just the instance symbols, ``holds`` and where an instance
+    attaches (``site``, keyed by the slot's symbol or the symbol an
+    adjunction at the host makes, with the site's preorder index in its
+    tree). Phase 2 groups an instance tree's set instances by ``sets``, the
+    component ids of each set pair, set pairs in name order, and
+    ``set_of``, the index there of each set pair's component id; it expands
+    an instance tree, and gives a use of a pair, ``components``, that
+    pair's source trees.
     """
 
     def __init__(self, grammar: Grammar):
@@ -220,21 +236,28 @@ class ChartTables:
         # the deduction rules, indexed by antecedent symbol
         self.feet = [n for n, node in enumerate(nodes) if node.kind == KIND_FOOT]
         unary: dict[int, list[tuple[int, int]]] = {}
-        as_left: dict[int, tuple[int, int]] = {}
-        as_right: dict[int, tuple[int, int]] = {}
-        host_of: dict[int, tuple[int, str]] = {}  # below symbol -> (n, cat)
+        as_left: dict[int, tuple[int, int, int]] = {}
+        as_right: dict[int, tuple[int, int, int]] = {}
+        # below symbol -> (consequent, its instance count, cat)
+        host_of: dict[int, tuple[int, int, str]] = {}
         aux_cat: dict[int, str] = {}              # instance symbol -> root cat
         self.lex_syms: dict[str, list[int]] = {}
         self.empty_syms: list[int] = []
-        # cat -> (node id, below symbol) of its adjoinable nodes
-        hosts: dict[str, list[tuple[int, int]]] = {}
-        # slot or host symbol -> (address, preorder index, operation) of
-        # the site where an instance there attaches
+        # cat -> (consequent, its instance count, below symbol) of its
+        # adjoinable nodes
+        hosts: dict[str, list[tuple[int, int, int]]] = {}
+        # slot symbol, or the symbol an adjunction at a host makes ->
+        # (address, preorder index, operation) of the site where an
+        # instance there attaches
         self.site: dict[int, tuple[GornAddress, int, str]] = {}
         subst_slots: dict[str, list[int]] = {}
+        # (symbol, instance count) of what a rule that completes a root
+        # makes: the root's instance, one instance dearer
+        lift = {root: (self.inst0 + c, 1) for c, (root, _) in enumerate(roots)}
         for n, node in enumerate(nodes):
+            at = lift.get(n, (n, 0))
             if below[n] != n and node.adjoin != ADJOIN_OA:
-                unary.setdefault(below[n], []).append((n, 0))
+                unary.setdefault(below[n], []).append(at)
             if node.kind == KIND_SUBST:
                 subst_slots.setdefault(node.cat, []).append(below[n])
                 self.site[below[n]] = (*addrs[n], OP_SUBST)
@@ -243,44 +266,59 @@ class ChartTables:
             elif node.kind == KIND_EMPTY:
                 self.empty_syms.append(below[n])
             elif hosting[n]:
-                hosts.setdefault(node.cat, []).append((n, below[n]))
-                host_of[below[n]] = (n, node.cat)
-                self.site[n] = (*addrs[n], OP_ADJOIN)
+                hosts.setdefault(node.cat, []).append((*at, below[n]))
+                host_of[below[n]] = (*at, node.cat)
+                self.site[at[0]] = (*addrs[n], OP_ADJOIN)
             kids = children[n]
             middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
             next_sym += len(middle)
             out = (below[n], *middle, *kids[-1:])
+            made = [lift.get(sym, (sym, 0)) for sym in out]
             if len(kids) == 1:
-                unary.setdefault(kids[0], []).append((out[0], 0))
+                unary.setdefault(kids[0], []).append(made[0])
             for k in range(len(kids) - 1):
-                as_left[kids[k]] = (out[k + 1], out[k])
-                as_right[out[k + 1]] = (kids[k], out[k])
+                as_left[kids[k]] = (out[k + 1], *made[k])
+                as_right[out[k + 1]] = (kids[k], *made[k])
         for c, (root, is_aux) in enumerate(roots):
             inst = self.inst0 + c
-            unary.setdefault(root, []).append((inst, 1))
             if is_aux:
                 aux_cat[inst] = nodes[root].cat
             else:
                 for slot in subst_slots.get(nodes[root].cat, ()):
                     unary.setdefault(inst, []).append((slot, 0))
+        # the symbols whose items can hold an instance: the instances, the
+        # sites and whatever a rule makes from one of them, to a fixpoint
+        holds = self.holds = [sym in self.site or 0 <= sym - self.inst0 < len(self.comps)
+                              for sym in range(next_sym)]
+        links = [(sym, out) for sym, rules in unary.items() for out, _ in rules]
+        links += [(ante, out) for sym, (partner, out, _) in as_left.items()
+                  for ante in (sym, partner)]
+        while any(holds[sym] and not holds[out] for sym, out in links):
+            for sym, out in links:
+                holds[out] = holds[out] or holds[sym]
 
         def rows(points, point_auxes):
             """symbol -> (unary rules as (consequent, instance count), as a
-            left operand (right partner, consequent, the partner's point
-            items), as a right operand (left partner, consequent, the
-            partner's point items), as a host (node id, cat, the zero-width
+            left operand (right partner, consequent, its instance count, the
+            partner's point items), as a right operand (left partner,
+            consequent, its instance count, the partner's point items), as
+            a host (consequent, its instance count, cat, the zero-width
             auxiliaries of cat), as an auxiliary instance (its root cat, the
-            point items at the hosts of cat as (node id, below symbol, gap,
-            key, cost))), each None where the symbol has no such rule"""
-            lefts = {sym: (partner, out, points.get(partner, ()))
-                     for sym, (partner, out) in as_left.items()}
-            rights = {sym: (partner, out, points.get(partner, ()))
-                      for sym, (partner, out) in as_right.items()}
-            host_rows = {sym: (n, cat, point_auxes.get(cat, ()))
-                         for sym, (n, cat) in host_of.items()}
-            aux_rows = {sym: (cat, [(n, below, *point)
-                                    for n, below in hosts.get(cat, ())
-                                    for point in points.get(below, ())])
+            point items at the hosts of cat as (consequent, below symbol,
+            gap, key, cost))), each None where the symbol has no such rule.
+            A point partner's cost includes the consequent's instance count."""
+            def dearer(items, extra):
+                return [(*item[:-1], item[-1] + extra) for item in items]
+
+            lefts = {sym: (partner, out, extra, dearer(points.get(partner, ()), extra))
+                     for sym, (partner, out, extra) in as_left.items()}
+            rights = {sym: (partner, out, extra, dearer(points.get(partner, ()), extra))
+                      for sym, (partner, out, extra) in as_right.items()}
+            host_rows = {sym: (at, extra, cat, dearer(point_auxes.get(cat, ()), extra))
+                         for sym, (at, extra, cat) in host_of.items()}
+            aux_rows = {sym: (cat, [(at, below, *point)
+                                    for at, extra, below in hosts.get(cat, ())
+                                    for point in dearer(points.get(below, ()), extra)])
                         for sym, cat in aux_cat.items()}
             return [(tuple(unary.get(sym, ())), lefts.get(sym), rights.get(sym),
                      host_rows.get(sym), aux_rows.get(sym)) for sym in range(next_sym)]
@@ -429,36 +467,36 @@ class _SpanParser:
                 for out, extra in unary:
                     push((out, i, j, gap), (cost + extra, key))
                 if as_left is not None:
-                    right, out, right_points = as_left
+                    right, out, extra, right_points = as_left
                     if gap is OPEN:     # a right partner over words closes it
                         open_lefts.setdefault(sym, []).append(key)
                         for other in free_rights.get(right, ()):
                             if other[1] >= j:
                                 push((out, i, other[2], (j, other[1])),
-                                     (cost + best[other], key, other))
+                                     (cost + extra + best[other], key, other))
                     else:
                         ends.setdefault((sym, j), []).append(key)
                         for other in starts.get((right, j), ()):
                             if gap is None or other[3] is None:
                                 push((out, i, other[2], gap or other[3]),
-                                     (cost + best[other], key, other))
+                                     (cost + extra + best[other], key, other))
                     for pgap, pkey, extra in right_points:
                         if gap is None or pgap is None:
                             push((out, i, j, gap or pgap),
                                  (cost + extra, key, pkey))
                 if as_right is not None:
-                    left, out, left_points = as_right
+                    left, out, extra, left_points = as_right
                     starts.setdefault((sym, i), []).append(key)
                     for other in ends.get((left, i), ()):
                         if gap is None or other[3] is None:
                             push((out, other[1], j, gap or other[3]),
-                                 (cost + best[other], other, key))
+                                 (cost + extra + best[other], other, key))
                     if gap is None:
                         free_rights.setdefault(sym, []).append(key)
                         for other in open_lefts.get(left, ()):
                             if other[2] <= i:
                                 push((out, other[1], j, (other[2], i)),
-                                     (cost + best[other], other, key))
+                                     (cost + extra + best[other], other, key))
                     for pgap, pkey, extra in left_points:
                         if pgap is None:
                             push((out, i, j, gap), (cost + extra, pkey, key))
@@ -467,22 +505,22 @@ class _SpanParser:
                                 push((out, p, j, (p, i)),
                                      (cost + extra, pkey, key))
                 if host_of is not None:
-                    n, cat, zero_auxes = host_of
-                    host_items.setdefault((cat, i), []).append((n, key))
+                    n, extra, cat, zero_auxes = host_of
+                    host_items.setdefault((cat, i), []).append((n, key, cost + extra))
                     for aux in aux_by_gap.get((cat, i), ()):
                         out = adjoined(n, key, aux)
                         if out:
-                            push(out, (cost + best[aux], key, aux))
+                            push(out, (cost + extra + best[aux], key, aux))
                     for pkey, extra in zero_auxes:
                         push((n, i, j, gap), (cost + extra, key, pkey))
                 if aux_of is not None:
                     cat, point_hosts = aux_of
                     gi = j if gap is OPEN else gap[0]
                     aux_by_gap.setdefault((cat, gi), []).append(key)
-                    for n, host in host_items.get((cat, gi), ()):
+                    for n, host, host_cost in host_items.get((cat, gi), ()):
                         out = adjoined(n, host, key)
                         if out:
-                            push(out, (cost + best[host], host, key))
+                            push(out, (cost + host_cost, host, key))
                     for n, below, pgap, pkey, extra in point_hosts:
                         out = adjoined(n, (below, gi, gi, pgap), key)
                         if out:
@@ -513,9 +551,11 @@ class _SpanParser:
         cost is the item's own instance count plus its antecedents' least
         costs, so a state within the budget always completes to a tree, no
         state over it is pushed, and the work grows with the trees found.
-        The successors of a state that pops an instance are pushed on the
-        stack of its cost plus the instance's charge, the others on the
-        current one, whose rightmost pending item is expanded first. No
+        An antecedent whose symbol can hold no instance (``holds``) is not
+        pushed at all: it costs 0 and its one tree is empty. The successors
+        of a state that pops an instance are pushed on the stack of its cost
+        plus the instance's charge, the others on the current one, whose
+        rightmost pending item is expanded first. No
         charge is negative, since every priority is at least 1, so once
         the stack of cost c is empty every tree of cost c has been found
         and no dearer state expanded: a batch is complete when it is
@@ -526,7 +566,7 @@ class _SpanParser:
         """
         t = self.tables
         best, point_best, site = self.best, t.point_best, t.site
-        inst0, comp_cost = t.inst0, t.comp_cost
+        inst0, comp_cost, holds = t.inst0, t.comp_cost, t.holds
         n_comps = len(comp_cost)
         buckets: list[list[tuple]] = [[]]
         for key in reversed(roots):     # the first root is expanded first
@@ -573,7 +613,8 @@ class _SpanParser:
                     if left >= 0:
                         grown = pending
                         for ante in edge[1:]:
-                            grown = ((ante, parent, held_at), grown)
+                            if holds[ante[0]]:
+                                grown = ((ante, parent, held_at), grown)
                         out.append((grown, insts, count, left))
             if found:
                 yield cost, found

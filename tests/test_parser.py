@@ -51,6 +51,26 @@ def derivations_of(line, grammar, **kwargs):
     return all_derivations(tokenize(line, grammar), grammar, **kwargs)
 
 
+def singleton(name, tree, priority=1):
+    """A pair whose target copies its source, each slot linked to itself."""
+    et = ElementaryTree(tree)
+    return SyncPair(name=name, source=SourceSet((et,)), target=et,
+                    links=tuple(Link(0, a, a) for a in et.subst_addresses),
+                    priority=priority)
+
+
+class Lookups(dict):
+    """A hyperedge map that records the items whose hyperedges are read."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.looked_up = []
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+
 class TestChaseSentences:
     def test_canonical_minimal_parse(self, g_chase):
         (best,) = parse(tokenize(CHASE_CANONICAL, g_chase), g_chase)[0].derivations
@@ -142,12 +162,12 @@ class TestFailureModes:
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
 
     def test_chart_size_is_capped(self, g_chase, monkeypatch):
-        # the canonical sentence settles 39 pass-1 items; the cap is checked
+        # the canonical sentence settles 31 pass-1 items; the cap is checked
         # only when a new item enters the chart
         sentence = tokenize(CHASE_CANONICAL, g_chase)
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 39)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 31)
         assert len(all_derivations(sentence, g_chase)) == 3
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 38)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 30)
         with pytest.raises(LimitExceededError) as info:
             all_derivations(sentence, g_chase)
         assert info.value.code == "limit-exceeded"
@@ -166,13 +186,12 @@ class TestFailureModes:
         # every subject and object before the verb is the left sibling of
         # a scrambling auxiliary's foot; with the gap's right end left open
         # each makes one item, not one per right end, so 81 lexical items
-        # settle 2,148 items (48,028 with one per right end), and 161 end
-        # in no-parse, not the chart cap
+        # settle 1,247 items, and 161 end in no-parse, not the chart cap
         line = "Tom-i Jerry-lul " * 20 + "ccossnunta."
         lex_stream = tokenize(line, g_chase).lex_stream
         assert len(lex_stream) == 81
         span = stagmt.parser._SpanParser(lex_stream, g_chase.chart_tables)
-        assert len(span.best) == 2_148
+        assert len(span.best) == 1_247
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-lul " * 40 + "ccossnunta.", g_chase),
                   g_chase)
@@ -405,9 +424,12 @@ class TestForest:
     fired at. Within a budget it yields exactly the instance trees that fit,
     each once, the smallest of them at pass 1's least cost, flat, one
     (component id, parent index, site) per instance, parents first, in
-    batches of one priority cost, cheapest first."""
+    batches of one priority cost, cheapest first. A component root has no
+    item of its own: the rules that complete it make its instance. Pass 2
+    reads the hyperedges of no item that can hold no instance."""
 
     BUDGET = 8
+    CAL, TTU = lex("A", "cal"), lex("B", "ttu")
 
     @staticmethod
     def flat(batches):
@@ -421,6 +443,12 @@ class TestForest:
         # one map: the point table's hyperedges and the sentence's own
         assert span.edges.keys() == span.best.keys() | t.point_edges.keys()
         best = {**span.best, **t.point_best}
+        # node ids run in preorder, component after component
+        sizes = [len(comp.nodes) for pair in grammar.pairs
+                 for comp in pair.source.components]
+        roots = set(itertools.accumulate(sizes[:-1], initial=0))
+        assert not roots & {sym for sym, _, _, _ in best}
+        span.edges = Lookups(span.edges)
         for key, least in best.items():
             # each hyperedge carries the cost it fired at: the item's own
             # instance count plus its antecedents' least costs; a point
@@ -432,7 +460,9 @@ class TestForest:
                            for ante in edge[1:] if ante[1] == ante[2])
                 assert edge[0] == own + sum(best[ante] for ante in edge[1:])
             assert min(edge[0] for edge in found) == least
+            span.edges.looked_up.clear()
             batches = list(span.trees([key], self.BUDGET))
+            assert all(t.holds[item[0]] for item in span.edges.looked_up[1:])
             # the batch costs strictly increase, and a tree's cost is
             # priority minus one per use, its component-0 instances
             costs = [cost for cost, _ in batches]
@@ -443,6 +473,8 @@ class TestForest:
                                  if t.comps[comp][1] == 0)
                     assert cost == Derivation(uses, 0, ()).cost(grammar)
             trees = self.flat(batches)
+            if not t.holds[key[0]]:
+                assert trees == [()]
             # distinct hyperedges derive distinct instance trees, and a tree
             # holds its instances, so its size is its instance count
             assert len(set(trees)) == len(trees)
@@ -503,14 +535,15 @@ class TestForest:
         self.check(grammar, "cal ttu Tom-i Jerry-lul ccossnunta.")
 
     def test_point_table_and_chart_sizes(self, g_chase):
-        # the chase traces, the slots they fill and the three feet are 14
-        # point items, which at each of this no-parse input's six positions
-        # would add 84 items to the 37 that cover words
+        # the chase traces (each an empty leaf and its instance), the two
+        # slots they fill and the three feet are 11 point items, which at
+        # each of this no-parse input's six positions would add 66 items to
+        # the 29 that cover words
         tables = g_chase.chart_tables
-        assert len(tables.point_best) == 14
+        assert len(tables.point_best) == 11
         span = stagmt.parser._SpanParser(
             tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream, tables)
-        assert len(span.best) == 37
+        assert len(span.best) == 29
 
     @pytest.mark.parametrize("line, filed", [
         ("ccossnunta Tom-i Jerry-lul.", 0),
@@ -536,14 +569,32 @@ class TestForest:
         assert bool(parsed) == (line == CHASE_CANONICAL)
         assert built == [tokenize(line, g_chase).lex_stream] * filed
 
+    @pytest.mark.parametrize("tree, line", [
+        # words after the foot
+        (interior("S", foot("S"), CAL), "Tom-i Jerry-lul ccossnunta cal."),
+        (interior("S", CAL, foot("S"), TTU), "cal Tom-i Jerry-lul ccossnunta ttu."),
+        # a null-adjoining root is completed by its children's rule, which
+        # then makes the instance: with the foot as a point partner on
+        # either side, or with an open left operand X(cal S*) that ttu closes
+        (interior("S", foot("S"), CAL, adjoin=ADJOIN_NA),
+         "Tom-i Jerry-lul ccossnunta cal."),
+        (interior("S", CAL, foot("S"), adjoin=ADJOIN_NA),
+         "cal Tom-i Jerry-lul ccossnunta."),
+        (interior("S", interior("X", CAL, foot("S")), TTU, adjoin=ADJOIN_NA),
+         "cal Tom-i Jerry-lul ccossnunta ttu.")])
+    def test_auxiliary_at_the_chase_root(self, g_chase, tree, line):
+        # the auxiliary adjoins at the chase root, an adjunction that makes
+        # the chase instance
+        pairs = tuple(p for p in g_chase.pairs if not p.source.is_multi)
+        grammar = Grammar(
+            pairs=pairs + (singleton("beta_cal", tree, priority=2),),
+            source_language="ko", target_language="en", start_symbol="S",
+            particles=g_chase.particles)
+        self.check(grammar, line)
+
     def test_left_operand_dearer_than_the_right(self):
         # L(X X) costs two and settles after the X slot to its right, so
         # the left operand is the one that finds its partner settled
-        def singleton(name, tree):
-            et = ElementaryTree(tree)
-            return SyncPair(name=name, source=SourceSet((et,)), target=et,
-                            links=tuple(Link(0, a, a) for a in et.subst_addresses))
-
         grammar = Grammar(
             pairs=(singleton("gamma", interior(
                 "S", lex("V", "v"), interior("L", subst("X"), subst("X")),
@@ -559,8 +610,10 @@ FOREST_SIZES = Path(__file__).parent / "golden" / "forest_sizes.txt"
 
 def forest_sizes() -> str:
     """Pass 1's forest over every corpus line of the shipped grammars: the
-    items that cover words, their hyperedges, and each start pair's root
-    least cost ("-" where the root never settles)."""
+    items that cover words, their hyperedges, each start pair's root least
+    cost ("-" where the root never settles), and the hyperedge lookups
+    pass 2 makes for the cheapest batch of the start pairs' roots at the
+    parser's budget ("-" where no root settles)."""
     out = []
     for name in ("chase", "ditransitive", "embedded"):
         grammar = load_grammar(name)
@@ -569,20 +622,25 @@ def forest_sizes() -> str:
         for line in corpus(name):
             lex_stream = tokenize(line, grammar).lex_stream
             span = stagmt.parser._SpanParser(lex_stream, tables)
-            roots = []
+            roots, keys = [], []
             for pair in grammar.start_pairs:
-                root = tables.inst0 + tables.comp_id[pair.name, pair.source.head]
-                least = span.best.get((root, 0, len(lex_stream), None))
+                keys.append((tables.inst0 + tables.comp_id[pair.name, pair.source.head],
+                             0, len(lex_stream), None))
+                least = span.best.get(keys[-1])
                 roots.append(f"{pair.name} {'-' if least is None else least}")
             hyperedges = sum(len(span.edges[key]) for key in span.best)
+            span.edges = Lookups(span.edges)
+            budget = len(lex_stream) * tables.max_comps
+            cheapest = next(span.trees(keys, budget), None)
+            lookups = "-" if cheapest is None else len(span.edges.looked_up)
             out.append(f"{line}\t{len(span.best)} items\t{hyperedges} hyperedges"
-                       f"\t{', '.join(roots)}")
+                       f"\t{', '.join(roots)}\t{lookups} pass-2 lookups")
     return "\n".join(out) + "\n"
 
 
 def test_forest_sizes_match_golden():
-    # a referee for rewrites of pass 1: the same items, hyperedges and root
-    # least costs on every corpus line
+    # a referee for rewrites of either pass: the same items, hyperedges,
+    # root least costs and pass-2 lookups on every corpus line
     assert forest_sizes() == FOREST_SIZES.read_text(encoding="utf-8")
 
 
