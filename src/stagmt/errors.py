@@ -90,8 +90,8 @@ class LexicalGapError(ParseError):
 
 class LimitExceededError(ParseError):
     """The input is beyond a fixed limit: past the parser's caps on chart
-    items, root instance trees or one instance tree's groupings, or too
-    many words to try every order of."""
+    items, root instance trees or the groupings of one parse, or too many
+    words to try every order of."""
 
     code = "limit-exceeded"
 

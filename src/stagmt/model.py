@@ -306,7 +306,9 @@ class Grammar(Record):
     Construction checks the particle forms (``check_particles``) and every
     pair (``validate_pair``), then refuses a duplicate pair name and a
     grammar with no start pair, so every ``Grammar`` is valid. Immutable
-    after construction; safe to share across concurrent parses.
+    after construction, its tables built on first use (``word_tokens`` is
+    a memo, written as words are met); safe to share across concurrent
+    parses.
     """
 
     _fields = ("source_language", "target_language", "start_symbol", "pairs",
@@ -361,35 +363,22 @@ class Grammar(Record):
         return tuple(sorted(self.particle_map, key=lambda f: (-len(f), f)))
 
     @cached_property
-    def anchor_index(self) -> dict[str, tuple[str, ...]]:
-        """Content lex word -> sorted pair names; particle forms are excluded."""
-        particles = {p.form for p in self.particles}
-        index: dict[str, set[str]] = {}
-        for pair in self.pairs:
-            for comp in pair.source.components:
-                for word in comp.lex_words:
-                    if word in particles:
-                        continue
-                    index.setdefault(word, set()).add(pair.name)
-        return {w: tuple(sorted(names)) for w, names in sorted(index.items())}
+    def anchor_index(self) -> frozenset[str]:
+        """The content lex words, those that anchor a pair; particle forms
+        are excluded."""
+        return frozenset(word for pair in self.pairs
+                         for comp in pair.source.components
+                         for word in comp.lex_words).difference(self.particle_map)
 
     @cached_property
     def word_tokens(self) -> dict[str, Token]:
-        """The token of each word form whose stem anchors a pair, as
-        ``morphotok.segment_token`` segments it: every anchor followed by a
-        hyphen and a particle and, when the anchor holds no hyphen, bare and
-        with a particle glued on. Built on first use."""
-        from .morphotok import segment_token
-        tokens = {}
-        for stem in self.anchor_index:
-            forms = [f"{stem}-{particle}" for particle in self.particle_map]
-            if "-" not in stem:     # else both split at the anchor's hyphen
-                forms += [stem, *(stem + particle for particle in self.particle_map)]
-            for form in forms:
-                token = segment_token(form, self)
-                if token.stem in self.anchor_index:
-                    tokens[form] = token
-        return tokens
+        """``morphotok.tokenize``'s memo, empty when first read: the token
+        ``segment_token`` made of each word form met so far whose stem
+        anchors a pair. Such forms are finite (an anchor, bare or with a
+        particle after a hyphen or glued on), so the memo is bounded; and
+        whoever writes a form writes the same token, so concurrent parses
+        can share it."""
+        return {}
 
     @cached_property
     def start_pairs(self) -> tuple[SyncPair, ...]:

@@ -83,8 +83,9 @@ def tokenize(line: str, grammar: Grammar) -> TokenizedSentence:
 
     A single trailing "." is stripped and remembered as the terminator; a
     line without one gets an empty terminator so output can mirror input.
-    A word form the grammar anchors is read from ``Grammar.word_tokens``,
-    and any other is segmented.
+    A word form is read from the memo ``Grammar.word_tokens`` when it holds
+    it, and is otherwise segmented and, when its stem anchors a pair, kept
+    there.
     """
     text = line.strip()
     terminator = ""
@@ -93,9 +94,11 @@ def tokenize(line: str, grammar: Grammar) -> TokenizedSentence:
         text = text[:-1].rstrip()
     if not text:
         raise EmptyInputError("no words in input line")
-    known = grammar.word_tokens
-    tokens = tuple(known.get(word) or segment_token(word, grammar)
+    memo = grammar.word_tokens
+    tokens = tuple(memo.get(word) or segment_token(word, grammar)
                    for word in text.split())
+    memo.update((token.surface, token) for token in tokens
+                if token.stem in grammar.anchor_index)
     return TokenizedSentence(tokens=tokens, terminator=terminator)
 
 

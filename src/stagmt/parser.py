@@ -22,7 +22,10 @@ alone. ``ChartTables`` derives them once, as pass 1 over the empty sentence
 words. An item with no words after its foot leaves its gap's right end
 open, so a foot's left sibling makes one item, not one per right end of
 the gap. This is how Tree Insertion Grammar (Schabes & Waters 1995) parses
-auxiliaries with a foot at one end in cubic time.
+auxiliaries with a foot at one end in cubic time. Pass 1 relies on the
+grammar's one-foot rule (``multiple-feet``): of two sibling subtrees at
+most one holds its tree's foot, so no rule joins two gapped operands and
+none checks for it, as in the TAG CKY items of Vijay-Shanker & Joshi 1985.
 
 1. Recognition builds a packed forest: a Knuth-style worklist settles
    every derivable item once, at its least instance count, and records
@@ -54,12 +57,14 @@ input, its instances in order of first appearance in derived preorder and
 their spans. No derivation is composed. Each grouping's uses are numbered
 by first appearance, which makes its canonical derivation directly, and
 those whose dominance requirements fail on the spans are discarded; a cost
-with none left is skipped, and the next batch is enumerated. Surviving
-trees are deduplicated by their derivations and, when more than one is
-left, sorted. ``parse`` returns the cheapest level, or every level when
-asked, each carrying its derivations' source trees, which compose, with
-every check, only when a caller reads their nodes; dearer levels are never
-enumerated, grouped or expanded unless asked for.
+with none left is skipped, and the next batch is enumerated.
+``MAX_GROUPINGS`` caps the groupings of one parse, every level it builds
+counted, each tree's count taken before any of its groupings is built.
+Surviving trees are deduplicated by their derivations and, when more than
+one is left, sorted. ``parse`` returns the cheapest level, or every level
+when asked, each carrying its derivations' source trees, which compose,
+with every check, only when a caller reads their nodes; dearer levels are
+never enumerated, grouped or expanded unless asked for.
 ``all_derivations`` returns every level's derivations flat.
 """
 
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -106,8 +111,10 @@ MAX_CHART_ITEMS = 200_000
 # enumerates at most 4, the canonical chase sentence 1 of its 5, an embedding
 # chain of any depth 1; every level of a benchmark input holds at most 17)
 MAX_PARSES = 10_000
-# groupings of one instance tree before the coded error limit-exceeded: k
-# instances of one set pair make k! (3! = 6 in the benchmark's grammars)
+# groupings of the instance trees of one parse, every level it builds
+# counted, before the coded error limit-exceeded: k instances of one set
+# pair make k! (3! = 6 in the benchmark's grammars), a tree with no set
+# instance makes 1
 MAX_GROUPINGS = 10_000
 
 # the gap of an item with no words after its foot: it runs from the item's
@@ -134,8 +141,8 @@ class ChartTables:
     construction, so concurrent parses of one grammar share them.
 
     Every component gets a component id (``comps`` maps it to its pair
-    name and component index, ``comp_id`` back) and every node an integer
-    id, in the preorder of ``ElementaryTree.nodes``. An item is a symbol
+    name and component index) and every node an integer id, in the
+    preorder of ``ElementaryTree.nodes``. An item is a symbol
     over lex[i:j], plus the foot gap (gi, gj) when the subtree holds a foot,
     with gj < j; or, when no words follow the foot, ``OPEN``: the item
     covers lex[i:j] and its foot gap runs from j to a right end it leaves
@@ -182,16 +189,17 @@ class ChartTables:
     tables just the instance symbols, ``holds`` and where an instance
     attaches (``site``, keyed by the slot's symbol or the symbol an
     adjunction at the host makes, with the site's preorder index in its
-    tree). Phase 2 groups an instance tree's set instances by ``sets``, the
-    component ids of each set pair, set pairs in name order, and
-    ``set_of``, the index there of each set pair's component id; it expands
-    an instance tree, and gives a use of a pair, ``components``, that
-    pair's source trees.
+    tree). Each parse's root items are the instances of the start pairs'
+    head components over the whole input, their symbols listed in
+    ``starts``, in ``Grammar.start_pairs`` order. Phase 2 groups an
+    instance tree's set instances by ``sets``, the component ids of each
+    set pair, set pairs in name order; it expands an instance tree, and
+    gives a use of a pair, ``components``, that pair's source trees.
     """
 
     def __init__(self, grammar: Grammar):
         self.comps: list[tuple[str, int]] = []
-        self.comp_id: dict[tuple[str, int], int] = {}
+        comp_id: dict[tuple[str, int], int] = {}
         # pass 2's charge for an instance: a use is its component-0 instance
         self.comp_cost: list[int] = []
         # phase 2's, by component id: its pair's source trees
@@ -202,7 +210,7 @@ class ChartTables:
         roots: list[tuple[int, bool]] = []  # component id -> (root, auxiliary)
         for pair in grammar.pairs:
             for ci, comp in enumerate(pair.source.components):
-                self.comp_id[pair.name, ci] = len(self.comps)
+                comp_id[pair.name, ci] = len(self.comps)
                 self.comps.append((pair.name, ci))
                 self.comp_cost.append(pair.priority - 1 if ci == 0 else 0)
                 self.components.append(pair.source.components)
@@ -219,8 +227,7 @@ class ChartTables:
         self.max_comps = max((p.n_components for p in grammar.pairs), default=1)
         sets = sorted((p.name, p.n_components) for p in grammar.pairs
                       if p.source.is_multi)
-        self.sets = [[self.comp_id[name, ci] for ci in range(k)] for name, k in sets]
-        self.set_of = {comp: rank for rank, ids in enumerate(self.sets) for comp in ids}
+        self.sets = [[comp_id[name, ci] for ci in range(k)] for name, k in sets]
         aux_cats = {nodes[root].cat for root, is_aux in roots if is_aux}
         hosting = [node.kind == KIND_INTERIOR and node.adjoin != ADJOIN_NA
                    and node.cat in aux_cats for node in nodes]
@@ -232,6 +239,8 @@ class ChartTables:
                 next_sym += 1
         self.inst0 = next_sym
         next_sym += len(self.comps)
+        self.starts = [self.inst0 + comp_id[p.name, p.source.head]
+                       for p in grammar.start_pairs]
 
         # the deduction rules, indexed by antecedent symbol
         self.feet = [n for n, node in enumerate(nodes) if node.kind == KIND_FOOT]
@@ -477,20 +486,16 @@ class _SpanParser:
                     else:
                         ends.setdefault((sym, j), []).append(key)
                         for other in starts.get((right, j), ()):
-                            if gap is None or other[3] is None:
-                                push((out, i, other[2], gap or other[3]),
-                                     (cost + extra + best[other], key, other))
+                            push((out, i, other[2], gap or other[3]),
+                                 (cost + extra + best[other], key, other))
                     for pgap, pkey, extra in right_points:
-                        if gap is None or pgap is None:
-                            push((out, i, j, gap or pgap),
-                                 (cost + extra, key, pkey))
+                        push((out, i, j, gap or pgap), (cost + extra, key, pkey))
                 if as_right is not None:
                     left, out, extra, left_points = as_right
                     starts.setdefault((sym, i), []).append(key)
                     for other in ends.get((left, i), ()):
-                        if gap is None or other[3] is None:
-                            push((out, other[1], j, gap or other[3]),
-                                 (cost + extra + best[other], other, key))
+                        push((out, other[1], j, gap or other[3]),
+                             (cost + extra + best[other], other, key))
                     if gap is None:
                         free_rights.setdefault(sym, []).append(key)
                         for other in open_lefts.get(left, ()):
@@ -500,7 +505,7 @@ class _SpanParser:
                     for pgap, pkey, extra in left_points:
                         if pgap is None:
                             push((out, i, j, gap), (cost + extra, pkey, key))
-                        elif gap is None:   # its gap runs from any p to i
+                        else:   # key is gap-free: the gap runs from any p to i
                             for p in range(i + 1):
                                 push((out, p, j, (p, i)),
                                      (cost + extra, pkey, key))
@@ -551,12 +556,16 @@ class _SpanParser:
         cost is the item's own instance count plus its antecedents' least
         costs, so a state within the budget always completes to a tree, no
         state over it is pushed, and the work grows with the trees found.
-        An antecedent whose symbol can hold no instance (``holds``) is not
-        pushed at all: it costs 0 and its one tree is empty. The successors
-        of a state that pops an instance are pushed on the stack of its cost
-        plus the instance's charge, the others on the current one, whose
-        rightmost pending item is expanded first. No
-        charge is negative, since every priority is at least 1, so once
+        A hyperedge that records less than its item's least cost is an
+        ``InternalError``: it would grow the slack, without end on a cyclic
+        forest. So is an instance over the budget, which one that records
+        less than its antecedents' least costs lets in. An antecedent whose
+        symbol can hold no instance (``holds``) is not pushed at all: it
+        costs 0 and its one tree is empty. The successors of a state that
+        pops an instance are pushed on the stack of its cost plus the
+        instance's charge, the others on the current one, whose rightmost
+        pending item is expanded first. No charge is negative, since every
+        priority is at least 1, so once
         the stack of cost c is empty every tree of cost c has been found
         and no dearer state expanded: a batch is complete when it is
         handed out, and a caller that stops after it pays for no dearer
@@ -599,6 +608,8 @@ class _SpanParser:
                 if 0 <= comp < n_comps:     # an instance, parent of its own
                     insts = ((comp, parent, at), insts)
                     parent, count = count, count + 1
+                    if count > budget:  # the slack grew: pass 1 erred
+                        raise InternalError(f"{item} overruns the budget {budget}")
                     if comp_cost[comp]:
                         dearer = cost + comp_cost[comp]
                         while len(buckets) <= dearer:
@@ -609,6 +620,9 @@ class _SpanParser:
                     least = point_best[item]
                 held_at = site.get(sym)     # where an instance antecedent attaches
                 for edge in edges[item]:
+                    if edge[0] < least:     # would grow the slack
+                        raise InternalError(f"a hyperedge of {item} costs {edge[0]},"
+                                            f" below its least cost {least}")
                     left = slack + least - edge[0]
                     if left >= 0:
                         grown = pending
@@ -620,41 +634,35 @@ class _SpanParser:
                 yield cost, found
 
 
-def _groupings(flat: tuple, tables: ChartTables):
-    """Yield the use of each further component's instance, by instance
-    index, a use being its component-0 instance's index.
+def _groupings(flat: tuple, tables: ChartTables) -> tuple[int, Iterable[dict]]:
+    """The number of readings of an instance tree, and the readings, each
+    the use of each further component's instance, by instance index, a use
+    being its component-0 instance's index.
 
     flat is an instance tree from ``_SpanParser.trees``. One pass over it
-    files the instances of each set pair's components by component id
-    (``ChartTables.sets``). The instances of each further component of a
-    multi-component pair are matched bijectively with that pair's uses;
-    every choice of one permutation per further component is one candidate
-    reading. A tree in which a further component has more or fewer
-    instances than its pair has uses has none. More than
-    ``MAX_GROUPINGS`` readings are refused before any is built.
+    files its instances by component id, and ``ChartTables.sets`` is walked
+    in order. The instances of each further component of a multi-component
+    pair are matched bijectively with that pair's uses; every choice of one
+    permutation per further component is one candidate reading. A tree in
+    which a further component has more or fewer instances than its pair has
+    uses has none. The count comes before any reading is built.
     """
-    set_of = tables.set_of
     members: dict[int, list[int]] = {}  # component id -> its instances
     for idx, (comp, _, _) in enumerate(flat):
-        if comp in set_of:
-            members.setdefault(comp, []).append(idx)
+        members.setdefault(comp, []).append(idx)
     matched = []    # (a further component's instances, its pair's uses)
-    for rank in sorted({set_of[comp] for comp in members}):
-        first, *further = tables.sets[rank]
+    for first, *further in tables.sets:
         base = members.get(first, ())
         for comp in further:
             found = members.get(comp, ())
             if len(found) != len(base):
-                return
+                return 0, ()
             matched.append((found, base))
-    if math.prod(math.factorial(len(base)) for _, base in matched) > MAX_GROUPINGS:
-        raise LimitExceededError(
-            f"an instance tree has more than {MAX_GROUPINGS} groupings")
-
-    for chosen in itertools.product(*(itertools.permutations(found)
-                                      for found, _ in matched)):
-        yield {idx: use for perm, (_, base) in zip(chosen, matched)
-               for idx, use in zip(perm, base)}
+    return math.prod(math.factorial(len(base)) for _, base in matched), (
+        {idx: use for perm, (_, base) in zip(chosen, matched)
+         for idx, use in zip(perm, base)}
+        for chosen in itertools.product(*(itertools.permutations(found)
+                                          for found, _ in matched)))
 
 
 def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
@@ -677,8 +685,8 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
     budget = max_uses * tables.max_comps
     span = _SpanParser(lex, tables)
 
-    roots = [(tables.inst0 + tables.comp_id[pair.name, pair.source.head],
-              0, len(lex), None) for pair in grammar.start_pairs]
+    roots = [(sym, 0, len(lex), None) for sym in tables.starts]
+    n_groupings = 0
     for cost, batch in span.trees(roots, budget):
         found: dict[Derivation, DerivedTree] = {}
         for flat in batch:
@@ -687,8 +695,13 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             heads = {idx: idx for idx, (_, ci) in enumerate(insts) if ci == 0}
             if len(heads) > max_uses:
                 continue
+            count, readings = _groupings(flat, tables)
+            n_groupings += count
+            if n_groupings > MAX_GROUPINGS:
+                raise LimitExceededError(
+                    f"the input has more than {MAX_GROUPINGS} groupings")
             expanded = None
-            for further in _groupings(flat, tables):
+            for further in readings:
                 if expanded is None:    # each instance its own use
                     sites: dict[tuple[int, int], dict[int, tuple]] = {}
                     for idx, (_, parent, (_, index, op)) in enumerate(flat[1:], 1):

@@ -1,5 +1,8 @@
 """Segmentation of case-marked words and line tokenization."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,49 +161,90 @@ def with_anchor(word):
 
 
 class TestWordTokens:
-    """A word form whose stem anchors a pair is read from the grammar's
-    table, any other is segmented; either way the tokens and the errors are
-    segment_token's."""
+    """tokenize keeps the token of each word form whose stem anchors a pair
+    in the grammar's memo, and reads it from there the next time; either
+    way the tokens and the errors are segment_token's."""
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_anchored_forms_are_read_from_the_table(self, name, monkeypatch):
         grammar = load_grammar(name)
-        forms = anchored_forms(grammar)
-        segmented = tuple(segment_token(form, grammar) for form in forms)
-        grammar.word_tokens     # built on first use, by segment_token
+        line = " ".join(anchored_forms(grammar))
+        assert grammar.word_tokens == {}
+        first = tokenize(line, grammar)
         calls = []
         monkeypatch.setattr(stagmt.morphotok, "segment_token",
                             lambda *args: calls.append(args))
-        assert tokenize(" ".join(forms), grammar).tokens == segmented
+        assert tokenize(line, grammar) == first
         assert calls == []
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_table_holds_only_anchored_stems(self, name):
         grammar = load_grammar(name)
-        assert grammar.word_tokens
+        forms = anchored_forms(grammar)
+        assert tokenize(" ".join(forms), grammar).tokens == tuple(
+            segment_token(form, grammar) for form in forms)
+        assert grammar.word_tokens.keys() == set(forms)
         for form, token in grammar.word_tokens.items():
             assert token.stem in grammar.anchor_index
             assert token == segment_token(form, grammar)
 
+    def test_threads_share_the_memo(self):
+        # parses in several threads write one memo; a lost or torn write
+        # would leave a form out or keep a token that is not segment_token's
+        grammar = load_grammar("chase")
+        forms = [*anchored_forms(grammar), "Spike", "Spikeul"]
+        expected = tuple(segment_token(form, grammar) for form in forms)
+        seen = []
+
+        def work():
+            seen.extend(tokenize(" ".join(forms), grammar).tokens == expected
+                        for _ in range(50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [True] * 400
+        assert grammar.word_tokens == {
+            token.surface: token for token in expected
+            if token.stem in grammar.anchor_index}
+
+    @given(words=st.lists(stems, min_size=1, max_size=4))
+    def test_unanchored_words_stay_out_of_the_memo(self, words):
+        grammar = with_anchor("Paul")
+        tokens = tokenize(" ".join(words), grammar).tokens
+        assert tokens == tuple(segment_token(word, grammar) for word in words)
+        assert grammar.word_tokens == {
+            token.surface: token for token in tokens
+            if token.stem in grammar.anchor_index}
+
     def test_glued_form_that_splits_elsewhere(self):
         # "Paul" with "ul" glued on segments by the longest particle as
-        # "Pau" + "lul", a stem that anchors nothing, so the table leaves
-        # the form out and tokenizing segments it
+        # "Pau" + "lul", a stem that anchors nothing, so the memo leaves
+        # the form out
         grammar = with_anchor("Paul")
-        assert grammar.word_tokens["Paullul"] == Token("Paullul", "Paul", "lul")
-        assert "Paulul" not in grammar.word_tokens
-        assert tokenize("Paulul.", grammar).tokens == (
-            Token("Paulul", "Pau", "lul"),)
+        assert tokenize("Paullul Paulul.", grammar).tokens == (
+            Token("Paullul", "Paul", "lul"), Token("Paulul", "Pau", "lul"))
+        assert grammar.word_tokens == {"Paullul": Token("Paullul", "Paul", "lul")}
 
     @pytest.mark.parametrize("word", ["Jerry-xyz", "-lul", "Tom-", "San-Jose",
                                       "San-Joseka"])
     def test_refused_forms_raise_as_segmenting_does(self, word):
         # an anchor that holds a hyphen splits there when bare or glued
         grammar = with_anchor("San-Jose")
-        assert grammar.word_tokens["San-Jose-ka"].stem == "San-Jose"
+        assert tokenize("San-Jose-ka", grammar).tokens[0].stem == "San-Jose"
         with pytest.raises(StagError) as direct:
             segment_token(word, grammar)
-        with pytest.raises(StagError) as through:
-            tokenize(f"Tom-i {word} ccossnunta.", grammar)
-        assert (through.value.code, str(through.value)) == (
-            direct.value.code, str(direct.value))
+        for _ in range(2):  # the memo keeps no refused form
+            with pytest.raises(StagError) as through:
+                tokenize(f"Tom-i {word} ccossnunta.", grammar)
+            assert (through.value.code, str(through.value)) == (
+                direct.value.code, str(direct.value))
+        assert word not in grammar.word_tokens

@@ -197,17 +197,23 @@ class TestFailureModes:
                   g_chase)
 
     def test_groupings_are_capped(self, monkeypatch):
-        # each instance tree of the three fronted objects groups in 3! = 6
-        # ways; the cap is checked before any grouping is built
+        # each of the two levels has one instance tree of the three fronted
+        # objects, which groups in 3! = 6 ways; the cap counts the groupings
+        # of every level one parse builds, before any grouping is built
         grammar = load_grammar(str(AMBIGUOUS_GRAMMAR))
         sentence = tokenize(AMBIGUOUS_FRONTED, grammar)
-        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 6)
+        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 12)
         levels = parse(sentence, grammar, all_levels=True)
         assert [len(level.trees) for level in levels] == [6, 6]
-        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 5)
+        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 6)
+        assert [len(level.trees) for level in parse(sentence, grammar)] == [6]
         with pytest.raises(LimitExceededError) as info:
-            parse(sentence, grammar)
+            parse(sentence, grammar, all_levels=True)
         assert info.value.code == "limit-exceeded"
+        assert str(info.value) == "the input has more than 6 groupings"
+        monkeypatch.setattr(stagmt.parser, "MAX_GROUPINGS", 5)
+        with pytest.raises(LimitExceededError):
+            parse(sentence, grammar)
 
     def test_wrong_yield_is_an_internal_error(self, g_chase, monkeypatch):
         # the yield check must survive python -O, so it cannot be an assert
@@ -221,6 +227,41 @@ class TestFailureModes:
         with pytest.raises(InternalError, match="derived tree yields") as info:
             derivations_of(CHASE_CANONICAL, g_chase)
         assert info.value.code == "internal-error"
+
+    @staticmethod
+    def chase_root(grammar):
+        """Pass 1 over the canonical chase sentence, and the chase instance
+        item over all of it."""
+        tables = grammar.chart_tables
+        lex_stream = tokenize(CHASE_CANONICAL, grammar).lex_stream
+        return stagmt.parser._SpanParser(lex_stream, tables), (
+            tables.inst0 + tables.comps.index(("gamma_chase", 0)), 0,
+            len(lex_stream), None)
+
+    def test_hyperedge_below_least_cost_is_an_internal_error(self, g_chase):
+        # pass 2 trusts pass 1's costs only as far as it checks them: a
+        # hyperedge cheaper than its item's least cost would grow the slack,
+        # which on a cyclic forest never runs out; the chase forest has no
+        # cycle, so there the search would end, and wrongly
+        span, root = self.chase_root(g_chase)
+        least = span.best[root]
+        cheapest, *rest = span.edges[root]
+        span.edges[root] = [(least - 1, *cheapest[1:]), *rest]
+        with pytest.raises(InternalError) as info:
+            list(span.trees([root], 8))
+        assert str(info.value) == (f"a hyperedge of {root} costs {least - 1},"
+                                   f" below its least cost {least}")
+
+    def test_instance_over_the_budget_is_an_internal_error(self, g_chase):
+        # a hyperedge recorded below its antecedents' least costs, though
+        # not below its item's, also grows the slack; at a budget of the
+        # item's least cost, its trees overrun the budget
+        span, root = self.chase_root(g_chase)
+        least = span.best[root]
+        span.edges[root] = [(least, *edge[1:]) for edge in span.edges[root]]
+        assert len(span.edges[root]) > 1
+        with pytest.raises(InternalError, match="overruns the budget"):
+            list(span.trees([root], least))
 
 
 @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded",
@@ -459,6 +500,11 @@ class TestForest:
                 assert all(ante in t.point_edges
                            for ante in edge[1:] if ante[1] == ante[2])
                 assert edge[0] == own + sum(best[ante] for ante in edge[1:])
+                # a tree has one foot, so of two operands at most one holds
+                # a gap; an adjunction (one antecedent an auxiliary
+                # instance, whose row says where it adjoins) joins two
+                if all(t.rules[ante[0]][4] is None for ante in edge[1:]):
+                    assert sum(ante[3] is not None for ante in edge[1:]) <= 1
             assert min(edge[0] for edge in found) == least
             span.edges.looked_up.clear()
             batches = list(span.trees([key], self.BUDGET))
@@ -623,9 +669,8 @@ def forest_sizes() -> str:
             lex_stream = tokenize(line, grammar).lex_stream
             span = stagmt.parser._SpanParser(lex_stream, tables)
             roots, keys = [], []
-            for pair in grammar.start_pairs:
-                keys.append((tables.inst0 + tables.comp_id[pair.name, pair.source.head],
-                             0, len(lex_stream), None))
+            for pair, sym in zip(grammar.start_pairs, tables.starts):
+                keys.append((sym, 0, len(lex_stream), None))
                 least = span.best.get(keys[-1])
                 roots.append(f"{pair.name} {'-' if least is None else least}")
             hyperedges = sum(len(span.edges[key]) for key in span.best)
