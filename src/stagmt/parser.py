@@ -13,15 +13,16 @@ symbol for "with" and "without an adjunction here". A component's root has
 no item of its own: each rule that completes a root makes the component's
 instance item, one instance dearer, so no unary rule relays one to the
 other (such relays fold into the rules that feed them, Shieber, Schabes &
-Pereira 1995). Point items, which
-cover no words (trace components, the slots they fill, zero-width
-auxiliaries, feet), are implicit: their antecedents are point items at the
-same position, so their least costs and hyperedges depend on the grammar
-alone. ``ChartTables`` derives them once, as pass 1 over the empty sentence
-(the point table), and a sentence's chart holds only items that cover
-words. An item with no words after its foot leaves its gap's right end
-open, so a foot's left sibling makes one item, not one per right end of
-the gap. This is how Tree Insertion Grammar (Schabes & Waters 1995) parses
+Pereira 1995). Nor has a substitution slot: an initial instance item
+plays the part of every slot of its category in the rules that read one,
+so it fills each slot directly. Point items, which cover no words (trace
+components, zero-width auxiliaries, feet), are implicit: their
+antecedents are point items at the same position, so their least costs
+and hyperedges depend on the grammar alone. ``ChartTables`` derives them
+once, as pass 1 over the empty sentence (the point table), and a
+sentence's chart holds only items that cover words. An item with no words
+after its foot leaves its gap's right end open, so a foot's left sibling
+makes one item, not one per right end of the gap. This is how Tree Insertion Grammar (Schabes & Waters 1995) parses
 auxiliaries with a foot at one end in cubic time. Pass 1 relies on the
 grammar's one-foot rule (``multiple-feet``): of two sibling subtrees at
 most one holds its tree's foot, so no rule joins two gapped operands and
@@ -103,8 +104,10 @@ from .model import (
 )
 from .morphotok import TokenizedSentence, check_anchored
 
-# pass-1 chart items one parse may settle before it gives up with the coded
-# error limit-exceeded (the benchmark's largest chart holds a few hundred)
+# pass-1 firings one parse may log before it gives up with the coded error
+# limit-exceeded; every chart item enters through one, so this caps the
+# chart and the log alike (the benchmark's largest chart holds a few hundred
+# items; the input shapes measured log about 1.0 to 1.2 firings per item)
 MAX_CHART_ITEMS = 200_000
 # root instance trees pass 2 may enumerate for one parse, cheapest level
 # first, before the coded error limit-exceeded (translating a benchmark input
@@ -150,7 +153,8 @@ class ChartTables:
 
     - at symbol (the node id n): the subtree at n, with at most one
       adjunction at n. A component's root has none: its instance symbol
-      stands in for it;
+      stands in for it. Nor has a substitution slot: the rules that read
+      a slot read an instance of its category instead;
     - below symbol of n: the subtree at n, no adjunction at n. Where no
       adjunction can happen at n (a leaf, or an interior node that is
       null-adjoining or has no auxiliary of its category) and n is not
@@ -174,24 +178,33 @@ class ChartTables:
     hyperedges name their point antecedents by it.
 
     The deduction rules are written once, here, in one row per antecedent
-    symbol (``rules``, a list indexed by symbol): its unary rules, its rule
-    as a left and as a right operand, the symbol its adjunctions make and,
-    for an auxiliary instance, its root category. Each rule carries the
-    instance count of its consequent (1 where it makes an instance, else
-    0) and the point items it can meet, so pass 1 looks none up: the point
-    items of an operand's partner, the zero-width auxiliaries a host can
-    take and the point hosts an auxiliary can adjoin at, each point item's
-    cost with that count added. A settled item reads its row with one
-    index and one unpack. The symbols themselves are construction locals.
-    ``holds`` flags, by symbol, whether an item of it can hold an instance:
-    an instance, a site, or what a rule makes from one, to a fixpoint over
-    the rules. Pass 2 only searches pass 1's hyperedges, reading from these
+    symbol (``rules``, a list indexed by symbol): the key pass 1 files its
+    operand items under, its unary rules, its rules as a left and as a
+    right operand, the symbol its adjunctions make and, for an auxiliary
+    instance, its root category. All substitution slots of one category
+    share one partner key. An initial instance is filed under its
+    category's key, and its row carries the role of every slot of that
+    category, as an only child or as a left or right operand, so no slot
+    item is ever made; its point items, such as traces, are the point
+    partners of that key. Each rule carries the instance count of its
+    consequent (1 where it makes an instance, else 0) and the point items
+    it can meet, so pass 1 looks none up: the point items of an operand's
+    partner, the zero-width auxiliaries a host can take and the point
+    hosts an auxiliary can adjoin at, each point item's cost with that
+    count added. A settled item reads its row with one index and one
+    unpack. The symbols themselves are construction locals. ``holds``
+    flags, by symbol, whether an item of it can hold an instance: an
+    instance, a site, or what a rule makes from one, to a fixpoint over the
+    rules. Pass 2 only searches pass 1's hyperedges, reading from these
     tables just the instance symbols, ``holds`` and where an instance
-    attaches (``site``, keyed by the slot's symbol or the symbol an
-    adjunction at the host makes, with the site's preorder index in its
-    tree). Each parse's root items are the instances of the start pairs'
-    head components over the whole input, their symbols listed in
-    ``starts``, in ``Grammar.start_pairs`` order. Phase 2 groups an
+    attaches (``site``). ``site`` is keyed by consequent: the symbol an
+    adjunction makes, or one made by a rule that reads a slot, these being
+    the sites. It gives one entry per antecedent position, the address,
+    preorder index in its tree and operation of the site where an instance
+    at that position attaches, or None; an adjunction's entry is the same
+    at both positions. Each parse's root items are the instances of the
+    start pairs' head components over the whole input, their symbols listed
+    in ``starts``, in ``Grammar.start_pairs`` order. Phase 2 groups an
     instance tree's set instances by ``sets``, the component ids of each
     set pair, set pairs in name order; it expands an instance tree, and
     gives a use of a pair, ``components``, that pair's source trees.
@@ -245,8 +258,8 @@ class ChartTables:
         # the deduction rules, indexed by antecedent symbol
         self.feet = [n for n, node in enumerate(nodes) if node.kind == KIND_FOOT]
         unary: dict[int, list[tuple[int, int]]] = {}
-        as_left: dict[int, tuple[int, int, int]] = {}
-        as_right: dict[int, tuple[int, int, int]] = {}
+        as_left: dict[int, list[tuple[int, int, int]]] = {}
+        as_right: dict[int, list[tuple[int, int, int]]] = {}
         # below symbol -> (consequent, its instance count, cat)
         host_of: dict[int, tuple[int, int, str]] = {}
         aux_cat: dict[int, str] = {}              # instance symbol -> root cat
@@ -255,11 +268,14 @@ class ChartTables:
         # cat -> (consequent, its instance count, below symbol) of its
         # adjoinable nodes
         hosts: dict[str, list[tuple[int, int, int]]] = {}
-        # slot symbol, or the symbol an adjunction at a host makes ->
-        # (address, preorder index, operation) of the site where an
-        # instance there attaches
-        self.site: dict[int, tuple[GornAddress, int, str]] = {}
-        subst_slots: dict[str, list[int]] = {}
+        # consequent of an adjunction or of a rule that reads a slot -> per
+        # antecedent position, (address, preorder index, operation) of the
+        # site where an instance there attaches, or None
+        self.site: dict[int, tuple] = {}
+        # cat -> the one partner key of its slots, its last slot's symbol,
+        # which no item has: an initial instance of cat is filed under it
+        slot_key = {node.cat: n for n, node in enumerate(nodes)
+                    if node.kind == KIND_SUBST}
         # (symbol, instance count) of what a rule that completes a root
         # makes: the root's instance, one instance dearer
         lift = {root: (self.inst0 + c, 1) for c, (root, _) in enumerate(roots)}
@@ -267,70 +283,84 @@ class ChartTables:
             at = lift.get(n, (n, 0))
             if below[n] != n and node.adjoin != ADJOIN_OA:
                 unary.setdefault(below[n], []).append(at)
-            if node.kind == KIND_SUBST:
-                subst_slots.setdefault(node.cat, []).append(below[n])
-                self.site[below[n]] = (*addrs[n], OP_SUBST)
-            elif node.kind == KIND_LEX:
+            if node.kind == KIND_LEX:
                 self.lex_syms.setdefault(node.word, []).append(below[n])
             elif node.kind == KIND_EMPTY:
                 self.empty_syms.append(below[n])
             elif hosting[n]:
                 hosts.setdefault(node.cat, []).append((*at, below[n]))
                 host_of[below[n]] = (*at, node.cat)
-                self.site[at[0]] = (*addrs[n], OP_ADJOIN)
-            kids = children[n]
+                self.site[at[0]] = ((*addrs[n], OP_ADJOIN),) * 2
+            # where an instance in each child slot attaches; a slot child's
+            # symbol in the rules is its category's key
+            slots = [(*addrs[k], OP_SUBST) if nodes[k].kind == KIND_SUBST else None
+                     for k in children[n]]
+            kids = [slot_key[nodes[k].cat] if slot else k
+                    for k, slot in zip(children[n], slots)]
             middle = range(next_sym, next_sym + max(len(kids) - 2, 0))
             next_sym += len(middle)
             out = (below[n], *middle, *kids[-1:])
             made = [lift.get(sym, (sym, 0)) for sym in out]
             if len(kids) == 1:
                 unary.setdefault(kids[0], []).append(made[0])
+                if slots[0]:
+                    self.site[made[0][0]] = (slots[0],)
             for k in range(len(kids) - 1):
-                as_left[kids[k]] = (out[k + 1], *made[k])
-                as_right[out[k + 1]] = (kids[k], *made[k])
+                as_left.setdefault(kids[k], []).append((out[k + 1], *made[k]))
+                as_right.setdefault(out[k + 1], []).append((kids[k], *made[k]))
+                # the right operand is a child only when it is the last
+                held = (slots[k], slots[-1] if k + 2 == len(kids) else None)
+                if any(held):
+                    self.site[made[k][0]] = held
+        fills: dict[int, int] = {}  # initial instance symbol -> its slot key
         for c, (root, is_aux) in enumerate(roots):
-            inst = self.inst0 + c
             if is_aux:
-                aux_cat[inst] = nodes[root].cat
-            else:
-                for slot in subst_slots.get(nodes[root].cat, ()):
-                    unary.setdefault(inst, []).append((slot, 0))
+                aux_cat[self.inst0 + c] = nodes[root].cat
+            elif nodes[root].cat in slot_key:
+                fills[self.inst0 + c] = slot_key[nodes[root].cat]
         # the symbols whose items can hold an instance: the instances, the
         # sites and whatever a rule makes from one of them, to a fixpoint
         holds = self.holds = [sym in self.site or 0 <= sym - self.inst0 < len(self.comps)
                               for sym in range(next_sym)]
         links = [(sym, out) for sym, rules in unary.items() for out, _ in rules]
-        links += [(ante, out) for sym, (partner, out, _) in as_left.items()
-                  for ante in (sym, partner)]
+        links += [(ante, out) for sym, roles in as_left.items()
+                  for partner, out, _ in roles for ante in (sym, partner)]
         while any(holds[sym] and not holds[out] for sym, out in links):
             for sym, out in links:
                 holds[out] = holds[out] or holds[sym]
 
         def rows(points, point_auxes):
-            """symbol -> (unary rules as (consequent, instance count), as a
-            left operand (right partner, consequent, its instance count, the
-            partner's point items), as a right operand (left partner,
-            consequent, its instance count, the partner's point items), as
-            a host (consequent, its instance count, cat, the zero-width
-            auxiliaries of cat), as an auxiliary instance (its root cat, the
-            point items at the hosts of cat as (consequent, below symbol,
-            gap, key, cost))), each None where the symbol has no such rule.
+            """symbol -> (the key its operands are filed under, unary rules
+            as (consequent, instance count), rules as a left operand (right
+            partner, consequent, its instance count, the partner's point
+            items), rules as a right operand (left partner, consequent, its
+            instance count, the partner's point items), as a host
+            (consequent, its instance count, cat, the zero-width auxiliaries
+            of cat), as an auxiliary instance (its root cat, the point items
+            at the hosts of cat as (consequent, below symbol, gap, key,
+            cost))), the last two None where the symbol has no such rule.
+            An initial instance's key and rules are its category's slots'.
             A point partner's cost includes the consequent's instance count."""
             def dearer(items, extra):
                 return [(*item[:-1], item[-1] + extra) for item in items]
 
-            lefts = {sym: (partner, out, extra, dearer(points.get(partner, ()), extra))
-                     for sym, (partner, out, extra) in as_left.items()}
-            rights = {sym: (partner, out, extra, dearer(points.get(partner, ()), extra))
-                      for sym, (partner, out, extra) in as_right.items()}
+            lefts, rights = ({sym: [(partner, out, extra,
+                                     dearer(points.get(partner, ()), extra))
+                                    for partner, out, extra in roles]
+                              for sym, roles in operands.items()}
+                             for operands in (as_left, as_right))
             host_rows = {sym: (at, extra, cat, dearer(point_auxes.get(cat, ()), extra))
                          for sym, (at, extra, cat) in host_of.items()}
-            aux_rows = {sym: (cat, [(at, below, *point)
-                                    for at, extra, below in hosts.get(cat, ())
-                                    for point in dearer(points.get(below, ()), extra)])
+            # one list per category, shared by its auxiliaries
+            point_hosts = {cat: [(at, below, *point) for at, extra, below in cat_hosts
+                                 if below in points
+                                 for point in dearer(points[below], extra)]
+                           for cat, cat_hosts in hosts.items()}
+            aux_rows = {sym: (cat, point_hosts.get(cat, []))
                         for sym, cat in aux_cat.items()}
-            return [(tuple(unary.get(sym, ())), lefts.get(sym), rights.get(sym),
-                     host_rows.get(sym), aux_rows.get(sym)) for sym in range(next_sym)]
+            return [(part, tuple(unary.get(part, ())), lefts.get(part, ()),
+                     rights.get(part, ()), host_rows.get(sym), aux_rows.get(sym))
+                    for sym, part in ((sym, fills.get(sym, sym)) for sym in range(next_sym))]
 
         # the point table's run covers no words, so it meets no point
         # partners and starts from no point hyperedges, and its gaps all
@@ -339,13 +369,14 @@ class ChartTables:
         self.point_edges: dict[tuple, list[tuple]] = {}
         empty = _SpanParser((), self)
         self.point_best, self.point_edges = empty.best, empty.edges
-        # the point items by symbol, as (gap, key, cost) with the gap None
-        # or OPEN, and the zero-width auxiliaries by category, as (key, cost)
+        # the point items by the key they are filed under, as (gap, key,
+        # cost) with the gap None or OPEN, and the zero-width auxiliaries by
+        # category, as (key, cost)
         points: dict[int, list[tuple[str | None, tuple, int]]] = {}
         point_auxes: dict[str, list[tuple[tuple, int]]] = {}
         for key, cost in self.point_best.items():
             sym, gap = key[0], key[3]
-            points.setdefault(sym, []).append((gap and OPEN, key, cost))
+            points.setdefault(fills.get(sym, sym), []).append((gap and OPEN, key, cost))
             if sym in aux_cat:
                 point_auxes.setdefault(aux_cat[sym], []).append((key, cost))
         self.rules = rows(points, point_auxes)
@@ -414,8 +445,8 @@ class _SpanParser:
         - a closed auxiliary adjoins at an open host whose words its gap
           covers, and the host's gap ends where the auxiliary's does.
         A right operand whose left partner covers only its gap, such as a
-        foot, still yields one item per left end of that gap. The chart is
-        capped at ``MAX_CHART_ITEMS`` items.
+        foot, still yields one item per left end of that gap. The log, and
+        with it the chart, is capped at ``MAX_CHART_ITEMS`` firings.
         """
         t, n_lex = self.tables, len(self.lex)
         rules = t.rules
@@ -425,12 +456,12 @@ class _SpanParser:
         queue: list[list[tuple]] = [[]]
 
         def push(key, edge):
+            if len(log) >= MAX_CHART_ITEMS:
+                raise LimitExceededError(
+                    f"the input needs more than {MAX_CHART_ITEMS} pass-1 firings")
+            fired((key, edge))
             cost = edge[0]
             known = best.get(key)
-            if known is None and len(best) >= MAX_CHART_ITEMS:
-                raise LimitExceededError(
-                    f"the input needs more than {MAX_CHART_ITEMS} chart items")
-            fired((key, edge))
             if known is None or cost < known:
                 best[key] = cost
                 while len(queue) <= cost:
@@ -472,32 +503,35 @@ class _SpanParser:
                 if best[key] != cost:
                     continue
                 sym, i, j, gap = key
-                unary, as_left, as_right, host_of, aux_of = rules[sym]
+                part, unary, as_left, as_right, host_of, aux_of = rules[sym]
                 for out, extra in unary:
                     push((out, i, j, gap), (cost + extra, key))
-                if as_left is not None:
-                    right, out, extra, right_points = as_left
+                if as_left:
                     if gap is OPEN:     # a right partner over words closes it
-                        open_lefts.setdefault(sym, []).append(key)
+                        open_lefts.setdefault(part, []).append(key)
+                    else:
+                        ends.setdefault((part, j), []).append(key)
+                for right, out, extra, right_points in as_left:
+                    if gap is OPEN:
                         for other in free_rights.get(right, ()):
                             if other[1] >= j:
                                 push((out, i, other[2], (j, other[1])),
                                      (cost + extra + best[other], key, other))
                     else:
-                        ends.setdefault((sym, j), []).append(key)
                         for other in starts.get((right, j), ()):
                             push((out, i, other[2], gap or other[3]),
                                  (cost + extra + best[other], key, other))
                     for pgap, pkey, extra in right_points:
                         push((out, i, j, gap or pgap), (cost + extra, key, pkey))
-                if as_right is not None:
-                    left, out, extra, left_points = as_right
-                    starts.setdefault((sym, i), []).append(key)
+                if as_right:
+                    starts.setdefault((part, i), []).append(key)
+                    if gap is None:
+                        free_rights.setdefault(part, []).append(key)
+                for left, out, extra, left_points in as_right:
                     for other in ends.get((left, i), ()):
                         push((out, other[1], j, gap or other[3]),
                              (cost + extra + best[other], other, key))
                     if gap is None:
-                        free_rights.setdefault(sym, []).append(key)
                         for other in open_lefts.get(left, ()):
                             if other[2] <= i:
                                 push((out, other[1], j, (other[2], i)),
@@ -548,7 +582,8 @@ class _SpanParser:
         A uniform-cost search of the hyperedge map (Knuth 1977), with one
         explicit stack per cost so far, as pass 1's bucket queue. A state
         holds the items still to expand, as a linked list of (item, parent
-        index, the ``site`` of the item that holds it); the instances found
+        index, the ``site`` entry of its position in the hyperedge that
+        holds it); the instances found
         so far, as a linked list, and their count; and its slack, the
         budget less a lower bound on the tree's size: the count plus every
         pending item's least cost. Expanding an item by a hyperedge costs
@@ -576,7 +611,7 @@ class _SpanParser:
         t = self.tables
         best, point_best, site = self.best, t.point_best, t.site
         inst0, comp_cost, holds = t.inst0, t.comp_cost, t.holds
-        n_comps = len(comp_cost)
+        n_comps, nowhere = len(comp_cost), (None, None)
         buckets: list[list[tuple]] = [[]]
         for key in reversed(roots):     # the first root is expanded first
             least = best.get(key, point_best.get(key))
@@ -618,7 +653,8 @@ class _SpanParser:
                 least = best.get(item)
                 if least is None:
                     least = point_best[item]
-                held_at = site.get(sym)     # where an instance antecedent attaches
+                # where an instance at each antecedent position attaches
+                held_at = site.get(sym, nowhere)
                 for edge in edges[item]:
                     if edge[0] < least:     # would grow the slack
                         raise InternalError(f"a hyperedge of {item} costs {edge[0]},"
@@ -626,9 +662,9 @@ class _SpanParser:
                     left = slack + least - edge[0]
                     if left >= 0:
                         grown = pending
-                        for ante in edge[1:]:
+                        for ante, at in zip(edge[1:], held_at):
                             if holds[ante[0]]:
-                                grown = ((ante, parent, held_at), grown)
+                                grown = ((ante, parent, at), grown)
                         out.append((grown, insts, count, left))
             if found:
                 yield cost, found

@@ -22,8 +22,8 @@ from stagmt.derive import (
 )
 from stagmt.errors import CompositionError
 from stagmt.model import (ADJOIN_ALLOW, ADJOIN_NA, KIND_EMPTY, KIND_FOOT,
-                          KIND_INTERIOR, KIND_LEX, KIND_SUBST, ROOT, Grammar,
-                          TreeNode)
+                          KIND_INTERIOR, KIND_LEX, KIND_SUBST, ROOT,
+                          ElementaryTree, Grammar, TreeNode)
 
 # Verdict lines recorded by the acceptance tests; echoed after the run by a
 # terminal-summary hook so they are visible even when capture is on.
@@ -188,6 +188,28 @@ def corpus(grammar_name: str) -> tuple[str, ...]:
     if grammar_name == "embedded":
         return permutation_closure(EMBEDDED_WORDS) + EMBEDDED_NEGATIVES
     raise ValueError(grammar_name)
+
+
+def grown(grammar: Grammar, names, word: str, k: int) -> Grammar:
+    """grammar with k copies of each named pair, the n-th copy anchored on
+    word + n wherever the pair has word, on both sides."""
+    def renamed(node, new):
+        return TreeNode(node.cat, node.kind, node.adjoin,
+                        new if node.word == word else node.word, node.feats,
+                        tuple(renamed(child, new) for child in node.children))
+
+    def copy(tree, new):
+        return ElementaryTree(renamed(tree.root, new))
+
+    copies = [pair._replace(
+        name=f"{pair.name}_{n}", target=copy(pair.target, f"{word}{n}"),
+        source=pair.source._replace(components=tuple(
+            copy(comp, f"{word}{n}") for comp in pair.source.components)))
+        for n in range(k) for pair in grammar.pairs if pair.name in names]
+    return Grammar(pairs=grammar.pairs + tuple(copies),
+                   source_language=grammar.source_language,
+                   target_language=grammar.target_language,
+                   start_symbol=grammar.start_symbol, particles=grammar.particles)
 
 
 def attachment_of(derivation, use: int, comp: int):

@@ -144,10 +144,10 @@ class TestTranslate:
         assert proc.stdout == "Mary says " * 400 + "Tom chases Jerry.\n"
 
     def test_chart_limit_is_a_coded_error(self, capsys, monkeypatch):
-        # pass 1 over the object fronted over three embedding verbs settles
-        # 62 items, over the canonical sentence 36: under a cap of 50 the
+        # pass 1 over the object fronted over three embedding verbs logs 37
+        # firings, over the canonical sentence 23: under a cap of 30 the
         # first is refused and the batch goes on to the second
-        monkeypatch.setattr("stagmt.parser.MAX_CHART_ITEMS", 50)
+        monkeypatch.setattr("stagmt.parser.MAX_CHART_ITEMS", 30)
         monkeypatch.setattr("sys.stdin", io.StringIO(
             f"{chain_sentence(3)}\n{EMBEDDED_CANONICAL}\n"))
         status, out, err = run(capsys, "translate", "-g", "embedded")

@@ -21,6 +21,7 @@ from support import (
     corpus,
     empty,
     foot,
+    grown,
     interior,
     lex,
     lex_yield,
@@ -30,13 +31,14 @@ from support import (
 
 import stagmt.derive
 import stagmt.parser
-from stagmt.derive import (Derivation, build_derived_tree, ranking_key,
-                           render_tree)
+from stagmt.derive import (OP_SUBST, Derivation, build_derived_tree,
+                           ranking_key, render_tree)
 from stagmt.errors import (InternalError, LexicalGapError,
                            LimitExceededError, NoParseError)
 from stagmt.grammar_io import load_grammar
 from stagmt.model import (
     ADJOIN_NA,
+    KIND_SUBST,
     ElementaryTree,
     Grammar,
     Link,
@@ -162,12 +164,13 @@ class TestFailureModes:
             parse(tokenize("Tom-i Jerry-ka ccossnunta.", g_chase), g_chase)
 
     def test_chart_size_is_capped(self, g_chase, monkeypatch):
-        # the canonical sentence settles 31 pass-1 items; the cap is checked
-        # only when a new item enters the chart
+        # the canonical sentence settles 29 pass-1 items through 34 logged
+        # firings; every item enters through a firing, so the cap counts
+        # the firings and bounds the chart and the log alike
         sentence = tokenize(CHASE_CANONICAL, g_chase)
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 31)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 34)
         assert len(all_derivations(sentence, g_chase)) == 3
-        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 30)
+        monkeypatch.setattr(stagmt.parser, "MAX_CHART_ITEMS", 33)
         with pytest.raises(LimitExceededError) as info:
             all_derivations(sentence, g_chase)
         assert info.value.code == "limit-exceeded"
@@ -186,12 +189,12 @@ class TestFailureModes:
         # every subject and object before the verb is the left sibling of
         # a scrambling auxiliary's foot; with the gap's right end left open
         # each makes one item, not one per right end, so 81 lexical items
-        # settle 1,247 items, and 161 end in no-parse, not the chart cap
+        # settle 1,207 items, and 161 end in no-parse, not the chart cap
         line = "Tom-i Jerry-lul " * 20 + "ccossnunta."
         lex_stream = tokenize(line, g_chase).lex_stream
         assert len(lex_stream) == 81
         span = stagmt.parser._SpanParser(lex_stream, g_chase.chart_tables)
-        assert len(span.best) == 1_247
+        assert len(span.best) == 1_207
         with pytest.raises(NoParseError):
             parse(tokenize("Tom-i Jerry-lul " * 40 + "ccossnunta.", g_chase),
                   g_chase)
@@ -466,8 +469,10 @@ class TestForest:
     each once, the smallest of them at pass 1's least cost, flat, one
     (component id, parent index, site) per instance, parents first, in
     batches of one priority cost, cheapest first. A component root has no
-    item of its own: the rules that complete it make its instance. Pass 2
-    reads the hyperedges of no item that can hold no instance."""
+    item of its own: the rules that complete it make its instance. Nor has a
+    substitution slot: an instance fills each slot of its category
+    directly. Pass 2 reads the hyperedges of no item that can hold no
+    instance."""
 
     BUDGET = 8
     CAL, TTU = lex("A", "cal"), lex("B", "ttu")
@@ -485,10 +490,13 @@ class TestForest:
         assert span.edges.keys() == span.best.keys() | t.point_edges.keys()
         best = {**span.best, **t.point_best}
         # node ids run in preorder, component after component
-        sizes = [len(comp.nodes) for pair in grammar.pairs
-                 for comp in pair.source.components]
+        comps = [comp for pair in grammar.pairs for comp in pair.source.components]
+        sizes = [len(comp.nodes) for comp in comps]
         roots = set(itertools.accumulate(sizes[:-1], initial=0))
-        assert not roots & {sym for sym, _, _, _ in best}
+        slots = {n for n, node in enumerate(
+            node for comp in comps for node in comp.nodes.values())
+            if node.kind == KIND_SUBST}
+        assert not (roots | slots) & {sym for sym, _, _, _ in best}
         span.edges = Lookups(span.edges)
         for key, least in best.items():
             # each hyperedge carries the cost it fired at: the item's own
@@ -534,6 +542,12 @@ class TestForest:
                     assert parent is None or parent < idx
                     # only the item's own instance attaches nowhere
                     assert (at is None) == (idx == 0 and own == 1)
+                    # an instance substituted into its parent lands in a
+                    # slot of its own root's category
+                    if parent is not None and at[2] == OP_SUBST:
+                        slot = comps[tree[parent][0]].node_at(at[0])
+                        assert slot.kind == KIND_SUBST
+                        assert slot.cat == comps[comp].root.cat
                 # an instance item's tree is rooted in that instance
                 if own:
                     assert tree[0][0] == key[0] - t.inst0
@@ -577,19 +591,28 @@ class TestForest:
         gapped = {sym for sym, _, _, gap in tables.point_best if gap}
         assert gapped - set(tables.feet)
         # some host's row carries the zero-width auxiliary beta_cal
-        assert any(host and host[2] for _, _, _, host, _ in tables.rules)
+        assert any(host and host[3] for _, _, _, _, host, _ in tables.rules)
         self.check(grammar, "cal ttu Tom-i Jerry-lul ccossnunta.")
 
+    def test_verbs_the_input_does_not_use_add_no_items(self, g_chase):
+        # an instance fills every slot of its category without an item per
+        # slot, so 64 more verbs with the chase verb's slots leave the
+        # canonical sentence's chart as it is
+        lex_stream = tokenize(CHASE_CANONICAL, g_chase).lex_stream
+        assert [len(stagmt.parser._SpanParser(
+            lex_stream, grown(g_chase, ("gamma_chase",), "ccossnunta", k)
+            .chart_tables).best) for k in (0, 64)] == [29, 29]
+
     def test_point_table_and_chart_sizes(self, g_chase):
-        # the chase traces (each an empty leaf and its instance), the two
-        # slots they fill and the three feet are 11 point items, which at
-        # each of this no-parse input's six positions would add 66 items to
-        # the 29 that cover words
+        # the three chase traces (each an empty leaf and its instance) and
+        # the three feet are 9 point items, which at each of this no-parse
+        # input's six positions would add 54 items to the 27 that cover
+        # words; a trace fills the slots it can without an item of its own
         tables = g_chase.chart_tables
-        assert len(tables.point_best) == 11
+        assert len(tables.point_best) == 9
         span = stagmt.parser._SpanParser(
             tokenize("Tom-i Jerry-ka ccossnunta.", g_chase).lex_stream, tables)
-        assert len(span.best) == 29
+        assert len(span.best) == 27
 
     @pytest.mark.parametrize("line, filed", [
         ("ccossnunta Tom-i Jerry-lul.", 0),
