@@ -5,7 +5,7 @@ every use except the root's head, where that component attaches (host use,
 host component, site address, operation). Attachments are named tuples
 sorted by (use, comp), so a reader takes them in one pass. Composition reads
 a derivation's derived tree off top down, as a function of the derivation.
-``compose`` is the one checker and ``expand`` the one engine: source
+``DerivedTree`` is the one checker and ``expand`` the one engine: source
 derivations reach them through ``build_derived_tree``, and target
 derivations, whose trees are single components (component 0 of each use),
 through ``generator.realize``, so both sides run the same checks. The
@@ -14,7 +14,7 @@ each instance its own use, for what a source tree needs, and hands that to
 ``DerivedTree`` (its expanded argument), whose nodes, built only when read,
 come from composing with every check.
 
-``compose`` first indexes the attachments by the instance they attach to,
+Composing first indexes the attachments by the instance they attach to,
 and within it by the preorder index of the site they fill
 (``_index_sites``), checking in one pass over them that the uses,
 components and operation exist, that every component but the root instance
@@ -130,6 +130,17 @@ class DNode:
 class DerivedTree:
     """A composed tree: its derivation, numbered canonically, and what its
     expansion read off in preorder.
+
+    ``DerivedTree(elementary, derivation, root_comp)`` expands the
+    derivation top down, checking it. elementary[use][comp] is the tree of
+    component comp of use; the instance of component root_comp of the
+    derivation's root use tops the result. It raises a CompositionError
+    subclass when the derivation is ill-formed (a root, use, component or
+    operation that does not exist, a component attaching twice or never,
+    the root instance attaching), when an attachment does not apply (bad
+    site, category clash, NA or double adjunction, cycle) or when the
+    result is not finished (unfilled slot, stranded foot, unsatisfied
+    obligatory adjunction).
 
     Uses are numbered by first appearance in the tree's preorder, so
     ``derivation`` is the canonical form of the derivation the tree was
@@ -258,16 +269,17 @@ def _index_sites(elementary, derivation: Derivation, root_comp: int):
 
 
 def expand(elementary, sites, root: tuple[int, int], build: bool):
-    """Expand instance root, a (use, comp), in derived preorder, as compose
-    documents. elementary[use][comp] is an instance's tree, and sites holds
-    each attachment's (use, comp, op) as ``_index_sites`` files them, which
-    it uses up; every instance but root attaches once, at a site that takes
-    it, as ``_index_sites`` checks and this does not. This checks what is
-    met on the way: unfilled slots, stranded feet, unmet obligatory
-    adjunction and cycles. Returns the yield, the joins, each use's rank of
-    first appearance, the spans that DerivedTree documents and a list that
-    holds the root node when build is set, with a node made per derived
-    node in preorder. Spans and nodes number a use by its rank."""
+    """Expand instance root, a (use, comp), in derived preorder, as the
+    module documents. elementary[use][comp] is an instance's tree, and
+    sites holds each attachment's (use, comp, op) as ``_index_sites`` files
+    them, which it uses up; every instance but root attaches once, at a
+    site that takes it, as ``_index_sites`` checks and this does not. This
+    checks what is met on the way: unfilled slots, stranded feet, unmet
+    obligatory adjunction and cycles. Returns the yield, the joins, each
+    use's rank of first appearance, the spans that DerivedTree documents
+    and a list that holds the root node when build is set, with a node
+    made per derived node in preorder. Spans and nodes number a use by its
+    rank."""
     words: list[str] = []
     joins: list[int] = []
     order: dict[int, int] = {}
@@ -344,35 +356,20 @@ def expand(elementary, sites, root: tuple[int, int], build: bool):
     return tuple(words), joins, order, spans, top
 
 
-def compose(elementary, derivation: Derivation, root_comp: int) -> DerivedTree:
-    """Expand the derivation top down into its derived tree, checking it.
-
-    elementary[use][comp] is the tree of component comp of use; the
-    instance of component root_comp of the derivation's root use tops the
-    result, which carries the derivation's canonical form. Raises a
-    CompositionError subclass when the derivation is ill-formed (a root,
-    use, component or operation that does not exist, a component attaching
-    twice or never, the root instance attaching), when an attachment does
-    not apply (bad site, category clash, NA or double adjunction, cycle) or
-    when the result is not finished (unfilled slot, stranded foot,
-    unsatisfied obligatory adjunction).
-    """
-    return DerivedTree(elementary, derivation, root_comp)
-
-
 def build_derived_tree(derivation: Derivation, grammar: Grammar) -> DerivedTree:
     """Compose the derivation into a source derived tree: pick each use's
-    source components and the root's head, and let compose check the rest.
+    source components and the root's head, and let ``DerivedTree`` check
+    the rest.
 
-    Raises a CompositionError subclass when compose rejects the derivation.
-    Dominance requirements are a separate judgement, see
+    Raises a CompositionError subclass when the derivation does not
+    compose. Dominance requirements are a separate judgement, see
     dominance_violations.
     """
     pairs = [grammar.pair_by_name[name] for name in derivation.uses]
     root = derivation.root
-    # compose rejects a root out of range, whatever component it is given
+    # a root out of range is refused, whatever component it is given
     head = pairs[root].source.head if 0 <= root < len(pairs) else 0
-    return compose([pair.source.components for pair in pairs], derivation, head)
+    return DerivedTree([pair.source.components for pair in pairs], derivation, head)
 
 
 def dominance_violations(tree: DerivedTree, grammar: Grammar) -> list[str]:

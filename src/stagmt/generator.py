@@ -2,7 +2,7 @@
 
 A target derivation (see ``transfer``) is a ``derive.Derivation`` whose uses
 each have one component, the pair's target tree, so it composes through the
-same ``derive.compose`` engine and end checks as the source side. The
+same ``derive.DerivedTree`` checks and engine as the source side. The
 target tree carries it in canonical numbering, by first appearance in the
 target tree, just as a source tree carries the parse's derivation, so the
 two trees of a translation may number the same use differently.
@@ -11,14 +11,14 @@ The sentence is read off the expansion's words; no node is built for it.
 
 from __future__ import annotations
 
-from .derive import Derivation, DerivedTree, compose
+from .derive import Derivation, DerivedTree
 from .model import Grammar
 
 
 def realize(target: Derivation, grammar: Grammar) -> DerivedTree:
     """Compose a target derivation into a target derived tree."""
-    return compose([(grammar.pair_by_name[name].target,) for name in target.uses],
-                   target, 0)
+    return DerivedTree([(grammar.pair_by_name[name].target,) for name in target.uses],
+                       target, 0)
 
 
 def yield_surface(tree: DerivedTree, punct: str = ".") -> str:

@@ -146,9 +146,9 @@ def _pair_from_json(obj, path) -> SyncPair:
             raise GrammarSchemaError("comp must be an integer", f"{lpath}.comp")
         src = _address(link_json["src"], f"{lpath}.src")
         tgt = _address(link_json["tgt"], f"{lpath}.tgt")
-        if not (0 <= comp < len(components)) or components[comp].node_at(src) is None:
+        if not (0 <= comp < len(components)) or src not in components[comp].nodes:
             raise GrammarSchemaError(f"link src {src} does not name a node", lpath)
-        if target.node_at(tgt) is None:
+        if tgt not in target.nodes:
             raise GrammarSchemaError(f"link tgt {tgt} does not name a node", lpath)
         links.append(Link(comp=comp, src=src, tgt=tgt))
 

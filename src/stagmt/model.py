@@ -72,9 +72,6 @@ class GornAddress(NamedTuple):
     def __repr__(self) -> str:
         return f"GornAddress({str(self)!r})"
 
-    def child(self, position: int) -> "GornAddress":
-        return GornAddress(self.path + (position,))
-
 
 ROOT = GornAddress(())
 
@@ -134,10 +131,6 @@ class TreeNode(Record):
                  children: tuple[TreeNode, ...] = ()):
         self._set(cat, kind, adjoin, word, feats, children)
 
-    @property
-    def is_leaf_kind(self) -> bool:
-        return self.kind in (KIND_SUBST, KIND_FOOT, KIND_LEX, KIND_EMPTY)
-
 
 class ElementaryTree(Record):
     """A whole elementary tree; auxiliary iff it contains a foot node."""
@@ -156,11 +149,8 @@ class ElementaryTree(Record):
             addr, node = stack.pop()
             out[addr] = node
             for i in range(len(node.children), 0, -1):
-                stack.append((addr.child(i), node.children[i - 1]))
+                stack.append((GornAddress(addr.path + (i,)), node.children[i - 1]))
         return out
-
-    def node_at(self, addr: GornAddress) -> TreeNode | None:
-        return self.nodes.get(addr)
 
     @cached_property
     def compiled(self) -> tuple:
@@ -175,16 +165,17 @@ class ElementaryTree(Record):
         node's image in every derived tree."""
         addresses, nodes = zip(*self.nodes.items())
         index = {addr.path: i for i, addr in enumerate(addresses)}
-        # in preorder, the nodes at or below node i are the next ones whose
-        # paths start with its path
-        ends = tuple(i + sum(a.path[:len(at.path)] == at.path for a in addresses)
-                     for i, at in enumerate(addresses))
+        # in preorder, a node's subtree ends where its last child's does
+        ends = [0] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            kids = len(nodes[i].children)
+            ends[i] = ends[index[addresses[i].path + (kids,)]] if kids else i + 1
         codes = tuple(_LEAF_CODES.get(node.kind) or (
             (node.adjoin == ADJOIN_OA) * CODE_OA
             | ([(kid.kind, kid.cat) for kid in node.children]
                == [(KIND_LEX, "N"), (KIND_LEX, "P")]) * CODE_JOIN)
             for node in nodes)
-        return nodes, addresses, index, ends, codes
+        return nodes, addresses, index, tuple(ends), codes
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
@@ -197,10 +188,6 @@ class ElementaryTree(Record):
     def is_auxiliary(self) -> bool:
         return self.foot_address is not None
 
-    @property
-    def root_cat(self) -> str:
-        return self.root.cat
-
     @cached_property
     def subst_addresses(self) -> tuple[GornAddress, ...]:
         return tuple(a for a, n in self.nodes.items() if n.kind == KIND_SUBST)
@@ -211,7 +198,7 @@ class ElementaryTree(Record):
 
     def operable(self, addr: GornAddress) -> bool:
         """True if the node can be the site of a substitution or adjunction."""
-        node = self.node_at(addr)
+        node = self.nodes.get(addr)
         if node is None:
             return False
         if node.kind == KIND_SUBST:
@@ -230,10 +217,6 @@ class SourceSet(NamedTuple):
     def is_multi(self) -> bool:
         return len(self.components) > 1
 
-    @property
-    def head_tree(self) -> ElementaryTree:
-        return self.components[self.head]
-
 
 class Link(NamedTuple):
     comp: int
@@ -247,9 +230,6 @@ class SyncPair(NamedTuple):
     target: ElementaryTree
     links: tuple[Link, ...] = ()
     priority: int = 1
-
-    def component(self, index: int) -> ElementaryTree:
-        return self.source.components[index]
 
     @property
     def n_components(self) -> int:
@@ -385,8 +365,8 @@ class Grammar(Record):
         """The pairs that can root a derivation: their head component is an
         initial tree rooted in the start symbol."""
         return tuple(p for p in self.pairs
-                     if not p.source.head_tree.is_auxiliary
-                     and p.source.head_tree.root_cat == self.start_symbol)
+                     if not (head := p.source.components[p.source.head]).is_auxiliary
+                     and head.root.cat == self.start_symbol)
 
     @cached_property
     def chart_tables(self) -> ChartTables:
@@ -413,9 +393,9 @@ def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,
             continue
         if node.adjoin not in ADJOIN_VALUES:
             diag("adjoin-value", f"unknown adjoining constraint {node.adjoin!r}", addr)
-        if node.is_leaf_kind and node.children:
+        if node.kind != KIND_INTERIOR and node.children:
             diag("leaf-children", f"{node.kind} node may not have children", addr)
-        if node.is_leaf_kind and node.adjoin == ADJOIN_OA:
+        if node.kind != KIND_INTERIOR and node.adjoin == ADJOIN_OA:
             # adjunction happens only at interior nodes, so nothing could
             # ever satisfy the constraint
             diag("oa-leaf", f"{node.kind} node cannot be obligatory-adjoining",
@@ -436,10 +416,10 @@ def _tree_diagnostics(pair_name: str, label: str, tree: ElementaryTree,
     if len(feet) > 1:
         diag("multiple-feet", f"{len(feet)} foot nodes, at most one allowed")
     elif len(feet) == 1:
-        foot_node = tree.node_at(feet[0])
-        if foot_node.cat != tree.root_cat:
+        foot_node = tree.nodes[feet[0]]
+        if foot_node.cat != tree.root.cat:
             diag("foot-category",
-                 f"foot category {foot_node.cat!r} differs from root {tree.root_cat!r}",
+                 f"foot category {foot_node.cat!r} differs from root {tree.root.cat!r}",
                  feet[0])
     return out
 
@@ -506,13 +486,13 @@ def validate_pair(pair: SyncPair) -> list[Diagnostic]:
             diag("link-comp", f"link names component {link.comp}, out of range")
             continue
         comp = src.components[link.comp]
-        if comp.node_at(link.src) is None:
+        if link.src not in comp.nodes:
             diag("link-src", f"link src {link.src} does not name a node",
                  addr=str(link.src))
         elif not comp.operable(link.src):
             diag("link-src", f"link src {link.src} is not an operable node",
                  addr=str(link.src))
-        if pair.target.node_at(link.tgt) is None:
+        if link.tgt not in pair.target.nodes:
             diag("link-tgt", f"link tgt {link.tgt} does not name a node",
                  addr=str(link.tgt))
         elif not pair.target.operable(link.tgt):

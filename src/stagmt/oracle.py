@@ -12,7 +12,7 @@ with.
 
 Composition here deliberately shares no code with stagmt.derive: it is a
 recursive expander over immutable nested tuples, the foot filler passed as
-an argument, where compose expands under an explicit stack. Only the
+an argument, where stagmt.derive expands under an explicit stack. Only the
 Derivation record type, its canonical numbering and its ranking order are
 shared, so both sides speak the same language when their result sets are
 compared, and so is the lexical check (``morphotok.check_anchored``) that
@@ -45,6 +45,7 @@ from .model import (
     KIND_LEX,
     KIND_SUBST,
     ROOT,
+    GornAddress,
     Grammar,
 )
 from .morphotok import TokenizedSentence, check_anchored
@@ -146,22 +147,22 @@ class _Expander:
         if key in self.stack or key in self.visited:
             raise _Invalid
         self.stack.add(key)
-        tree = self.g.pair(self.uses[use]).component(comp)
+        tree = self.g.pair(self.uses[use]).source.components[comp]
         form = self._node(tree, use, comp, ROOT, foot_filler)
         self.stack.discard(key)
         self.visited.add(key)
         return form
 
     def _node(self, tree, use, comp, addr, foot_filler):
-        node = tree.node_at(addr)
+        node = tree.nodes.get(addr)
         site = (use, comp, addr)
         if node.kind == KIND_SUBST:
             filler = self.subst_map.get(site)
             if filler is None:
                 raise _Invalid  # slot left unfilled
             fu, fc = filler
-            ftree = self.g.pair(self.uses[fu]).component(fc)
-            if ftree.is_auxiliary or ftree.root_cat != node.cat:
+            ftree = self.g.pair(self.uses[fu]).source.components[fc]
+            if ftree.is_auxiliary or ftree.root.cat != node.cat:
                 raise _Invalid
             return self.expand(fu, fc, None)
         if node.kind == KIND_FOOT:
@@ -172,7 +173,7 @@ class _Expander:
             return (site, node.cat, node.kind, node.word, ())
         # interior: build the base, then wrap with any adjunction here
         children = tuple(
-            self._node(tree, use, comp, addr.child(i), foot_filler)
+            self._node(tree, use, comp, GornAddress(addr.path + (i,)), foot_filler)
             for i in range(1, len(node.children) + 1))
         base = (site, node.cat, node.kind, None, children)
         adj = self.adjoin_map.get(site)
@@ -183,8 +184,8 @@ class _Expander:
         if node.adjoin == ADJOIN_NA:
             raise _Invalid
         au, ac = adj
-        atree = self.g.pair(self.uses[au]).component(ac)
-        if not atree.is_auxiliary or atree.root_cat != node.cat:
+        atree = self.g.pair(self.uses[au]).source.components[ac]
+        if not atree.is_auxiliary or atree.root.cat != node.cat:
             raise _Invalid
         return self.expand(au, ac, base)
 
@@ -207,7 +208,7 @@ def _attachment_sites(uses, grammar: Grammar):
         pair = grammar.pair(name)
         for c, comp in enumerate(pair.source.components):
             table = interior_sites if comp.is_auxiliary else slot_sites
-            sites = [s for s in table.get(comp.root_cat, []) if s[:2] != (u, c)]
+            sites = [s for s in table.get(comp.root.cat, []) if s[:2] != (u, c)]
             options[(u, c)] = sites
     return options
 
@@ -260,7 +261,7 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
     subst_map = {}
     adjoin_map = {}
     for site, (u, c) in taken.items():
-        comp = grammar.pair(uses[u]).component(c)
+        comp = grammar.pair(uses[u]).source.components[c]
         if comp.is_auxiliary:
             adjoin_map[site] = (u, c)
         else:
@@ -295,7 +296,7 @@ def _try_config(uses, root, root_head, taken, grammar, lex, found):
     attachments = []
     for site, (u, c) in taken.items():
         host_u, host_c, addr = site
-        aux = grammar.pair(uses[u]).component(c).is_auxiliary
+        aux = grammar.pair(uses[u]).source.components[c].is_auxiliary
         attachments.append(Attachment(use=u, comp=c, host=host_u,
                                       host_comp=host_c, site=addr,
                                       op=OP_ADJOIN if aux else OP_SUBST))

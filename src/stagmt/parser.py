@@ -32,15 +32,15 @@ none checks for it, as in the TAG CKY items of Vijay-Shanker & Joshi 1985.
    every derivable item once, at its least instance count, and records
    every rule firing, with its cost, as a hyperedge of its consequent.
 2. Enumeration lists the instance trees of the start pairs' root items,
-   cheapest first, by one uniform-cost search of that forest, with explicit
-   stacks and no recursion, in the manner of agenda-driven deductive
-   parsing. It expands only items whose symbol can hold an instance
-   (``ChartTables.holds``): any other item costs 0 and has one instance
-   tree, the empty one, so it is never pushed. It hands the trees out one
-   priority cost at a time and finds those of a cost without expanding
-   any dearer state. ``max_uses`` is applied here, and only here, as an
-   instance budget, and ``MAX_PARSES`` caps the trees one parse may
-   enumerate.
+   cheapest first, by one uniform-cost search of that forest, with one
+   explicit stack per cost that has pending states and no recursion, in
+   the manner of agenda-driven deductive parsing. It expands only items
+   whose symbol can hold an instance (``ChartTables.holds``): any other
+   item costs 0 and has one instance tree, the empty one, so it is never
+   pushed. It hands the trees out one priority cost at a time and finds
+   those of a cost without expanding any dearer state. ``max_uses`` is
+   applied here, and only here, as an instance budget, and ``MAX_PARSES``
+   caps the trees one parse may enumerate.
 
 Phase 2 restores set discipline one priority level at a time, reading each
 instance's pair and component from ``ChartTables.comps`` by component id,
@@ -50,12 +50,13 @@ its use count are fixed by its instance tree, so each batch of trees from
 enumeration is one level's candidates, those over the use budget dropped.
 A use is its component-0 instance. Each further component's instances of
 a multi-component pair are matched bijectively with that pair's uses. An
-instance tree that has a grouping is expanded once, by compose's engine
-(``derive.expand``), each instance its own use, at the sites pass 2 found;
-``compose``'s checks of those sites are left out, since pass 1's deduction
-rules guarantee them. The expansion gives its yield, checked against the
-input, its instances in order of first appearance in derived preorder and
-their spans. No derivation is composed. Each grouping's uses are numbered
+instance tree that has a grouping is expanded once, by the composing
+engine (``derive.expand``), each instance its own use, at the sites pass 2
+found; ``DerivedTree``'s checks of those sites are left out, since pass
+1's deduction rules guarantee them. A tree with no grouping is skipped
+unexpanded. The expansion gives its yield, checked against the input, its
+instances in order of first appearance in derived preorder and their
+spans. No derivation is composed. Each grouping's uses are numbered
 by first appearance, which makes its canonical derivation directly, and
 those whose dominance requirements fail on the spans are discarded; a cost
 with none left is skipped, and the next batch is enumerated.
@@ -580,13 +581,14 @@ class _SpanParser:
         are refused.
 
         A uniform-cost search of the hyperedge map (Knuth 1977), with one
-        explicit stack per cost so far, as pass 1's bucket queue. A state
-        holds the items still to expand, as a linked list of (item, parent
-        index, the ``site`` entry of its position in the hyperedge that
-        holds it); the instances found
-        so far, as a linked list, and their count; and its slack, the
-        budget less a lower bound on the tree's size: the count plus every
-        pending item's least cost. Expanding an item by a hyperedge costs
+        explicit stack per cost that has pending states, keyed by that cost,
+        the least taken next: time and memory follow the states, not the
+        priority values. A state holds the items still to expand, as a
+        linked list of (item, parent index, the ``site`` entry of its
+        position in the hyperedge that holds it); the instances found so
+        far, as a linked list, and their count; and its slack, the budget
+        less a lower bound on the tree's size: the count plus every pending
+        item's least cost. Expanding an item by a hyperedge costs
         the hyperedge's recorded cost less the item's least cost. That
         cost is the item's own instance count plus its antecedents' least
         costs, so a state within the budget always completes to a tree, no
@@ -600,30 +602,30 @@ class _SpanParser:
         pops an instance are pushed on the stack of its cost plus the
         instance's charge, the others on the current one, whose rightmost
         pending item is expanded first. No charge is negative, since every
-        priority is at least 1, so once
-        the stack of cost c is empty every tree of cost c has been found
-        and no dearer state expanded: a batch is complete when it is
-        handed out, and a caller that stops after it pays for no dearer
-        one. Trees hold no positions, so a point item, named by its table
-        key, has one set of trees for every position it fills, and an open
-        item one for every right end of its gap.
+        priority is at least 1, so once the stack of cost c is empty every
+        tree of cost c has been found and no dearer state expanded: a batch
+        is complete when it is handed out, and a caller that stops after it
+        pays for no dearer one. Trees hold no positions, so a point item,
+        named by its table key, has one set of trees for every position it
+        fills, and an open item one for every right end of its gap.
         """
         t = self.tables
         best, point_best, site = self.best, t.point_best, t.site
         inst0, comp_cost, holds = t.inst0, t.comp_cost, t.holds
         n_comps, nowhere = len(comp_cost), (None, None)
-        buckets: list[list[tuple]] = [[]]
+        stacks: dict[int, list[tuple]] = {0: []}    # pending states by cost
         for key in reversed(roots):     # the first root is expanded first
             least = best.get(key, point_best.get(key))
             if least is not None and least <= budget:   # some tree fits
-                buckets[0].append((((key, None, None), None), None, 0,
-                                   budget - least))
-        if not buckets[0]:
+                stacks[0].append((((key, None, None), None), None, 0,
+                                  budget - least))
+        if not stacks[0]:
             return
         edges = self.edges      # filed only for an item with a tree to find
         n_trees = 0
-        for cost, stack in enumerate(buckets):  # the queue grows while read
-            found = []
+        while stacks:
+            cost = min(stacks)
+            stack, found = stacks.pop(cost), []
             while stack:
                 pending, insts, count, slack = stack.pop()
                 if pending is None:
@@ -646,10 +648,7 @@ class _SpanParser:
                     if count > budget:  # the slack grew: pass 1 erred
                         raise InternalError(f"{item} overruns the budget {budget}")
                     if comp_cost[comp]:
-                        dearer = cost + comp_cost[comp]
-                        while len(buckets) <= dearer:
-                            buckets.append([])
-                        out = buckets[dearer]
+                        out = stacks.setdefault(cost + comp_cost[comp], [])
                 least = best.get(item)
                 if least is None:
                     least = point_best[item]
@@ -732,23 +731,23 @@ def _priority_levels(sentence: TokenizedSentence, grammar: Grammar,
             if len(heads) > max_uses:
                 continue
             count, readings = _groupings(flat, tables)
+            if not count:
+                continue
             n_groupings += count
             if n_groupings > MAX_GROUPINGS:
                 raise LimitExceededError(
                     f"the input has more than {MAX_GROUPINGS} groupings")
-            expanded = None
+            # expanded with each instance its own use
+            sites: dict[tuple[int, int], dict[int, tuple]] = {}
+            for idx, (_, parent, (_, index, op)) in enumerate(flat[1:], 1):
+                sites.setdefault((parent, insts[parent][1]), {})[index] = (
+                    idx, insts[idx][1], op)
+            words, joins, entered, spans, _ = expand(
+                [tables.components[comp] for comp, _, _ in flat], sites,
+                (0, insts[0][1]), False)
+            if words != lex:
+                raise InternalError(f"derived tree yields {words}, not the input {lex}")
             for further in readings:
-                if expanded is None:    # each instance its own use
-                    sites: dict[tuple[int, int], dict[int, tuple]] = {}
-                    for idx, (_, parent, (_, index, op)) in enumerate(flat[1:], 1):
-                        sites.setdefault((parent, insts[parent][1]), {})[index] = (
-                            idx, insts[idx][1], op)
-                    words, joins, entered, spans, _ = expanded = expand(
-                        [tables.components[comp] for comp, _, _ in flat], sites,
-                        (0, insts[0][1]), False)
-                    if words != lex:
-                        raise InternalError(
-                            f"derived tree yields {words}, not the input {lex}")
                 use_of = heads | further    # instance index -> use
                 # use -> its canonical number, its rank of first appearance
                 rank = {use: n for n, use in enumerate(

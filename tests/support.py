@@ -99,7 +99,7 @@ def read_off(tree):
 def check_against_composing(tree, grammar: Grammar) -> None:
     """Referee a tree the parser returns, which it read off its instance
     tree without composing its derivation, against composing that: reading
-    its root runs every compose check, and the composed tree reads off the
+    its root runs every composing check, and the composed tree reads off the
     same words, joins, spans and canonical derivation, with the same
     dominance verdict."""
     assert tree.root is not None
@@ -243,8 +243,8 @@ def _initial_head_pairs(grammar: Grammar, cat: str):
     """Pairs whose head component is an initial tree rooted in cat."""
     out = []
     for pair in grammar.pairs:
-        head = pair.source.head_tree
-        if not head.is_auxiliary and head.root_cat == cat:
+        head = pair.source.components[pair.source.head]
+        if not head.is_auxiliary and head.root.cat == cat:
             out.append(pair)
     return out
 
@@ -272,12 +272,12 @@ def random_derivation(grammar: Grammar, rng: random.Random, *,
     uses = [root_pair.name]
     attachments: list[Attachment] = []
     # open substitution slots: (host use, host comp, address, category)
-    slots = [(0, root_pair.source.head, addr,
-              root_pair.source.head_tree.node_at(addr).cat)
-             for addr in root_pair.source.head_tree.subst_addresses]
+    root_tree = root_pair.source.components[root_pair.source.head]
+    slots = [(0, root_pair.source.head, addr, root_tree.nodes[addr].cat)
+             for addr in root_tree.subst_addresses]
     # candidate adjunction sites: (use, comp, address, category)
     sites = [(0, root_pair.source.head, addr, cat)
-             for addr, cat in _interior_sites(root_pair.source.head_tree)]
+             for addr, cat in _interior_sites(root_tree)]
     pending_aux = []  # (use, comp, root category)
 
     while slots:
@@ -298,15 +298,15 @@ def random_derivation(grammar: Grammar, rng: random.Random, *,
         head = pair.source.head
         attachments.append(Attachment(use=use, comp=head, host=host,
                                       host_comp=host_comp, site=addr, op=OP_SUBST))
-        head_tree = pair.source.head_tree
-        slots.extend((use, head, a, head_tree.node_at(a).cat)
+        head_tree = pair.source.components[head]
+        slots.extend((use, head, a, head_tree.nodes[a].cat)
                      for a in head_tree.subst_addresses)
         sites.extend((use, head, a, c)
                      for a, c in _interior_sites(head_tree))
         for comp_idx, comp in enumerate(pair.source.components):
             if comp_idx == head:
                 continue
-            pending_aux.append((use, comp_idx, comp.root_cat))
+            pending_aux.append((use, comp_idx, comp.root.cat))
             sites.extend((use, comp_idx, a, c) for a, c in _interior_sites(comp))
 
     taken: set[tuple[int, int, object]] = set()

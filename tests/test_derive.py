@@ -16,11 +16,11 @@ import stagmt.derive
 from stagmt.derive import (
     Attachment,
     DNode,
+    DerivedTree,
     OP_ADJOIN,
     OP_SUBST,
     build_derived_tree,
     canonicalize,
-    compose,
     dominance_violations,
     make_derivation,
     render_derivation,
@@ -266,7 +266,7 @@ class TestBuildDerivedTree:
         with pytest.raises(IllegalAttachmentError, match="no node at site"):
             build_derived_tree(nowhere, g_chase)
 
-    # compose's shape checks, the same on the source and the target side
+    # the composing shape checks, the same on the source and the target side
     # (the target trees of these pairs take the same attachments); a
     # duplicate (use, comp) is reported alike whichever of its attachments
     # comes first
@@ -312,8 +312,8 @@ class TestBuildDerivedTree:
 
 def splice(grammar, names, attachments, root):
     """Compose source components of the named pairs; root is (use, comp)."""
-    return compose([grammar.pair(name).source.components for name in names],
-                   make_derivation(names, root[0], attachments), root[1])
+    return DerivedTree([grammar.pair(name).source.components for name in names],
+                       make_derivation(names, root[0], attachments), root[1])
 
 
 def instance_roots(tree):

@@ -65,8 +65,8 @@ class TestLoading:
         assert beta.n_components == 2
         assert beta.source.head == 1
         assert beta.source.dominance == ((0, 1),)
-        assert beta.component(0).is_auxiliary
-        assert not beta.component(1).is_auxiliary
+        assert beta.source.components[0].is_auxiliary
+        assert not beta.source.components[1].is_auxiliary
         assert beta.priority == 2
 
 

@@ -1,6 +1,7 @@
 """Data model: addresses, trees, pair validation, grammar indexing."""
 
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ from stagmt.model import (
 
 addresses = st.lists(st.integers(min_value=1, max_value=9), max_size=5).map(
     lambda p: GornAddress(tuple(p)))
+elementary_trees = st.recursive(
+    st.sampled_from([lex("N", "x"), empty(), subst("NP"), foot("S")]),
+    lambda kids: st.lists(kids, min_size=1, max_size=4).map(
+        lambda children: interior("S", *children)),
+    max_leaves=40).map(ElementaryTree)
+
+
+def defined_ends(tree):
+    """One past the last node at or below each node, by definition: in
+    preorder, those are the next nodes whose paths start with its path."""
+    paths = [addr.path for addr in tree.nodes]
+    return tuple(i + sum(p[:len(at)] == at for p in paths)
+                 for i, at in enumerate(paths))
 
 
 class TestGornAddress:
@@ -49,10 +63,6 @@ class TestGornAddress:
     @given(addresses)
     def test_str_round_trip(self, addr):
         assert GornAddress.parse(str(addr)) == addr
-
-    def test_child(self):
-        assert GornAddress.parse("2.1").child(3) == GornAddress.parse("2.1.3")
-        assert ROOT.child(1) == GornAddress.parse("1")
 
 
 class TestTreeNode:
@@ -80,9 +90,9 @@ class TestElementaryTree:
 
     def test_addressing(self):
         tree = self.make_aux()
-        assert tree.node_at(ROOT).cat == "S"
-        assert tree.node_at(GornAddress.parse("1.1")).kind == "subst_slot"
-        assert tree.node_at(GornAddress.parse("9")) is None
+        assert tree.nodes[ROOT].cat == "S"
+        assert tree.nodes[GornAddress.parse("1.1")].kind == "subst_slot"
+        assert GornAddress.parse("9") not in tree.nodes
 
     def test_foot_and_auxiliary(self):
         tree = self.make_aux()
@@ -97,6 +107,25 @@ class TestElementaryTree:
             "S", subst("SP"), subst("OP"), lex("V", "ccossnunta")))
         assert [str(a) for a in tree.subst_addresses] == ["1", "2"]
         assert tree.lex_words == ("ccossnunta",)
+
+    def test_ends_of_the_shipped_trees(self, g_chase, g_ditransitive, g_embedded):
+        for grammar in (g_chase, g_ditransitive, g_embedded):
+            for pair in grammar.pairs:
+                for tree in (*pair.source.components, pair.target):
+                    assert tree.compiled[3] == defined_ends(tree)
+
+    @given(elementary_trees)
+    def test_ends_of_drawn_trees(self, tree):
+        assert tree.compiled[3] == defined_ends(tree)
+
+    def test_wide_tree_compiles_in_linear_time(self):
+        # a subtree's end is read off its last child's, one pass over the
+        # nodes; counting the nodes below each would take about a minute
+        tree = ElementaryTree(interior("S", *[lex("N", "x")] * 20_000))
+        start = time.perf_counter()
+        ends = tree.compiled[3]
+        assert time.perf_counter() - start < 1.0
+        assert ends[0] == 20_001 and ends[-1] == 20_001
 
     def test_operable(self):
         tree = ElementaryTree(interior(
@@ -404,7 +433,7 @@ class TestEveryGrammarIsValid:
 def test_obligatory_adjoin_value_is_modelled():
     tree = ElementaryTree(interior("S", interior(
         "VP", lex("V", "x"), adjoin=ADJOIN_OA)))
-    node = tree.node_at(GornAddress.parse("1"))
+    node = tree.nodes[GornAddress.parse("1")]
     assert node.adjoin == ADJOIN_OA
 
 

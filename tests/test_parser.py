@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from stagmt.model import (
 )
 from stagmt.morphotok import tokenize
 from stagmt.parser import all_derivations, parse
+from stagmt.pipeline import translate_line
 
 
 def derivations_of(line, grammar, **kwargs):
@@ -59,6 +61,15 @@ def singleton(name, tree, priority=1):
     return SyncPair(name=name, source=SourceSet((et,)), target=et,
                     links=tuple(Link(0, a, a) for a in et.subst_addresses),
                     priority=priority)
+
+
+def repriced(grammar, names, priority):
+    """grammar with the named pairs at priority."""
+    return Grammar(pairs=tuple(p._replace(priority=priority) if p.name in names else p
+                               for p in grammar.pairs),
+                   source_language=grammar.source_language,
+                   target_language=grammar.target_language,
+                   start_symbol=grammar.start_symbol, particles=grammar.particles)
 
 
 class Lookups(dict):
@@ -287,6 +298,33 @@ def test_parsed_trees_agree_with_composing(name):
             check_against_composing(tree, grammar)
             trees += 1
     assert trees
+
+
+class TestDearPriorities:
+    """Pass 2 keeps a stack for each cost its pending states have, so its
+    time and memory follow the input, not the grammar's priority values."""
+
+    @staticmethod
+    def sets_at(grammar, priority):
+        return repriced(grammar, {p.name for p in grammar.pairs if p.source.is_multi},
+                        priority)
+
+    def test_memory_does_not_grow_with_the_priorities(self, g_chase):
+        grammar = self.sets_at(g_chase, 10**6)
+        grammar.chart_tables    # built before the measurement
+        tracemalloc.start()
+        try:
+            result = translate_line(CHASE_SCRAMBLED, grammar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best.cost == 999_999
+        assert peak < 5 * 2**20
+
+    def test_priority_10_to_the_12(self, g_chase):
+        result = translate_line(CHASE_SCRAMBLED, self.sets_at(g_chase, 10**12))
+        assert result.best.cost == 999_999_999_999
+        assert result.translations == ("Tom chases Jerry.",)
 
 
 class TestRanking:
@@ -545,7 +583,7 @@ class TestForest:
                     # an instance substituted into its parent lands in a
                     # slot of its own root's category
                     if parent is not None and at[2] == OP_SUBST:
-                        slot = comps[tree[parent][0]].node_at(at[0])
+                        slot = comps[tree[parent][0]].nodes[at[0]]
                         assert slot.kind == KIND_SUBST
                         assert slot.cat == comps[comp].root.cat
                 # an instance item's tree is rooted in that instance
@@ -558,6 +596,14 @@ class TestForest:
         ("embedded", EMBEDDED_FRONTED)])
     def test_shipped_grammars(self, name, line):
         self.check(load_grammar(name), line)
+
+    def test_dear_set_pair(self, g_chase):
+        # beta_tom_sp at priority 10**6: the levels' costs lie far apart,
+        # and pass 2 keeps stacks for those costs only
+        grammar = repriced(g_chase, {"beta_tom_sp"}, 10**6)
+        levels = parse(tokenize(CHASE_CANONICAL, grammar), grammar, all_levels=True)
+        assert [level.cost for level in levels] == [0, 999_999, 1_000_000]
+        self.check(grammar, CHASE_CANONICAL)
 
     @pytest.mark.parametrize("name", ["chase", "ditransitive", "embedded"])
     def test_chart_holds_no_point_items(self, name):
